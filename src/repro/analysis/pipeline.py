@@ -505,8 +505,10 @@ def run_study(
     leaves its finished stages — the arrival stream, the captured store,
     per-chunk scan results, the final alert list — on disk under the
     study's content key; rerunning the same configuration resumes from
-    them, rescanning only what never completed.  Checkpoints are deleted
-    as soon as the run succeeds (its results then live in the study cache).
+    them, rescanning only what never completed.  The stage checkpoints are
+    written in the cache-entry format, and the cache entry links them
+    instead of encoding the stages again.  Checkpoints are deleted as soon
+    as the run succeeds (its results then live in the study cache).
 
     ``manifest`` controls the run manifest (:mod:`repro.obs`): by default
     one is written to ``<cache root>/manifests/<study key>.json`` whenever
@@ -564,9 +566,6 @@ def run_study(
                 checkpoint_store.delete(study_key)
         else:
             from repro.cache.checkpoint import (
-                decode_stage_alerts,
-                decode_stage_arrivals,
-                decode_stage_store,
                 encode_stage_alerts,
                 encode_stage_arrivals,
                 encode_stage_store,
@@ -576,9 +575,8 @@ def run_study(
             with tracer.span("traffic") as span:
                 arrivals = None
                 if checkpoint_store is not None:
-                    payload = checkpoint_store.load(study_key, "arrivals")
-                    if payload is not None:
-                        arrivals = decode_stage_arrivals(payload)
+                    arrivals = checkpoint_store.load(study_key, "arrivals")
+                    if arrivals is not None:
                         checkpoint_stages.append("arrivals")
                         span.set("source", "checkpoint")
                 if arrivals is None:
@@ -598,9 +596,8 @@ def run_study(
             with tracer.span("capture") as span:
                 captured = None
                 if checkpoint_store is not None:
-                    payload = checkpoint_store.load(study_key, "store")
-                    if payload is not None:
-                        captured = decode_stage_store(payload)
+                    captured = checkpoint_store.load(study_key, "store")
+                    if captured is not None:
                         checkpoint_stages.append("store")
                         span.set("source", "checkpoint")
                 if captured is not None:
@@ -626,9 +623,8 @@ def run_study(
             with tracer.span("scan") as span:
                 alerts = None
                 if checkpoint_store is not None:
-                    payload = checkpoint_store.load(study_key, "alerts")
-                    if payload is not None:
-                        alerts = decode_stage_alerts(payload)
+                    alerts = checkpoint_store.load(study_key, "alerts")
+                    if alerts is not None:
                         checkpoint_stages.append("alerts")
                         span.set("source", "checkpoint")
                 if alerts is None:
@@ -657,6 +653,7 @@ def run_study(
                     alerts=alerts,
                     collection_stats=collection_stats,
                     ground_truth=ground_truth,
+                    checkpoints=checkpoint_store,
                 )
             if checkpoint_store is not None:
                 # The run completed: its outputs are in the study cache (or

@@ -2,34 +2,39 @@
 
 The study cache (:mod:`repro.cache.study`) persists *finished* runs; this
 module persists *partial* ones.  A long scan that dies mid-way — worker
-OOM, machine reboot, a ctrl-C — leaves behind per-chunk and per-stage
+OOM, machine reboot, a ctrl-C — leaves behind per-stage and per-chunk
 checkpoints keyed by the same content hash as the study cache, so the next
 invocation of the same configuration recomputes only what is missing.
 
-Layout and protocol:
+A checkpoint under ``<cache root>/checkpoints/<key>/`` is one of two kinds:
 
-* blobs live under ``<cache root>/checkpoints/<key>/<name>.json.gz`` —
-  one gzip JSON file per blob, published with an atomic ``os.replace`` from
-  a ``.tmp<pid>`` sibling, so a blob is either absent or complete (the same
-  staging/publish discipline as the study cache, collapsed to one file);
-* every blob is an envelope ``{"schema", "digest", "payload"}`` where
-  ``digest`` is the BLAKE2b hash of the canonical JSON encoding of
-  ``payload`` — :meth:`CheckpointStore.load` re-derives it and treats any
-  mismatch (bit rot, truncation, schema drift) as a miss, deleting the
-  corrupt blob so the recompute can republish;
-* checkpoints are *recovery state, not a cache*: the pipeline deletes a
-  key's directory the moment the run it protected completes (its results
-  then live in the study cache), and :meth:`CheckpointStore.gc` reaps
-  directories that outlive ``max_age`` plus orphaned staging files.
+* a **stage** (``arrivals``, ``store``, ``alerts``) is the heavy stage's
+  cache-entry data files themselves (``arrivals.jsonl.gz``,
+  ``store.jsonl.gz`` + ``collection.json.gz``, ``alerts.jsonl.gz``),
+  written once through the study cache's stage codecs, plus a
+  ``<stage>.stage.json`` record holding the record count and each file's
+  BLAKE2b digest and size.  The files are written in a ``.tmp<pid>``
+  staging directory and moved into place with ``os.replace``; the record
+  is written last, so a stage without one is incomplete.  Loading
+  re-checks every digest; when the run finishes,
+  :meth:`repro.cache.StudyCache.save` hard-links the files into the cache
+  entry, so a stage is encoded and written exactly once per run;
+* a **blob** (the parallel scan's ``chunk-*`` results) is one gzip JSON
+  file ``<name>.json.gz``, an envelope ``{"schema", "digest", "payload"}``
+  whose ``digest`` is the BLAKE2b hash of the canonical JSON encoding of
+  the payload.  Payloads must therefore be JSON-native (dicts, lists,
+  strings, numbers); anything that does not round-trip through JSON would
+  self-invalidate on load.
 
-Payloads must be JSON-native (dicts, lists, strings, numbers): the digest
-is computed over ``json.dumps(payload, sort_keys=True)``, so any value that
-does not round-trip through JSON would self-invalidate on load.
+Either kind is published atomically, so it is absent or complete.  A
+checkpoint that fails its check on load (bit rot, truncation, schema
+drift) counts an integrity failure, is deleted, and reads as a miss, so
+the caller recomputes and republishes it.
 
-The stage codecs at the bottom translate the pipeline's heavy intermediates
-(arrival stream, session store + collection stats, alert list) to and from
-such payloads, reusing the study cache's record encoders so the two stores
-can never disagree about on-disk semantics.
+Checkpoints are *recovery state, not a cache*: the pipeline deletes a key's
+directory the moment the run it protected completes (its results then live
+in the study cache), and :meth:`CheckpointStore.gc` reaps directories that
+outlive ``max_age`` plus orphaned staging files.
 """
 
 from __future__ import annotations
@@ -45,17 +50,34 @@ import time
 from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
-#: Bump when the blob envelope layout changes.
-CHECKPOINT_SCHEMA = 1
+from repro.cache.integrity import file_entry
+from repro.cache.study import STAGES, default_cache_root, write_stage
+
+#: Bump when the blob envelope or the stage record layout changes.  2: the
+#: stages are cache-entry data files plus a ``<stage>.stage.json`` record.
+CHECKPOINT_SCHEMA = 2
 
 _STAGING_RE = re.compile(r"\.tmp\d+$")
+_STAGE_SUFFIX = ".stage.json"
+_STAGE_DATA_FILES = frozenset(
+    name for codec in STAGES.values() for name in codec.files
+)
 
 
 def _digest_payload(payload) -> str:
     canonical = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.blake2b(canonical, digest_size=16).hexdigest()
+
+
+@dataclass(frozen=True)
+class StagePayload:
+    """A heavy stage's value, tagged for :meth:`CheckpointStore.save` to
+    write as that stage's cache-entry files (see ``encode_stage_*``)."""
+
+    stage: str
+    value: Any
 
 
 @dataclass
@@ -75,11 +97,9 @@ class CheckpointTelemetry:
 
 
 class CheckpointStore:
-    """Atomic, digest-verified blob store for partial pipeline results."""
+    """Atomic, digest-verified store for partial pipeline results."""
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
-        from repro.cache.study import default_cache_root
-
         self.root = Path(root).expanduser() if root else default_cache_root()
         self.telemetry = CheckpointTelemetry()
 
@@ -100,20 +120,34 @@ class CheckpointStore:
             raise ValueError(f"invalid checkpoint key: {key!r}")
         return self.checkpoint_root / key
 
-    def _blob_path(self, key: str, name: str) -> Path:
+    @staticmethod
+    def _check_name(name: str) -> None:
         if not name or "/" in name or name.startswith("."):
-            raise ValueError(f"invalid checkpoint blob name: {name!r}")
+            raise ValueError(f"invalid checkpoint name: {name!r}")
+
+    def _blob_path(self, key: str, name: str) -> Path:
+        self._check_name(name)
+        if f"{name}.json.gz" in _STAGE_DATA_FILES:
+            raise ValueError(f"checkpoint blob name {name!r} is a stage file")
         return self.dir_for(key) / f"{name}.json.gz"
 
-    # -- blob lifecycle ------------------------------------------------------
+    def _record_path(self, key: str, name: str) -> Path:
+        self._check_name(name)
+        return self.dir_for(key) / f"{name}{_STAGE_SUFFIX}"
+
+    # -- save / load ---------------------------------------------------------
 
     def save(self, key: str, name: str, payload) -> Path:
-        """Persist one blob atomically; returns its path.
+        """Persist one checkpoint atomically; returns its path.
 
-        The envelope (schema + payload digest) is staged in a ``.tmp<pid>``
-        sibling and published with one ``os.replace``, so a reader can never
-        observe a torn blob — only the previous one or the new one.
+        A :class:`StagePayload` is written as its stage's data files (the
+        path returned is the stage's first file); anything else is a
+        JSON-native blob payload, staged in a ``.tmp<pid>`` sibling and
+        published with one ``os.replace``, so a reader can never observe a
+        torn blob — only the previous one or the new one.
         """
+        if isinstance(payload, StagePayload):
+            return self._save_stage(key, name, payload)
         path = self._blob_path(key, name)
         path.parent.mkdir(parents=True, exist_ok=True)
         staging = path.with_name(f"{path.name}.tmp{os.getpid()}")
@@ -134,13 +168,44 @@ class CheckpointStore:
         self._count("bytes_written", path.stat().st_size)
         return path
 
-    def load(self, key: str, name: str):
-        """The blob's payload, or None.
+    def _save_stage(self, key: str, name: str, payload: StagePayload) -> Path:
+        if name != payload.stage or name not in STAGES:
+            raise ValueError(f"{payload.stage!r} stage saved as {name!r}")
+        record_path = self._record_path(key, name)
+        directory = record_path.parent
+        staging = directory / f"{name}.stage.tmp{os.getpid()}"
+        shutil.rmtree(staging, ignore_errors=True)
+        staging.mkdir(parents=True)
+        try:
+            record = write_stage(name, staging, payload.value)
+            for file_name in record["files"]:
+                os.replace(staging / file_name, directory / file_name)
+            record.update(schema=CHECKPOINT_SCHEMA, stage=name, created=time.time())
+            # The record goes last: its presence marks the stage complete.
+            record_staging = staging / record_path.name
+            record_staging.write_text(json.dumps(record), encoding="utf-8")
+            os.replace(record_staging, record_path)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+        self._count("saves")
+        self._count(
+            "bytes_written",
+            sum(int(entry["bytes"]) for entry in record["files"].values()),
+        )
+        return directory / next(iter(record["files"]))
 
-        A missing blob is a plain miss; an unreadable envelope, a schema
-        mismatch, or a digest mismatch counts an integrity failure, deletes
-        the blob, and is reported as a miss so the caller recomputes.
+    def load(self, key: str, name: str):
+        """The checkpoint's value, or None.
+
+        For a stage this is the decoded stage value (what its
+        ``encode_stage_*`` was given); for a blob, its payload.  A missing
+        checkpoint is a plain miss; an unreadable one, a schema mismatch,
+        or a digest, size or record-count mismatch counts an integrity
+        failure, deletes the checkpoint, and is reported as a miss so the
+        caller recomputes.
         """
+        if name in STAGES and self._record_path(key, name).exists():
+            return self._load_stage(key, name)
         path = self._blob_path(key, name)
         try:
             raw_size = path.stat().st_size
@@ -150,7 +215,7 @@ class CheckpointStore:
             self._count("misses")
             return None
         except (OSError, ValueError):
-            self._invalidate(path)
+            self._invalidate([path])
             return None
         if (
             not isinstance(envelope, dict)
@@ -158,31 +223,85 @@ class CheckpointStore:
             or "payload" not in envelope
             or envelope.get("digest") != _digest_payload(envelope["payload"])
         ):
-            self._invalidate(path)
+            self._invalidate([path])
             return None
         self._count("hits")
         self._count("bytes_read", raw_size)
         return envelope["payload"]
 
-    def _invalidate(self, path: Path) -> None:
+    def _load_stage(self, key: str, name: str):
+        codec = STAGES[name]
+        directory = self.dir_for(key)
+        paths = [self._record_path(key, name)]
+        paths += [directory / file_name for file_name in codec.files]
+        try:
+            record = self.stage_record(key, name)
+            if record is None:
+                raise ValueError("unreadable stage record")
+            for file_name, expected in record["files"].items():
+                if file_entry(directory / file_name) != expected:
+                    raise ValueError(f"{file_name} does not match its record")
+            value = codec.read(directory)
+            if codec.size(value) != record["records"]:
+                raise ValueError("record count disagrees with the stage record")
+        except (OSError, ValueError, KeyError, TypeError):
+            self._invalidate(paths)
+            return None
+        self._count("hits")
+        self._count(
+            "bytes_read",
+            sum(int(entry["bytes"]) for entry in record["files"].values()),
+        )
+        return value
+
+    def stage_record(self, key: str, name: str) -> Optional[Dict[str, Any]]:
+        """A stage's record (``records``, and per file its ``blake2b`` and
+        ``bytes``), or None if the stage is absent or its record is not
+        this schema's.  Reads the record only, not the data files."""
+        try:
+            record = json.loads(
+                self._record_path(key, name).read_text(encoding="utf-8")
+            )
+        except (OSError, ValueError):
+            return None
+        codec = STAGES.get(name)
+        if (
+            codec is None
+            or not isinstance(record, dict)
+            or record.get("schema") != CHECKPOINT_SCHEMA
+            or not isinstance(record.get("files"), dict)
+            or set(record["files"]) != set(codec.files)
+        ):
+            return None
+        return record
+
+    def _invalidate(self, paths: List[Path]) -> None:
         self._count("integrity_failures")
         self._count("misses")
-        path.unlink(missing_ok=True)
+        for path in paths:
+            path.unlink(missing_ok=True)
 
     def has(self, key: str, name: str) -> bool:
-        return self._blob_path(key, name).exists()
+        return (
+            self._record_path(key, name).exists()
+            or self._blob_path(key, name).exists()
+        )
 
     def names(self, key: str) -> List[str]:
-        """Blob names present under a key (sorted; staging files excluded)."""
+        """Checkpoint names present under a key: complete stages and blobs
+        (sorted; staging files and stage data files excluded)."""
         directory = self.dir_for(key)
         if not directory.is_dir():
             return []
-        return sorted(
-            child.name[: -len(".json.gz")]
-            for child in directory.iterdir()
-            if child.name.endswith(".json.gz")
-            and not _STAGING_RE.search(child.name)
-        )
+        names = set()
+        for child in directory.iterdir():
+            if _STAGING_RE.search(child.name) or child.name in _STAGE_DATA_FILES:
+                continue
+            if child.name.endswith(_STAGE_SUFFIX):
+                names.add(child.name[: -len(_STAGE_SUFFIX)])
+            elif child.name.endswith(".json.gz"):
+                names.add(child.name[: -len(".json.gz")])
+        return sorted(names)
 
     def delete(self, key: str) -> bool:
         """Drop one key's entire checkpoint directory; True if it existed."""
@@ -210,22 +329,31 @@ class CheckpointStore:
         chunks = 0
         total = 0
         newest = 0.0
+        stages: List[str] = []
+        stage_files: Dict[str, int] = {}
         for child in directory.iterdir():
             if not child.is_file() or _STAGING_RE.search(child.name):
                 continue
-            blobs += 1
-            if child.name.startswith("chunk-"):
-                chunks += 1
             try:
                 stat = child.stat()
             except OSError:  # pragma: no cover - racing deletion
                 continue
             total += stat.st_size
             newest = max(newest, stat.st_mtime)
+            if child.name in _STAGE_DATA_FILES:
+                stage_files[child.name] = stat.st_size
+            elif child.name.endswith(_STAGE_SUFFIX):
+                stages.append(child.name[: -len(_STAGE_SUFFIX)])
+            else:
+                blobs += 1
+                if child.name.startswith("chunk-"):
+                    chunks += 1
         return {
             "key": key,
             "blobs": blobs,
             "chunks": chunks,
+            "stages": sorted(stages),
+            "stage_files": dict(sorted(stage_files.items())),
             "bytes": total,
             "newest": newest,
         }
@@ -249,9 +377,10 @@ class CheckpointStore:
     ) -> int:
         """Remove stale checkpoint state; returns directories removed.
 
-        Always deletes orphaned ``.tmp<pid>`` staging files; with
-        ``max_age``, additionally removes key directories whose newest blob
-        is older than the bound (an abandoned run nobody resumed).
+        Always deletes orphaned ``.tmp<pid>`` staging files and directories;
+        with ``max_age``, additionally removes key directories whose newest
+        file is older than the bound (an abandoned run nobody resumed).
+        Key directories holding no blob and no complete stage go too.
         """
         if not self.checkpoint_root.is_dir():
             return 0
@@ -260,10 +389,14 @@ class CheckpointStore:
         for key in self.keys():
             directory = self.checkpoint_root / key
             for child in directory.iterdir():
-                if child.is_file() and _STAGING_RE.search(child.name):
+                if not _STAGING_RE.search(child.name):
+                    continue
+                if child.is_dir():
+                    shutil.rmtree(child, ignore_errors=True)
+                else:
                     child.unlink(missing_ok=True)
             info = self._key_info(key)
-            empty = info["blobs"] == 0
+            empty = info["blobs"] == 0 and not info["stages"]
             expired = (
                 max_age is not None
                 and now - float(info["newest"]) > max_age.total_seconds()
@@ -283,62 +416,26 @@ class CheckpointStore:
         return len(keys)
 
 
-# -- pipeline stage codecs ---------------------------------------------------
+# -- pipeline stages ----------------------------------------------------------
 #
-# The heavy stages checkpoint their outputs as JSON-native payloads through
-# the study cache's record encoders, so a stage checkpoint and a published
-# cache entry are byte-compatible views of the same records.
+# ``run_study`` checkpoints each heavy stage with
+# ``store.save(key, stage, encode_stage_<stage>(...))`` and reads it back
+# with ``store.load(key, stage)``.  The files are written by the study
+# cache's stage codec, so a stage checkpoint and a published cache entry
+# are the same files.
 
 
-def encode_stage_arrivals(arrivals) -> Dict[str, object]:
-    from repro.cache.study import _encode_arrival
-
-    return {"records": [_encode_arrival(arrival) for arrival in arrivals]}
-
-
-def decode_stage_arrivals(payload) -> List["ScanArrival"]:
-    from repro.cache.study import _decode_arrival
-
-    return [_decode_arrival(record) for record in payload["records"]]
+def encode_stage_arrivals(arrivals) -> StagePayload:
+    """The arrival stream, as the ``arrivals`` stage."""
+    return StagePayload("arrivals", arrivals)
 
 
-def encode_stage_store(store, collection_stats, ground_truth) -> Dict[str, object]:
-    from repro.cache.study import _encode_stats
-    from repro.net.pcapstore import encode_session
-
-    return {
-        "sessions": [encode_session(session) for session in store],
-        "stats": _encode_stats(collection_stats),
-        "ground_truth": {
-            str(session_id): truth
-            for session_id, truth in ground_truth.items()
-        },
-    }
+def encode_stage_store(store, collection_stats, ground_truth) -> StagePayload:
+    """The capture stage's session store, statistics and ground truth, as
+    the ``store`` stage."""
+    return StagePayload("store", (store, collection_stats, ground_truth))
 
 
-def decode_stage_store(
-    payload,
-) -> Tuple["SessionStore", "CollectionStats", Dict[int, Optional[str]]]:
-    from repro.cache.study import _decode_stats
-    from repro.net.pcapstore import SessionStore, decode_session
-
-    store = SessionStore()
-    store.extend(decode_session(record) for record in payload["sessions"])
-    stats = _decode_stats(payload["stats"])
-    ground_truth = {
-        int(session_id): truth
-        for session_id, truth in payload["ground_truth"].items()
-    }
-    return store, stats, ground_truth
-
-
-def encode_stage_alerts(alerts) -> Dict[str, object]:
-    from repro.cache.study import _encode_alert
-
-    return {"records": [_encode_alert(alert) for alert in alerts]}
-
-
-def decode_stage_alerts(payload) -> List["Alert"]:
-    from repro.cache.study import _decode_alert
-
-    return [_decode_alert(record) for record in payload["records"]]
+def encode_stage_alerts(alerts) -> StagePayload:
+    """The scan's alert list, as the ``alerts`` stage."""
+    return StagePayload("alerts", alerts)

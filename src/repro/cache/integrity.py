@@ -65,20 +65,14 @@ def read_meta(entry: Path) -> Optional[dict]:
     return meta if isinstance(meta, dict) else None
 
 
-def build_manifest(entry: Path) -> Dict[str, Dict[str, object]]:
-    """Digest + size manifest of a staged entry's data files.
+def file_entry(path: Path) -> Dict[str, object]:
+    """One data file's manifest entry: BLAKE2b digest and byte size.
 
-    Called on the staging directory just before ``meta.json`` is written,
-    so the manifest describes exactly the bytes that get published.
+    Computed when a file is written (into an entry's staging directory or a
+    stage checkpoint), so the manifest describes exactly the bytes that get
+    published.
     """
-    manifest: Dict[str, Dict[str, object]] = {}
-    for name in DATA_FILES:
-        path = entry / name
-        manifest[name] = {
-            "blake2b": digest_file(path),
-            "bytes": path.stat().st_size,
-        }
-    return manifest
+    return {"blake2b": digest_file(path), "bytes": path.stat().st_size}
 
 
 def verify_entry(

@@ -959,6 +959,14 @@ def _cmd_cache_checkpoints(args: argparse.Namespace) -> int:
         print(render_table(
             ["key", "blobs", "chunks", "size", "age"], rows
         ))
+        files = [
+            [str(info["key"])[:24], name, _format_bytes(size)]
+            for info in snapshot["keys"]
+            for name, size in info["stage_files"].items()
+        ]
+        if files:
+            print()
+            print(render_table(["key", "stage file", "size"], files))
     return 0
 
 

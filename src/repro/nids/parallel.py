@@ -105,7 +105,6 @@ from typing import (
     Tuple,
 )
 
-from repro.net.pcapstore import _TIME_FORMAT
 from repro.net.session import TcpSession
 from repro.nids.arena import SessionArena
 from repro.nids.ruleset import Alert, Ruleset
@@ -329,10 +328,10 @@ def _rows_to_json(rows: List[AlertTuple]) -> List[list]:
     return [
         [
             row[0],
-            row[1].strftime(_TIME_FORMAT),
+            row[1].isoformat(timespec="microseconds"),
             row[2],
             row[3],
-            row[4].strftime(_TIME_FORMAT),
+            row[4].isoformat(timespec="microseconds"),
             row[5],
             row[6],
             row[7],
@@ -345,10 +344,10 @@ def _rows_from_json(rows: List[list]) -> List[AlertTuple]:
     return [
         (
             row[0],
-            datetime.strptime(row[1], _TIME_FORMAT),
+            datetime.fromisoformat(row[1]),
             row[2],
             row[3],
-            datetime.strptime(row[4], _TIME_FORMAT),
+            datetime.fromisoformat(row[4]),
             row[5],
             row[6],
             row[7],
