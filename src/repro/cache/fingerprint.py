@@ -55,6 +55,7 @@ STAGE_MODULES: Tuple[str, ...] = (
     "repro.traffic.arrivals",
     "repro.traffic.generator",
     "repro.traffic.temporal",
+    "repro.util.iputil",
     "repro.util.rng",
     "repro.util.timeutil",
 )

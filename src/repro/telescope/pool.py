@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.util.iputil import parse_cidr
-from repro.util.rng import derive_seed
+from repro.util.rng import encode_key, key_hasher
 
 #: Synthetic regional EC2 blocks (arbitrary prefixes).  Sized so the whole
 #: pool holds ~5.1M addresses: with ~31.5M ten-minute tenancies over two
@@ -35,7 +35,14 @@ REGION_BLOCKS: Dict[str, Tuple[str, ...]] = {
 
 
 class CloudIpPool:
-    """Deterministic pseudorandom allocation from regional address blocks."""
+    """Deterministic pseudorandom allocation from regional address blocks.
+
+    An address is ``derive_seed(seed, "ip", region, epoch, slot, probe)``
+    reduced into the region's blocks.  The BLAKE2b state after the fixed
+    ``(seed, "ip", region)`` prefix is kept per region and copied once per
+    epoch; each probe then hashes only its pre-encoded ``(slot, probe)``
+    suffix, so the digests are exactly :func:`derive_seed`'s.
+    """
 
     def __init__(self, *, seed: int) -> None:
         self._seed = seed
@@ -43,10 +50,41 @@ class CloudIpPool:
             region: tuple(parse_cidr(cidr) for cidr in cidrs)
             for region, cidrs in REGION_BLOCKS.items()
         }
+        self._capacity: Dict[str, int] = {
+            region: sum(1 << (32 - prefix) for _, prefix in blocks)
+            for region, blocks in self._blocks.items()
+        }
+        #: BLAKE2b state after ``(seed, "ip", region)``, per region.
+        self._region_states: Dict[str, object] = {}
+        #: The last (region, epoch) prefix state: a tenancy's probes and
+        #: its collision checks all share it.
+        self._epoch_key: Tuple[str, int] = ("", 0)
+        self._epoch_state = None
+        #: Encoded ``(slot, probe)`` key suffixes, filled on first use, so
+        #: the table grows to the slots the fleet actually has.
+        self._suffixes: Dict[Tuple[int, int], bytes] = {}
 
     def region_capacity(self, region: str) -> int:
         """Total addresses available in a region's blocks."""
-        return sum(1 << (32 - prefix) for _, prefix in self._blocks[region])
+        return self._capacity[region]
+
+    def _draw(self, region: str, epoch: int, slot: int, probe: int) -> int:
+        """``derive_seed(seed, "ip", region, epoch, slot, probe)``."""
+        if self._epoch_key != (region, epoch):
+            state = self._region_states.get(region)
+            if state is None:
+                state = key_hasher(self._seed, "ip", region)
+                self._region_states[region] = state
+            self._epoch_state = state.copy()
+            self._epoch_state.update(encode_key(epoch))
+            self._epoch_key = (region, epoch)
+        suffix = self._suffixes.get((slot, probe))
+        if suffix is None:
+            suffix = encode_key(slot) + encode_key(probe)
+            self._suffixes[(slot, probe)] = suffix
+        hasher = self._epoch_state.copy()
+        hasher.update(suffix)
+        return int.from_bytes(hasher.digest(), "little")
 
     def allocate(self, region: str, slot: int, epoch: int) -> int:
         """The address held by ``slot`` during ``epoch`` in ``region``.
@@ -58,10 +96,9 @@ class CloudIpPool:
         if region not in self._blocks:
             raise KeyError(f"unknown region {region!r}")
         blocks = self._blocks[region]
-        capacity = self.region_capacity(region)
+        capacity = self._capacity[region]
         for probe in range(8):
-            value = derive_seed(self._seed, "ip", region, epoch, slot, probe)
-            index = value % capacity
+            index = self._draw(region, epoch, slot, probe) % capacity
             # Collision check against other slots this epoch is probabilistic
             # in the real cloud too; rehashing keyed by (slot, probe) makes
             # same-epoch collisions vanishingly rare for realistic block
@@ -87,11 +124,21 @@ class CloudIpPool:
         raise AssertionError("index out of pool range")  # pragma: no cover
 
     def _collides(self, region: str, slot: int, epoch: int, address: int) -> bool:
-        """Whether another (lower) slot already holds this address this epoch."""
+        """Whether one of the four lower slots' probe-0 draws for this
+        epoch, hashed under *this* slot's region, is ``address``.
+
+        Known quirk, kept on purpose: slots are striped across regions as
+        ``slot % len(regions)``, so slots ``slot-4 .. slot-1`` always sit
+        in other regions, and hashing them under ``region`` never yields an
+        address a same-region tenancy actually holds (those neighbours are
+        ``slot-8``, ``slot-16``, ...).  Fixing it moves some allocated
+        addresses, and with them committed reference digests, so it waits
+        for a deliberate re-baseline.
+        """
+        blocks = self._blocks[region]
+        capacity = self._capacity[region]
         for other_slot in range(max(slot - 4, 0), slot):
-            other = derive_seed(self._seed, "ip", region, epoch, other_slot, 0)
-            if self._index_to_address(
-                self._blocks[region], other % self.region_capacity(region)
-            ) == address:
+            other = self._draw(region, epoch, other_slot, 0)
+            if self._index_to_address(blocks, other % capacity) == address:
                 return True
         return False
