@@ -34,12 +34,14 @@ STAGE_MODULES: Tuple[str, ...] = (
     "repro.exploits.log4shell",
     "repro.exploits.rulegen",
     "repro.exploits.templates",
+    "repro.net.http",
     "repro.net.pcapstore",
     "repro.net.session",
     "repro.nids.automaton",
     "repro.nids.engine",
     "repro.nids.matcher",
     "repro.nids.parser",
+    "repro.nids.prefilter",
     "repro.nids.rule",
     "repro.nids.ruleset",
     "repro.nids.scale",

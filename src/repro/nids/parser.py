@@ -136,28 +136,22 @@ def _decode_content(text: str) -> bytes:
     return bytes(out)
 
 
+#: A maximal run of bytes a content body cannot hold literally: anything
+#: outside printable ASCII, plus the quote/semicolon/backslash/pipe specials.
+_HEX_RUN = re.compile(rb"[^\x20\x21\x23-\x3a\x3c-\x5b\x5d-\x7b\x7d\x7e]+")
+
+
+def _hex_run(match: "re.Match[bytes]") -> bytes:
+    return b"|" + match.group().hex(" ").upper().encode("ascii") + b"|"
+
+
 def encode_content(pattern: bytes) -> str:
     """Render raw bytes as a Snort content body (inverse of
     :func:`_decode_content`): printable ASCII stays literal, everything
     else — including the quote/semicolon/backslash/pipe specials — becomes
     a ``|hex|`` run.  Shared by the rule generators so every rendered rule
     round-trips through :func:`parse_rule`."""
-    out: List[str] = []
-    hex_run: List[str] = []
-
-    def flush_hex() -> None:
-        if hex_run:
-            out.append("|" + " ".join(hex_run) + "|")
-            hex_run.clear()
-
-    for byte in pattern:
-        if 0x20 <= byte < 0x7F and chr(byte) not in ('"', ";", "\\", "|"):
-            flush_hex()
-            out.append(chr(byte))
-        else:
-            hex_run.append(f"{byte:02X}")
-    flush_hex()
-    return "".join(out)
+    return _HEX_RUN.sub(_hex_run, pattern).decode("ascii")
 
 
 def _int_option(key: str, value: str) -> int:

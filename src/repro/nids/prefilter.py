@@ -34,7 +34,9 @@ Three non-obvious choices make the regex route both fast and *exact*:
   sets, precomputed) — and those few candidates are confirmed with a single
   C-level ``in`` check.  Any pattern occurrence not covered by these cases
   would have been the leftmost match of some ``finditer`` step, hence
-  reported.
+  reported.  Both tables come from walking each pattern through the chunk's
+  own byte trie (the one the regex is emitted from), not from comparing
+  patterns pairwise, so a chunk's tables cost about as much as its regex.
 
 Matching is case-insensitive exactly like the automaton: patterns are
 lowercased at build time and haystacks are lowercased (or declared already
@@ -49,39 +51,52 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 #: Patterns per compiled chunk.  Far below any hard ``sre`` limit; bounds
-#: compile time and keeps each chunk's overlap precomputation quadratic in a
-#: small constant.
+#: each compiled program's size.  Larger chunks compile no faster and cost
+#: peak memory.
 DEFAULT_CHUNK_SIZE = 256
 
 #: Patterns longer than this are kept out of the trie (deeply nested
-#: ``(?:...)`` groups stress ``sre_parse`` recursion) and confirmed with a
-#: direct ``in`` scan instead — a single C substring search each.
+#: ``(?:...)`` groups stress ``sre_parse`` recursion).  A nested engine over
+#: their first ``MAX_TRIE_PATTERN`` bytes screens them, and each prefix hit
+#: is confirmed with a direct ``in`` scan — a single C substring search.
 MAX_TRIE_PATTERN = 64
 
 
-def _trie_regex(texts: Sequence[bytes]) -> "re.Pattern[bytes]":
-    """Compile a byte-trie regex matching the *longest* of ``texts`` at
-    each position (greedy descent, so extensions are tried before accepting
-    a shorter terminal)."""
+def _byte_trie(texts: Sequence[bytes]) -> Dict:
+    """A byte trie over ``texts``: each node maps a byte to its child, and
+    a terminal node maps ``None`` to the text it spells."""
     root: Dict = {}
     for text in texts:
         node = root
         for byte in text:
             node = node.setdefault(byte, {})
-        node[None] = True  # terminal marker
+        node[None] = text
+    return root
+
+
+#: ``re.escape`` of every single byte, indexed by byte value.
+_ESCAPED = tuple(re.escape(bytes([byte])) for byte in range(256))
+
+
+def _trie_regex(root: Dict) -> "re.Pattern[bytes]":
+    """Compile a byte-trie regex matching the *longest* of the trie's texts
+    at each position (greedy descent, so extensions are tried before
+    accepting a shorter terminal)."""
 
     def emit(node: Dict) -> bytes:
-        terminal = None in node
-        branches = [
-            re.escape(bytes([byte])) + emit(child)
-            for byte, child in sorted(
-                (k, v) for k, v in node.items() if k is not None
-            )
-        ]
+        branches = []
+        for byte in sorted(key for key in node if key is not None):
+            # A run of single-child, non-terminal nodes is one literal.
+            run = [_ESCAPED[byte]]
+            child = node[byte]
+            while len(child) == 1 and None not in child:
+                ((byte, child),) = child.items()
+                run.append(_ESCAPED[byte])
+            branches.append(b"".join(run) + emit(child))
         if not branches:
             return b""
         body = b"|".join(branches)
-        if terminal:
+        if None in node:
             return b"(?:" + body + b")?"
         if len(branches) > 1:
             return b"(?:" + body + b")"
@@ -102,7 +117,8 @@ class _Chunk:
     )
 
     def __init__(self, texts: List[bytes], ids_by_text: Dict[bytes, Tuple[int, ...]]) -> None:
-        self.regex = _trie_regex(texts)
+        root = _byte_trie(texts)
+        self.regex = _trie_regex(root)
         self.ids_by_text = ids_by_text
         # Proper prefixes of a matched text that are themselves patterns
         # occur at the same position; fold their ids in up front.
@@ -110,41 +126,54 @@ class _Chunk:
         # Texts that can hide inside (or straddle out of) a reported match
         # of the keyed text; confirmed per haystack with an ``in`` check.
         self.overlap_texts: Dict[bytes, Tuple[bytes, ...]] = {}
-        # ``other`` straddles out of ``text`` iff a proper prefix of
-        # ``other`` equals a proper suffix of ``text`` (the match then
-        # extends past text's end).  Indexing every proper suffix once and
-        # probing with other's prefixes costs O(chunk · len) hash lookups,
-        # where the former pairwise ``startswith`` sweep was
-        # O(chunk² · len) — the difference between a sub-second and a
-        # ten-second compile at 10k-rule scale.
-        suffix_owners: Dict[bytes, List[bytes]] = {}
+        # Both tables come from walks of ``text`` through the chunk trie:
+        # O(chunk · len²) dict steps at worst, and walks from most start
+        # positions fall off the trie after a byte or two.
+        position = {text: index for index, text in enumerate(texts)}
+        below_cache: Dict[int, List[bytes]] = {}
+
+        def below(node: Dict) -> List[bytes]:
+            """Texts terminating strictly below ``node``."""
+            found = below_cache.get(id(node))
+            if found is None:
+                found = []
+                for byte, child in node.items():
+                    if byte is not None:
+                        if None in child:
+                            found.append(child[None])
+                        found.extend(below(child))
+                below_cache[id(node)] = found
+            return found
+
         for text in texts:
-            for cut in range(1, len(text)):
-                suffix_owners.setdefault(text[cut:], []).append(text)
-        straddle_for: Dict[bytes, Set[bytes]] = {}
-        for other in texts:
-            for j in range(1, len(other)):  # proper prefixes: j < len(other)
-                owners = suffix_owners.get(other[:j])
-                if owners:
-                    for text in owners:
-                        if text is not other:
-                            straddle_for.setdefault(text, set()).add(other)
-        empty: Set[bytes] = set()
-        for text in texts:
+            # Prefix closure: the terminals passed on the way to text's end.
+            prefixes = set()
+            node = root
+            for byte in text[:-1]:
+                node = node[byte]
+                if None in node:
+                    prefixes.add(node[None])
             ids = list(ids_by_text[text])
-            interior = text[1:]
-            straddlers = straddle_for.get(text, empty)
-            overlaps = []
-            for other in texts:
-                if other is text:
-                    continue
-                if text.startswith(other):  # proper prefix (texts are unique)
-                    ids.extend(ids_by_text[other])
-                    continue
-                if other in straddlers or other in interior:
-                    overlaps.append(other)
+            for prefix in sorted(prefixes, key=position.__getitem__):
+                ids.extend(ids_by_text[prefix])
+            # Overlaps, from every start i >= 1: each terminal met lies
+            # inside text[1:]; a walk that consumes all of text[i:] ends
+            # at a node whose deeper terminals straddle out of text.
+            overlaps = set()
+            for i in range(1, len(text)):
+                node = root
+                for byte in text[i:]:
+                    node = node.get(byte)
+                    if node is None:
+                        break
+                    if None in node:
+                        overlaps.add(node[None])
+                else:
+                    overlaps.update(below(node))
+            overlaps.discard(text)
+            overlaps -= prefixes
             self.prefix_closure[text] = tuple(ids)
-            self.overlap_texts[text] = tuple(overlaps)
+            self.overlap_texts[text] = tuple(sorted(overlaps, key=position.__getitem__))
         self.any_overlaps = any(self.overlap_texts.values())
 
 
@@ -174,7 +203,11 @@ class RegexPrefilter:
             ids_by_text.setdefault(pattern, []).append(index)
         frozen = {text: tuple(ids) for text, ids in ids_by_text.items()}
 
-        # Long patterns bypass the trie; each is one C ``in`` scan.
+        # Long patterns bypass the trie.  A nested engine over their
+        # MAX_TRIE_PATTERN-byte prefixes screens them: a long pattern can
+        # occur only where its prefix does, and the nested engine reports
+        # every prefix that occurs, so one C ``in`` check per prefix hit
+        # confirms exactly the long patterns present.
         self._long: List[Tuple[bytes, Tuple[int, ...]]] = []
         short_texts: List[bytes] = []
         for text in frozen:  # first-seen order
@@ -182,6 +215,14 @@ class RegexPrefilter:
                 self._long.append((text, frozen[text]))
             else:
                 short_texts.append(text)
+        self._long_prefixes: Optional[RegexPrefilter] = (
+            RegexPrefilter(
+                [text[:MAX_TRIE_PATTERN] for text, _ in self._long],
+                chunk_size=chunk_size,
+            )
+            if self._long
+            else None
+        )
 
         self._chunks: List[_Chunk] = [
             _Chunk(
@@ -227,9 +268,11 @@ class RegexPrefilter:
                         if candidate not in texts and candidate in haystack:
                             texts.add(candidate)
                             found.update(closure[candidate])
-        for text, ids in self._long:
-            if text in haystack:
-                found.update(ids)
+        if self._long_prefixes is not None:
+            for index in self._long_prefixes.search(haystack, lowered=True):
+                text, ids = self._long[index]
+                if text in haystack:
+                    found.update(ids)
         return found
 
     def contains_any(self, haystack: bytes, *, lowered: bool = False) -> bool:
@@ -239,9 +282,10 @@ class RegexPrefilter:
         for chunk in self._chunks:
             if chunk.regex.search(haystack) is not None:
                 return True
-        for text, _ in self._long:
-            if text in haystack:
-                return True
+        if self._long_prefixes is not None:
+            for index in self._long_prefixes.search(haystack, lowered=True):
+                if self._long[index][0] in haystack:
+                    return True
         return False
 
 

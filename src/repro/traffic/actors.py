@@ -25,13 +25,33 @@ _SCANNER_PREFIXES = [
     (0xCB000000, 8),   # 203.0.0.0/8
 ]
 
+assert all(prefix_len == 8 for _, prefix_len in _SCANNER_PREFIXES), (
+    "_scanner_pool draws 24 host bits: every scanner prefix must be a /8"
+)
+_SCANNER_BASES = np.array([base for base, _ in _SCANNER_PREFIXES], dtype=np.int64)
 
-def _random_ip(rng: np.random.Generator, prefixes=None) -> int:
-    base, prefix_len = (prefixes or _SCANNER_PREFIXES)[
-        int(rng.integers(0, len(prefixes or _SCANNER_PREFIXES)))
-    ]
-    host_bits = 32 - prefix_len
-    return base | int(rng.integers(1, (1 << host_bits) - 1))
+#: ``(prefix, host)`` pairs per broadcast draw.  Blocks keep each array
+#: small enough for the allocator to reuse, so the pool's peak memory is
+#: that of its Python ints.
+_DRAW_BLOCK = 4096
+
+
+def _scanner_pool(rng: np.random.Generator, count: int) -> List[int]:
+    """The distinct addresses, sorted, of ``count`` scanner draws: a
+    uniform prefix, then a host in ``[1, 2**24 - 2]`` under it.
+
+    Each block is one broadcast draw of ``(prefix, host)`` pairs; on
+    numpy's ``Generator`` this consumes the same stream as interleaved
+    scalar draws of the prefix index and the host."""
+    pool = set()
+    for start in range(0, count, _DRAW_BLOCK):
+        draws = rng.integers(
+            np.array([0, 1]),
+            np.array([len(_SCANNER_PREFIXES), (1 << 24) - 1]),
+            size=(min(_DRAW_BLOCK, count - start), 2),
+        )
+        pool.update((_SCANNER_BASES[draws[:, 0]] | draws[:, 1]).tolist())
+    return sorted(pool)
 
 
 class ScannerPopulation:
@@ -52,12 +72,8 @@ class ScannerPopulation:
         if exploit_source_count <= 0 or background_source_count <= 0:
             raise ValueError("source counts must be positive")
         rng = derive_rng(seed, "scanner-population")
-        self.exploit_sources: List[int] = sorted(
-            {_random_ip(rng) for _ in range(exploit_source_count)}
-        )
-        self.background_sources: List[int] = sorted(
-            {_random_ip(rng) for _ in range(background_source_count)}
-        )
+        self.exploit_sources = _scanner_pool(rng, exploit_source_count)
+        self.background_sources = _scanner_pool(rng, background_source_count)
         self._seed = seed
 
     def campaign_sources(self, cve_id: str, events: int) -> List[int]:

@@ -5,19 +5,27 @@ engines advertise the same contract — and the hypothesis properties check
 the strong form directly: :class:`RegexPrefilter` and
 :class:`AhoCorasick` nominate *identical* pattern-id sets on arbitrary
 inputs, including dense self-overlapping alphabets and awkward chunk
-boundaries.
+boundaries.  The chunk closure tables and trie regexes are also checked
+against the frozen builders in ``tests/prefilter_oracle.py``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import fingerprint
+from repro.cache.fingerprint import STAGE_MODULES, code_fingerprint
 from repro.nids.automaton import AhoCorasick
 from repro.nids.prefilter import (
     DEFAULT_CHUNK_SIZE,
     MAX_TRIE_PATTERN,
     RegexPrefilter,
+    _byte_trie,
+    _trie_regex,
 )
+from repro.nids.scale import ScaleConfig, generate_scaled
+from tests.prefilter_oracle import pairwise_tables, per_node_trie_regex
+from tests.test_capture_batch import _closure
 
 
 class TestRegexPrefilter:
@@ -92,8 +100,16 @@ class TestRegexPrefilter:
         assert prefilter.search(b"x" + long_pattern.lower() + b"x") == {1}
         assert prefilter.search(b"a short one") == {0}
         assert prefilter.contains_any(long_pattern)
-        # Only the short pattern occupies the trie.
+        # Long patterns stay out of the chunk tries: the one chunk holds
+        # "short", and a nested engine holds the long pattern's prefix.
         assert prefilter.chunk_count == 1
+        screen = prefilter._long_prefixes
+        assert screen.patterns == [long_pattern[:MAX_TRIE_PATTERN].lower()]
+        # A prefix hit is confirmed by the full pattern before it reports.
+        prefix_only = b"x" + long_pattern[:MAX_TRIE_PATTERN].lower() + b"x"
+        assert screen.search(prefix_only) == {0}
+        assert prefilter.search(prefix_only) == set()
+        assert not prefilter.contains_any(prefix_only)
 
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ValueError):
@@ -156,3 +172,151 @@ def test_dense_overlaps_equivalent_to_automaton(patterns, haystack, chunk):
     assert prefilter.contains_any(haystack) == automaton.contains_any(
         haystack
     )
+
+
+def _chunk_texts(patterns, chunk_size):
+    """The short texts of each chunk, as ``RegexPrefilter`` splits them."""
+    unique = list(dict.fromkeys(p.lower() for p in patterns))
+    short = [text for text in unique if len(text) <= MAX_TRIE_PATTERN]
+    return [short[i : i + chunk_size] for i in range(0, len(short), chunk_size)]
+
+
+def _assert_tables_match_oracle(patterns, chunk_size=DEFAULT_CHUNK_SIZE):
+    prefilter = RegexPrefilter(patterns, chunk_size=chunk_size)
+    chunks = _chunk_texts(patterns, chunk_size)
+    assert len(chunks) == prefilter.chunk_count
+    for texts, chunk in zip(chunks, prefilter._chunks):
+        closure, overlaps = pairwise_tables(texts, chunk.ids_by_text)
+        assert chunk.prefix_closure == closure
+        assert chunk.overlap_texts == overlaps
+        assert list(chunk.overlap_texts) == texts
+        assert chunk.any_overlaps == any(overlaps.values())
+    return prefilter
+
+
+@given(
+    st.lists(
+        st.text(alphabet="ab", min_size=1, max_size=5).map(
+            lambda s: s.encode()
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=300)
+def test_trie_tables_equal_pairwise_oracle(patterns, chunk):
+    """Property: the trie-walk closure tables are dict-equal to the frozen
+    pairwise builder, tuple order included, on dense self-overlapping
+    pattern lists."""
+    _assert_tables_match_oracle(patterns, chunk)
+
+
+@pytest.fixture(scope="module")
+def scaled_patterns():
+    """The distinct fast patterns of a 2000-rule scaled corpus, in rule
+    order (as :class:`repro.nids.ruleset.Ruleset` hands them over)."""
+    scaled = generate_scaled(ScaleConfig(size=2000))
+    return list(
+        dict.fromkeys(
+            item.rule.fast_pattern.pattern.lower()
+            for item in scaled
+            if item.rule.fast_pattern is not None
+        )
+    )
+
+
+def test_scaled_corpus_tables_equal_pairwise_oracle(scaled_patterns):
+    prefilter = _assert_tables_match_oracle(scaled_patterns)
+    assert prefilter.chunk_count >= 5
+    assert prefilter._long_prefixes is not None
+
+
+def test_trie_regex_source_equals_per_node_emitter(scaled_patterns):
+    for texts in _chunk_texts(scaled_patterns, DEFAULT_CHUNK_SIZE):
+        assert (
+            _trie_regex(_byte_trie(texts)).pattern
+            == per_node_trie_regex(texts).pattern
+        )
+
+
+_LONG = st.text(alphabet="ab", min_size=60, max_size=80).map(str.encode)
+
+
+@st.composite
+def _long_pattern_cases(draw):
+    """Long two-letter patterns that share prefixes and overlap, plus a
+    haystack stitched from their whole texts, prefixes (including bare
+    MAX_TRIE_PATTERN-byte screens) and suffixes."""
+    stem = draw(_LONG)
+    patterns = draw(
+        st.lists(
+            st.one_of(
+                _LONG,
+                st.tuples(
+                    st.integers(min_value=1, max_value=len(stem)), _LONG
+                ).map(lambda cut_tail: (stem[: cut_tail[0]] + cut_tail[1])[:80]),
+                st.text(alphabet="ab", min_size=1, max_size=6).map(str.encode),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    pieces = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        source = draw(st.sampled_from(patterns + [stem]))
+        kind = draw(st.sampled_from(["whole", "prefix", "screen", "suffix", "filler"]))
+        if kind == "whole":
+            pieces.append(source)
+        elif kind == "prefix":
+            pieces.append(source[: draw(st.integers(0, len(source)))])
+        elif kind == "screen":
+            pieces.append(source[:MAX_TRIE_PATTERN])
+        elif kind == "suffix":
+            pieces.append(source[draw(st.integers(0, len(source))) :])
+        else:
+            pieces.append(draw(st.text(alphabet="ab", max_size=8)).encode())
+    return patterns, b"".join(pieces)
+
+
+@given(_long_pattern_cases(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=300, deadline=None)
+def test_long_patterns_equivalent_to_automaton(case, chunk):
+    """Property: prefix-screened long patterns (60-80 bytes, two letters,
+    shared stems) report exactly the automaton's set, including haystacks
+    holding a long pattern's screen prefix but not the pattern."""
+    patterns, haystack = case
+    automaton = AhoCorasick(patterns)
+    prefilter = RegexPrefilter(patterns, chunk_size=chunk)
+    assert prefilter.search(haystack) == automaton.search(haystack)
+    assert prefilter.contains_any(haystack) == automaton.contains_any(
+        haystack
+    )
+
+
+def test_ruleset_import_closure_is_fingerprinted():
+    closure = _closure("repro.nids.ruleset")
+    assert {"repro.nids.prefilter", "repro.net.http"} <= closure
+    assert closure <= set(STAGE_MODULES), sorted(closure - set(STAGE_MODULES))
+
+
+def test_prefilter_source_digest_changes_code_fingerprint(monkeypatch):
+    """An edit to prefilter.py must change the cache key's code digest."""
+    real_digest = fingerprint.digest_file
+
+    def edited(path, **kwargs):
+        digest = real_digest(path, **kwargs)
+        if str(path).endswith("prefilter.py"):
+            return "edited-" + digest
+        return digest
+
+    fingerprint._fingerprint.cache_clear()
+    try:
+        before = code_fingerprint()
+        monkeypatch.setattr(fingerprint, "digest_file", edited)
+        fingerprint._fingerprint.cache_clear()
+        assert code_fingerprint() != before
+    finally:
+        monkeypatch.undo()
+        fingerprint._fingerprint.cache_clear()
+    assert code_fingerprint() == before

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.nids import ruleset as ruleset_mod
 from repro.nids.engine import ScanTelemetry, scan_stream
 from repro.nids.parallel import parallel_scan
-from repro.nids.parser import parse_rule
+from repro.nids.parser import _decode_content, encode_content, parse_rule
 from repro.nids.prefilter import RegexPrefilter, ShardedPrefilter
 from repro.nids.ruleset import (
     AUTO_SHARD_MIN_PATTERNS,
@@ -117,6 +117,62 @@ class TestRoundTripProperty:
         assert parsed.dst_ports == item.rule.dst_ports
         assert parsed.references == item.rule.references
         assert parsed.rev == item.rule.rev
+
+
+
+def _encode_content_bytewise(pattern):
+    """The byte-at-a-time ``encode_content`` loop, kept as the oracle for
+    the run-at-a-time encoder."""
+    out = []
+    hex_run = []
+
+    def flush_hex():
+        if hex_run:
+            out.append("|" + " ".join(hex_run) + "|")
+            hex_run.clear()
+
+    for byte in pattern:
+        if 0x20 <= byte < 0x7F and chr(byte) not in ('"', ";", "\\", "|"):
+            flush_hex()
+            out.append(chr(byte))
+        else:
+            hex_run.append(f"{byte:02X}")
+    flush_hex()
+    return "".join(out)
+
+
+_SPECIALS = b'";\\|'
+
+
+class TestEncodeContent:
+    def test_every_byte_value(self):
+        for byte in range(256):
+            for pattern in (bytes([byte]), b"a" + bytes([byte, byte]) + b"z"):
+                assert encode_content(pattern) == _encode_content_bytewise(pattern)
+        everything = bytes(range(256))
+        assert encode_content(everything) == _encode_content_bytewise(everything)
+        assert encode_content(b"") == ""
+
+    def test_specials_become_hex(self):
+        assert encode_content(b'a"b;c\\d|e') == "a|22|b|3B|c|5C|d|7C|e"
+        assert encode_content(b"x\x00\xff;y") == "x|00 FF 3B|y"
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.binary(max_size=8),
+                st.sampled_from([bytes([b]) for b in _SPECIALS]),
+                st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+                        max_size=8).map(str.encode),
+            ),
+            max_size=8,
+        ).map(b"".join)
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equals_bytewise_oracle(self, pattern):
+        encoded = encode_content(pattern)
+        assert encoded == _encode_content_bytewise(pattern)
+        assert _decode_content('"' + encoded + '"') == pattern
 
 
 class TestShardedPrefilter:

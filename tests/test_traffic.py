@@ -6,7 +6,12 @@ import pytest
 
 from repro.datasets.seed_cves import SEED_CVES, STUDY_WINDOW, seed_by_id
 from repro.datasets.seed_log4shell import LOG4SHELL_CVE
-from repro.traffic.actors import ScannerPopulation
+from repro.traffic.actors import (
+    _DRAW_BLOCK,
+    _SCANNER_PREFIXES,
+    ScannerPopulation,
+    _scanner_pool,
+)
 from repro.traffic.arrivals import ScanArrival
 from repro.traffic.generator import (
     LOG4SHELL_VARIANT_WEIGHTS,
@@ -133,7 +138,39 @@ class TestBackgroundTimes:
             background_times(window=STUDY_WINDOW, rng=rng, count=-1)
 
 
+def _random_ip(rng, prefixes=None) -> int:
+    """The scalar scanner-address draw the population made before it drew
+    each pool in broadcast blocks, kept as the oracle."""
+    base, prefix_len = (prefixes or _SCANNER_PREFIXES)[
+        int(rng.integers(0, len(prefixes or _SCANNER_PREFIXES)))
+    ]
+    host_bits = 32 - prefix_len
+    return base | int(rng.integers(1, (1 << host_bits) - 1))
+
+
 class TestScannerPopulation:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2023])
+    @pytest.mark.parametrize(
+        "exploit,background",
+        [(1, 1), (5, 37), (_DRAW_BLOCK, _DRAW_BLOCK + 1), (3600, 150000)],
+    )
+    def test_pools_equal_scalar_draws(self, seed, exploit, background):
+        oracle = derive_rng(seed, "scanner-population")
+        exploit_sources = sorted({_random_ip(oracle) for _ in range(exploit)})
+        background_sources = sorted({_random_ip(oracle) for _ in range(background)})
+        population = ScannerPopulation(seed=seed, exploit_source_count=exploit,
+                                       background_source_count=background)
+        assert population.exploit_sources == exploit_sources
+        assert population.background_sources == background_sources
+        assert all(type(ip) is int for ip in population.exploit_sources)
+        # The block draws leave the generator where the scalar ones did.
+        bulk = derive_rng(seed, "scanner-population")
+        _scanner_pool(bulk, exploit)
+        _scanner_pool(bulk, background)
+        assert bulk.integers(0, 1 << 62, size=4).tolist() == (
+            oracle.integers(0, 1 << 62, size=4).tolist()
+        )
+
     def test_pools_deterministic(self):
         a = ScannerPopulation(seed=1, exploit_source_count=100,
                               background_source_count=100)
