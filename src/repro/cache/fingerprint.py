@@ -23,6 +23,7 @@ from repro._version import __version__
 #: stream, session store, alert list).
 STAGE_MODULES: Tuple[str, ...] = (
     "repro.analysis.pipeline",
+    "repro.datasets.catalog",
     "repro.datasets.feeds.base",
     "repro.datasets.feeds.fixes",
     "repro.datasets.feeds.kevjson",
@@ -45,6 +46,11 @@ STAGE_MODULES: Tuple[str, ...] = (
     "repro.nids.rule",
     "repro.nids.ruleset",
     "repro.nids.scale",
+    "repro.obs",
+    "repro.obs.manifest",
+    "repro.obs.metrics",
+    "repro.obs.profile",
+    "repro.obs.trace",
     "repro.scenarios.builtins",
     "repro.scenarios.registry",
     "repro.scenarios.resolve",

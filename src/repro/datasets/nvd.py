@@ -18,6 +18,8 @@ from __future__ import annotations
 from datetime import timedelta
 from typing import List, Optional
 
+import numpy as np
+
 from repro.datasets.catalog import CVE_PROFILES
 from repro.datasets.records import CveRecord
 from repro.datasets.seed_cves import SEED_CVES, STUDY_WINDOW
@@ -80,13 +82,15 @@ def background_population(
     probabilities = [weight / total for weight in weights]
     bucket_choices = rng.choice(len(edges), size=count, p=probabilities)
     offsets = rng.uniform(0.0, window.duration.total_seconds(), size=count)
+    # One broadcast draw over every record's bucket bounds consumes the
+    # stream a scalar ``rng.uniform(low, high)`` per record would.
+    bounds = np.array(edges + [10.0])
+    scores = rng.uniform(bounds[bucket_choices], bounds[bucket_choices + 1])
     records = []
-    for index in range(count):
-        bucket = int(bucket_choices[index])
-        low = edges[bucket]
-        high = edges[bucket + 1] if bucket + 1 < len(edges) else 10.0
-        cvss = round(float(rng.uniform(low, high)), 1)
-        published = window.start + timedelta(seconds=float(offsets[index]))
+    for index, (score, offset) in enumerate(zip(scores.tolist(), offsets.tolist())):
+        # Python's round, not np.round: the two differ at ties.
+        cvss = round(score, 1)
+        published = window.start + timedelta(seconds=offset)
         records.append(
             CveRecord(
                 cve_id=f"CVE-{published.year}-9{index:05d}",

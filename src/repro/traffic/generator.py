@@ -30,7 +30,7 @@ from repro.datasets.seed_log4shell import (
     Log4ShellVariant,
 )
 from repro.exploits.log4shell import log4shell_payload
-from repro.exploits.templates import build_payload, template_for
+from repro.exploits.templates import payload_plan, template_for
 from repro.traffic.actors import ScannerPopulation
 from repro.traffic.arrivals import ScanArrival
 from repro.traffic.temporal import (
@@ -51,6 +51,12 @@ LOG4SHELL_VARIANT_WEIGHTS: Dict[int, float] = {
     58731: 0.05, 300057: 0.04, 58738: 0.05, 58739: 0.04, 58741: 0.02,
     58742: 0.06, 58744: 0.06, 300058: 0.04, 58751: 0.03, 59246: 0.05,
 }
+
+#: Ports untargeted exploit scanning sprays, and the ports inert radiation
+#: probes.  A pick is ``PORTS[rng.integers(0, len(PORTS))]``, the draw
+#: ``rng.choice(PORTS)`` makes without its per-call array conversion.
+_SPRAY_PORTS = (80, 443, 8080, 8443, 8000, 8888, 9000)
+_RADIATION_PORTS = (80, 443, 8080)
 
 
 @dataclass(frozen=True)
@@ -120,7 +126,7 @@ class TrafficGenerator:
         post-publication campaigns mostly hit the product port.
         """
         if when < published or rng.uniform() < self.config.offport_fraction:
-            return int(rng.choice([80, 443, 8080, 8443, 8000, 8888, 9000]))
+            return _SPRAY_PORTS[int(rng.integers(0, len(_SPRAY_PORTS)))]
         return default_port
 
     def campaign_arrivals(self, seed_cve: SeedCve) -> List[ScanArrival]:
@@ -129,6 +135,7 @@ class TrafficGenerator:
             return self.log4shell_arrivals()
         rng = derive_rng(self.config.seed, "campaign-traffic", seed_cve.cve_id)
         template = template_for(seed_cve.cve_id)
+        plan = payload_plan(template)
         model = (
             GROWING_TAIL_MODEL
             if seed_cve.cve_id == "CVE-2022-26134"
@@ -152,7 +159,7 @@ class TrafficGenerator:
                     dst_port=self._dst_port(
                         template.port, when, seed_cve.published, rng
                     ),
-                    payload=build_payload(template, rng),
+                    payload=plan.build(rng),
                     truth_cve=seed_cve.cve_id,
                 )
             )
@@ -275,7 +282,7 @@ class TrafficGenerator:
                 port = 8080
             elif kind < 0.8:
                 payload = b"GET / HTTP/1.1\r\nHost: target\r\nUser-Agent: zgrab/0.x\r\n\r\n"
-                port = int(rng.choice([80, 443, 8080]))
+                port = _RADIATION_PORTS[int(rng.integers(0, len(_RADIATION_PORTS)))]
             else:
                 payload = bytes(rng.integers(0, 256, size=int(rng.integers(8, 64))).astype("uint8"))
                 port = int(rng.integers(1, 65535))

@@ -9,17 +9,14 @@ equivalence the fast path relies on.
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 from datetime import timedelta
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.cache.fingerprint import STAGE_MODULES
 from repro.telescope.collector import DscopeCollector
 from repro.telescope.config import TelescopeConfig
@@ -28,6 +25,7 @@ from repro.telescope.pool import CloudIpPool
 from repro.traffic.arrivals import ScanArrival
 from repro.util.rng import derive_rng, derive_seed
 from repro.util.timeutil import TimeWindow, utc
+from tests import import_closure
 from tests.capture_oracle import OracleCollector, OracleIpPool
 
 WINDOW = TimeWindow(utc(2021, 3, 1), utc(2021, 3, 2))
@@ -328,58 +326,8 @@ def test_closed_form_session_equals_packet_path(payload):
 
 # -- cache fingerprint coverage ---------------------------------------------
 
-_SRC = Path(repro.__file__).resolve().parent
-
-
-def _module_path(name):
-    relative = Path(*name.split(".")[1:])
-    package = _SRC / relative / "__init__.py"
-    return package if package.exists() else _SRC / relative.with_suffix(".py")
-
-
-def _is_module(name):
-    relative = Path(*name.split(".")[1:])
-    return (_SRC / relative.with_suffix(".py")).exists() or (
-        _SRC / relative / "__init__.py"
-    ).exists()
-
-
-def _repro_imports(name):
-    """``repro.*`` modules a module imports by name (parent packages'
-    ``__init__`` re-exports are not followed)."""
-    path = _module_path(name)
-    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
-    found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import):
-            found.update(
-                alias.name for alias in node.names
-                if alias.name.startswith("repro.")
-            )
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                parent = package.rsplit(".", node.level - 1)[0]
-                base = f"{parent}.{base}" if base else parent
-            if not base.startswith("repro."):
-                continue
-            for alias in node.names:
-                child = f"{base}.{alias.name}"
-                found.add(child if _is_module(child) else base)
-    return found
-
-
-def _closure(root):
-    seen, todo = set(), [root]
-    while todo:
-        name = todo.pop()
-        if name not in seen:
-            seen.add(name)
-            todo.extend(_repro_imports(name) - seen)
-    return seen
-
 
 def test_capture_import_closure_is_fingerprinted():
-    closure = _closure("repro.telescope.collector")
+    closure = import_closure.closure("repro.telescope.collector")
     assert "repro.util.iputil" in closure
     assert closure <= set(STAGE_MODULES), sorted(closure - set(STAGE_MODULES))

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import fingerprint
-from repro.cache.fingerprint import STAGE_MODULES, code_fingerprint
+from repro.cache.fingerprint import STAGE_MODULES
 from repro.nids.automaton import AhoCorasick
 from repro.nids.prefilter import (
     DEFAULT_CHUNK_SIZE,
@@ -24,8 +23,8 @@ from repro.nids.prefilter import (
     _trie_regex,
 )
 from repro.nids.scale import ScaleConfig, generate_scaled
+from tests import import_closure
 from tests.prefilter_oracle import pairwise_tables, per_node_trie_regex
-from tests.test_capture_batch import _closure
 
 
 class TestRegexPrefilter:
@@ -295,28 +294,14 @@ def test_long_patterns_equivalent_to_automaton(case, chunk):
 
 
 def test_ruleset_import_closure_is_fingerprinted():
-    closure = _closure("repro.nids.ruleset")
+    closure = import_closure.closure("repro.nids.ruleset")
     assert {"repro.nids.prefilter", "repro.net.http"} <= closure
     assert closure <= set(STAGE_MODULES), sorted(closure - set(STAGE_MODULES))
 
 
 def test_prefilter_source_digest_changes_code_fingerprint(monkeypatch):
     """An edit to prefilter.py must change the cache key's code digest."""
-    real_digest = fingerprint.digest_file
-
-    def edited(path, **kwargs):
-        digest = real_digest(path, **kwargs)
-        if str(path).endswith("prefilter.py"):
-            return "edited-" + digest
-        return digest
-
-    fingerprint._fingerprint.cache_clear()
-    try:
-        before = code_fingerprint()
-        monkeypatch.setattr(fingerprint, "digest_file", edited)
-        fingerprint._fingerprint.cache_clear()
-        assert code_fingerprint() != before
-    finally:
-        monkeypatch.undo()
-        fingerprint._fingerprint.cache_clear()
-    assert code_fingerprint() == before
+    before, after = import_closure.fingerprint_after_edit(
+        monkeypatch, "prefilter.py"
+    )
+    assert after != before
