@@ -219,8 +219,8 @@ class StudyTelemetry:
     #: None when the run was uncached.
     cache: Optional["CacheTelemetry"] = None
     #: Heavy stages served from crash checkpoints left by an earlier,
-    #: killed run (subset of ``["arrivals", "store", "alerts"]``, in
-    #: pipeline order).  Empty for clean runs and cache hits.
+    #: killed run (subset of ``["store", "alerts"]``, in pipeline order).
+    #: Empty for clean runs and cache hits.
     checkpoints: List[str] = field(default_factory=list)
     #: Where this run's manifest was written; None when no manifest root
     #: was available (uncached, checkpoint-free, manifest=False).
@@ -502,12 +502,13 @@ def run_study(
     default it follows the cache (checkpoints live under the same root);
     pass True / a root path / a :class:`repro.cache.CheckpointStore` to
     checkpoint an uncached run, or False to disable.  A run killed mid-way
-    leaves its finished stages — the arrival stream, the captured store,
-    per-chunk scan results, the final alert list — on disk under the
-    study's content key; rerunning the same configuration resumes from
-    them, rescanning only what never completed.  The stage checkpoints are
-    written in the cache-entry format, and the cache entry links them
-    instead of encoding the stages again.  Checkpoints are deleted as soon
+    leaves its finished stages — the captured store, per-chunk scan
+    results, the final alert list — on disk under the study's content key;
+    rerunning the same configuration resumes from them, rescanning only
+    what never completed (traffic is regenerated only when no store was
+    checkpointed).  The stage checkpoints are written in the cache-entry
+    format, and the cache entry links them instead of encoding the stages
+    again.  Checkpoints are deleted as soon
     as the run succeeds (its results then live in the study cache).
 
     ``manifest`` controls the run manifest (:mod:`repro.obs`): by default
@@ -567,46 +568,41 @@ def run_study(
         else:
             from repro.cache.checkpoint import (
                 encode_stage_alerts,
-                encode_stage_arrivals,
                 encode_stage_store,
             )
 
-            # Stage 2: traffic generation (or its checkpoint).
+            # A store checkpoint makes traffic unnecessary: probe it first,
+            # and generate arrivals only when capture has to run.
+            captured = None
+            if checkpoint_store is not None:
+                captured = checkpoint_store.load(study_key, "store")
+                if captured is not None:
+                    checkpoint_stages.append("store")
+
+            # Stage 2: traffic generation.
             with tracer.span("traffic") as span:
-                arrivals = None
-                if checkpoint_store is not None:
-                    arrivals = checkpoint_store.load(study_key, "arrivals")
-                    if arrivals is not None:
-                        checkpoint_stages.append("arrivals")
-                        span.set("source", "checkpoint")
-                if arrivals is None:
+                if captured is not None:
+                    span.set("source", "skipped")
+                else:
                     span.set("source", "computed")
                     generator = resolved.build_traffic(bundle.window)
                     with profiler.stage("traffic"):
                         arrivals = generator.generate(
                             workers=config.workers, tracer=tracer
                         )
-                    if checkpoint_store is not None:
-                        checkpoint_store.save(
-                            study_key, "arrivals", encode_stage_arrivals(arrivals)
-                        )
-                span.set("arrivals", len(arrivals))
+                    span.set("arrivals", len(arrivals))
 
             # Stage 3: telescope capture (or its checkpoint).
             with tracer.span("capture") as span:
-                captured = None
-                if checkpoint_store is not None:
-                    captured = checkpoint_store.load(study_key, "store")
-                    if captured is not None:
-                        checkpoint_stages.append("store")
-                        span.set("source", "checkpoint")
                 if captured is not None:
+                    span.set("source", "checkpoint")
                     store, collection_stats, ground_truth = captured
                 else:
                     span.set("source", "computed")
                     collector = resolved.build_collector(bundle.window)
                     with profiler.stage("capture"):
                         store = collector.collect(arrivals)
+                    del arrivals  # nothing reads the stream after capture
                     collection_stats = collector.stats
                     ground_truth = collector.ground_truth
                     if checkpoint_store is not None:
@@ -648,7 +644,6 @@ def run_study(
             if study_cache is not None:
                 study_cache.save(
                     config,
-                    arrivals=arrivals,
                     store=store,
                     alerts=alerts,
                     collection_stats=collection_stats,

@@ -29,7 +29,7 @@ from repro.cache.gc import (
     collect_manifest_garbage,
     collect_shm_garbage,
 )
-from repro.cache.integrity import EntryReport, is_complete_entry, verify_entry
+from repro.cache.integrity import EntryReport, verify_entry
 from repro.cache.study import (
     CACHE_SCHEMA,
     CachedStudy,
@@ -59,7 +59,6 @@ __all__ = [
     "collect_shm_garbage",
     "default_cache_root",
     "digest_file",
-    "is_complete_entry",
     "semantic_config",
     "study_key",
     "verify_entry",

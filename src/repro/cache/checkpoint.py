@@ -8,15 +8,15 @@ invocation of the same configuration recomputes only what is missing.
 
 A checkpoint under ``<cache root>/checkpoints/<key>/`` is one of two kinds:
 
-* a **stage** (``arrivals``, ``store``, ``alerts``) is the heavy stage's
-  cache-entry data files themselves (``arrivals.jsonl.gz``,
-  ``store.jsonl.gz`` + ``collection.json.gz``, ``alerts.jsonl.gz``),
-  written once through the study cache's stage codecs, plus a
+* a **stage** (``store``, ``alerts``) is the heavy stage's cache-entry data
+  file itself (``store.cols.zlib``, ``alerts.cols.zlib``: compressed column
+  containers), written once through the study cache's stage codecs, plus a
   ``<stage>.stage.json`` record holding the record count and each file's
   BLAKE2b digest and size.  The files are written in a ``.tmp<pid>``
   staging directory and moved into place with ``os.replace``; the record
   is written last, so a stage without one is incomplete.  Loading
-  re-checks every digest; when the run finishes,
+  re-checks every digest, and decoding re-checks the container's columns
+  and dtypes; when the run finishes,
   :meth:`repro.cache.StudyCache.save` hard-links the files into the cache
   entry, so a stage is encoded and written exactly once per run;
 * a **blob** (the parallel scan's ``chunk-*`` results) is one gzip JSON
@@ -25,6 +25,9 @@ A checkpoint under ``<cache root>/checkpoints/<key>/`` is one of two kinds:
   the payload.  Payloads must therefore be JSON-native (dicts, lists,
   strings, numbers); anything that does not round-trip through JSON would
   self-invalidate on load.
+
+Traffic has no stage: the arrival stream is a pure function of the key,
+so a resumed run regenerates it, and only when capture has to run again.
 
 Either kind is published atomically, so it is absent or complete.  A
 checkpoint that fails its check on load (bit rot, truncation, schema
@@ -53,17 +56,21 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.cache.integrity import file_entry
-from repro.cache.study import STAGES, default_cache_root, write_stage
+from repro.cache.study import (
+    STAGE_FILES,
+    STAGES,
+    default_cache_root,
+    write_stage,
+)
 
 #: Bump when the blob envelope or the stage record layout changes.  2: the
 #: stages are cache-entry data files plus a ``<stage>.stage.json`` record.
+#: (Stage file formats are covered by ``CACHE_SCHEMA``, which is part of
+#: every checkpoint key.)
 CHECKPOINT_SCHEMA = 2
 
 _STAGING_RE = re.compile(r"\.tmp\d+$")
 _STAGE_SUFFIX = ".stage.json"
-_STAGE_DATA_FILES = frozenset(
-    name for codec in STAGES.values() for name in codec.files
-)
 
 
 def _digest_payload(payload) -> str:
@@ -127,7 +134,7 @@ class CheckpointStore:
 
     def _blob_path(self, key: str, name: str) -> Path:
         self._check_name(name)
-        if f"{name}.json.gz" in _STAGE_DATA_FILES:
+        if f"{name}.json.gz" in STAGE_FILES:
             raise ValueError(f"checkpoint blob name {name!r} is a stage file")
         return self.dir_for(key) / f"{name}.json.gz"
 
@@ -295,7 +302,7 @@ class CheckpointStore:
             return []
         names = set()
         for child in directory.iterdir():
-            if _STAGING_RE.search(child.name) or child.name in _STAGE_DATA_FILES:
+            if _STAGING_RE.search(child.name) or child.name in STAGE_FILES:
                 continue
             if child.name.endswith(_STAGE_SUFFIX):
                 names.add(child.name[: -len(_STAGE_SUFFIX)])
@@ -340,7 +347,7 @@ class CheckpointStore:
                 continue
             total += stat.st_size
             newest = max(newest, stat.st_mtime)
-            if child.name in _STAGE_DATA_FILES:
+            if child.name in STAGE_FILES:
                 stage_files[child.name] = stat.st_size
             elif child.name.endswith(_STAGE_SUFFIX):
                 stages.append(child.name[: -len(_STAGE_SUFFIX)])
@@ -426,8 +433,13 @@ class CheckpointStore:
 
 
 def encode_stage_arrivals(arrivals) -> StagePayload:
-    """The arrival stream, as the ``arrivals`` stage."""
-    return StagePayload("arrivals", arrivals)
+    """Not a stage: the arrival stream is regenerated, never checkpointed.
+
+    The name stays only because the benchmark's frozen tracing table
+    (``perfbench/spans.py`` ``TARGETS``) resolves it with ``getattr``; it
+    has no caller and goes with the next benchmark change.
+    """
+    raise ValueError("the arrival stream is not a checkpointed stage")
 
 
 def encode_stage_store(store, collection_stats, ground_truth) -> StagePayload:

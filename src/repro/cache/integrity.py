@@ -1,13 +1,16 @@
 """Cache entry integrity: per-file checksums and verification.
 
-A cache entry is a directory of data files plus a ``meta.json`` completion
-marker.  The marker records, for every data file, its byte size and a
-BLAKE2b digest of its on-disk (compressed) bytes, plus the record count of
-every JSONL stream.  :func:`verify_entry` checks an entry against its own
-manifest; the cache calls it before trusting a hit, the publish path calls
-it (shallowly) to distinguish a *complete* concurrent entry from stale
-debris squatting on the slot, and ``repro cache verify`` exposes it to
-operators.
+A cache entry is a directory of data files (one compressed column
+container per heavy stage, named by :data:`repro.cache.study.STAGES`) plus
+a ``meta.json`` completion marker.  The marker records, for every data
+file, its byte size and a BLAKE2b digest of its on-disk (compressed)
+bytes, plus every stage's record count.  :func:`verify_entry` checks an
+entry against its own manifest and the file names the caller expects; the
+cache calls it before trusting a hit, the publish path calls it
+(shallowly) to distinguish a *complete* concurrent entry from stale debris
+squatting on the slot, and ``repro cache verify`` exposes it to operators.
+The digests guard the bytes; what they decode to is checked by the stage
+readers, which reject malformed content with ``ValueError``.
 
 The distinction matters because the failure modes differ:
 
@@ -24,17 +27,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.cache.fingerprint import digest_file
-
-#: The data files every complete entry contains (``meta.json`` aside).
-DATA_FILES = (
-    "arrivals.jsonl.gz",
-    "store.jsonl.gz",
-    "alerts.jsonl.gz",
-    "collection.json.gz",
-)
 
 
 @dataclass
@@ -76,10 +71,15 @@ def file_entry(path: Path) -> Dict[str, object]:
 
 
 def verify_entry(
-    entry: Path, *, deep: bool = True, expect_schema: Optional[int] = None
+    entry: Path,
+    *,
+    deep: bool = True,
+    expect_schema: Optional[int] = None,
+    expect_files: Iterable[str] = (),
 ) -> EntryReport:
     """Check one entry directory against its own manifest.
 
+    Every name in ``expect_files`` must be listed in the manifest.
     Shallow (``deep=False``) checks the manifest is readable and every
     listed file exists at its recorded size — enough to tell a complete
     entry from a torn one without reading data bytes.  Deep verification
@@ -99,7 +99,7 @@ def verify_entry(
     if not isinstance(manifest, dict) or not manifest:
         report.problems.append("meta.json lacks a file manifest")
         return report
-    for name in DATA_FILES:
+    for name in expect_files:
         if name not in manifest:
             report.problems.append(f"{name}: absent from manifest")
     for name, expected in sorted(manifest.items()):
@@ -118,8 +118,3 @@ def verify_entry(
             report.problems.append(f"{name}: checksum mismatch")
     report.ok = not report.problems
     return report
-
-
-def is_complete_entry(entry: Path, *, expect_schema: Optional[int] = None) -> bool:
-    """Shallow completeness check (see :func:`verify_entry`)."""
-    return verify_entry(entry, deep=False, expect_schema=expect_schema).ok

@@ -2,11 +2,12 @@
 
 The pipeline's expensive stages — traffic generation, telescope capture,
 and the NIDS scan — are pure functions of the :class:`StudyConfig` and the
-code that implements them.  :class:`StudyCache` persists their outputs
-(arrival stream, session store, alert list, collection statistics, ground
-truth) under a content-addressed directory, so any process — the CLI, the
-benchmark harness, the test suite — can reuse a study another process
-already computed.
+code that implements them.  :class:`StudyCache` persists the outputs of
+capture and scan (session store, collection statistics, ground truth;
+alert list) under a content-addressed directory, so any process — the
+CLI, the benchmark harness, the test suite — can reuse a study another
+process already computed.  The arrival stream is not persisted: it is a
+pure function of the key, and regenerating it is cheaper than writing it.
 
 Keying and invalidation:
 
@@ -36,10 +37,15 @@ Durability (the publish/verify/GC protocol):
   byte moved is counted on :attr:`StudyCache.telemetry`.
 
 Encoding: each heavy stage has one codec (:data:`STAGES`) that writes and
-reads its data files.  The crash checkpoints of :mod:`repro.cache.checkpoint`
-write the same files with the same codec, so when a run checkpointed its
-stages, :meth:`StudyCache.save` hard-links those files into the entry
-(copying when linking fails) instead of encoding the records again.
+reads one data file, a column container (the shard's framing, see
+:mod:`repro.store.shard`) written through one zlib stream: ``store`` holds
+the session columns, a deduplicated payload heap and the ground truth,
+with the collection statistics in the container header; ``alerts`` holds
+the shard's own ``alert_*`` columns (:func:`repro.store.columnar.pack_alerts`).
+The crash checkpoints of :mod:`repro.cache.checkpoint` write the same files
+with the same codec, so when a run checkpointed its stages,
+:meth:`StudyCache.save` hard-links those files into the entry (copying when
+linking fails) instead of encoding the records again.
 
 The default root is ``~/.cache/repro`` (override with ``REPRO_CACHE_DIR``
 or the ``root=`` argument; ``XDG_CACHE_HOME`` is honoured).  The ``repro
@@ -49,17 +55,15 @@ same layout.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
-import gzip
 import hashlib
 import json
 import os
 import shutil
 import time
+import zlib
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from itertools import islice
+from datetime import timedelta
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -74,22 +78,34 @@ from repro.cache.gc import (
 from repro.cache.integrity import (
     EntryReport,
     file_entry,
-    is_complete_entry,
     read_meta,
     verify_entry,
 )
-from repro.net.pcapstore import SessionStore, decode_session, encode_session
+import numpy as np
+
+from repro.net.pcapstore import SessionStore
+from repro.net.session import TcpSession
 from repro.nids.ruleset import Alert
+from repro.store.columnar import (
+    ALERT_DTYPES,
+    Interner,
+    check_index,
+    datetimes,
+    micros_column,
+    pack_alerts,
+    unpack_alerts,
+)
+from repro.store.shard import container_chunks, read_container
 from repro.telescope.collector import CollectionStats
-from repro.traffic.arrivals import ScanArrival
 
 if TYPE_CHECKING:
     from repro.cache.checkpoint import CheckpointStore
 
 #: Bump when the on-disk entry layout changes (not when pipeline code does —
 #: the code fingerprint covers that).  2: per-file checksums and record
-#: counts in ``meta.json``.
-CACHE_SCHEMA = 2
+#: counts in ``meta.json``.  3: compressed column containers, no arrival
+#: stream.
+CACHE_SCHEMA = 3
 
 #: How many times :meth:`StudyCache.save` will evict a stale occupant and
 #: retry the publishing rename before giving the save up.
@@ -169,176 +185,195 @@ def study_key(config) -> str:
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
 
-# -- record serialisation ---------------------------------------------------
+# -- stage files ------------------------------------------------------------
 #
-# Timestamps are naive datetimes written as ``YYYY-MM-DDTHH:MM:SS.ffffff``.
-# ``isoformat(timespec="microseconds")`` writes exactly the string
-# ``strftime("%Y-%m-%dT%H:%M:%S.%f")`` does (``timespec`` keeps the
-# fraction when the microsecond is 0), and ``datetime.fromisoformat``
-# parses it about thirty times faster than ``strptime``.
+# A stage file is one column container (:mod:`repro.store.shard`, the
+# shard's framing) written through a single ``zlib`` stream, column by
+# column, so no whole-file copy is ever held in memory.  Datetimes are
+# int64 microseconds since the epoch (``MISSING`` for None); every stage
+# produces naive UTC, and the encoder rejects an aware datetime.  The
+# reader validates what it decompresses and raises ``ValueError`` on any
+# damage, which the cache and the checkpoint store count as an integrity
+# failure and a miss.
+
+STORE_FILE = "store.cols.zlib"
+ALERTS_FILE = "alerts.cols.zlib"
+
+#: The ``store`` stage's columns: one row per session (store order), the
+#: deduplicated payload heap (``payload_offset`` has one more entry than
+#: there are distinct payloads; ``session_payload`` indexes it), and the
+#: ground truth (``truth_cve`` indexes the header's ``cves``; -1 is None).
+STORE_DTYPES: Dict[str, str] = {
+    "session_id": "int64",
+    "session_start": "int64",
+    "session_end": "int64",
+    "session_src_ip": "uint32",
+    "session_dst_ip": "uint32",
+    "session_src_port": "uint16",
+    "session_dst_port": "uint16",
+    "session_established": "uint8",
+    "session_payload": "int32",
+    "payload_heap": "uint8",
+    "payload_offset": "int64",
+    "truth_session": "int64",
+    "truth_cve": "int32",
+}
+
+_STATS_COUNTERS = (
+    "arrivals_routed",
+    "sessions_captured",
+    "tenancies_materialised",
+    "arrivals_lost_to_preemption",
+)
 
 
-def _encode_alert(alert: Alert) -> dict:
-    return {
-        "session_id": alert.session_id,
-        "timestamp": alert.timestamp.isoformat(timespec="microseconds"),
-        "sid": alert.sid,
-        "cve_id": alert.cve_id,
-        "rule_published": alert.rule_published.isoformat(timespec="microseconds"),
-        "dst_ip": alert.dst_ip,
-        "dst_port": alert.dst_port,
-        "src_ip": alert.src_ip,
-    }
+def _write_columns(
+    path: Path,
+    header: Dict[str, object],
+    columns: Dict[str, np.ndarray],
+    dtypes: Dict[str, str],
+) -> None:
+    compressor = zlib.compressobj(1)
+    with open(path, "wb") as handle:
+        for chunk in container_chunks(header, columns, dtypes):
+            handle.write(compressor.compress(chunk))
+        handle.write(compressor.flush())
 
 
-def _decode_alert(record: dict) -> Alert:
-    return Alert(
-        session_id=record["session_id"],
-        timestamp=datetime.fromisoformat(record["timestamp"]),
-        sid=record["sid"],
-        cve_id=record["cve_id"],
-        rule_published=datetime.fromisoformat(record["rule_published"]),
-        dst_ip=record["dst_ip"],
-        dst_port=record["dst_port"],
-        src_ip=record["src_ip"],
-    )
-
-
-def _encode_arrival(arrival: ScanArrival) -> dict:
-    return {
-        "timestamp": arrival.timestamp.isoformat(timespec="microseconds"),
-        "src_ip": arrival.src_ip,
-        "src_port": arrival.src_port,
-        "dst_port": arrival.dst_port,
-        "payload": base64.b64encode(arrival.payload).decode("ascii"),
-        "truth_cve": arrival.truth_cve,
-        "variant_sid": arrival.variant_sid,
-    }
-
-
-def _decode_arrival(record: dict) -> ScanArrival:
-    return ScanArrival(
-        timestamp=datetime.fromisoformat(record["timestamp"]),
-        src_ip=record["src_ip"],
-        src_port=record["src_port"],
-        dst_port=record["dst_port"],
-        payload=base64.b64decode(record["payload"]),
-        truth_cve=record["truth_cve"],
-        variant_sid=record["variant_sid"],
-    )
-
-
-def _encode_stats(stats: CollectionStats) -> dict:
-    return {
-        "arrivals_routed": stats.arrivals_routed,
-        "sessions_captured": stats.sessions_captured,
-        "tenancies_materialised": stats.tenancies_materialised,
-        "arrivals_lost_to_preemption": stats.arrivals_lost_to_preemption,
-        "receiving_ips": sorted(stats.receiving_ips),
-        "source_ips": sorted(stats.source_ips),
-    }
-
-
-def _decode_stats(record: dict) -> CollectionStats:
-    return CollectionStats(
-        arrivals_routed=record["arrivals_routed"],
-        sessions_captured=record["sessions_captured"],
-        tenancies_materialised=record["tenancies_materialised"],
-        arrivals_lost_to_preemption=record["arrivals_lost_to_preemption"],
-        receiving_ips=set(record["receiving_ips"]),
-        source_ips=set(record["source_ips"]),
-    )
-
-
-def _write_jsonl(path: Path, records) -> int:
-    """Write one JSON record per line, gzipped; returns the record count.
-
-    Lines are encoded and compressed a batch at a time, which keeps memory
-    bounded and the per-record cost to ``json.dumps``.
-    """
-    count = 0
-    records = iter(records)
-    with gzip.open(path, "wb", compresslevel=1) as handle:
-        while True:
-            lines = [json.dumps(record) for record in islice(records, 1024)]
-            if not lines:
-                return count
-            count += len(lines)
-            lines.append("")
-            handle.write("\n".join(lines).encode("ascii"))
-
-
-def _read_jsonl(path: Path):
-    """The records of a :func:`_write_jsonl` file (blank lines skipped),
-    decoded about 64 KB of lines per ``json.loads`` call."""
-    with gzip.open(path, "rb") as handle:
-        while True:
-            lines = handle.readlines(1 << 16)
-            if not lines:
-                return
-            yield from json.loads(
-                b"[" + b",".join(line for line in lines if line.strip()) + b"]"
-            )
-
-
-# -- stage codecs -----------------------------------------------------------
-#
-# One codec per heavy stage, shared by the entry and the stage checkpoints
-# (:mod:`repro.cache.checkpoint`): a checkpointed stage is the same files
-# an entry holds, so publishing an entry from checkpoints links them.
-
-
-def _write_arrivals(directory: Path, arrivals: List[ScanArrival]) -> int:
-    return _write_jsonl(
-        directory / "arrivals.jsonl.gz", map(_encode_arrival, arrivals)
-    )
-
-
-def _read_arrivals(directory: Path) -> List[ScanArrival]:
-    return [
-        _decode_arrival(record)
-        for record in _read_jsonl(directory / "arrivals.jsonl.gz")
-    ]
+def _read_columns(
+    path: Path, dtypes: Dict[str, str]
+) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+    decompressor = zlib.decompressobj()
+    try:
+        data = decompressor.decompress(path.read_bytes())
+    except zlib.error as exc:
+        raise ValueError(f"{path.name}: {exc}") from None
+    if not decompressor.eof or decompressor.unused_data:
+        raise ValueError(f"{path.name}: truncated or trailing compressed data")
+    return read_container(data, dtypes, source=path.name)
 
 
 def _write_captured(directory: Path, captured: "Captured") -> int:
     store, collection_stats, ground_truth = captured
-    count = _write_jsonl(directory / "store.jsonl.gz", map(encode_session, store))
-    collection = {
-        "stats": _encode_stats(collection_stats),
-        "ground_truth": {
-            str(session_id): truth for session_id, truth in ground_truth.items()
-        },
+    sessions = list(store)
+    heap_index: Dict[bytes, int] = {}
+    payload_index = [
+        heap_index.setdefault(session.payload, len(heap_index))
+        for session in sessions
+    ]
+    payloads = list(heap_index)
+    offsets = np.zeros(len(payloads) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(payload) for payload in payloads], dtype=np.int64)
+    cves = Interner()
+    columns = {
+        "session_id": np.array([s.session_id for s in sessions], np.int64),
+        "session_start": micros_column([s.start for s in sessions]),
+        "session_end": micros_column([s.end for s in sessions]),
+        "session_src_ip": np.array([s.src_ip for s in sessions], np.uint32),
+        "session_dst_ip": np.array([s.dst_ip for s in sessions], np.uint32),
+        "session_src_port": np.array([s.src_port for s in sessions], np.uint16),
+        "session_dst_port": np.array([s.dst_port for s in sessions], np.uint16),
+        "session_established": np.array(
+            [s.established for s in sessions], np.uint8
+        ),
+        "session_payload": np.array(payload_index, np.int32),
+        "payload_heap": np.frombuffer(b"".join(payloads), np.uint8),
+        "payload_offset": offsets,
+        "truth_session": np.array(list(ground_truth), np.int64),
+        "truth_cve": np.array(
+            [cves.intern(truth) for truth in ground_truth.values()], np.int32
+        ),
     }
-    with gzip.open(directory / "collection.json.gz", "wb", compresslevel=1) as handle:
-        handle.write(json.dumps(collection).encode("ascii"))
-    return count
+    stats = {name: getattr(collection_stats, name) for name in _STATS_COUNTERS}
+    stats["receiving_ips"] = sorted(collection_stats.receiving_ips)
+    stats["source_ips"] = sorted(collection_stats.source_ips)
+    _write_columns(
+        directory / STORE_FILE,
+        {"stats": stats, "cves": cves.values},
+        columns,
+        STORE_DTYPES,
+    )
+    return len(sessions)
 
 
 def _read_captured(directory: Path) -> "Captured":
+    header, columns = _read_columns(directory / STORE_FILE, STORE_DTYPES)
+    count = columns["session_id"].size
+    if any(
+        columns[name].size != count
+        for name in STORE_DTYPES
+        if name.startswith("session_")
+    ) or columns["truth_session"].size != columns["truth_cve"].size:
+        raise ValueError(f"{STORE_FILE}: columns differ in length")
+    offsets = columns["payload_offset"]
+    heap = columns["payload_heap"].tobytes()
+    if (
+        offsets.size == 0
+        or offsets[0] != 0
+        or offsets[-1] != len(heap)
+        or bool((np.diff(offsets) < 0).any())
+    ):
+        raise ValueError(f"{STORE_FILE}: malformed payload heap")
+    bounds = offsets.tolist()
+    payloads = [heap[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    check_index(columns["session_payload"], 0, len(payloads), "payload")
+    cves = list(header["cves"])
+    check_index(columns["truth_cve"], -1, len(cves), "ground-truth CVE")
+
     store = SessionStore()
     store.extend(
-        decode_session(record)
-        for record in _read_jsonl(directory / "store.jsonl.gz")
+        TcpSession(
+            session_id=session_id,
+            start=start,
+            src_ip=src_ip,
+            src_port=src_port,
+            dst_ip=dst_ip,
+            dst_port=dst_port,
+            payload=payloads[payload],
+            end=end,
+            established=established,
+        )
+        for session_id, start, end, src_ip, dst_ip, src_port, dst_port,
+        established, payload in zip(
+            columns["session_id"].tolist(),
+            datetimes(columns["session_start"]),
+            datetimes(columns["session_end"]),
+            columns["session_src_ip"].tolist(),
+            columns["session_dst_ip"].tolist(),
+            columns["session_src_port"].tolist(),
+            columns["session_dst_port"].tolist(),
+            columns["session_established"].astype(bool).tolist(),
+            columns["session_payload"].tolist(),
+        )
     )
-    with gzip.open(directory / "collection.json.gz", "rb") as handle:
-        collection = json.loads(handle.read())
+    stats = header["stats"]
+    collection_stats = CollectionStats(
+        **{name: stats[name] for name in _STATS_COUNTERS},
+        receiving_ips=set(stats["receiving_ips"]),
+        source_ips=set(stats["source_ips"]),
+    )
+    table = [*cves, None]  # index -1 -> None
     ground_truth = {
-        int(session_id): truth
-        for session_id, truth in collection["ground_truth"].items()
+        session_id: table[cve]
+        for session_id, cve in zip(
+            columns["truth_session"].tolist(), columns["truth_cve"].tolist()
+        )
     }
-    return store, _decode_stats(collection["stats"]), ground_truth
+    return store, collection_stats, ground_truth
 
 
 def _write_alerts(directory: Path, alerts: List[Alert]) -> int:
-    return _write_jsonl(directory / "alerts.jsonl.gz", map(_encode_alert, alerts))
+    cves = Interner()
+    columns = pack_alerts(alerts, cves)
+    _write_columns(
+        directory / ALERTS_FILE, {"cves": cves.values}, columns, ALERT_DTYPES
+    )
+    return len(alerts)
 
 
 def _read_alerts(directory: Path) -> List[Alert]:
-    return [
-        _decode_alert(record)
-        for record in _read_jsonl(directory / "alerts.jsonl.gz")
-    ]
+    header, columns = _read_columns(directory / ALERTS_FILE, ALERT_DTYPES)
+    return unpack_alerts(columns, list(header["cves"]))
 
 
 #: The capture stage's value: the session store, the collector's
@@ -361,19 +396,21 @@ class StageCodec:
     size: Callable[[Any], int] = len
 
 
-#: The heavy stages in pipeline order.
+#: The heavy stages in pipeline order.  (Traffic is not one: the arrival
+#: stream is a pure function of the study key, and regenerating it costs
+#: less than writing it.)
 STAGES: Dict[str, StageCodec] = {
-    "arrivals": StageCodec(
-        ("arrivals.jsonl.gz",), "arrivals", _write_arrivals, _read_arrivals
-    ),
     "store": StageCodec(
-        ("store.jsonl.gz", "collection.json.gz"), "sessions",
-        _write_captured, _read_captured, size=lambda captured: len(captured[0]),
+        (STORE_FILE,), "sessions", _write_captured, _read_captured,
+        size=lambda captured: len(captured[0]),
     ),
-    "alerts": StageCodec(
-        ("alerts.jsonl.gz",), "alerts", _write_alerts, _read_alerts
-    ),
+    "alerts": StageCodec((ALERTS_FILE,), "alerts", _write_alerts, _read_alerts),
 }
+
+#: Every stage's data files: what a complete entry's manifest lists.
+STAGE_FILES: Tuple[str, ...] = tuple(
+    name for codec in STAGES.values() for name in codec.files
+)
 
 
 def write_stage(stage: str, directory: Path, value) -> Dict[str, Any]:
@@ -390,6 +427,13 @@ def write_stage(stage: str, directory: Path, value) -> Dict[str, Any]:
     }
 
 
+def _verify(entry: Path, *, deep: bool) -> EntryReport:
+    """:func:`verify_entry` against this schema and these stage files."""
+    return verify_entry(
+        entry, deep=deep, expect_schema=CACHE_SCHEMA, expect_files=STAGE_FILES
+    )
+
+
 def _link_or_copy(source: Path, target: Path) -> None:
     """Hard-link ``source`` as ``target``; copy when linking fails (e.g.
     the two are on different devices)."""
@@ -404,7 +448,7 @@ def _link_or_copy(source: Path, target: Path) -> None:
 
 @dataclass
 class CachedStudy:
-    """One cache entry, loaded (arrivals stay on disk until asked for)."""
+    """One cache entry, loaded."""
 
     path: Path
     meta: dict
@@ -412,10 +456,6 @@ class CachedStudy:
     alerts: List[Alert]
     collection_stats: CollectionStats
     ground_truth: Dict[int, Optional[str]]
-
-    def load_arrivals(self) -> List[ScanArrival]:
-        """The cached arrival stream (lazy: rarely needed downstream)."""
-        return _read_arrivals(self.path)
 
 
 @dataclass
@@ -499,7 +539,7 @@ class StudyCache:
         if not path.exists():
             self._count("misses")
             return None
-        report = verify_entry(path, deep=True, expect_schema=CACHE_SCHEMA)
+        report = _verify(path, deep=True)
         if not report.ok:
             # Torn or corrupt: evict rather than leave it blocking the key.
             self._count("integrity_failures")
@@ -507,27 +547,25 @@ class StudyCache:
             self._evict_dir(path)
             return None
         meta = report.meta
+        records = meta.get("records", {})
         try:
-            store, stats, ground_truth = _read_captured(path)
-            alerts = _read_alerts(path)
-            records = meta.get("records", {})
-            if (
-                len(store) != records.get("sessions")
-                or len(alerts) != records.get("alerts")
-            ):
-                raise ValueError("record counts disagree with meta.json")
-        except (OSError, ValueError, KeyError):
+            values = {stage: codec.read(path) for stage, codec in STAGES.items()}
+            for stage, codec in STAGES.items():
+                if codec.size(values[stage]) != records.get(codec.count_key):
+                    raise ValueError("record counts disagree with meta.json")
+        except (OSError, ValueError, KeyError, TypeError):
             self._count("integrity_failures")
             self._count("misses")
             self._evict_dir(path)
             return None
         self._count("hits")
         self._count("bytes_read", report.bytes)
+        store, stats, ground_truth = values["store"]
         return CachedStudy(
             path=path,
             meta=meta,
             store=store,
-            alerts=alerts,
+            alerts=values["alerts"],
             collection_stats=stats,
             ground_truth=ground_truth,
         )
@@ -546,7 +584,7 @@ class StudyCache:
                 os.replace(staging, path)
                 return True
             except OSError:
-                if is_complete_entry(path, expect_schema=CACHE_SCHEMA):
+                if _verify(path, deep=False).ok:
                     self._count("publish_conflicts")
                     shutil.rmtree(staging, ignore_errors=True)
                     return False
@@ -561,7 +599,6 @@ class StudyCache:
         self,
         config,
         *,
-        arrivals: List[ScanArrival],
         store: SessionStore,
         alerts: List[Alert],
         collection_stats: CollectionStats,
@@ -584,7 +621,6 @@ class StudyCache:
         shutil.rmtree(staging, ignore_errors=True)
         staging.mkdir(parents=True)
         values = {
-            "arrivals": arrivals,
             "store": (store, collection_stats, ground_truth),
             "alerts": alerts,
         }
@@ -674,10 +710,7 @@ class StudyCache:
 
     def verify(self, *, deep: bool = True) -> List[EntryReport]:
         """Verify every entry against its manifest (no eviction)."""
-        return [
-            verify_entry(path, deep=deep, expect_schema=CACHE_SCHEMA)
-            for path in self.entries()
-        ]
+        return [_verify(path, deep=deep) for path in self.entries()]
 
     def gc(
         self,
@@ -720,7 +753,7 @@ class StudyCache:
         total_bytes = 0
         for path in self.entries():
             meta = read_meta(path)
-            report = verify_entry(path, deep=False, expect_schema=CACHE_SCHEMA)
+            report = _verify(path, deep=False)
             total_bytes += report.bytes
             entries.append(
                 {

@@ -24,7 +24,9 @@ Packing consumes a :class:`repro.analysis.pipeline.StudyResult` (batch) or
 a :class:`repro.analysis.streaming.StudySnapshot` plus its bundle
 (incremental); :mod:`repro.store.shard` persists the result as a binary
 shard and reloads it zero-copy; :mod:`repro.store.kernels` answers queries
-from the columns.
+from the columns.  The alert column group (:func:`pack_alerts` /
+:func:`unpack_alerts`) is also the study cache's encoding of the scan's
+alert list, so alerts have exactly one column encoding.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.pipeline import StudyResult
     from repro.analysis.streaming import StudySnapshot
     from repro.datasets.loader import DatasetBundle
+    from repro.nids.ruleset import Alert
 
 #: Sentinel for "timestamp unknown" in int64 microsecond columns.
 MISSING = np.int64(np.iinfo(np.int64).min)
@@ -115,7 +118,39 @@ def from_micros(stamp: int) -> Optional[datetime]:
     return _EPOCH + timedelta(microseconds=int(stamp))
 
 
-class _Interner:
+def micros_column(values: Sequence[Optional[datetime]]) -> np.ndarray:
+    """Naive-UTC datetimes -> an int64 microsecond column (None ->
+    :data:`MISSING`), by the exact arithmetic of :func:`to_micros`.
+
+    Raises ``ValueError`` for a timezone-aware datetime: subtracting the
+    naive epoch from one fails, so no aware value is ever converted
+    silently.  (Python arithmetic here is several times faster than
+    ``np.array(values, "datetime64[us]")`` on datetime objects.)
+    """
+    missing = int(MISSING)
+    try:
+        return np.array(
+            [missing if when is None else (when - _EPOCH) // _US for when in values],
+            dtype=np.int64,
+        )
+    except TypeError as exc:
+        raise ValueError(f"only naive UTC datetimes are stored: {exc}") from None
+
+
+def datetimes(column: np.ndarray) -> List[Optional[datetime]]:
+    """Inverse of :func:`micros_column` (:data:`MISSING` -> None), at C
+    speed: :data:`MISSING` is NaT when the column is viewed as
+    ``datetime64[us]``."""
+    return column.view("datetime64[us]").tolist()
+
+
+def check_index(column: np.ndarray, low: int, high: int, what: str) -> None:
+    """Raise ``ValueError`` unless every value lies in ``[low, high)``."""
+    if column.size and not low <= int(column.min()) <= int(column.max()) < high:
+        raise ValueError(f"{what} index out of range")
+
+
+class Interner:
     """Insertion-ordered string interning (value -> stable index)."""
 
     def __init__(self) -> None:
@@ -131,6 +166,72 @@ class _Interner:
             self.values.append(value)
             self._index[value] = index
         return index
+
+
+#: The alert column group (pipeline alert order): shared by the shard and
+#: the study cache's ``alerts`` stage file.
+ALERT_DTYPES: Dict[str, str] = {
+    name: dtype for name, dtype in COLUMN_DTYPES.items()
+    if name.startswith("alert_")
+}
+
+
+def pack_alerts(alerts: Sequence["Alert"], cves: Interner) -> Dict[str, np.ndarray]:
+    """The :data:`ALERT_DTYPES` columns of an alert list; CVE ids are
+    interned into ``cves`` in alert order (None -> -1)."""
+    return {
+        "alert_session": np.array([a.session_id for a in alerts], np.int64),
+        "alert_t": micros_column([a.timestamp for a in alerts]),
+        "alert_sid": np.array([a.sid for a in alerts], np.int32),
+        "alert_cve": np.array([cves.intern(a.cve_id) for a in alerts], np.int32),
+        "alert_rule_published": micros_column(
+            [a.rule_published for a in alerts]
+        ),
+        "alert_src_ip": np.array([a.src_ip for a in alerts], np.int64),
+        "alert_dst_ip": np.array([a.dst_ip for a in alerts], np.int64),
+        "alert_dst_port": np.array([a.dst_port for a in alerts], np.int32),
+    }
+
+
+def unpack_alerts(
+    columns: Mapping[str, np.ndarray], cves: Sequence[Optional[str]]
+) -> List["Alert"]:
+    """Inverse of :func:`pack_alerts`, given the interned CVE table.
+
+    Raises ``ValueError`` when the columns differ in length or a CVE index
+    falls outside ``cves``.
+    """
+    from repro.nids.ruleset import Alert
+
+    count = columns["alert_session"].size
+    if any(columns[name].size != count for name in ALERT_DTYPES):
+        raise ValueError("alert columns differ in length")
+    cve_index = columns["alert_cve"]
+    check_index(cve_index, -1, len(cves), "alert CVE")
+    table = [*cves, None]  # index -1 -> None
+    return [
+        Alert(
+            session_id=session_id,
+            timestamp=timestamp,
+            sid=sid,
+            cve_id=table[cve],
+            rule_published=published,
+            dst_ip=dst_ip,
+            dst_port=dst_port,
+            src_ip=src_ip,
+        )
+        for session_id, timestamp, sid, cve, published, dst_ip, dst_port, src_ip
+        in zip(
+            columns["alert_session"].tolist(),
+            datetimes(columns["alert_t"]),
+            columns["alert_sid"].tolist(),
+            cve_index.tolist(),
+            datetimes(columns["alert_rule_published"]),
+            columns["alert_dst_ip"].tolist(),
+            columns["alert_dst_port"].tolist(),
+            columns["alert_src_ip"].tolist(),
+        )
+    ]
 
 
 @dataclass
@@ -270,8 +371,8 @@ class ColumnarStudy:
     ) -> "ColumnarStudy":
         from repro.datasets.catalog import profile_for
 
-        cves = _Interner()
-        categories = _Interner()
+        cves = Interner()
+        categories = Interner()
         columns: Dict[str, np.ndarray] = {}
 
         # Timelines, in the dict's iteration order (the order every
@@ -298,33 +399,7 @@ class ColumnarStudy:
         for letter in EVENT_LETTERS:
             columns[f"timeline_t_{letter}"] = event_cols[letter]
 
-        columns["alert_session"] = np.fromiter(
-            (alert.session_id for alert in alerts), np.int64, len(alerts)
-        )
-        columns["alert_t"] = np.fromiter(
-            (to_micros(alert.timestamp) for alert in alerts),
-            np.int64, len(alerts),
-        )
-        columns["alert_sid"] = np.fromiter(
-            (alert.sid for alert in alerts), np.int32, len(alerts)
-        )
-        columns["alert_cve"] = np.fromiter(
-            (cves.intern(alert.cve_id) for alert in alerts),
-            np.int32, len(alerts),
-        )
-        columns["alert_rule_published"] = np.fromiter(
-            (to_micros(alert.rule_published) for alert in alerts),
-            np.int64, len(alerts),
-        )
-        columns["alert_src_ip"] = np.fromiter(
-            (alert.src_ip for alert in alerts), np.int64, len(alerts)
-        )
-        columns["alert_dst_ip"] = np.fromiter(
-            (alert.dst_ip for alert in alerts), np.int64, len(alerts)
-        )
-        columns["alert_dst_port"] = np.fromiter(
-            (alert.dst_port for alert in alerts), np.int32, len(alerts)
-        )
+        columns.update(pack_alerts(alerts, cves))
 
         columns["event_cve"] = np.fromiter(
             (cves.intern(event.cve_id) for event in kept_events),

@@ -1,18 +1,25 @@
 """Binary shard persistence for :class:`ColumnarStudy`.
 
-Layout of one ``.shard`` file::
+A shard is one *column container*, the package's single binary layout
+for column data::
 
     magic   8 bytes   b"REPROSH1"
     hlen    8 bytes   little-endian uint64: byte length of the header JSON
-    header  hlen      UTF-8 JSON (meta, string tables, column descriptors)
+    header  hlen      UTF-8 JSON (caller fields plus column descriptors)
     blobs             raw little-endian column bytes, each 64-byte aligned
 
 The header's ``columns`` list carries ``{name, dtype, count, offset}`` per
-column, with ``offset`` relative to the start of the file — so a reader
-maps the file once and wraps every column as ``np.frombuffer(mm, dtype,
-count, offset)`` without copying a byte.  Arrays loaded this way are
-read-only views over the page cache; the :class:`ColumnarStudy` keeps the
-mmap object alive for as long as any view might be.
+column, with ``offset`` relative to the start of the container — so a
+reader maps the file once and wraps every column as ``np.frombuffer(mm,
+dtype, count, offset)`` without copying a byte.  :func:`container_chunks`
+writes a container against a column -> dtype table and
+:func:`read_container` parses one, validating the magic, the column set,
+every dtype and the exact layout.  A shard (header: schema, meta, string
+tables) is a container written raw, so it can be mapped; the study cache's
+stage files (:mod:`repro.cache.study`) are containers written through a
+zlib stream.  Arrays loaded from a shard are read-only views over the page
+cache; the :class:`ColumnarStudy` keeps the mmap object alive for as long
+as any view might be.
 
 Shards are content-keyed: :class:`ShardStore` files them under
 ``<cache root>/shards/<etag>.shard`` where the etag *is* the study cache
@@ -28,7 +35,7 @@ import json
 import mmap
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -49,45 +56,46 @@ def _align(offset: int) -> int:
     return (offset + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
-def write_shard(study: ColumnarStudy, path: Union[str, Path]) -> Path:
-    """Serialise a packed study to ``path`` atomically; returns the path.
+def container_chunks(
+    header: Mapping[str, object],
+    columns: Mapping[str, np.ndarray],
+    dtypes: Mapping[str, str],
+) -> Iterator[Union[bytes, memoryview]]:
+    """The bytes of one column container, as a sequence of chunks.
 
-    The file appears complete or not at all: bytes are staged in a
-    ``.tmp<pid>`` sibling and moved into place with one ``os.replace``.
+    ``header`` is any JSON object (it gains the ``columns`` descriptors);
+    ``columns`` must hold exactly the names in ``dtypes``, each with its
+    dtype.  The chunks are the framing (magic, header length, header),
+    then per column its alignment padding and a view of its bytes — no
+    column is copied, so a caller can stream them into a file or a
+    compressor.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-
+    if set(columns) != set(dtypes):
+        raise TypeError(
+            f"columns {sorted(columns)} do not match the table {sorted(dtypes)}"
+        )
     descriptors: List[Dict[str, object]] = []
-    # Two passes: sizes first (offsets depend on the header length, which
-    # depends on the rendered descriptors), then bytes.
     arrays: List[np.ndarray] = []
-    for name in sorted(study.columns):
-        array = np.ascontiguousarray(study.columns[name])
-        if array.dtype != np.dtype(COLUMN_DTYPES[name]):
+    for name in sorted(columns):
+        array = np.ascontiguousarray(columns[name])
+        if array.dtype != np.dtype(dtypes[name]):
             raise TypeError(
-                f"column {name}: dtype {array.dtype}, "
-                f"expected {COLUMN_DTYPES[name]}"
+                f"column {name}: dtype {array.dtype}, expected {dtypes[name]}"
             )
         arrays.append(array)
         descriptors.append(
             {
                 "name": name,
-                "dtype": COLUMN_DTYPES[name],
+                "dtype": dtypes[name],
                 "count": int(array.size),
                 "offset": 0,  # fixed up below once the header size is known
             }
         )
 
     def render_header() -> bytes:
-        header = {
-            "schema": SHARD_SCHEMA,
-            "meta": study.meta,
-            "cves": study.cves,
-            "categories": study.categories,
-            "columns": descriptors,
-        }
-        return json.dumps(header, sort_keys=True).encode("utf-8")
+        return json.dumps(
+            {**header, "columns": descriptors}, sort_keys=True
+        ).encode("utf-8")
 
     # The offsets appear inside the header, and the header's length moves
     # the offsets.  Rendered digit counts can only grow when offsets grow,
@@ -98,26 +106,95 @@ def write_shard(study: ColumnarStudy, path: Union[str, Path]) -> Path:
         cursor = _align(len(MAGIC) + _LEN_BYTES + len(header_bytes))
         for descriptor, array in zip(descriptors, arrays):
             descriptor["offset"] = cursor
-            cursor += array.nbytes
-            cursor = _align(cursor)
+            cursor = _align(cursor + array.nbytes)
         rendered = render_header()
         if len(rendered) == len(header_bytes):
             header_bytes = rendered
             break
         header_bytes = rendered
 
+    yield MAGIC + len(header_bytes).to_bytes(_LEN_BYTES, "little") + header_bytes
+    position = len(MAGIC) + _LEN_BYTES + len(header_bytes)
+    for descriptor, array in zip(descriptors, arrays):
+        offset = int(descriptor["offset"])  # type: ignore[arg-type]
+        yield b"\0" * (offset - position)
+        yield memoryview(array.reshape(-1)).cast("B")
+        position = offset + array.nbytes
+
+
+def read_container(
+    buffer, dtypes: Mapping[str, str], *, source: object = "container"
+) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+    """Parse one column container: its header and its columns.
+
+    The columns are read-only ``np.frombuffer`` views over ``buffer`` (an
+    ``mmap`` or ``bytes``).  Raises ``ValueError`` — naming ``source`` —
+    for a bad magic, an unreadable header, an unknown or missing
+    column, a dtype other than the table's, or a layout that disagrees with
+    the buffer's length (a short column or trailing bytes).  Every check
+    runs before the first view is made, so a failed read leaves no view
+    pinning ``buffer``.
+    """
+    size = len(buffer)
+    header_start = len(MAGIC) + _LEN_BYTES
+    if size < header_start or buffer[: len(MAGIC)] != MAGIC:
+        raise ValueError(f"{source}: not a repro column container (bad magic)")
+    hlen = int.from_bytes(buffer[len(MAGIC): header_start], "little")
+    if header_start + hlen > size:
+        raise ValueError(f"{source}: truncated header")
+    try:
+        header = json.loads(buffer[header_start: header_start + hlen])
+        layout = [
+            (str(d["name"]), str(d["dtype"]), int(d["count"]), int(d["offset"]))
+            for d in header["columns"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{source}: unreadable header ({exc!r})") from None
+    names = [name for name, *_ in layout]
+    if sorted(names) != sorted(dtypes):
+        raise ValueError(
+            f"{source}: columns {sorted(names)}, expected {sorted(dtypes)}"
+        )
+    cursor = end = header_start + hlen
+    for name, dtype, count, offset in layout:
+        if dtype != dtypes[name]:
+            raise ValueError(
+                f"{source}: column {name!r} has dtype {dtype!r}, "
+                f"expected {dtypes[name]!r}"
+            )
+        if count < 0 or offset != _align(cursor):
+            raise ValueError(f"{source}: column {name!r} is out of place")
+        cursor = end = offset + count * np.dtype(dtype).itemsize
+    if end != size:
+        raise ValueError(
+            f"{source}: columns end at byte {end}, the data at byte {size}"
+        )
+    columns = {
+        name: np.frombuffer(buffer, dtype=np.dtype(dtype), count=count, offset=offset)
+        for name, dtype, count, offset in layout
+    }
+    return header, columns
+
+
+def write_shard(study: ColumnarStudy, path: Union[str, Path]) -> Path:
+    """Serialise a packed study to ``path`` atomically; returns the path.
+
+    The file appears complete or not at all: bytes are staged in a
+    ``.tmp<pid>`` sibling and moved into place with one ``os.replace``.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    header = {
+        "schema": SHARD_SCHEMA,
+        "meta": study.meta,
+        "cves": study.cves,
+        "categories": study.categories,
+    }
     staging = path.with_name(f"{path.name}.tmp{os.getpid()}")
     try:
         with open(staging, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(len(header_bytes).to_bytes(_LEN_BYTES, "little"))
-            handle.write(header_bytes)
-            position = len(MAGIC) + _LEN_BYTES + len(header_bytes)
-            for descriptor, array in zip(descriptors, arrays):
-                offset = int(descriptor["offset"])  # type: ignore[arg-type]
-                handle.write(b"\0" * (offset - position))
-                handle.write(array.tobytes())
-                position = offset + array.nbytes
+            for chunk in container_chunks(header, study.columns, COLUMN_DTYPES):
+                handle.write(chunk)
         os.replace(staging, path)
     except BaseException:
         try:
@@ -141,52 +218,26 @@ def load_shard(path: Union[str, Path]) -> ColumnarStudy:
         mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     columns: Dict[str, np.ndarray] = {}
     try:
-        if mm[: len(MAGIC)] != MAGIC:
-            raise ValueError(f"{path}: not a repro shard (bad magic)")
-        hlen = int.from_bytes(
-            mm[len(MAGIC): len(MAGIC) + _LEN_BYTES], "little"
-        )
-        header_start = len(MAGIC) + _LEN_BYTES
-        if header_start + hlen > len(mm):
-            raise ValueError(f"{path}: truncated shard header")
-        header = json.loads(mm[header_start: header_start + hlen])
+        header, columns = read_container(mm, COLUMN_DTYPES, source=path)
         if header.get("schema") != SHARD_SCHEMA:
             raise ValueError(
                 f"{path}: shard schema {header.get('schema')!r}, "
                 f"expected {SHARD_SCHEMA}"
             )
-        for descriptor in header["columns"]:
-            name = str(descriptor["name"])
-            dtype = str(descriptor["dtype"])
-            if COLUMN_DTYPES.get(name) != dtype:
-                raise ValueError(
-                    f"{path}: column {name!r} has dtype {dtype!r}, "
-                    f"expected {COLUMN_DTYPES.get(name)!r}"
-                )
-            count = int(descriptor["count"])
-            offset = int(descriptor["offset"])
-            end = offset + count * np.dtype(dtype).itemsize
-            if end > len(mm):
-                raise ValueError(f"{path}: column {name!r} runs past EOF")
-            columns[name] = np.frombuffer(
-                mm, dtype=np.dtype(dtype), count=count, offset=offset
-            )
-        missing = set(COLUMN_DTYPES) - set(columns)
-        if missing:
-            raise ValueError(f"{path}: shard missing columns {sorted(missing)}")
+        study = ColumnarStudy(
+            meta=dict(header["meta"]),
+            cves=list(header["cves"]),
+            categories=list(header["categories"]),
+            columns=columns,
+            _backing=mm,
+        )
     except BaseException:
-        # Any frombuffer views created before the failure export pointers
-        # into the mmap; drop them first or close() raises BufferError.
+        # The frombuffer views export pointers into the mmap; drop them
+        # first or close() raises BufferError.
         columns.clear()
         mm.close()
         raise
-    return ColumnarStudy(
-        meta=dict(header["meta"]),
-        cves=list(header["cves"]),
-        categories=list(header["categories"]),
-        columns=columns,
-        _backing=mm,
-    )
+    return study
 
 
 class ShardStore:

@@ -27,13 +27,18 @@ from repro.cache import (
     collect_garbage,
     verify_entry,
 )
+from repro.cache.study import STAGES
 from repro.cli import main
 from repro.net.pcapstore import SessionStore
 from repro.net.session import TcpSession
 from repro.nids.ruleset import Alert
 from repro.telescope.collector import CollectionStats
-from repro.traffic.arrivals import ScanArrival
 from repro.util.timeutil import utc
+
+#: The stages' data files, by stage (never hand-typed, so a rename cannot
+#: leave a test damaging a file the manifest does not list).
+STORE_FILE, = STAGES["store"].files
+ALERTS_FILE, = STAGES["alerts"].files
 
 
 def _config(**overrides) -> StudyConfig:
@@ -54,12 +59,6 @@ def _tiny_payload():
             payload=b"GET /index.html HTTP/1.1\r\n\r\n",
         )
     )
-    arrivals = [
-        ScanArrival(
-            timestamp=utc(2022, 1, 1), src_ip=167837953, src_port=40000,
-            dst_port=80, payload=b"probe", truth_cve=None, variant_sid=None,
-        )
-    ]
     alerts = [
         Alert(
             session_id=1, timestamp=utc(2022, 1, 2), sid=58722,
@@ -67,14 +66,13 @@ def _tiny_payload():
             dst_ip=167838209, dst_port=80, src_ip=167837953,
         )
     ]
-    return arrivals, store, alerts
+    return store, alerts
 
 
 def _save(cache: StudyCache, config: StudyConfig) -> Path:
-    arrivals, store, alerts = _tiny_payload()
+    store, alerts = _tiny_payload()
     return cache.save(
         config,
-        arrivals=arrivals,
         store=store,
         alerts=alerts,
         collection_stats=CollectionStats(arrivals_routed=1),
@@ -89,7 +87,7 @@ class TestTornEntryRegression:
         config = _config()
         torn = cache.entry_path(config)
         torn.mkdir(parents=True)
-        (torn / "alerts.jsonl.gz").write_bytes(b"partial write, no meta")
+        (torn / ALERTS_FILE).write_bytes(b"partial write, no meta")
 
         _save(cache, config)
 
@@ -104,7 +102,7 @@ class TestTornEntryRegression:
         config = _config()
         torn = cache.entry_path(config)
         torn.mkdir(parents=True)
-        (torn / "store.jsonl.gz").write_bytes(b"junk")
+        (torn / STORE_FILE).write_bytes(b"junk")
 
         assert cache.load(config) is None
         assert not torn.exists(), "torn entry left blocking the key"
@@ -148,7 +146,7 @@ class TestIntegrityVerification:
         cache = StudyCache(root=tmp_path)
         config = _config()
         _save(cache, config)
-        target = cache.entry_path(config) / "store.jsonl.gz"
+        target = cache.entry_path(config) / STORE_FILE
         target.write_bytes(target.read_bytes()[:-5])
 
         assert cache.load(config) is None
@@ -159,7 +157,7 @@ class TestIntegrityVerification:
         cache = StudyCache(root=tmp_path)
         config = _config()
         _save(cache, config)
-        target = cache.entry_path(config) / "alerts.jsonl.gz"
+        target = cache.entry_path(config) / ALERTS_FILE
         blob = bytearray(target.read_bytes())
         blob[len(blob) // 2] ^= 0xFF  # flip one bit; size unchanged
         target.write_bytes(bytes(blob))
@@ -176,7 +174,7 @@ class TestIntegrityVerification:
         cache = StudyCache(root=tmp_path)
         config = _config()
         _save(cache, config)
-        target = cache.entry_path(config) / "arrivals.jsonl.gz"
+        target = cache.entry_path(config) / STORE_FILE
         blob = bytearray(target.read_bytes())
         blob[-1] ^= 0xFF
         target.write_bytes(bytes(blob))
@@ -202,14 +200,14 @@ class TestIntegrityVerification:
         cache = StudyCache(root=tmp_path)
         config = _config()
         _save(cache, config)
-        (cache.entry_path(config) / "store.jsonl.gz").write_bytes(b"x")
+        (cache.entry_path(config) / STORE_FILE).write_bytes(b"x")
         assert cache.load(config) is None
 
         _save(cache, config)
         loaded = cache.load(config)
         assert loaded is not None
         assert len(loaded.store) == 1
-        assert loaded.load_arrivals()[0].payload == b"probe"
+        assert next(iter(loaded.store)).payload.startswith(b"GET /index.html")
 
 
 def _racing_saver(root: str, attempts: int) -> None:
@@ -250,7 +248,7 @@ class TestGarbageCollection:
         _save(cache, _config())
         dead = cache.study_root / ("f" * 32 + ".tmp999999999")
         dead.mkdir()
-        (dead / "arrivals.jsonl.gz").write_bytes(b"orphan")
+        (dead / STORE_FILE).write_bytes(b"orphan")
 
         report = cache.gc()
         assert report.staging_removed == 1
@@ -276,7 +274,7 @@ class TestGarbageCollection:
         cache.study_root.mkdir(parents=True)
         torn = cache.study_root / ("b" * 32)
         torn.mkdir()
-        (torn / "alerts.jsonl.gz").write_bytes(b"junk")
+        (torn / ALERTS_FILE).write_bytes(b"junk")
 
         report = cache.gc()
         assert report.torn_removed == 1
@@ -354,7 +352,7 @@ class TestTelemetry:
         assert snapshot["total_bytes"] > 0
         (entry,) = snapshot["entries"]
         assert entry["complete"]
-        assert entry["records"] == {"arrivals": 1, "sessions": 1, "alerts": 1}
+        assert entry["records"] == {"sessions": 1, "alerts": 1}
 
 
 class TestCacheCli:
@@ -384,7 +382,7 @@ class TestCacheCli:
 
         cache = StudyCache(root=populated_root)
         (entry,) = cache.entries()
-        target = entry / "alerts.jsonl.gz"
+        target = entry / ALERTS_FILE
         target.write_bytes(target.read_bytes()[:-3])
         assert main([
             "cache", "verify", "--cache-dir", str(populated_root)

@@ -305,13 +305,14 @@ class TestScanRecovery:
             run_study(config, cache=cache, checkpoints=checkpoints)
         key = study_key(config)
         names = checkpoints.names(key)
-        assert "arrivals" in names and "store" in names
+        assert "store" in names
         assert sum(1 for name in names if name.startswith("chunk-")) == 2
 
         monkeypatch.delenv("REPRO_FAULT")
         resumed = run_study(config, cache=cache, checkpoints=checkpoints)
-        # The pre-scan stages and the two finished chunks came from disk.
-        assert resumed.telemetry.checkpoints == ["arrivals", "store"]
+        # The store and the two finished chunks came from disk (the arrival
+        # stream is never checkpointed: a store checkpoint makes it moot).
+        assert resumed.telemetry.checkpoints == ["store"]
         assert resumed.telemetry.scan.checkpoint_hits == 2
         assert not resumed.from_cache
         # Recovery state is deleted the moment the run succeeds...

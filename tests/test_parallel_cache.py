@@ -17,6 +17,7 @@ import pytest
 import repro.analysis.pipeline as pipeline
 from repro.analysis.pipeline import StudyConfig, run_study
 from repro.cache import StudyCache, study_key
+from repro.cache.study import STAGES
 from repro.datasets.seed_cves import STUDY_WINDOW
 from repro.exploits.rulegen import build_study_ruleset
 from repro.net.session import TcpSession
@@ -214,7 +215,8 @@ class TestStudyCache:
         cache = StudyCache(root=tmp_path)
         config = _tiny_study_config()
         run_study(config, cache=cache)
-        (cache.entry_path(config) / "alerts.jsonl.gz").write_bytes(b"garbage")
+        (alerts_file,) = STAGES["alerts"].files
+        (cache.entry_path(config) / alerts_file).write_bytes(b"garbage")
         assert cache.load(config) is None
         assert not cache.entry_path(config).exists()
 
