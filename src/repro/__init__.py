@@ -29,7 +29,7 @@ Quickstart::
 from repro._version import __version__
 from repro.analysis.pipeline import StudyConfig, StudyResult, run_study
 from repro.core.skill import compute_skill, mean_skill, skill
-from repro.datasets.loader import DatasetBundle, build_bundle, build_datasets
+from repro.datasets.loader import DatasetBundle, build_bundle
 from repro.datasets.sources import DatasetPlan, DatasetSource, default_plan
 from repro.experiments.registry import (
     EXPERIMENTS,
@@ -52,7 +52,6 @@ __all__ = [
     "DatasetPlan",
     "DatasetSource",
     "build_bundle",
-    "build_datasets",
     "default_plan",
     "EXPERIMENTS",
     "ExperimentResult",

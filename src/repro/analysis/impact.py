@@ -45,7 +45,5 @@ def impact_cdfs(bundle: DatasetBundle) -> ImpactCdfs:
     kev = Ecdf.from_values(
         bundle.kev_cvss[entry.cve_id] for entry in bundle.kev
     )
-    all_cves = Ecdf.from_values(
-        record.cvss for record in bundle.nvd_background
-    )
+    all_cves = Ecdf.from_values(bundle.nvd_background)
     return ImpactCdfs(studied=studied, kev=kev, all_cves=all_cves)

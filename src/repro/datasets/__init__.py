@@ -18,7 +18,7 @@ from repro.datasets.records import (
 )
 from repro.datasets.seed_cves import SEED_CVES, SeedCve, STUDY_WINDOW
 from repro.datasets.seed_log4shell import LOG4SHELL_VARIANTS, Log4ShellVariant
-from repro.datasets.loader import DatasetBundle, build_bundle, build_datasets
+from repro.datasets.loader import DatasetBundle, build_bundle
 from repro.datasets.sources import (
     DatasetPlan,
     DatasetSource,
@@ -40,6 +40,5 @@ __all__ = [
     "DatasetPlan",
     "DatasetSource",
     "build_bundle",
-    "build_datasets",
     "default_plan",
 ]

@@ -6,15 +6,13 @@ assembly, analyses, benchmarks) consume the bundle rather than the
 individual builders.  Sources are pluggable: :func:`build_bundle` consumes
 a :class:`repro.datasets.sources.DatasetPlan` mapping each slot to a
 :class:`~repro.datasets.sources.DatasetSource`, so swapping a synthetic
-feed for a real one is a plan change, not a code change.  The historical
-:func:`build_datasets` signature survives as a deprecated shim.
+feed for a real one is a plan change, not a code change.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.datasets.catalog import CVE_PROFILES, CveProfile
 from repro.datasets.kev import kev_cvss_scores
@@ -25,8 +23,8 @@ from repro.datasets.records import (
     RuleHistoryEntry,
     TalosReport,
 )
-from repro.datasets.seed_cves import SEED_CVES, STUDY_WINDOW, SeedCve
-from repro.datasets.sources import DEFAULT_SEED, DatasetPlan, default_plan
+from repro.datasets.seed_cves import SEED_CVES, SeedCve
+from repro.datasets.sources import DEFAULT_SEED, DatasetPlan  # noqa: F401  re-exported
 from repro.datasets.suciu import evidence_index
 from repro.datasets.talos import rule_index
 from repro.util.timeutil import TimeWindow
@@ -40,7 +38,9 @@ class DatasetBundle:
     seed: int
     studied: List[SeedCve]
     nvd: List[CveRecord]
-    nvd_background: List[CveRecord]
+    #: CVSS scores of the "all CVEs" population (Figure 2), in fetch order.
+    #: A tuple, not an ndarray, so bundles compare with ``==``.
+    nvd_background: Tuple[float, ...]
     kev: List[KevEntry]
     kev_cvss: Dict[str, float]
     rule_history: List[RuleHistoryEntry]
@@ -74,7 +74,9 @@ def build_bundle(plan: DatasetPlan) -> DatasetBundle:
     Cross-source derivations stay here: KEV CVSS scores are assigned from
     the plan seed over whatever KEV entries the source produced, and KEV
     entries missing a ``published`` date (real feeds don't carry one) are
-    backfilled from the NVD slot when possible.
+    backfilled from the NVD slot when possible.  The background CVSS column
+    is range-checked as a whole, the check a record's ``__post_init__``
+    makes per score.
     """
     kev_entries = list(plan.sources["kev"].fetch())
     nvd_records = list(plan.sources["nvd"].fetch())
@@ -91,51 +93,19 @@ def build_bundle(plan: DatasetPlan) -> DatasetBundle:
         )
         for entry in kev_entries
     ]
+    background = tuple(plan.sources["nvd_background"].fetch())
+    for score in background:
+        if not 0.0 <= score <= 10.0:  # NaN fails too
+            raise ValueError(f"nvd_background CVSS out of range: {score}")
     return DatasetBundle(
         window=plan.window,
         seed=plan.seed,
         studied=list(SEED_CVES),
         nvd=nvd_records,
-        nvd_background=list(plan.sources["nvd_background"].fetch()),
+        nvd_background=background,
         kev=kev_entries,
         kev_cvss=kev_cvss_scores(kev_entries, seed=plan.seed),
         rule_history=list(plan.sources["rule_history"].fetch()),
         talos_reports=list(plan.sources["talos_reports"].fetch()),
         exploit_evidence=list(plan.sources["exploit_evidence"].fetch()),
-    )
-
-
-_LEGACY_WARNED = False
-
-
-def build_datasets(
-    *,
-    seed: int = DEFAULT_SEED,
-    window: Optional[TimeWindow] = None,
-    background_count: int = 20000,
-    rule_delay_days: int = 0,
-) -> DatasetBundle:
-    """Deprecated: assemble the paper-default bundle from keyword knobs.
-
-    Use ``build_bundle(default_plan(...))`` — or a scenario — instead.
-    ``rule_delay_days`` models the registered-user Snort feed delay (the
-    paper's footnote 2); the default models commercial subscribers with
-    immediate rule availability.
-    """
-    global _LEGACY_WARNED
-    if not _LEGACY_WARNED:
-        _LEGACY_WARNED = True
-        warnings.warn(
-            "build_datasets(...) is deprecated; use "
-            "build_bundle(default_plan(...)) or StudyConfig.from_scenario",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return build_bundle(
-        default_plan(
-            seed=seed,
-            window=window,
-            background_count=background_count,
-            rule_delay_days=rule_delay_days,
-        )
     )

@@ -5,18 +5,18 @@ Two products:
 * :func:`studied_cve_records` — NVD records for the 63-CVE study set, built
   from the Appendix E seed table plus the categorical catalog.  Publication
   dates and severities are the paper's.
-* :func:`background_population` — a synthetic "all CVEs published 2021-2023"
-  population for Figure 2's impact-CDF comparison.  The paper compares the
-  studied set (median CVSS 9.8) and KEV against the full NVD population;
-  only the *severity distribution* of that population matters, so we sample
-  CVSS scores from the well-known NVD severity histogram (mode in the
-  7.0-8.0 HIGH band, thin CRITICAL tail).
+* :func:`background_cvss` — the CVSS column of a synthetic "all CVEs
+  published 2021-2023" population for Figure 2's impact-CDF comparison.
+  The paper compares the studied set (median CVSS 9.8) and KEV against the
+  full NVD population; only the *severity distribution* of that population
+  matters, so we sample CVSS scores from the well-known NVD severity
+  histogram (mode in the 7.0-8.0 HIGH band, thin CRITICAL tail) and build
+  no per-CVE records.
 """
 
 from __future__ import annotations
 
-from datetime import timedelta
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -61,13 +61,13 @@ def studied_cve_records() -> List[CveRecord]:
     return records
 
 
-def background_population(
+def background_cvss(
     *,
     seed: int,
     count: int = 20000,
     window: Optional[TimeWindow] = None,
-) -> List[CveRecord]:
-    """Synthetic full-NVD population published during the study window.
+) -> Tuple[float, ...]:
+    """CVSS scores of a synthetic full-NVD population, in draw order.
 
     The real window saw ~50k CVEs; ``count`` defaults lower because only the
     severity CDF is consumed (Figure 2) and it converges quickly.
@@ -81,22 +81,13 @@ def background_population(
     total = sum(weights)
     probabilities = [weight / total for weight in weights]
     bucket_choices = rng.choice(len(edges), size=count, p=probabilities)
-    offsets = rng.uniform(0.0, window.duration.total_seconds(), size=count)
-    # One broadcast draw over every record's bucket bounds consumes the
-    # stream a scalar ``rng.uniform(low, high)`` per record would.
+    # The publication-offset draw is thrown away (nothing reads a background
+    # CVE's date), but it stays: dropping it would shift every score drawn
+    # after it, and with them Figure 2.
+    rng.uniform(0.0, window.duration.total_seconds(), size=count)
+    # One broadcast draw over every score's bucket bounds consumes the
+    # stream a scalar ``rng.uniform(low, high)`` per score would.
     bounds = np.array(edges + [10.0])
     scores = rng.uniform(bounds[bucket_choices], bounds[bucket_choices + 1])
-    records = []
-    for index, (score, offset) in enumerate(zip(scores.tolist(), offsets.tolist())):
-        # Python's round, not np.round: the two differ at ties.
-        cvss = round(score, 1)
-        published = window.start + timedelta(seconds=offset)
-        records.append(
-            CveRecord(
-                cve_id=f"CVE-{published.year}-9{index:05d}",
-                published=published,
-                cvss=min(cvss, 10.0),
-                description="synthetic background CVE",
-            )
-        )
-    return records
+    # Python's round, not np.round: the two differ at ties.
+    return tuple(min(round(score, 1), 10.0) for score in scores.tolist())

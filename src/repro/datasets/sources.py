@@ -1,12 +1,13 @@
 """The :class:`DatasetSource` protocol: every study input as pluggable data.
 
-The paper's Table 2 lists six data sources.  Historically each was a
-hard-wired synthetic builder call inside :func:`repro.datasets.loader.
-build_datasets`; this module turns each into an object satisfying one small
-protocol:
+The paper's Table 2 lists six data sources.  This module turns each into
+an object satisfying one small protocol:
 
 * ``fetch()`` returns the slot's records (already normalised into the
-  :mod:`repro.datasets.records` schemata);
+  :mod:`repro.datasets.records` schemata).  The ``nvd_background`` slot is
+  the exception: its source returns a column of CVSS scores, because
+  Figure 2's "all CVEs" CDF is the only reader of that population.  Feed
+  adapters that parse full records fill it through :class:`CvssColumn`;
 * ``fingerprint()`` returns a stable content digest of *what the source
   would fetch* — parameters for synthetic builders, file bytes for feed
   snapshots — so the study cache key, columnar shards, and serve ETags can
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.datasets.kev import build_kev
-from repro.datasets.nvd import background_population, studied_cve_records
+from repro.datasets.nvd import background_cvss, studied_cve_records
 from repro.datasets.seed_cves import STUDY_WINDOW
 from repro.datasets.suciu import exploit_evidence_from_seeds
 from repro.datasets.talos import rule_history_from_seeds, talos_reports_from_seeds
@@ -50,8 +51,9 @@ class DatasetSource:
     """Protocol for one data source (structural; subclassing optional).
 
     Implementations carry a ``name`` (the registry identity), ``fetch()``
-    returning the slot's record list, and ``fingerprint()`` — a digest that
-    changes exactly when ``fetch()`` would return different records.
+    returning the slot's record list (CVSS scores for ``nvd_background``),
+    and ``fingerprint()`` — a digest that changes exactly when ``fetch()``
+    would return different records.
     """
 
     name: str = "abstract"
@@ -86,7 +88,7 @@ class SyntheticStudiedNvd(DatasetSource):
 
 @dataclass(frozen=True)
 class SyntheticNvdBackground(DatasetSource):
-    """Synthetic full-NVD severity population (Figure 2's background CDF)."""
+    """Synthetic full-NVD CVSS column (Figure 2's background CDF)."""
 
     seed: int
     count: int = 20000
@@ -94,7 +96,7 @@ class SyntheticNvdBackground(DatasetSource):
     name: str = field(default="synthetic-nvd-background", init=False)
 
     def fetch(self):
-        return background_population(
+        return background_cvss(
             seed=self.seed, count=self.count, window=self.window or STUDY_WINDOW
         )
 
@@ -104,6 +106,28 @@ class SyntheticNvdBackground(DatasetSource):
             self.name,
             {"seed": self.seed, "count": self.count, "window": str(window)},
         )
+
+
+@dataclass(frozen=True)
+class CvssColumn(DatasetSource):
+    """Reduce a record source to the ``nvd_background`` slot's CVSS column.
+
+    ``fetch()`` still parses and validates every record through the wrapped
+    source; the column has the same fingerprint, because it is a function
+    of what the wrapped source fetches.
+    """
+
+    source: DatasetSource
+
+    @property
+    def name(self) -> str:
+        return self.source.name
+
+    def fetch(self):
+        return [record.cvss for record in self.source.fetch()]
+
+    def fingerprint(self) -> str:
+        return self.source.fingerprint()
 
 
 @dataclass(frozen=True)
@@ -209,10 +233,7 @@ def default_plan(
     background_count: int = 20000,
     rule_delay_days: int = 0,
 ) -> DatasetPlan:
-    """The paper-default plan: every slot filled by its synthetic builder.
-
-    Reproduces the historical ``build_datasets`` bundle bit-for-bit.
-    """
+    """The paper-default plan: every slot filled by its synthetic builder."""
     window = window or STUDY_WINDOW
     sources: Dict[str, DatasetSource] = {
         "nvd": SyntheticStudiedNvd(),

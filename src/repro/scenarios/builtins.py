@@ -17,6 +17,7 @@ from typing import Iterator, List, Optional
 from repro.datasets.feeds import FixesFeedSource, KevFeedSource, Nvd2FeedSource
 from repro.datasets.seed_cves import STUDY_WINDOW
 from repro.datasets.sources import (
+    CvssColumn,
     DatasetPlan,
     SyntheticExploitEvidence,
     SyntheticStudiedNvd,
@@ -90,7 +91,9 @@ def real_feeds(
             # synthetic; the populations joined against it come from the
             # real snapshots.
             "nvd": SyntheticStudiedNvd(),
-            "nvd_background": Nvd2FeedSource(str(feed_dir / nvd), window=window),
+            "nvd_background": CvssColumn(
+                Nvd2FeedSource(str(feed_dir / nvd), window=window)
+            ),
             "kev": KevFeedSource(str(feed_dir / kev), window=window),
             "rule_history": FixesFeedSource(str(feed_dir / fixes), window=window),
             "talos_reports": SyntheticTalosReports(),

@@ -7,6 +7,7 @@ errors.
 """
 
 import statistics
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
@@ -21,8 +22,8 @@ from repro.datasets.catalog import (
 )
 from repro.datasets.kev import KEV_PROGRAM_START, build_kev, kev_cvss_scores
 from repro.datasets.loader import build_bundle
-from repro.datasets.sources import default_plan
-from repro.datasets.nvd import background_population, studied_cve_records
+from repro.datasets.sources import DatasetSource, default_plan
+from repro.datasets.nvd import background_cvss, studied_cve_records
 from repro.datasets.records import CveRecord, ExploitEvidence, KevEntry
 from repro.datasets.seed_cves import SEED_CVES, STUDY_WINDOW, seed_by_id, total_events
 from repro.datasets.seed_log4shell import (
@@ -179,22 +180,19 @@ class TestNvd:
         assert records["CVE-2021-44228"].vendor == "Apache"
 
     def test_background_population_shape(self):
-        population = background_population(seed=1, count=5000)
-        assert len(population) == 5000
-        scores = [r.cvss for r in population]
+        scores = background_cvss(seed=1, count=5000)
+        assert len(scores) == 5000
         median = statistics.median(scores)
         assert 6.0 <= median <= 8.0  # NVD's HIGH-band mode
-        for record in population[:100]:
-            assert STUDY_WINDOW.contains(record.published)
 
     def test_background_deterministic(self):
-        a = background_population(seed=1, count=50)
-        b = background_population(seed=1, count=50)
-        assert [r.cvss for r in a] == [r.cvss for r in b]
+        assert background_cvss(seed=1, count=50) == background_cvss(
+            seed=1, count=50
+        )
 
     def test_background_rejects_bad_count(self):
         with pytest.raises(ValueError):
-            background_population(seed=1, count=0)
+            background_cvss(seed=1, count=0)
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
@@ -298,4 +296,19 @@ class TestLoader:
         a = build_bundle(default_plan(seed=5, background_count=100))
         b = build_bundle(default_plan(seed=5, background_count=100))
         assert [e.date_added for e in a.kev] == [e.date_added for e in b.kev]
-        assert [r.cvss for r in a.nvd_background] == [r.cvss for r in b.nvd_background]
+        assert a.nvd_background == b.nvd_background
+
+    def test_bundles_from_one_plan_compare_equal(self):
+        plan = default_plan(seed=5, background_count=100)
+        assert build_bundle(plan) == build_bundle(plan)
+
+    @pytest.mark.parametrize("bad", [10.5, float("nan")])
+    def test_background_score_out_of_range_raises(self, bad):
+        class BadColumn(DatasetSource):
+            def fetch(self):
+                return [7.5, bad]
+
+        plan = default_plan(seed=5, background_count=10)
+        sources = dict(plan.sources, nvd_background=BadColumn())
+        with pytest.raises(ValueError, match="out of range"):
+            build_bundle(replace(plan, sources=sources))

@@ -9,7 +9,6 @@ params-only scenarios do not.
 """
 
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -25,10 +24,9 @@ from repro.datasets.feeds import (
 from repro.datasets.feeds.fixes import FIX_SID_BASE, parse_fixes
 from repro.datasets.feeds.kevjson import parse_kev
 from repro.datasets.feeds.nvd2 import parse_nvd2
-from repro.datasets import loader as loader_module
-from repro.datasets.loader import build_bundle, build_datasets
+from repro.datasets.loader import build_bundle
 from repro.datasets.seed_cves import STUDY_WINDOW
-from repro.datasets.sources import default_plan
+from repro.datasets.sources import CvssColumn
 from repro.scenarios import (
     COMPONENT_KINDS,
     ComponentRef,
@@ -290,10 +288,23 @@ class TestFeedAdapters:
             != FixesFeedSource(str(FEED_DIR / "fixes.csv")).fingerprint()
         )
 
+    def test_cvss_column_reduces_the_wrapped_feed(self):
+        path = str(FEED_DIR / "nvd.json")
+        source = Nvd2FeedSource(path, window=STUDY_WINDOW)
+        column = CvssColumn(source)
+        assert list(column.fetch()) == [
+            record.cvss for record in parse_nvd2(path, window=STUDY_WINDOW)
+        ]
+        assert column.fingerprint() == source.fingerprint()
+
     def test_real_feeds_bundle(self):
         config = StudyConfig(feed_dir=str(FEED_DIR), scenario="real-feeds")
         resolved = resolve("real-feeds", config)
         bundle = build_bundle(resolved.plan)
+        assert bundle.nvd_background == tuple(
+            record.cvss
+            for record in parse_nvd2(FEED_DIR / "nvd.json", window=STUDY_WINDOW)
+        )
         assert len(bundle.nvd_background) == 8
         assert len(bundle.kev) == 6
         assert len(bundle.rule_history) == 8
@@ -305,26 +316,6 @@ class TestFeedAdapters:
         config = StudyConfig(feed_dir="/no/such/dir")
         with pytest.raises(FileNotFoundError, match="feed-dir"):
             resolve("real-feeds", config)
-
-
-class TestLegacyShims:
-    def test_build_datasets_warns_once_and_matches(self, monkeypatch):
-        monkeypatch.setattr(loader_module, "_LEGACY_WARNED", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = build_datasets(seed=5, background_count=100)
-            build_datasets(seed=5, background_count=100)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        modern = build_bundle(default_plan(seed=5, background_count=100))
-        assert [e.date_added for e in legacy.kev] == [
-            e.date_added for e in modern.kev
-        ]
-        assert [r.cvss for r in legacy.nvd_background] == [
-            r.cvss for r in modern.nvd_background
-        ]
 
 
 class TestCacheIdentity:

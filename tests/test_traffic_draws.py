@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.pipeline import StudyConfig
 from repro.cache.fingerprint import STAGE_MODULES
-from repro.datasets.nvd import background_population
+from repro.datasets.nvd import background_cvss
 from repro.datasets.seed_cves import STUDY_WINDOW
 from repro.datasets.seed_log4shell import LOG4SHELL_VARIANTS
 from repro.exploits.log4shell import log4shell_payload
@@ -148,11 +148,12 @@ def test_stream_equals_oracle(cursor):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("count", [1, 2, 9, 500, 5000])
+@pytest.mark.parametrize("count", [1, 2, 9, 500, 5000, 20000])
 def test_nvd_background_equals_oracle(seed, count):
-    assert background_population(
-        seed=seed, count=count
-    ) == traffic_oracle.background_population(seed=seed, count=count)
+    assert background_cvss(seed=seed, count=count) == tuple(
+        record.cvss
+        for record in traffic_oracle.background_population(seed=seed, count=count)
+    )
 
 
 # -- the numpy equivalences ---------------------------------------------------
