@@ -6,12 +6,9 @@ telescope capture, and NIDS scanning — the pieces a downstream user would
 size a deployment with.
 
 ``test_nids_scan_engines`` additionally times the scan on the
-session-scoped full-scale store with both prefilter engines — the
-Aho-Corasick reference baseline and the C-speed regex prefilter — serial
-and multiprocess, and writes a machine-readable
-``results/BENCH_pipeline.json`` (sessions/sec per engine, prefilter
-speedup, parallel speedup, scan telemetry), so the perf trajectory is
-tracked across PRs.  Each timing takes the best of
+session-scoped full-scale store, serial and multiprocess, and writes a
+machine-readable ``results/BENCH_pipeline.json`` (sessions/sec, parallel
+speedup, scan telemetry), so the perf trajectory is tracked across PRs.  Each timing takes the best of
 ``REPRO_BENCH_REPEATS`` runs (default 3): wall times on shared hosts
 swing several-fold under load, and min-of-K is the standard noise
 rejection.  Worker count defaults to 4; override with
@@ -157,25 +154,20 @@ def _best_scan(make_engine, store, reference_alerts=None):
 
 
 def test_nids_scan_engines(study_full, results_dir):
-    """Aho-Corasick baseline vs regex prefilter on the full-scale store.
+    """Serial vs multiprocess scan on the full-scale store.
 
-    Times the serial scan under both prefilter engines and the multiprocess
-    scan under the default (regex) engine, asserting all three produce
-    identical alert streams, and records everything — including per-engine
-    :class:`~repro.nids.engine.ScanTelemetry` — to ``BENCH_pipeline.json``.
-    The speedups themselves are recorded, not asserted: they are properties
-    of the host, not of the code.  (The acceptance target for this PR stack
-    is ``prefilter_speedup >= 3`` at full scale on an unloaded machine.)
+    Times the serial scan, the multiprocess scan and a worker sweep,
+    asserting all of them produce identical alert streams, and records
+    everything — including :class:`~repro.nids.engine.ScanTelemetry` — to
+    ``BENCH_pipeline.json``.  The speedups themselves are recorded, not
+    asserted: they are properties of the host, not of the code.
     """
     store = study_full.store
     sessions = len(store)
 
-    aho_seconds, aho_alerts, aho_stats = _best_scan(
-        lambda: DetectionEngine(build_study_ruleset(prefilter="aho")), store
-    )
-    regex_ruleset = build_study_ruleset(prefilter="regex")
+    regex_ruleset = build_study_ruleset()
     regex_seconds, regex_alerts, regex_stats = _best_scan(
-        lambda: DetectionEngine(regex_ruleset), store, aho_alerts
+        lambda: DetectionEngine(regex_ruleset), store
     )
     # Headline parallel row: the *default* break-even policy, so the
     # recorded number is what a run_study(workers=N) user actually gets —
@@ -183,9 +175,9 @@ def test_nids_scan_engines(study_full, results_dir):
     parallel_seconds, _, parallel_stats = _best_scan(
         lambda: DetectionEngine(regex_ruleset, workers=SCAN_WORKERS),
         store,
-        aho_alerts,
+        regex_alerts,
     )
-    assert regex_stats == aho_stats  # telemetry excluded from equality
+    assert parallel_stats == regex_stats  # telemetry excluded from equality
 
     cpu_count, cpu_affinity = _cpu_info()
     schedulable = cpu_affinity if cpu_affinity is not None else cpu_count
@@ -194,7 +186,7 @@ def test_nids_scan_engines(study_full, results_dir):
         seconds, _, stats = _best_scan(
             lambda: DetectionEngine(regex_ruleset, workers=workers, threshold=0),
             store,
-            aho_alerts,
+            regex_alerts,
         )
         telemetry = stats.telemetry
         oversubscribed = schedulable is not None and workers > schedulable
@@ -223,8 +215,8 @@ def test_nids_scan_engines(study_full, results_dir):
         "cpu_count": cpu_count,
         "cpu_affinity": cpu_affinity,
         "repeats": SCAN_REPEATS,
-        # Legacy keys: the default-engine (regex) numbers, so the trajectory
-        # across PRs stays comparable.
+        # Legacy keys: the serial and parallel scan numbers, so the
+        # trajectory across PRs stays comparable.
         "serial_seconds": round(regex_seconds, 3),
         "parallel_seconds": round(parallel_seconds, 3),
         "serial_sessions_per_sec": round(sessions / regex_seconds, 1),
@@ -232,15 +224,9 @@ def test_nids_scan_engines(study_full, results_dir):
         "speedup": round(regex_seconds / parallel_seconds, 3),
         "fallback_serial": parallel_stats.telemetry.fallback_serial,
         "arena_bytes": parallel_stats.telemetry.arena_bytes,
-        "prefilter_speedup": round(aho_seconds / regex_seconds, 3),
         "volume_scale": study_full.config.volume_scale,
         "worker_sweep": worker_sweep,
         "engines": {
-            "aho": {
-                "serial_seconds": round(aho_seconds, 3),
-                "serial_sessions_per_sec": round(sessions / aho_seconds, 1),
-                "telemetry": aho_stats.telemetry.as_dict(),
-            },
             "regex": {
                 "serial_seconds": round(regex_seconds, 3),
                 "serial_sessions_per_sec": round(sessions / regex_seconds, 1),

@@ -38,7 +38,6 @@ STAGE_MODULES: Tuple[str, ...] = (
     "repro.net.http",
     "repro.net.pcapstore",
     "repro.net.session",
-    "repro.nids.automaton",
     "repro.nids.engine",
     "repro.nids.matcher",
     "repro.nids.parser",
@@ -57,7 +56,6 @@ STAGE_MODULES: Tuple[str, ...] = (
     "repro.scenarios.spec",
     "repro.telescope.collector",
     "repro.telescope.config",
-    "repro.telescope.instance",
     "repro.telescope.pool",
     "repro.traffic.actors",
     "repro.traffic.arrivals",

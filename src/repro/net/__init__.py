@@ -1,4 +1,4 @@
-"""Network substrate: packets, TCP handshakes, sessions, HTTP, session store.
+"""Network substrate: sessions, HTTP, session store.
 
 This is the layer everything above speaks: the traffic generator produces
 :class:`~repro.net.session.TcpSession` records, the telescope captures them,
@@ -7,26 +7,14 @@ replays them (the "wayback" in the paper's title: signatures are evaluated
 post-facto over stored traffic).
 """
 
-from repro.net.packet import Packet, PacketKind
-from repro.net.tcp import TcpEndpointState, TcpHandshake
 from repro.net.session import SessionDirection, TcpSession
 from repro.net.http import HttpRequest, parse_http_request
-from repro.net.flow import FlowAssembler
 from repro.net.pcapstore import SessionStore
-from repro.net.binformat import iter_binary, load_binary, save_binary
 
 __all__ = [
-    "Packet",
-    "PacketKind",
-    "TcpEndpointState",
-    "TcpHandshake",
     "SessionDirection",
     "TcpSession",
     "HttpRequest",
     "parse_http_request",
-    "FlowAssembler",
     "SessionStore",
-    "iter_binary",
-    "load_binary",
-    "save_binary",
 ]

@@ -29,7 +29,6 @@ from repro.nids.ruleset import Alert, Ruleset
 from repro.nids.engine import DetectionEngine, DetectionStats, ScanTelemetry, scan_stream
 from repro.nids.arena import ArenaFormatError, SessionArena
 from repro.nids.parallel import parallel_scan
-from repro.nids.automaton import AhoCorasick
 from repro.nids.prefilter import RegexPrefilter, ShardedPrefilter
 from repro.nids.live import LiveDetectionEngine, compare_live_vs_wayback
 from repro.nids.lint import LintFinding, lint_rule, lint_rules
@@ -62,7 +61,6 @@ __all__ = [
     "parallel_scan",
     "ArenaFormatError",
     "SessionArena",
-    "AhoCorasick",
     "RegexPrefilter",
     "ShardedPrefilter",
     "ScaleConfig",

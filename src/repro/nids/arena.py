@@ -26,9 +26,10 @@ set: id, start/end timestamps (microseconds since epoch plus a fixed
 UTC-offset in seconds, ``TZ_NAIVE`` marking naive datetimes), addresses,
 ports, flags, and the payload's ``(offset, length)`` into the heap.
 Decoding is exact: ``decode_sessions(encode_sessions(s)) == s`` field for
-field, timezone included (only fixed-offset tzinfo is representable; exotic
-tzinfo objects raise :class:`ArenaFormatError` at encode time, and the
-caller falls back to the pickle transfer path).
+field, timezone included.  Only fixed-offset tzinfo is representable: an
+exotic tzinfo raises :class:`ArenaFormatError` at encode time, and nothing
+catches it, so a parallel scan of such sessions raises (pipeline sessions
+are UTC).
 
 Lifecycle (the part that must survive crashes):
 

@@ -32,15 +32,8 @@ from repro.nids.ruleset import Alert, Ruleset
 @dataclass
 class ScanTelemetry:
     """Where a scan spent its work, threaded through serial and parallel
-    paths into :class:`DetectionStats`.
+    paths into :class:`DetectionStats`."""
 
-    The stage counters (``prefilter_hits``, ``candidates_*``, per-stage
-    seconds, match-cache counters) are populated by the ``regex`` engine's
-    ordered fast path; the ``aho`` reference path reports only the stream
-    totals (sessions, payload bytes, wall time).
-    """
-
-    engine: str = "regex"
     sessions: int = 0
     payload_bytes: int = 0
     #: Payloads (memo misses) where the prefilter nominated >= 1 candidate.
@@ -165,7 +158,6 @@ class ScanTelemetry:
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly form (benchmark records, debugging dumps)."""
         return {
-            "engine": self.engine,
             "sessions": self.sessions,
             "payload_bytes": self.payload_bytes,
             "prefilter_hits": self.prefilter_hits,
@@ -198,8 +190,9 @@ class ScanTelemetry:
             "pcre_cache": self.pcre_cache,
         }
 
-    #: Counter fields restored by :meth:`from_dict` (derived ratios and the
-    #: engine label are handled separately).
+    #: Counter fields restored by :meth:`from_dict` (derived ratios are
+    #: recomputed; keys outside this list, such as the ``engine`` label older
+    #: checkpoints carry, are ignored).
     _COUNTER_FIELDS = (
         "sessions",
         "payload_bytes",
@@ -231,7 +224,7 @@ class ScanTelemetry:
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "ScanTelemetry":
         """Rebuild a telemetry from :meth:`as_dict` output (checkpoints)."""
-        telemetry = cls(engine=str(record.get("engine", "regex")))
+        telemetry = cls()
         for name in cls._COUNTER_FIELDS:
             value = record.get(name)
             if value is not None:
@@ -288,13 +281,12 @@ def scan_stream(
     """Scan a session stream; the shared core of serial and worker scans.
 
     Returns ``(alerts, sessions_scanned, telemetry)`` with alerts in stream
-    order.  With the ``regex`` engine, match outcomes are memoised per
-    payload (plus the port pair when the ruleset is port-sensitive, since
-    ports then join the match decision); the ``aho`` engine runs the
-    reference per-session loop untouched.
+    order.  Match outcomes are memoised per payload (plus the port pair when
+    the ruleset is port-sensitive, since ports then join the match
+    decision).
     """
     ruleset._ensure_compiled()
-    telemetry = ScanTelemetry(engine=ruleset.prefilter_engine)
+    telemetry = ScanTelemetry()
     # Shard counters are cumulative on the ruleset (it outlives scans and is
     # digest-cached in workers), so the stream records the *delta* — deltas
     # sum correctly when parallel workers merge their telemetry.
@@ -303,85 +295,74 @@ def scan_stream(
     items = sessions if isinstance(sessions, list) else list(sessions)
     scanned = len(items)
 
-    if ruleset.prefilter_engine == "aho":
-        alerts: List[Alert] = []
-        match_session = ruleset.match_session
-        for session in items:
-            alert = match_session(session)
-            if alert is not None:
-                alerts.append(alert)
-    else:
-        match_payload = ruleset._match_payload
-        alert_for = ruleset._alert_for
-        port_sensitive = not ruleset.port_insensitive
-        # Pass 1: resolve each distinct payload (plus the port pair when the
-        # ruleset is port-sensitive, since ports then join the match
-        # decision) to its winning rule index once.  The dedup itself is a
-        # C-speed set comprehension rather than a per-session probe loop.
-        memo: Dict[object, Optional[int]] = {}
-        prefilter_hits = nominated = evaluated = 0
-        prefilter_seconds = eval_seconds = 0.0
-        if port_sensitive:
-            distinct = {
-                (session.payload, session.src_port, session.dst_port)
-                for session in items
-                if session.payload
-            }
-            probes = sum(1 for session in items if session.payload)
-            for key in distinct:
-                payload, src_port, dst_port = key
-                winner, hit, n_nominated, n_evaluated, t_prefilter, t_eval = (
-                    match_payload(payload, src_port=src_port, dst_port=dst_port)
-                )
-                memo[key] = winner
-                if hit:
-                    prefilter_hits += 1
-                nominated += n_nominated
-                evaluated += n_evaluated
-                prefilter_seconds += t_prefilter
-                eval_seconds += t_eval
-        else:
-            payloads = {session.payload for session in items}
-            payloads.discard(b"")
-            probes = scanned - sum(
-                1 for session in items if not session.payload
+    match_payload = ruleset._match_payload
+    alert_for = ruleset._alert_for
+    port_sensitive = not ruleset.port_insensitive
+    # Pass 1: resolve each distinct payload (plus the port pair when the
+    # ruleset is port-sensitive, since ports then join the match decision)
+    # to its winning rule index once.  The dedup itself is a C-speed set
+    # comprehension rather than a per-session probe loop.
+    memo: Dict[object, Optional[int]] = {}
+    prefilter_hits = nominated = evaluated = 0
+    prefilter_seconds = eval_seconds = 0.0
+    if port_sensitive:
+        distinct = {
+            (session.payload, session.src_port, session.dst_port)
+            for session in items
+            if session.payload
+        }
+        probes = sum(1 for session in items if session.payload)
+        for key in distinct:
+            payload, src_port, dst_port = key
+            winner, hit, n_nominated, n_evaluated, t_prefilter, t_eval = (
+                match_payload(payload, src_port=src_port, dst_port=dst_port)
             )
-            (
-                memo,
-                prefilter_hits,
-                nominated,
-                evaluated,
-                prefilter_seconds,
-                eval_seconds,
-            ) = ruleset.match_payloads(payloads)
-        # Pass 2: emit alerts in stream order.  Empty payloads miss the memo
-        # and fall out as None, same as a no-match.
-        memo_get = memo.get
-        if port_sensitive:
-            alerts = [
-                alert_for(winner, session)
-                for session in items
-                if (
-                    winner := memo_get(
-                        (session.payload, session.src_port, session.dst_port)
-                    )
+            memo[key] = winner
+            if hit:
+                prefilter_hits += 1
+            nominated += n_nominated
+            evaluated += n_evaluated
+            prefilter_seconds += t_prefilter
+            eval_seconds += t_eval
+    else:
+        payloads = {session.payload for session in items}
+        payloads.discard(b"")
+        probes = scanned - sum(1 for session in items if not session.payload)
+        (
+            memo,
+            prefilter_hits,
+            nominated,
+            evaluated,
+            prefilter_seconds,
+            eval_seconds,
+        ) = ruleset.match_payloads(payloads)
+    # Pass 2: emit alerts in stream order.  Empty payloads miss the memo and
+    # fall out as None, same as a no-match.
+    memo_get = memo.get
+    if port_sensitive:
+        alerts = [
+            alert_for(winner, session)
+            for session in items
+            if (
+                winner := memo_get(
+                    (session.payload, session.src_port, session.dst_port)
                 )
-                is not None
-            ]
-        else:
-            alerts = [
-                alert_for(winner, session)
-                for session in items
-                if (winner := memo_get(session.payload)) is not None
-            ]
-        telemetry.match_cache_misses = len(memo)
-        telemetry.match_cache_hits = probes - len(memo)
-        telemetry.prefilter_hits = prefilter_hits
-        telemetry.candidates_nominated = nominated
-        telemetry.candidates_evaluated = evaluated
-        telemetry.prefilter_seconds = prefilter_seconds
-        telemetry.eval_seconds = eval_seconds
-
+            )
+            is not None
+        ]
+    else:
+        alerts = [
+            alert_for(winner, session)
+            for session in items
+            if (winner := memo_get(session.payload)) is not None
+        ]
+    telemetry.match_cache_misses = len(memo)
+    telemetry.match_cache_hits = probes - len(memo)
+    telemetry.prefilter_hits = prefilter_hits
+    telemetry.candidates_nominated = nominated
+    telemetry.candidates_evaluated = evaluated
+    telemetry.prefilter_seconds = prefilter_seconds
+    telemetry.eval_seconds = eval_seconds
     telemetry.sessions = scanned
     telemetry.payload_bytes = sum(len(session.payload) for session in items)
     telemetry.scan_seconds = perf_counter() - started
@@ -421,12 +402,10 @@ class DetectionEngine:
     share the parent's tracer, so their timings attach as pre-measured
     child spans.
 
-    ``transfer`` and ``threshold`` tune the parallel data plane (see
-    :func:`repro.nids.parallel.parallel_scan`): the transfer plane
-    (``arena`` default / ``pickle`` legacy) and the break-even stream size
-    below which a parallel request runs serially anyway (``threshold=0``
-    forces the pool on).  Both default to their environment knobs
-    (``REPRO_TRANSFER``, ``REPRO_PARALLEL_THRESHOLD``).
+    ``threshold`` is the break-even stream size below which a parallel
+    request runs serially anyway (see
+    :func:`repro.nids.parallel.parallel_scan`; ``threshold=0`` forces the
+    pool on).  It defaults to ``REPRO_PARALLEL_THRESHOLD``.
     """
 
     def __init__(
@@ -438,7 +417,6 @@ class DetectionEngine:
         checkpoint_store=None,
         checkpoint_key: Optional[str] = None,
         tracer=None,
-        transfer: Optional[str] = None,
         threshold: Optional[int] = None,
     ) -> None:
         if workers < 1:
@@ -449,11 +427,8 @@ class DetectionEngine:
         self.checkpoint_store = checkpoint_store
         self.checkpoint_key = checkpoint_key
         self.tracer = tracer
-        self.transfer = transfer
         self.threshold = threshold
-        self.stats = DetectionStats(
-            telemetry=ScanTelemetry(engine=ruleset.prefilter_engine)
-        )
+        self.stats = DetectionStats()
 
     def scan(self, sessions: Iterable[TcpSession]) -> List[Alert]:
         """Scan sessions; returns retained alerts in session order."""
@@ -469,7 +444,6 @@ class DetectionEngine:
             checkpoint_store=self.checkpoint_store,
             checkpoint_key=self.checkpoint_key,
             tracer=self.tracer,
-            transfer=self.transfer,
             threshold=self.threshold,
         )
         # Re-derive the counters from the merged alert stream so the stats

@@ -108,10 +108,7 @@ class LiveDetectionEngine:
             return self.ruleset
         subset = self._subsets.get(count)
         if subset is None:
-            subset = Ruleset(
-                port_insensitive=self.ruleset.port_insensitive,
-                prefilter=self.ruleset.prefilter_engine,
-            )
+            subset = Ruleset(port_insensitive=self.ruleset.port_insensitive)
             for _, sid in self._schedule[:count]:
                 subset.add(
                     self.ruleset.rule_for_sid(sid),

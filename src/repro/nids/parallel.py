@@ -8,9 +8,9 @@ contiguous chunks, evaluates them in a process pool, and concatenates the
 per-chunk alert lists — so the merged output is *identical* (same alerts,
 same order, same fields) to a serial scan of the same stream.
 
-Transfer costs, not match work, used to dominate a pool scan (the measured
-fork + pickle-tuple path was a 0.61x *slowdown* at full scale), so the data
-plane is built around three ideas:
+Transfer costs, not match work, used to dominate a pool scan (a fork +
+pickled-tuple transfer measured a 0.61x *slowdown* at full scale), so the
+data plane is built around three ideas:
 
 * **shared-memory arenas** (:mod:`repro.nids.arena`): the session archive
   and the pickled ruleset are serialized once into a flat byte-frame
@@ -35,12 +35,7 @@ plane is built around three ideas:
   ``fallback_serial`` on the telemetry (and from there in the run
   manifest).
 
-The previous fork/COW + pickled-tuple transfer survives one release as the
-differential-testing reference behind ``REPRO_TRANSFER=pickle`` (with a
-warn-once notice), exactly like the ``REPRO_PREFILTER=aho`` engine escape
-hatch.
-
-Fault tolerance (the recovery protocol, shared by both transfer paths):
+Fault tolerance (the recovery protocol):
 
 * chunks are submitted as individual futures, so one chunk's outcome never
   implicates another's.  A chunk-level exception marks only that chunk
@@ -88,7 +83,6 @@ import os
 import pickle
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -101,7 +95,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -131,10 +124,6 @@ MAX_POOL_RESPAWNS = 3
 BACKOFF_BASE_SECONDS = 0.05
 BACKOFF_MAX_SECONDS = 2.0
 
-#: How long the parent waits for every worker to fork and reach the warm-up
-#: barrier before declaring the pool broken (legacy pickle path only).
-WARMUP_TIMEOUT_SECONDS = 60.0
-
 #: Sessions below which a parallel-requested scan runs serially in-process.
 #: Calibrated against the measured serial throughput (~150k sessions/s at
 #: study scale on the reference container) vs the fixed parallel overhead
@@ -144,25 +133,12 @@ WARMUP_TIMEOUT_SECONDS = 60.0
 #: forces the pool on, e.g. for tests and benches).
 DEFAULT_PARALLEL_THRESHOLD = 25000
 
-#: Environment knobs.
-TRANSFER_ENV = "REPRO_TRANSFER"
+#: Environment knob for the break-even size.
 THRESHOLD_ENV = "REPRO_PARALLEL_THRESHOLD"
 
-#: Compiled rulesets a worker keeps, keyed by blob digest.  Two is enough
-#: for a differential bench (aho vs regex) to ping-pong without recompiles;
-#: four gives headroom for overlapping studies.
+#: Compiled rulesets a worker keeps, keyed by blob digest: headroom for a
+#: few studies (or rulesets) scanned through one warm pool in turn.
 RULESET_CACHE_SIZE = 4
-
-_TRANSFER_WARNED = False
-
-_worker_ruleset: Optional[Ruleset] = None
-#: (ruleset, sessions) pinned for fork-inherited workers — **legacy pickle
-#: path only**.  Module-global by necessity (forked children read it from
-#: their memory snapshot), so :data:`_fork_lock` serialises the pin → fork
-#: window; see :func:`_forked_pool`.
-_fork_state: Optional[Tuple[Ruleset, List[TcpSession]]] = None
-_fork_barrier = None
-_fork_lock = threading.Lock()
 
 #: Test hook: called in the parent once its pool is ready (workers
 #: available, no locks held) and before any chunk is scanned.  Lets tests
@@ -171,10 +147,9 @@ _after_fork_hook: Optional[Callable[[], None]] = None
 
 #: Fault-injection hook: called in each worker as ``hook(chunk_index,
 #: attempt)`` before the chunk is scanned; it may raise or ``os._exit``.
-#: When None, the fault spec shipped in the task (arena path) or
-#: ``REPRO_FAULT`` (legacy path) is consulted instead.  A callable cannot
-#: cross into an already-warm pool, so scans run on a dedicated fork pool
-#: while the hook is set.
+#: When None, the fault spec shipped in the task is consulted instead.  A
+#: callable cannot cross into an already-warm pool, so scans run on a
+#: dedicated fork pool while the hook is set.
 _fault_hook: Optional[Callable[[int, int], None]] = None
 
 AlertTuple = tuple
@@ -226,29 +201,6 @@ def _active_fault() -> Optional[FaultSpec]:
     return parse_fault(os.environ.get("REPRO_FAULT"))
 
 
-def resolve_transfer(transfer: Optional[str] = None) -> str:
-    """Resolve the transfer plane: explicit argument > ``REPRO_TRANSFER`` >
-    the ``arena`` default.  ``pickle`` (the pre-arena fork/COW + tuple
-    path) is deprecated and warns once per process."""
-    global _TRANSFER_WARNED
-    chosen = transfer if transfer is not None else os.environ.get(TRANSFER_ENV)
-    chosen = chosen or "arena"
-    if chosen not in ("arena", "pickle"):
-        raise ValueError(
-            f"unknown transfer plane {chosen!r}; known: arena, pickle"
-        )
-    if chosen == "pickle" and not _TRANSFER_WARNED:
-        _TRANSFER_WARNED = True
-        warnings.warn(
-            "REPRO_TRANSFER=pickle (the fork/COW tuple transfer) is kept "
-            "one release as a differential-testing reference and will be "
-            "removed; the shared-memory arena plane is the default",
-            FutureWarning,
-            stacklevel=2,
-        )
-    return chosen
-
-
 def parallel_threshold(threshold: Optional[int] = None) -> int:
     """Resolve the serial-fallback break-even size: explicit argument >
     ``REPRO_PARALLEL_THRESHOLD`` > :data:`DEFAULT_PARALLEL_THRESHOLD`."""
@@ -266,19 +218,17 @@ def parallel_threshold(threshold: Optional[int] = None) -> int:
 
 
 def _inject_worker_fault(
-    chunk_index: int, attempt: int, spec: Optional[FaultSpec] = None
+    chunk_index: int, attempt: int, spec: Optional[FaultSpec]
 ) -> None:
     """Worker-side fault point, reached before a chunk is scanned.
 
-    ``spec`` is the fault shipped inside the task (arena path); the legacy
-    path still reads ``REPRO_FAULT`` from the (fork-inherited) environment.
+    ``spec`` is the parent's ``REPRO_FAULT`` directive, shipped inside the
+    task (a warm worker cannot re-read the parent's environment).
     """
     hook = _fault_hook
     if hook is not None:
         hook(chunk_index, attempt)
         return
-    if spec is None:
-        spec = _active_fault()
     if spec is None or spec.kind == "scan_abort":
         return
     if spec.target == chunk_index and attempt <= spec.times:
@@ -360,7 +310,7 @@ ChunkResult = Tuple[List[AlertTuple], int, "ScanTelemetry"]
 
 
 # ---------------------------------------------------------------------------
-# Arena transfer plane: worker side
+# Worker side
 # ---------------------------------------------------------------------------
 
 #: Worker-local arena attachment.  One archive is live per scan, so workers
@@ -406,7 +356,7 @@ ArenaTask = Tuple[int, int, int, int, str, str, Optional[FaultSpec]]
 
 
 def _scan_arena_chunk(task: ArenaTask) -> ChunkResult:
-    """Arena path: scan one ``(start, stop)`` slice of the shared segment."""
+    """Scan one ``(start, stop)`` slice of the shared segment."""
     from repro.nids.engine import scan_stream
 
     chunk_index, attempt, start, stop, arena_name, digest, fault = task
@@ -414,58 +364,6 @@ def _scan_arena_chunk(task: ArenaTask) -> ChunkResult:
     arena = _attached_arena(arena_name)
     ruleset = _ruleset_for(arena, digest)
     alerts, scanned, telemetry = scan_stream(ruleset, arena.sessions(start, stop))
-    return _encode_alerts(alerts), scanned, telemetry
-
-
-# ---------------------------------------------------------------------------
-# Legacy pickle transfer plane: worker side (one release of grace)
-# ---------------------------------------------------------------------------
-
-
-def _init_worker(ruleset_blob: bytes) -> None:
-    """Spawn-path pool initializer: install this worker's compiled ruleset."""
-    global _worker_ruleset
-    ruleset = pickle.loads(ruleset_blob)
-    ruleset._ensure_compiled()
-    _worker_ruleset = ruleset
-
-
-def _warmup() -> None:
-    """Fork-path warm-up task: park this worker on the fork barrier.
-
-    One warm-up task is submitted per pool slot; each blocks its worker
-    until every worker (plus the parent) has arrived, which proves all
-    ``max_workers`` processes forked while the fork state was pinned.
-    """
-    barrier = _fork_barrier
-    if barrier is not None:
-        barrier.wait(WARMUP_TIMEOUT_SECONDS)
-
-
-def _scan_chunk(
-    task: Tuple[int, int, Sequence[TcpSession]]
-) -> ChunkResult:
-    """Spawn path: scan one shipped chunk with the worker-local ruleset."""
-    from repro.nids.engine import scan_stream
-
-    chunk_index, attempt, sessions = task
-    if _worker_ruleset is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker ruleset not initialised")
-    _inject_worker_fault(chunk_index, attempt)
-    alerts, scanned, telemetry = scan_stream(_worker_ruleset, sessions)
-    return _encode_alerts(alerts), scanned, telemetry
-
-
-def _scan_range(task: Tuple[int, int, int, int]) -> ChunkResult:
-    """Fork path: scan a slice of the inherited session list."""
-    from repro.nids.engine import scan_stream
-
-    chunk_index, attempt, start, stop = task
-    if _fork_state is None:  # pragma: no cover - set before the pool forks
-        raise RuntimeError("fork state not pinned")
-    _inject_worker_fault(chunk_index, attempt)
-    ruleset, sessions = _fork_state
-    alerts, scanned, telemetry = scan_stream(ruleset, sessions[start:stop])
     return _encode_alerts(alerts), scanned, telemetry
 
 
@@ -497,9 +395,9 @@ class WorkerPool:
 
     The executor is created on first :meth:`executor` call and kept until
     :meth:`retire` (a broken generation: the next ``executor()`` starts a
-    fresh one) or :meth:`shutdown`.  Arena-path workers hold no per-scan
-    state — tasks carry the arena name and ruleset digest — so one pool
-    serves any number of scans, rulesets, and threads concurrently.
+    fresh one) or :meth:`shutdown`.  Workers hold no per-scan state —
+    tasks carry the arena name and ruleset digest — so one pool serves any
+    number of scans, rulesets, and threads concurrently.
     """
 
     def __init__(self, max_workers: int, *, mp_context=None) -> None:
@@ -607,76 +505,6 @@ class _ScanPool:
             self.pool.shutdown()
 
 
-@dataclass
-class _LegacyPool:
-    """Legacy pickle path: a fresh pool per generation (fork pin dance or
-    spawn initializer), never reused."""
-
-    ruleset: Ruleset
-    items: List[TcpSession]
-    workers: int
-    use_fork: bool
-    spawn_blob: bytes = b""
-    _current: Optional[ProcessPoolExecutor] = None
-
-    def executor(self) -> ProcessPoolExecutor:
-        if self._current is None:
-            size = self.workers
-            if self.use_fork:
-                self._current = _forked_pool(self.ruleset, self.items, size)
-            else:  # pragma: no cover - spawn-only platforms
-                self._current = ProcessPoolExecutor(
-                    max_workers=size,
-                    initializer=_init_worker,
-                    initargs=(self.spawn_blob,),
-                )
-        return self._current
-
-    def broken(self, executor: ProcessPoolExecutor) -> None:
-        if self._current is executor:
-            self._current = None
-        executor.shutdown(wait=False, cancel_futures=True)
-
-    def release(self) -> None:
-        if self._current is not None:
-            self._current.shutdown(wait=True, cancel_futures=True)
-            self._current = None
-
-
-def _forked_pool(
-    ruleset: Ruleset, items: List[TcpSession], max_workers: int
-) -> ProcessPoolExecutor:
-    """A fork-context pool whose workers all inherit ``(ruleset, items)``.
-
-    :data:`_fork_lock` covers only the pin → fork window: the state is
-    pinned, the pool created, and one warm-up task submitted per slot; once
-    every worker has reached the warm-up barrier, all ``max_workers``
-    processes exist (the executor never forks again for this pool), so the
-    pin is dropped and the lock released before any chunk is scheduled.
-    """
-    global _fork_state, _fork_barrier
-    ctx = multiprocessing.get_context("fork")
-    with _fork_lock:
-        _fork_state = (ruleset, items)
-        _fork_barrier = ctx.Barrier(max_workers + 1)
-        try:
-            pool = ProcessPoolExecutor(max_workers=max_workers, mp_context=ctx)
-            warmups = [pool.submit(_warmup) for _ in range(max_workers)]
-            try:
-                _fork_barrier.wait(WARMUP_TIMEOUT_SECONDS)
-            except threading.BrokenBarrierError:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise BrokenProcessPool(
-                    "workers failed to fork within the warm-up window"
-                ) from None
-            for warmup in warmups:
-                warmup.result()
-        finally:
-            _fork_state = None
-            _fork_barrier = None
-    return pool
-
-
 class _ChunkCheckpoints:
     """Per-chunk result spill for one scan's chunking.
 
@@ -750,7 +578,6 @@ def parallel_scan(
     checkpoint_store: Optional["CheckpointStore"] = None,
     checkpoint_key: Optional[str] = None,
     tracer=None,
-    transfer: Optional[str] = None,
     threshold: Optional[int] = None,
 ) -> Tuple[List[Alert], int, "ScanTelemetry"]:
     """Scan sessions across ``workers`` processes, surviving worker death.
@@ -765,11 +592,9 @@ def parallel_scan(
     parallel dispatch would only make them slower — with
     ``telemetry.fallback_serial`` recording the decision.
 
-    ``transfer`` picks the data plane (:func:`resolve_transfer`): the
-    default ``arena`` serializes the stream once into a shared-memory
-    segment and sends workers only index pairs; the deprecated ``pickle``
-    plane reproduces the pre-arena fork/COW behaviour for differential
-    testing.
+    The stream is serialized once into a shared-memory arena
+    (:class:`~repro.nids.arena.SessionArena`), and workers receive only
+    index pairs.
 
     With ``checkpoint_store`` (and a caller-chosen ``checkpoint_key``),
     completed chunks spill to disk as they finish and are served from disk
@@ -791,7 +616,6 @@ def parallel_scan(
         raise ValueError("workers must be >= 1")
     if checkpoint_store is not None and checkpoint_key is None:
         raise ValueError("checkpoint_store requires checkpoint_key")
-    mode = resolve_transfer(transfer)
     break_even = parallel_threshold(threshold)
     items = list(sessions)
     if chunk_size is None:
@@ -805,55 +629,29 @@ def parallel_scan(
             telemetry.fallback_serial = 1
         return alerts, scanned, telemetry
 
-    if mode == "pickle":
-        use_fork = "fork" in multiprocessing.get_all_start_methods()
-        if use_fork:
-            # Compile once in the parent; forked workers inherit the
-            # compiled ruleset and the session list copy-on-write, so
-            # tasks are just index pairs.
-            ruleset._ensure_compiled()
-            spawn_blob = b""
-        else:  # pragma: no cover - exercised only on spawn-only platforms
-            spawn_blob = pickle.dumps(ruleset, protocol=pickle.HIGHEST_PROTOCOL)
-        scan_pool = _LegacyPool(
-            ruleset, items, min(workers, len(bounds)), use_fork, spawn_blob
+    # One serialization pass, then index pairs only.  The compiled parent
+    # ruleset also serves the poison-chunk fallback.
+    ruleset._ensure_compiled()
+    clock = time.perf_counter()
+    blob = pickle.dumps(ruleset, protocol=pickle.HIGHEST_PROTOCOL)
+    digest = hashlib.blake2b(blob, digest_size=16).hexdigest()
+    transfer_seconds = time.perf_counter() - clock
+    clock = time.perf_counter()
+    arena = SessionArena.build(items, ruleset_blob=blob)
+    arena_build_seconds = time.perf_counter() - clock
+    arena_bytes = arena.nbytes
+    arena_name = arena.name
+    worker_fault = _active_fault()
+    if worker_fault is not None and worker_fault.kind == "scan_abort":
+        worker_fault = None
+    scan_pool = _ScanPool(workers, dedicated=_fault_hook is not None)
+
+    def _submit(pool, index: int, attempt: int):
+        start, stop = bounds[index]
+        return pool.submit(
+            _scan_arena_chunk,
+            (index, attempt, start, stop, arena_name, digest, worker_fault),
         )
-
-        def _submit(pool, index: int, attempt: int):
-            start, stop = bounds[index]
-            if use_fork:
-                return pool.submit(_scan_range, (index, attempt, start, stop))
-            return pool.submit(  # pragma: no cover - spawn-only
-                _scan_chunk, (index, attempt, items[start:stop])
-            )
-
-        arena = None
-        transfer_seconds = arena_build_seconds = 0.0
-        arena_bytes = 0
-    else:
-        # Arena plane: one serialization pass, then index pairs only.  The
-        # compiled parent ruleset also serves the poison-chunk fallback.
-        ruleset._ensure_compiled()
-        clock = time.perf_counter()
-        blob = pickle.dumps(ruleset, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.blake2b(blob, digest_size=16).hexdigest()
-        transfer_seconds = time.perf_counter() - clock
-        clock = time.perf_counter()
-        arena = SessionArena.build(items, ruleset_blob=blob)
-        arena_build_seconds = time.perf_counter() - clock
-        arena_bytes = arena.nbytes
-        worker_fault = _active_fault()
-        if worker_fault is not None and worker_fault.kind == "scan_abort":
-            worker_fault = None
-        arena_name = arena.name
-        scan_pool = _ScanPool(workers, dedicated=_fault_hook is not None)
-
-        def _submit(pool, index: int, attempt: int):
-            start, stop = bounds[index]
-            return pool.submit(
-                _scan_arena_chunk,
-                (index, attempt, start, stop, arena_name, digest, worker_fault),
-            )
 
     checkpoints: Optional[_ChunkCheckpoints] = None
     if checkpoint_store is not None:
@@ -1008,17 +806,16 @@ def parallel_scan(
             )
     finally:
         scan_pool.release()
-        if arena is not None:
-            # Unlink promptly, success or abort — killed runs are covered
-            # by the finalizer and, past SIGKILL, the gc sweep.
-            arena.close_and_unlink()
+        # Unlink promptly, success or abort — killed runs are covered by the
+        # finalizer and, past SIGKILL, the gc sweep.
+        arena.close_and_unlink()
 
     from repro.nids.engine import ScanTelemetry
 
     clock = time.perf_counter()
     merged: List[Alert] = []
     scanned = 0
-    telemetry = ScanTelemetry(engine=ruleset.prefilter_engine)
+    telemetry = ScanTelemetry()
     for index in range(len(bounds)):
         rows, count, chunk_telemetry = results[index]
         merged.extend(_decode_alerts(rows))
@@ -1037,7 +834,7 @@ def parallel_scan(
     telemetry.arena_bytes = arena_bytes
     telemetry.arena_build_seconds = arena_build_seconds
     telemetry.transfer_seconds = transfer_seconds
-    telemetry.pool_reuses = 1 if getattr(scan_pool, "reused", False) else 0
+    telemetry.pool_reuses = 1 if scan_pool.reused else 0
     telemetry.fallback_serial = 0
     # Workers ran concurrently: their summed clocks are work (cpu_seconds),
     # not elapsed time.  Elapsed time is what this parent measured.

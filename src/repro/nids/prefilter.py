@@ -1,9 +1,9 @@
 """C-speed fast-pattern prefilter built on CPython's ``re`` engine.
 
-:class:`RegexPrefilter` answers the same question as
-:class:`repro.nids.automaton.AhoCorasick` — *which fast patterns occur in
-this payload?* — but drives the scan through ``sre``'s compiled C loop
-instead of a pure-Python per-byte state machine.  On the study archive this
+:class:`RegexPrefilter` answers the question an Aho-Corasick automaton
+answers — *which fast patterns occur in this payload?* — but drives the
+scan through ``sre``'s compiled C loop instead of a pure-Python per-byte
+state machine.  On the study archive this
 is the difference between ~60 ns/byte and memory-bandwidth-class scanning,
 the same trick real multi-pattern engines (Snort's MPSE, Hyperscan) rely on.
 
@@ -38,10 +38,11 @@ Three non-obvious choices make the regex route both fast and *exact*:
   own byte trie (the one the regex is emitted from), not from comparing
   patterns pairwise, so a chunk's tables cost about as much as its regex.
 
-Matching is case-insensitive exactly like the automaton: patterns are
-lowercased at build time and haystacks are lowercased (or declared already
-lowered) at search time, so the two engines are drop-in interchangeable and
-differentially tested against each other (``tests/test_prefilter.py``).
+Matching is case-insensitive: patterns are lowercased at build time and
+haystacks are lowercased (or declared already lowered) at search time.
+Candidate sets are differentially tested against the pure-Python
+Aho-Corasick automaton in ``tests/scan_oracle.py``
+(``tests/test_prefilter.py``).
 """
 
 from __future__ import annotations
@@ -178,12 +179,10 @@ class _Chunk:
 
 
 class RegexPrefilter:
-    """A multi-pattern matcher over byte strings, API-compatible with
-    :class:`repro.nids.automaton.AhoCorasick`.
+    """A multi-pattern matcher over byte strings.
 
     Pattern ids are indices into ``patterns``; duplicate patterns all
-    report, empty patterns are rejected — identical contracts to the
-    automaton so the two engines can be swapped and differentially tested.
+    report, empty patterns are rejected.
     """
 
     def __init__(
@@ -236,16 +235,12 @@ class RegexPrefilter:
     def chunk_count(self) -> int:
         return len(self._chunks)
 
-    @property
-    def pattern_count(self) -> int:
-        """Number of compiled patterns (API parity across engines)."""
-        return len(self.patterns)
-
     def search(self, haystack: bytes, *, lowered: bool = False) -> Set[int]:
         """Ids of every pattern occurring in the haystack.
 
         ``lowered`` declares the haystack already lowercased, skipping the
-        ``bytes.lower`` allocation (see :meth:`AhoCorasick.search`).
+        ``bytes.lower`` allocation when the caller already holds the
+        lowered payload (``Ruleset._match_payload``).
 
         The scan itself is ``findall`` — the entire haystack sweep and the
         per-occurrence extraction stay inside the C engine; Python touches
@@ -300,14 +295,14 @@ DEFAULT_SHARD_SIZE = 2048
 class ShardedPrefilter:
     """Fast patterns partitioned across independently compiled shards.
 
-    API-compatible with :class:`RegexPrefilter` / :class:`AhoCorasick`
-    (``search`` / ``contains_any`` over global pattern ids), so
+    API-compatible with :class:`RegexPrefilter` (``search`` /
+    ``contains_any`` over global pattern ids), so
     :class:`repro.nids.ruleset.Ruleset` can swap it in without touching the
     candidate-merge logic: shard hits are translated back to global ids and
     the publication-ordered heap merge downstream is unchanged.
 
-    Shards are **lazy**: each one compiles its engine (``engine_factory``
-    over its contiguous pattern slice) on first search, and the compile
+    Shards are **lazy**: each one compiles a :class:`RegexPrefilter` over
+    its contiguous pattern slice on first search, and the compile
     counters (:attr:`shards_compiled`, :attr:`compile_seconds`,
     :attr:`searches`) feed :class:`repro.nids.engine.ScanTelemetry` as
     deltas per scan.  Laziness matters in the workers of a parallel scan:
@@ -322,7 +317,6 @@ class ShardedPrefilter:
         *,
         shard_size: int = DEFAULT_SHARD_SIZE,
         shard_count: Optional[int] = None,
-        engine: str = "regex",
     ) -> None:
         if shard_size < 1:
             raise ValueError("shard_size must be >= 1")
@@ -330,9 +324,6 @@ class ShardedPrefilter:
         for index, pattern in enumerate(self.patterns):
             if not pattern:
                 raise ValueError(f"empty pattern at index {index}")
-        if engine not in ("regex", "aho"):
-            raise ValueError(f"unknown shard engine {engine!r}")
-        self.engine = engine
         total = len(self.patterns)
         if shard_count is not None:
             if shard_count < 1:
@@ -343,7 +334,7 @@ class ShardedPrefilter:
             (start, min(start + shard_size, total))
             for start in range(0, total, shard_size)
         ] or [(0, 0)]
-        self._engines: List[Optional[object]] = [None] * len(self._bounds)
+        self._engines: List[Optional[RegexPrefilter]] = [None] * len(self._bounds)
         self.shards_compiled = 0
         self.compile_seconds = 0.0
         self.searches = 0
@@ -354,21 +345,16 @@ class ShardedPrefilter:
 
     @property
     def pattern_count(self) -> int:
-        """Number of compiled patterns (API parity across engines)."""
+        """Number of compiled patterns."""
         return len(self.patterns)
 
-    def _shard(self, index: int):
+    def _shard(self, index: int) -> RegexPrefilter:
         """The shard's engine, compiled on first use."""
         engine = self._engines[index]
         if engine is None:
             start, stop = self._bounds[index]
             clock = perf_counter()
-            if self.engine == "aho":
-                from repro.nids.automaton import AhoCorasick
-
-                engine = AhoCorasick(self.patterns[start:stop])
-            else:
-                engine = RegexPrefilter(self.patterns[start:stop])
+            engine = RegexPrefilter(self.patterns[start:stop])
             self.compile_seconds += perf_counter() - clock
             self.shards_compiled += 1
             self._engines[index] = engine
@@ -408,7 +394,7 @@ class ShardedPrefilter:
     def __getstate__(self) -> Dict[str, object]:
         """Pickle without compiled shard engines: a worker re-compiles its
         shards lazily (and caches the ruleset by digest), so shipping the
-        compiled automata would only bloat the transfer blob."""
+        compiled regexes would only bloat the transfer blob."""
         state = self.__dict__.copy()
         state["_engines"] = [None] * len(self._bounds)
         state["shards_compiled"] = 0

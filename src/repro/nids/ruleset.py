@@ -11,31 +11,25 @@ over every rule's *fast pattern* scans each payload once and nominates
 candidate rules; only candidates get full option evaluation.  Rules without
 a usable fast pattern (pure-pcre rules) are always candidates.
 
-Two interchangeable prefilter engines are provided (selected by the
-``prefilter`` constructor argument, the ``REPRO_PREFILTER`` environment
-variable, or the default ``"regex"``):
+The prefilter is :class:`repro.nids.prefilter.RegexPrefilter` (sharded by
+pattern count, see :class:`repro.nids.prefilter.ShardedPrefilter`), which
+drives the scan through CPython's C-implemented ``re`` engine.  Retention
+is *ordered lazy*: candidate rules are walked in ascending publication
+order (a ``heapq.merge`` across per-pattern rule lists pre-sorted at
+compile time), so the first full match *is* the earliest-published one and
+evaluation stops there.  Rule option lists are flattened into positional
+step tuples (:func:`_compile_plan`) evaluated by :func:`_eval_plan` with
+int-indexed buffers and pre-lowered ``nocase`` needles.
 
-* ``"regex"`` — :class:`repro.nids.prefilter.RegexPrefilter`, which drives
-  the scan through CPython's C-implemented ``re`` engine.  This engine also
-  enables the *ordered lazy* retention path: candidate rules are walked in
-  ascending publication order (a ``heapq.merge`` across per-pattern rule
-  lists pre-sorted at compile time), so the first full match *is* the
-  earliest-published one and evaluation stops there.  Rule option lists are
-  flattened into positional step tuples (:func:`_compile_plan`) evaluated
-  by :func:`_eval_plan` with int-indexed buffers and pre-lowered ``nocase``
-  needles.
-* ``"aho"`` — the pure-Python :class:`repro.nids.automaton.AhoCorasick`
-  reference implementation with the original evaluate-every-candidate
-  retention loop, kept as the differential baseline.
-
-Both engines nominate identical candidate sets and retain identical alerts
+``tests/scan_oracle.py`` holds the differential reference: a pure-Python
+Aho-Corasick automaton and the evaluate-every-candidate retention loop,
+against which candidate sets and retained alerts are pinned
 (``tests/test_prefilter.py``, ``tests/test_scan_equivalence.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from array import array
 from dataclasses import dataclass
 from datetime import datetime
@@ -43,7 +37,6 @@ from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.net.session import TcpSession
-from repro.nids.automaton import AhoCorasick
 from repro.nids.matcher import (
     _BUFFER_INDEX,
     URI_INDEX,
@@ -54,19 +47,6 @@ from repro.nids.matcher import (
 from repro.nids.prefilter import DEFAULT_SHARD_SIZE, RegexPrefilter, ShardedPrefilter
 from repro.nids.rule import ContentMatch, IsDataAt, PcreMatch, Rule, SizeBound
 
-#: Environment variable naming the prefilter engine (``regex`` or ``aho``).
-#: An explicit ``Ruleset(prefilter=...)`` argument wins over the variable.
-PREFILTER_ENV = "REPRO_PREFILTER"
-
-#: Valid prefilter engine names.
-PREFILTER_ENGINES = ("regex", "aho")
-
-#: Environment variable forcing a prefilter shard count.  ``1`` forces the
-#: monolithic engine; ``N > 1`` forces N shards; unset/empty means *auto*
-#: (shard only past :data:`AUTO_SHARD_MIN_PATTERNS` distinct fast patterns).
-#: An explicit ``Ruleset(shards=...)`` argument wins over the variable.
-PREFILTER_SHARDS_ENV = "REPRO_PREFILTER_SHARDS"
-
 #: Auto-sharding kicks in at this many *distinct* fast patterns.  Below it a
 #: single compiled engine is cheap and marginally faster to search; above it
 #: the monolithic compile dominates first-scan latency, and lazy per-shard
@@ -74,35 +54,12 @@ PREFILTER_SHARDS_ENV = "REPRO_PREFILTER_SHARDS"
 AUTO_SHARD_MIN_PATTERNS = 4096
 
 
-def resolve_prefilter_engine(prefilter: Optional[str] = None) -> str:
-    """The engine to use: explicit argument, else environment, else regex."""
-    engine = prefilter if prefilter is not None else os.environ.get(PREFILTER_ENV)
-    engine = (engine or "regex").lower()
-    if engine not in PREFILTER_ENGINES:
-        raise ValueError(
-            f"unknown prefilter engine {engine!r}; "
-            f"expected one of {PREFILTER_ENGINES}"
-        )
-    return engine
-
-
 def resolve_prefilter_shards(shards: Optional[int] = None) -> Optional[int]:
-    """The shard policy: explicit argument, else environment, else auto.
-
-    Returns ``None`` for auto (size-based), ``1`` for forced-monolithic, or
-    a forced shard count ``>= 2``.
+    """The shard policy: ``None`` for auto (shard only past
+    :data:`AUTO_SHARD_MIN_PATTERNS` distinct fast patterns), ``1`` for
+    forced-monolithic, or a forced shard count ``>= 2``.
     """
-    if shards is None:
-        raw = os.environ.get(PREFILTER_SHARDS_ENV, "").strip()
-        if not raw:
-            return None
-        try:
-            shards = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{PREFILTER_SHARDS_ENV} must be an integer, got {raw!r}"
-            ) from None
-    if shards < 1:
+    if shards is not None and shards < 1:
         raise ValueError(f"prefilter shards must be >= 1, got {shards}")
     return shards
 
@@ -272,30 +229,26 @@ class Ruleset:
     """A set of rules with publication dates.
 
     ``port_insensitive`` (default True, per the paper) rewrites every rule
-    to drop port constraints before matching.  ``prefilter`` selects the
-    fast-pattern engine (see :func:`resolve_prefilter_engine`).  ``shards``
-    selects the prefilter shard policy (see
-    :func:`resolve_prefilter_shards`): at Snort-scale rule counts the fast
-    patterns are partitioned across lazily compiled shards, which nominate
-    the same candidate groups as the monolithic engine — the downstream
-    publication-ordered merge is shard-agnostic, so alerts are
-    byte-identical either way (``tests/test_rule_scale.py``).
+    to drop port constraints before matching.  ``shards`` selects the
+    prefilter shard policy (see :func:`resolve_prefilter_shards`): at
+    Snort-scale rule counts the fast patterns are partitioned across lazily
+    compiled shards, which nominate the same candidate groups as the
+    monolithic engine — the downstream publication-ordered merge is
+    shard-agnostic, so alerts are byte-identical either way
+    (``tests/test_rule_scale.py``).
     """
 
     def __init__(
         self,
         *,
         port_insensitive: bool = True,
-        prefilter: Optional[str] = None,
         shards: Optional[int] = None,
     ) -> None:
         self._rules: List[Tuple[Rule, datetime]] = []
         self._sid_index: Dict[int, int] = {}
         self._port_insensitive = port_insensitive
-        self._engine = resolve_prefilter_engine(prefilter)
         self._shards = resolve_prefilter_shards(shards)
         self._fast_patterns: List[Optional[bytes]] = []
-        self._automaton: Optional[AhoCorasick] = None
         self._prefilter: Optional[RegexPrefilter] = None
         self._sharded: Optional[ShardedPrefilter] = None
         self._pattern_rules: List[List[int]] = []
@@ -314,11 +267,6 @@ class Ruleset:
     @property
     def rules(self) -> List[Rule]:
         return [rule for rule, _ in self._rules]
-
-    @property
-    def prefilter_engine(self) -> str:
-        """Which fast-pattern engine this ruleset matches with."""
-        return self._engine
 
     @property
     def port_insensitive(self) -> bool:
@@ -405,7 +353,6 @@ class Ruleset:
                 patterns.append(pattern)
                 self._pattern_rules.append([])
             self._pattern_rules[pattern_id].append(index)
-        self._automaton = None
         self._prefilter = None
         self._sharded = None
         if patterns:
@@ -417,10 +364,7 @@ class Ruleset:
                     patterns,
                     shard_count=shard_count,
                     shard_size=DEFAULT_SHARD_SIZE,
-                    engine=self._engine,
                 )
-            elif self._engine == "aho":
-                self._automaton = AhoCorasick(patterns)
             else:
                 self._prefilter = RegexPrefilter(patterns)
 
@@ -485,10 +429,9 @@ class Ruleset:
         }
 
     def _search_engine(self):
-        """The active multi-pattern matcher (engine objects are API-equal)."""
-        if self._sharded is not None:
-            return self._sharded
-        return self._prefilter if self._prefilter is not None else self._automaton
+        """The active multi-pattern matcher, sharded or monolithic (the two
+        are API-equal)."""
+        return self._sharded if self._sharded is not None else self._prefilter
 
     # -- pickling -----------------------------------------------------------
     #
@@ -502,7 +445,6 @@ class Ruleset:
     # regexes.
 
     _DERIVED_SLOTS = (
-        "_automaton",
         "_prefilter",
         "_sharded",
         "_pattern_rules",
@@ -523,7 +465,6 @@ class Ruleset:
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
-        self._automaton = None
         self._prefilter = None
         self._sharded = None
         self._pattern_rules = []
@@ -540,7 +481,7 @@ class Ruleset:
         candidates = list(self._unfiltered)
         engine = self._search_engine()
         if engine is not None:
-            # Lower once here; both engines accept the pre-lowered haystack.
+            # Lower once here; the prefilter accepts the pre-lowered haystack.
             for pattern_id in engine.search(payload.lower(), lowered=True):
                 candidates.extend(self._pattern_rules[pattern_id])
         return candidates
@@ -719,8 +660,6 @@ class Ruleset:
         if not session.payload:
             return None
         self._ensure_compiled()
-        if self._engine == "aho":
-            return self._match_session_reference(session)
         winner = self._match_payload(
             session.payload,
             src_port=session.src_port,
@@ -729,22 +668,6 @@ class Ruleset:
         if winner is None:
             return None
         return self._alert_for(winner, session)
-
-    def _match_session_reference(self, session: TcpSession) -> Optional[Alert]:
-        """The original evaluate-every-candidate retention loop, kept as the
-        differential baseline for the ordered fast path."""
-        buffers = SessionBuffers(session.payload)
-        best: Optional[Tuple[datetime, Rule]] = None
-        for index in self._candidates(session.payload):
-            rule, published = self._rules[index]
-            if best is not None and published >= best[0]:
-                continue
-            if match_rule(rule, session, buffers, check_ports=not self._port_insensitive):
-                best = (published, rule)
-        if best is None:
-            return None
-        published, rule = best
-        return self._alert(rule, published, session)
 
     def match_all(self, session: TcpSession) -> List[Alert]:
         """All matching rules for a session (diagnostics / case studies)."""

@@ -389,7 +389,6 @@ def build_scaled_ruleset(
     config: ScaleConfig = ScaleConfig(),
     *,
     port_insensitive: bool = True,
-    prefilter: Optional[str] = None,
     shards: Optional[int] = None,
 ) -> Ruleset:
     """Parse the generated texts into a ready :class:`Ruleset`.
@@ -397,9 +396,7 @@ def build_scaled_ruleset(
     Always goes *through the text* (``parse_rule``, never the recorded
     AST), so every build exercises the parser at full scale.
     """
-    ruleset = Ruleset(
-        port_insensitive=port_insensitive, prefilter=prefilter, shards=shards
-    )
+    ruleset = Ruleset(port_insensitive=port_insensitive, shards=shards)
     for scaled in generate_scaled(config):
         ruleset.add(parse_rule(scaled.text), scaled.published)
     return ruleset

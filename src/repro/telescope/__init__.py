@@ -10,14 +10,12 @@ never responds at the application layer.
 
 from repro.telescope.config import TelescopeConfig
 from repro.telescope.pool import CloudIpPool
-from repro.telescope.instance import TelescopeInstance
 from repro.telescope.collector import CollectionStats, DscopeCollector
 from repro.telescope.darknet import DarknetTelescope, compare_vantage_points
 
 __all__ = [
     "TelescopeConfig",
     "CloudIpPool",
-    "TelescopeInstance",
     "CollectionStats",
     "DscopeCollector",
     "DarknetTelescope",

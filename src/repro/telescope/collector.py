@@ -14,8 +14,9 @@ a batch is time-sorted, draws every in-window arrival's slot with one bulk
 epochs and tenancy starts in integer microseconds from the window start.
 Sessions are built in closed form when their tenancy is torn down — a telescope instance
 completes the handshake 20 ms after the SYN and sees the FIN 60 ms after it
-(:meth:`TelescopeInstance.receive` is the packet-level model of the same
-exchange).  Three entry points share the core:
+(``tests/packet_model.py`` holds the packet-level model of the same
+exchange, the reference ``tests/test_capture_batch.py`` pins this against).
+Three entry points share the core:
 
 * :meth:`DscopeCollector.collect` — the batch path: route the whole stream,
   return the full :class:`SessionStore`;

@@ -19,12 +19,12 @@ from repro.net.pcapstore import SessionStore
 from repro.net.session import TcpSession
 from repro.telescope.collector import CollectionStats
 from repro.telescope.config import TelescopeConfig
-from repro.telescope.instance import TelescopeInstance
 from repro.telescope.pool import REGION_BLOCKS
 from repro.traffic.arrivals import ScanArrival
 from repro.util.iputil import parse_cidr
 from repro.util.rng import derive_rng, derive_seed
 from repro.util.timeutil import TimeWindow
+from tests.packet_model import TelescopeInstance
 
 
 class OracleIpPool:

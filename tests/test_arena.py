@@ -9,8 +9,8 @@ Three layers of guarantees:
 * **policy** — :func:`repro.nids.parallel.parallel_scan` falls back to a
   serial in-process scan below the break-even size (recording the decision
   in telemetry and the run manifest), keeps one warm worker pool across
-  scans and across ``run_study`` calls, and the deprecated
-  ``REPRO_TRANSFER=pickle`` plane still produces identical output;
+  scans and across ``run_study`` calls, and its output equals a serial
+  scan's;
 * **hygiene** — killed or crashed scans leave nothing behind: the gc sweep
   (:func:`repro.cache.gc.collect_shm_garbage`) removes exactly the
   orphaned segments and never a live process's.
@@ -45,7 +45,6 @@ from repro.nids.parallel import (
     DEFAULT_PARALLEL_THRESHOLD,
     parallel_scan,
     parallel_threshold,
-    resolve_transfer,
     shutdown_warm_pool,
 )
 from repro.telescope.collector import DscopeCollector
@@ -221,26 +220,9 @@ class TestBreakEvenPolicy:
         assert telemetry.fallback_serial == 0
 
 
-class TestTransferPlanes:
-    def test_resolution_and_pickle_warns_once(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRANSFER", raising=False)
-        assert resolve_transfer() == "arena"
-        monkeypatch.setenv("REPRO_TRANSFER", "pickle")
-        monkeypatch.setattr(parallel, "_TRANSFER_WARNED", False)
-        with pytest.warns(FutureWarning):
-            assert resolve_transfer() == "pickle"
-        # Warn-once: a second resolution stays quiet.
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            assert resolve_transfer() == "pickle"
-        with pytest.raises(ValueError):
-            resolve_transfer("carrier-pigeon")
-
-    def test_pickle_plane_matches_arena_plane(self, monkeypatch):
+class TestArenaPlane:
+    def test_arena_plane_matches_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "0")
-        monkeypatch.setattr(parallel, "_TRANSFER_WARNED", True)
         generator = TrafficGenerator(
             TrafficConfig(seed=7, volume_scale=0.01, background_per_exploit=0.3)
         )
@@ -248,13 +230,11 @@ class TestTransferPlanes:
         ruleset = build_study_ruleset()
         sessions = list(store)
         serial_alerts, serial_scanned, _ = scan_stream(ruleset, sessions)
-        for plane in ("arena", "pickle"):
-            alerts, scanned, telemetry = parallel_scan(
-                ruleset, sessions, workers=2, transfer=plane
-            )
-            assert alerts == serial_alerts, plane
-            assert scanned == serial_scanned, plane
-            assert (telemetry.arena_bytes > 0) == (plane == "arena")
+        alerts, scanned, telemetry = parallel_scan(ruleset, sessions, workers=2)
+        assert serial_alerts  # never vacuous
+        assert alerts == serial_alerts
+        assert scanned == serial_scanned
+        assert telemetry.arena_bytes > 0
 
 
 class TestWarmPoolAndHygiene:

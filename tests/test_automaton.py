@@ -1,10 +1,10 @@
-"""Tests for the Aho-Corasick fast-pattern prefilter."""
+"""Tests for the Aho-Corasick automaton of the scan oracle."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nids.automaton import AhoCorasick
+from tests.scan_oracle import AhoCorasick
 
 
 class TestAhoCorasick:

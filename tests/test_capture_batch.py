@@ -20,13 +20,13 @@ from hypothesis import strategies as st
 from repro.cache.fingerprint import STAGE_MODULES
 from repro.telescope.collector import DscopeCollector
 from repro.telescope.config import TelescopeConfig
-from repro.telescope.instance import TelescopeInstance
 from repro.telescope.pool import CloudIpPool
 from repro.traffic.arrivals import ScanArrival
 from repro.util.rng import derive_rng, derive_seed
 from repro.util.timeutil import TimeWindow, utc
 from tests import import_closure
 from tests.capture_oracle import OracleCollector, OracleIpPool
+from tests.packet_model import TelescopeInstance
 
 WINDOW = TimeWindow(utc(2021, 3, 1), utc(2021, 3, 2))
 HOUR_US = 3_600_000_000

@@ -5,13 +5,18 @@ from datetime import timedelta
 
 import pytest
 
-from repro.net.flow import FlowAssembler
 from repro.net.http import HttpRequest, parse_http_request
-from repro.net.packet import Packet, PacketKind
 from repro.net.pcapstore import SessionStore
 from repro.net.session import TcpSession
-from repro.net.tcp import TcpEndpointState, TcpHandshake, TcpProtocolError
 from repro.util.timeutil import utc
+from tests.packet_model import (
+    FlowAssembler,
+    Packet,
+    PacketKind,
+    TcpEndpointState,
+    TcpHandshake,
+    TcpProtocolError,
+)
 
 T0 = utc(2022, 1, 1, 12, 0)
 

@@ -82,16 +82,15 @@ class TestParallelScanEquivalence:
             DetectionEngine(Ruleset(), workers=0)
 
     def test_overlapping_scans_from_threads(self, seeded_world, monkeypatch):
-        """Concurrent parallel scans must not read each other's pinned
-        fork state (the module global is lock-guarded) — and must actually
-        *overlap*: the lock covers only the pin → fork window, not the
-        whole pool lifetime.
+        """Concurrent parallel scans must not read each other's work (each
+        task names its own arena and ruleset digest) — and must actually
+        *overlap*: no lock may serialise one scan behind another.
 
-        The rendezvous barrier fires in each scan after its workers forked
-        and before any chunk runs; both scans can only meet there if the
-        first released the fork lock while still mid-scan.  With the old
-        scan-long lock this deadlocks (and the barrier timeout fails the
-        test) instead of passing serially.
+        The rendezvous barrier fires in each scan after its pool is ready
+        and before any chunk runs; both scans can only meet there if
+        neither holds a scan-long lock.  If one did, this would deadlock
+        (and the barrier timeout would fail the test) instead of passing
+        serially.
         """
         import threading
 
@@ -113,7 +112,7 @@ class TestParallelScanEquivalence:
             engine = DetectionEngine(ruleset, workers=2)
             results[name] = engine.scan(subset)
 
-        # Different-sized streams, so crossed fork state would be visible
+        # Different-sized streams, so crossed scan state would be visible
         # as wrong alert sets, not just reordered ones.
         half = sessions[: len(sessions) // 2]
         threads = [

@@ -1,11 +1,11 @@
 """Tests for the C-speed regex fast-pattern prefilter.
 
-The unit tests mirror ``tests/test_automaton.py`` case for case — the two
-engines advertise the same contract — and the hypothesis properties check
-the strong form directly: :class:`RegexPrefilter` and
-:class:`AhoCorasick` nominate *identical* pattern-id sets on arbitrary
-inputs, including dense self-overlapping alphabets and awkward chunk
-boundaries.  The chunk closure tables and trie regexes are also checked
+The unit tests mirror ``tests/test_automaton.py`` case for case — the
+prefilter keeps the oracle automaton's contract — and the hypothesis
+properties check the strong form directly: :class:`RegexPrefilter` and the
+:class:`AhoCorasick` of ``tests/scan_oracle.py`` nominate *identical*
+pattern-id sets on arbitrary inputs, including dense self-overlapping
+alphabets and awkward chunk boundaries.  The chunk closure tables and trie regexes are also checked
 against the frozen builders in ``tests/prefilter_oracle.py``.
 """
 
@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.fingerprint import STAGE_MODULES
-from repro.nids.automaton import AhoCorasick
 from repro.nids.prefilter import (
     DEFAULT_CHUNK_SIZE,
     MAX_TRIE_PATTERN,
@@ -25,6 +24,7 @@ from repro.nids.prefilter import (
 from repro.nids.scale import ScaleConfig, generate_scaled
 from tests import import_closure
 from tests.prefilter_oracle import pairwise_tables, per_node_trie_regex
+from tests.scan_oracle import AhoCorasick
 
 
 class TestRegexPrefilter:

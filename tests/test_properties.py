@@ -240,42 +240,3 @@ def test_sizebound_exact(value):
     assert bound.matches(value)
     assert not bound.matches(value + 1)
 
-
-# -- binary archive format ----------------------------------------------------
-
-from repro.net.binformat import load_binary, save_binary
-from repro.net.pcapstore import SessionStore
-from repro.net.session import TcpSession
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=2 ** 32 - 1),  # src ip
-            st.integers(min_value=0, max_value=65535),        # src port
-            st.integers(min_value=0, max_value=65535),        # dst port
-            st.binary(max_size=64),                           # payload
-            st.integers(min_value=0, max_value=10 ** 6),      # start offset s
-        ),
-        max_size=12,
-    )
-)
-@settings(max_examples=50, deadline=None)
-def test_binary_format_roundtrip(records):
-    import tempfile
-    from pathlib import Path
-
-    store = SessionStore()
-    for index, (src, sport, dport, payload, offset) in enumerate(records):
-        store.append(
-            TcpSession(
-                session_id=index,
-                start=utc(2022, 1, 1) + timedelta(seconds=offset),
-                src_ip=src, src_port=sport, dst_ip=1, dst_port=dport,
-                payload=payload,
-            )
-        )
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "archive.bin"
-        save_binary(store, path)
-        assert list(load_binary(path)) == list(store)

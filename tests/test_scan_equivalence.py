@@ -1,10 +1,12 @@
-"""Differential tests: the ordered regex scan path vs the Aho reference.
+"""Differential tests: the scan vs the retention oracle.
 
-The regex engine changes *how* the scan runs (C-speed prefilter, ordered
-lazy retention, payload memoisation, plan-compiled evaluation) but must not
-change *what* it produces: alerts, their stream order, ``DetectionStats``
-(including ``alerts_by_sid`` insertion order), serial and parallel, are all
-asserted byte-identical to the Aho-Corasick baseline here.
+The scan's speed comes from *how* it runs (C-speed prefilter, ordered lazy
+retention, payload memoisation, plan-compiled evaluation), none of which
+may change *what* it produces: alerts, their stream order, and
+``DetectionStats`` (including ``alerts_by_sid`` insertion order), serial
+and parallel, are all asserted byte-identical to
+:class:`tests.scan_oracle.ScanOracle`, which evaluates every candidate rule
+and keeps the least ``(published, insertion index)``.
 """
 
 from datetime import datetime, timezone
@@ -15,11 +17,12 @@ import pytest
 from repro.exploits.rulegen import build_study_ruleset
 from repro.net.session import TcpSession
 from repro.nids import matcher
-from repro.nids.engine import DetectionEngine, ScanTelemetry
+from repro.nids.engine import DetectionEngine, DetectionStats, ScanTelemetry
 from repro.nids.matcher import PCRE_CACHE_SIZE, SessionBuffers
 from repro.nids.parser import parse_rule
 from repro.nids.rule import HttpBuffer
-from repro.nids.ruleset import PREFILTER_ENV, Ruleset
+from repro.nids.ruleset import Ruleset
+from tests.scan_oracle import ScanOracle
 
 T0 = datetime(2022, 6, 1, tzinfo=timezone.utc)
 
@@ -31,59 +34,106 @@ def _session(sid, payload, dst_port=80):
     )
 
 
+def _oracle_scan(ruleset, sessions):
+    """The oracle's alerts and the stats a serial pass records for them."""
+    sessions = list(sessions)
+    alerts = ScanOracle(ruleset).scan(sessions)
+    stats = DetectionStats()
+    stats.replay(alerts, sessions_scanned=len(sessions))
+    return alerts, stats
+
+
+def _assert_matches_oracle(engine, alerts, reference_alerts, reference_stats):
+    assert alerts == reference_alerts
+    assert engine.stats == reference_stats
+    # Insertion order of alerts_by_sid is the retention order — the ordered
+    # lazy path must reproduce it exactly, not just the counts.
+    assert list(engine.stats.alerts_by_sid.items()) == list(
+        reference_stats.alerts_by_sid.items()
+    )
+
+
 class TestScanEquivalence:
-    """Engine-for-engine equality on the shared small-scale study store."""
+    """Scan-for-oracle equality on the shared small-scale study store."""
 
     def test_serial_scan_identical(self, study):
-        aho = DetectionEngine(build_study_ruleset(prefilter="aho"))
-        regex = DetectionEngine(build_study_ruleset(prefilter="regex"))
-        aho_alerts = aho.scan(study.store)
-        regex_alerts = regex.scan(study.store)
-        assert aho_alerts  # the comparison must not be vacuous
-        assert regex_alerts == aho_alerts
-        assert regex.stats == aho.stats
-        # Insertion order of alerts_by_sid is the retention order — the
-        # ordered lazy path must reproduce it exactly, not just the counts.
-        assert list(regex.stats.alerts_by_sid.items()) == list(
-            aho.stats.alerts_by_sid.items()
+        reference_alerts, reference_stats = _oracle_scan(
+            build_study_ruleset(), study.store
         )
+        assert reference_alerts  # the comparison must not be vacuous
+        engine = DetectionEngine(build_study_ruleset())
+        alerts = engine.scan(study.store)
+        _assert_matches_oracle(engine, alerts, reference_alerts, reference_stats)
 
     def test_parallel_scan_identical(self, study):
-        reference = DetectionEngine(build_study_ruleset(prefilter="aho"))
-        reference_alerts = reference.scan(study.store)
-        for engine_name in ("regex", "aho"):
-            ruleset = build_study_ruleset(prefilter=engine_name)
-            # threshold=0: the shared study store is below the break-even
-            # size, and a serial fallback would make this test vacuous.
-            parallel = DetectionEngine(ruleset, workers=4, threshold=0)
-            assert parallel.scan(study.store) == reference_alerts
-            assert parallel.stats == reference.stats
-            assert list(parallel.stats.alerts_by_sid.items()) == list(
-                reference.stats.alerts_by_sid.items()
-            )
+        reference_alerts, reference_stats = _oracle_scan(
+            build_study_ruleset(), study.store
+        )
+        # threshold=0: the shared study store is below the break-even size,
+        # and a serial fallback would make this test vacuous.
+        engine = DetectionEngine(build_study_ruleset(), workers=4, threshold=0)
+        alerts = engine.scan(study.store)
+        _assert_matches_oracle(engine, alerts, reference_alerts, reference_stats)
 
     def test_match_session_identical_per_session(self, study):
-        aho = build_study_ruleset(prefilter="aho")
-        regex = build_study_ruleset(prefilter="regex")
+        ruleset = build_study_ruleset()
+        oracle = ScanOracle(ruleset)
         sample = list(islice(study.store, 300))
         assert sample
         for session in sample:
-            assert regex.match_session(session) == aho.match_session(session)
+            assert ruleset.match_session(session) == oracle.match(session)
 
     def test_match_all_identical_per_session(self, study):
-        aho = build_study_ruleset(prefilter="aho")
-        regex = build_study_ruleset(prefilter="regex")
+        ruleset = build_study_ruleset()
+        oracle = ScanOracle(ruleset)
         for session in islice(study.store, 100):
-            assert regex.match_all(session) == aho.match_all(session)
+            assert ruleset.match_all(session) == oracle.match_all(session)
+
+
+class TestPublicationTie:
+    """Two rules published at the same instant, both matching: the
+    earlier-inserted SID wins (rank order is ``(published, insertion
+    index)``), however the scan runs."""
+
+    @staticmethod
+    def _ruleset():
+        ruleset = Ruleset()
+        # Inserted first but with the larger SID, so a tie broken by SID
+        # (or by candidate order) would pick the other rule.
+        ruleset.add(
+            parse_rule(
+                'alert tcp any any -> any any '
+                '(msg:"first"; content:"attack"; sid:20;)'
+            ),
+            T0,
+        )
+        ruleset.add(
+            parse_rule(
+                'alert tcp any any -> any any '
+                '(msg:"second"; content:"an attack"; sid:10;)'
+            ),
+            T0,
+        )
+        return ruleset
+
+    def test_earlier_inserted_sid_wins(self):
+        sessions = [_session(i, b"an attack here") for i in range(8)]
+        oracle_alerts = ScanOracle(self._ruleset()).scan(sessions)
+        assert [alert.sid for alert in oracle_alerts] == [20] * len(sessions)
+        serial = DetectionEngine(self._ruleset()).scan(sessions)
+        assert serial == oracle_alerts
+        parallel = DetectionEngine(
+            self._ruleset(), workers=2, threshold=0
+        ).scan(sessions)
+        assert parallel == oracle_alerts
 
 
 class TestScanTelemetry:
     def test_regex_telemetry_populated(self, study):
-        engine = DetectionEngine(build_study_ruleset(prefilter="regex"))
+        engine = DetectionEngine(build_study_ruleset())
         engine.scan(study.store)
         telemetry = engine.stats.telemetry
         store = list(study.store)
-        assert telemetry.engine == "regex"
         assert telemetry.sessions == len(store)
         assert telemetry.payload_bytes == sum(len(s.payload) for s in store)
         probes = sum(1 for s in store if s.payload)
@@ -102,21 +152,10 @@ class TestScanTelemetry:
         assert maxsize == PCRE_CACHE_SIZE
         assert currsize <= maxsize
 
-    def test_aho_telemetry_reports_stream_totals(self, study):
-        engine = DetectionEngine(build_study_ruleset(prefilter="aho"))
-        engine.scan(study.store)
-        telemetry = engine.stats.telemetry
-        assert telemetry.engine == "aho"
-        assert telemetry.sessions == len(study.store)
-        assert telemetry.scan_seconds > 0.0
-        assert telemetry.match_cache_misses == 0  # stage counters unused
-
     def test_parallel_telemetry_merged_across_workers(self, study):
-        serial = DetectionEngine(build_study_ruleset(prefilter="regex"))
+        serial = DetectionEngine(build_study_ruleset())
         serial.scan(study.store)
-        parallel = DetectionEngine(
-            build_study_ruleset(prefilter="regex"), workers=4, threshold=0
-        )
+        parallel = DetectionEngine(build_study_ruleset(), workers=4, threshold=0)
         parallel.scan(study.store)
         merged = parallel.stats.telemetry
         assert merged.sessions == serial.stats.telemetry.sessions
@@ -143,8 +182,7 @@ class TestScanTelemetry:
         assert a.pcre_cache == (1, 2, 64, 2)
 
     def test_as_dict_is_json_shaped(self):
-        record = ScanTelemetry(engine="regex", sessions=4).as_dict()
-        assert record["engine"] == "regex"
+        record = ScanTelemetry(sessions=4).as_dict()
         assert record["sessions"] == 4
         for key in (
             "payload_bytes",
@@ -163,38 +201,9 @@ class TestScanTelemetry:
             assert key in record
 
 
-class TestEngineSelection:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(PREFILTER_ENV, "aho")
-        assert Ruleset(prefilter="regex").prefilter_engine == "regex"
-
-    def test_environment_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv(PREFILTER_ENV, "aho")
-        assert Ruleset().prefilter_engine == "aho"
-        monkeypatch.setenv(PREFILTER_ENV, "REGEX")  # case-insensitive
-        assert Ruleset().prefilter_engine == "regex"
-
-    def test_default_is_regex(self, monkeypatch):
-        monkeypatch.delenv(PREFILTER_ENV, raising=False)
-        assert Ruleset().prefilter_engine == "regex"
-
-    def test_unknown_engine_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            Ruleset(prefilter="hyperscan")
-        monkeypatch.setenv(PREFILTER_ENV, "bogus")
-        with pytest.raises(ValueError):
-            Ruleset()
-
-    def test_build_study_ruleset_passthrough(self):
-        assert build_study_ruleset(prefilter="aho").prefilter_engine == "aho"
-        assert (
-            build_study_ruleset(prefilter="regex").prefilter_engine == "regex"
-        )
-
-
 class TestPortSensitivePath:
-    def _ruleset(self, prefilter):
-        ruleset = Ruleset(port_insensitive=False, prefilter=prefilter)
+    def _ruleset(self):
+        ruleset = Ruleset(port_insensitive=False)
         ruleset.add(
             parse_rule(
                 'alert tcp any any -> any 80 '
@@ -206,7 +215,7 @@ class TestPortSensitivePath:
 
     def test_match_payloads_requires_port_insensitive(self):
         with pytest.raises(ValueError):
-            self._ruleset("regex").match_payloads([b"attack"])
+            self._ruleset().match_payloads([b"attack"])
 
     def test_port_sensitive_scan_respects_ports(self):
         sessions = [
@@ -214,15 +223,19 @@ class TestPortSensitivePath:
             _session(2, b"an attack here", dst_port=443),  # same payload!
             _session(3, b"benign", dst_port=80),
         ]
-        reference = DetectionEngine(self._ruleset("aho"))
-        regex = DetectionEngine(self._ruleset("regex"))
-        reference_alerts = reference.scan(sessions)
+        reference_alerts, reference_stats = _oracle_scan(self._ruleset(), sessions)
         assert [a.session_id for a in reference_alerts] == [1]
-        assert regex.scan(sessions) == reference_alerts
-        assert regex.stats == reference.stats
+        serial = DetectionEngine(self._ruleset())
+        _assert_matches_oracle(
+            serial, serial.scan(sessions), reference_alerts, reference_stats
+        )
+        parallel = DetectionEngine(self._ruleset(), workers=2, threshold=0)
+        _assert_matches_oracle(
+            parallel, parallel.scan(sessions), reference_alerts, reference_stats
+        )
         # Port-sensitive memo keys include the port pair: two sessions with
         # identical payloads but different ports are distinct cache entries.
-        assert regex.stats.telemetry.match_cache_misses == 3
+        assert serial.stats.telemetry.match_cache_misses == 3
 
 
 class TestSessionBufferCaching:

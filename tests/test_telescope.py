@@ -6,11 +6,11 @@ import pytest
 
 from repro.telescope.collector import DscopeCollector
 from repro.telescope.config import TelescopeConfig
-from repro.telescope.instance import TelescopeInstance
 from repro.telescope.pool import REGION_BLOCKS, CloudIpPool
 from repro.traffic.arrivals import ScanArrival
 from repro.util.iputil import ipv4_in_network, parse_cidr
 from repro.util.timeutil import TimeWindow, utc
+from tests.packet_model import TelescopeInstance
 
 WINDOW = TimeWindow(utc(2021, 3, 1), utc(2021, 3, 2))
 
