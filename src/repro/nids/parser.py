@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.nids.matcher import _compiled as _compiled_pcre
 from repro.nids.rule import (
     ContentMatch,
     HttpBuffer,
@@ -187,6 +188,11 @@ def _parse_pcre(value: str) -> PcreMatch:
         flags |= re_flag
         if flag_buffer is not None:
             buffer = flag_buffer
+    # Compiled through the scan's cache: a bad pcre fails here, not mid-scan.
+    try:
+        _compiled_pcre(pattern, flags)
+    except (re.error, OverflowError) as error:
+        raise RuleParseError(f"bad pcre option {value!r}: {error}") from None
     return PcreMatch(pattern=pattern, flags=flags, buffer=buffer, negated=negated)
 
 

@@ -28,15 +28,16 @@ Three non-obvious choices make the regex route both fast and *exact*:
   and the greedy trie yields the *longest* pattern at each position.  Two
   completeness fixes recover full Aho-Corasick semantics: (1) every proper
   prefix of a reported pattern that is itself a pattern also occurs at the
-  reported position (prefix closure, precomputed); (2) a pattern can hide
+  reported position (prefix closure); (2) a pattern can hide
   *inside* a reported span — it must then be a substring of the reported
   pattern at offset >= 1, or start with one of its proper suffixes (overlap
-  sets, precomputed) — and those few candidates are confirmed with a single
-  C-level ``in`` check.  Any pattern occurrence not covered by these cases
-  would have been the leftmost match of some ``finditer`` step, hence
-  reported.  Both tables come from walking each pattern through the chunk's
-  own byte trie (the one the regex is emitted from), not from comparing
-  patterns pairwise, so a chunk's tables cost about as much as its regex.
+  sets) — and those few candidates are confirmed with a single C-level
+  ``in`` check.  Any pattern occurrence not covered by these cases would
+  have been the leftmost match of some ``finditer`` step, hence reported.
+  Both tables are derived for a text the first time it matches, by
+  bisecting its suffixes into the chunk's sorted texts, and memoized: the
+  10k-rule benchmark's scan matches 73 of its 9.3k texts, so tables for
+  the rest are never built.
 
 Matching is case-insensitive: patterns are lowercased at build time and
 haystacks are lowercased (or declared already lowered) at search time.
@@ -48,6 +49,7 @@ Aho-Corasick automaton in ``tests/scan_oracle.py``
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -63,119 +65,103 @@ DEFAULT_CHUNK_SIZE = 256
 MAX_TRIE_PATTERN = 64
 
 
-def _byte_trie(texts: Sequence[bytes]) -> Dict:
-    """A byte trie over ``texts``: each node maps a byte to its child, and
-    a terminal node maps ``None`` to the text it spells."""
-    root: Dict = {}
-    for text in texts:
-        node = root
-        for byte in text:
-            node = node.setdefault(byte, {})
-        node[None] = text
-    return root
-
-
 #: ``re.escape`` of every single byte, indexed by byte value.
 _ESCAPED = tuple(re.escape(bytes([byte])) for byte in range(256))
 
 
-def _trie_regex(root: Dict) -> "re.Pattern[bytes]":
-    """Compile a byte-trie regex matching the *longest* of the trie's texts
-    at each position (greedy descent, so extensions are tried before
-    accepting a shorter terminal)."""
+def _trie_regex(ordered: Sequence[bytes]) -> "re.Pattern[bytes]":
+    """Compile a byte-trie regex matching the *longest* of the sorted,
+    unique ``ordered`` texts at each position (greedy descent tries
+    extensions before a shorter terminal).  The trie is implicit: the texts
+    below a node are a contiguous run ``ordered[lo:hi]``, terminal first."""
 
-    def emit(node: Dict) -> bytes:
+    def emit(lo: int, hi: int, depth: int) -> bytes:
+        terminal = len(ordered[lo]) == depth
         branches = []
-        for byte in sorted(key for key in node if key is not None):
-            # A run of single-child, non-terminal nodes is one literal.
-            run = [_ESCAPED[byte]]
-            child = node[byte]
-            while len(child) == 1 and None not in child:
-                ((byte, child),) = child.items()
-                run.append(_ESCAPED[byte])
-            branches.append(b"".join(run) + emit(child))
+        i = lo + 1 if terminal else lo
+        while i < hi:
+            first = ordered[i]
+            byte = first[depth]
+            j = i + 1
+            while j < hi and ordered[j][depth] == byte:
+                j += 1
+            # A run of single-child, non-terminal nodes is one literal: the
+            # branch's shortest text (its first) outlives the run, and its
+            # first and last texts agree on the next byte.
+            last = ordered[j - 1]
+            end = depth + 1
+            while len(first) > end and first[end] == last[end]:
+                end += 1
+            run = b"".join([_ESCAPED[b] for b in first[depth:end]])
+            branches.append(run + emit(i, j, end))
+            i = j
         if not branches:
             return b""
         body = b"|".join(branches)
-        if None in node:
+        if terminal:
             return b"(?:" + body + b")?"
         if len(branches) > 1:
             return b"(?:" + body + b")"
         return body
 
-    return re.compile(emit(root))
+    return re.compile(emit(0, len(ordered), 0))
 
 
 class _Chunk:
-    """One compiled batch of patterns plus its occurrence-closure tables."""
+    """One compiled batch of patterns; its occurrence-closure tables are
+    derived per text on first match (:meth:`tables`)."""
 
-    __slots__ = (
-        "regex",
-        "ids_by_text",
-        "prefix_closure",
-        "overlap_texts",
-        "any_overlaps",
-    )
+    __slots__ = ("regex", "position", "ordered", "ids_by_text", "_tables")
 
     def __init__(self, texts: List[bytes], ids_by_text: Dict[bytes, Tuple[int, ...]]) -> None:
-        root = _byte_trie(texts)
-        self.regex = _trie_regex(root)
+        self.ordered = sorted(texts)
+        self.regex = _trie_regex(self.ordered)
+        self.position = {text: index for index, text in enumerate(texts)}
         self.ids_by_text = ids_by_text
-        # Proper prefixes of a matched text that are themselves patterns
-        # occur at the same position; fold their ids in up front.
-        self.prefix_closure: Dict[bytes, Tuple[int, ...]] = {}
-        # Texts that can hide inside (or straddle out of) a reported match
-        # of the keyed text; confirmed per haystack with an ``in`` check.
-        self.overlap_texts: Dict[bytes, Tuple[bytes, ...]] = {}
-        # Both tables come from walks of ``text`` through the chunk trie:
-        # O(chunk · len²) dict steps at worst, and walks from most start
-        # positions fall off the trie after a byte or two.
-        position = {text: index for index, text in enumerate(texts)}
-        below_cache: Dict[int, List[bytes]] = {}
+        self._tables: Dict[bytes, Tuple[Tuple[int, ...], Tuple[bytes, ...]]] = {}
 
-        def below(node: Dict) -> List[bytes]:
-            """Texts terminating strictly below ``node``."""
-            found = below_cache.get(id(node))
-            if found is None:
-                found = []
-                for byte, child in node.items():
-                    if byte is not None:
-                        if None in child:
-                            found.append(child[None])
-                        found.extend(below(child))
-                below_cache[id(node)] = found
+    def tables(self, text: bytes) -> Tuple[Tuple[int, ...], Tuple[bytes, ...]]:
+        """``(prefix-closure ids, overlap texts)`` for a matched text, in
+        chunk order: its own ids plus those of its proper prefixes (they
+        occur at the same position), and the texts that can hide inside or
+        straddle out of its match (confirmed per haystack with ``in``).
+        Memoized with ``setdefault``: concurrent derivations agree."""
+        found = self._tables.get(text)
+        if found is not None:
             return found
-
-        for text in texts:
-            # Prefix closure: the terminals passed on the way to text's end.
-            prefixes = set()
-            node = root
-            for byte in text[:-1]:
-                node = node[byte]
-                if None in node:
-                    prefixes.add(node[None])
-            ids = list(ids_by_text[text])
-            for prefix in sorted(prefixes, key=position.__getitem__):
-                ids.extend(ids_by_text[prefix])
-            # Overlaps, from every start i >= 1: each terminal met lies
-            # inside text[1:]; a walk that consumes all of text[i:] ends
-            # at a node whose deeper terminals straddle out of text.
-            overlaps = set()
-            for i in range(1, len(text)):
-                node = root
-                for byte in text[i:]:
-                    node = node.get(byte)
-                    if node is None:
-                        break
-                    if None in node:
-                        overlaps.add(node[None])
-                else:
-                    overlaps.update(below(node))
-            overlaps.discard(text)
-            overlaps -= prefixes
-            self.prefix_closure[text] = tuple(ids)
-            self.overlap_texts[text] = tuple(sorted(overlaps, key=position.__getitem__))
-        self.any_overlaps = any(self.overlap_texts.values())
+        # Walk each suffix text[start:] through the sorted texts, one bisect
+        # per byte; most walks fall off after a byte or two.  From start 0
+        # the walk spells prefixes, from start >= 1 interior texts; the
+        # texts after a walk that consumed all of text[start:] straddle.
+        ordered = self.ordered
+        count = len(ordered)
+        size = len(text)
+        prefixes: Set[bytes] = set()
+        overlaps: Set[bytes] = set()
+        for start in range(size):
+            spelled = overlaps if start else prefixes
+            low = 0
+            for stop in range(start + 1, size + 1):
+                piece = text[start:stop]
+                low = bisect_left(ordered, piece, low)
+                if low == count or not ordered[low].startswith(piece):
+                    break
+                if ordered[low] == piece:
+                    spelled.add(piece)
+            else:
+                if start:
+                    while low < count and ordered[low].startswith(piece):
+                        overlaps.add(ordered[low])
+                        low += 1
+        prefixes.discard(text)
+        overlaps.discard(text)
+        overlaps -= prefixes
+        position = self.position
+        ids = list(self.ids_by_text[text])
+        for prefix in sorted(prefixes, key=position.__getitem__):
+            ids.extend(self.ids_by_text[prefix])
+        found = (tuple(ids), tuple(sorted(overlaps, key=position.__getitem__)))
+        return self._tables.setdefault(text, found)
 
 
 class RegexPrefilter:
@@ -253,16 +239,14 @@ class RegexPrefilter:
             texts = set(chunk.regex.findall(haystack))
             if not texts:
                 continue
-            closure = chunk.prefix_closure
-            for text in texts:
-                found.update(closure[text])
-            if chunk.any_overlaps:
-                overlap_texts = chunk.overlap_texts
-                for text in tuple(texts):
-                    for candidate in overlap_texts[text]:
-                        if candidate not in texts and candidate in haystack:
-                            texts.add(candidate)
-                            found.update(closure[candidate])
+            tables = chunk.tables
+            for text in tuple(texts):
+                ids, overlaps = tables(text)
+                found.update(ids)
+                for candidate in overlaps:
+                    if candidate not in texts and candidate in haystack:
+                        texts.add(candidate)
+                        found.update(tables(candidate)[0])
         if self._long_prefixes is not None:
             for index in self._long_prefixes.search(haystack, lowered=True):
                 text, ids = self._long[index]

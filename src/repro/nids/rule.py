@@ -8,8 +8,7 @@ chain each match to the previous one.
 from __future__ import annotations
 
 import enum
-import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 
@@ -58,9 +57,6 @@ class PcreMatch:
     flags: int = 0
     buffer: HttpBuffer = HttpBuffer.RAW
     negated: bool = False
-
-    def compiled(self) -> "re.Pattern[bytes]":
-        return re.compile(self.pattern.encode("utf-8"), self.flags)
 
 
 class PortSpec:
@@ -258,8 +254,15 @@ class Rule:
         )
 
     def port_insensitive(self) -> "Rule":
-        """The study's rewrite: drop all port constraints (Section 3.1)."""
-        return replace(self, src_ports=ANY_PORT, dst_ports=ANY_PORT)
+        """The study's rewrite: drop all port constraints (Section 3.1).
+        Not ``dataclasses.replace``, which re-reads the fields per call."""
+        return Rule(
+            action=self.action, protocol=self.protocol, src=self.src,
+            src_ports=ANY_PORT, dst=self.dst, dst_ports=ANY_PORT,
+            msg=self.msg, sid=self.sid, rev=self.rev, options=self.options,
+            references=self.references, metadata=self.metadata,
+            flow_to_server=self.flow_to_server,
+        )
 
     @property
     def fast_pattern(self) -> Optional[ContentMatch]:

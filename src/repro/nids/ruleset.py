@@ -89,8 +89,9 @@ class Alert:
 # ``match_rule`` re-dispatches on option dataclass types and enum buffers for
 # every candidate of every session.  The plan compiler flattens each rule's
 # option list once, at ruleset compile time, into positional tuples with the
-# per-option constants precomputed (buffer index, lowered nocase needle,
-# compiled pcre), leaving ``_eval_plan`` a branch on a small int opcode.
+# per-option constants precomputed (buffer index, lowered nocase needle),
+# leaving ``_eval_plan`` a branch on a small int opcode.  A pcre compiles
+# (through the shared cache) when first evaluated: most never are.
 
 _OP_CONTENT, _OP_PCRE, _OP_SIZE, _OP_ISDATAAT = 0, 1, 2, 3
 _N_BUFFERS = len(_BUFFER_INDEX)
@@ -126,7 +127,8 @@ def _compile_plan(rule: Rule) -> Tuple[tuple, ...]:
                 (
                     _OP_PCRE,
                     _BUFFER_INDEX[option.buffer],
-                    _compiled_pcre(option.pattern, option.flags),
+                    option.pattern,
+                    option.flags,
                     option.negated,
                 )
             )
@@ -188,13 +190,13 @@ def _eval_plan(steps: Tuple[tuple, ...], buffers: SessionBuffers) -> bool:
             anchors[buf] = found + len(needle)
             last = buf
         elif op == _OP_PCRE:
-            _, buf, regex, negated = step
+            _, buf, pattern, flags, negated = step
             haystack = buffers.get_index(buf)
             if haystack is None:
                 if negated:
                     continue
                 return False
-            found = regex.search(haystack)
+            found = _compiled_pcre(pattern, flags).search(haystack)
             if negated:
                 if found is not None:
                     return False

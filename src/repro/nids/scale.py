@@ -41,6 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import accumulate
 from random import Random
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -100,6 +101,18 @@ _PORT_SPECS: Tuple[Tuple[str, int], ...] = (
     ("!80", 5),
     ("[80,443,8000:8100]", 15),
 )
+
+# Fixed-weight ``rng.choices`` calls take precomputed cumulative weights
+# (``choices`` accumulates ``weights`` itself: the draws are identical).
+# Rules share one parsed, never-mutated ``PortSpec`` per spec text.
+_PORT_TEXTS = tuple(text for text, _ in _PORT_SPECS)
+_PORT_CUM_WEIGHTS = tuple(accumulate(weight for _, weight in _PORT_SPECS))
+_PARSED_PORTS = {text: PortSpec.parse(text) for text in _PORT_TEXTS}
+_CONTENT_COUNT_CUM_WEIGHTS = tuple(accumulate((60, 30, 10)))
+_BUFFERS = (
+    HttpBuffer.RAW, HttpBuffer.HTTP_URI, HttpBuffer.HTTP_HEADER, HttpBuffer.HTTP_CLIENT_BODY
+)
+_BUFFER_CUM_WEIGHTS = tuple(accumulate((60, 20, 10, 10)))
 
 _CLASSTYPES = (
     "attempted-admin",
@@ -180,7 +193,8 @@ def _pattern_for(rng: Random, *, upper: bool) -> bytes:
         tail_len = rng.randint(7, 18)
     else:
         tail_len = rng.randint(19, 36)
-    tail = "".join(rng.choice(_SUFFIX_ALPHABET) for _ in range(tail_len))
+    choice = rng.choice
+    tail = "".join([choice(_SUFFIX_ALPHABET) for _ in range(tail_len)])
     if upper:
         tail = tail.upper()
     return family + tail.encode("ascii")
@@ -214,19 +228,11 @@ def _regular_options(
     fragments: List[str] = []
     options: List[object] = []
 
-    n_contents = rng.choices((1, 2, 3), weights=(60, 30, 10))[0]
+    n_contents = rng.choices((1, 2, 3), cum_weights=_CONTENT_COUNT_CUM_WEIGHTS)[0]
     for position in range(n_contents):
         pattern = _pattern_for(rng, upper=rng.random() < 0.1)
         nocase = rng.random() < 0.4
-        buffer = rng.choices(
-            (
-                HttpBuffer.RAW,
-                HttpBuffer.HTTP_URI,
-                HttpBuffer.HTTP_HEADER,
-                HttpBuffer.HTTP_CLIENT_BODY,
-            ),
-            weights=(60, 20, 10, 10),
-        )[0]
+        buffer = rng.choices(_BUFFERS, cum_weights=_BUFFER_CUM_WEIGHTS)[0]
         offset = depth = distance = within = None
         if position == 0:
             if rng.random() < 0.1:
@@ -259,7 +265,7 @@ def _regular_options(
         options.append(negated)
 
     if rng.random() < config.pcre_fraction:
-        token = "".join(rng.choice(_SUFFIX_ALPHABET[:36]) for _ in range(6))
+        token = "".join([rng.choice(_SUFFIX_ALPHABET[:36]) for _ in range(6)])
         body = f"{token}[0-9]{{1,3}}"
         flags_text = "i" if rng.random() < 0.5 else ""
         negated_pcre = rng.random() < 0.05
@@ -347,10 +353,7 @@ def _generate_one(config: ScaleConfig, index: int) -> ScaledRule:
     tail.append(f"sid:{sid}; rev:{rev};")
 
     sport_text = "any"
-    dport_text = rng.choices(
-        [text for text, _ in _PORT_SPECS],
-        weights=[weight for _, weight in _PORT_SPECS],
-    )[0]
+    dport_text = rng.choices(_PORT_TEXTS, cum_weights=_PORT_CUM_WEIGHTS)[0]
     option_block = " ".join(head + fragments + tail)
     text = (
         f"alert tcp $EXTERNAL_NET {sport_text} -> $HOME_NET {dport_text} "
@@ -360,9 +363,9 @@ def _generate_one(config: ScaleConfig, index: int) -> ScaledRule:
         action="alert",
         protocol="tcp",
         src="$EXTERNAL_NET",
-        src_ports=PortSpec.parse(sport_text),
+        src_ports=_PARSED_PORTS[sport_text],
         dst="$HOME_NET",
-        dst_ports=PortSpec.parse(dport_text),
+        dst_ports=_PARSED_PORTS[dport_text],
         msg=msg,
         sid=sid,
         rev=rev,

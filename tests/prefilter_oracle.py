@@ -1,15 +1,16 @@
 """Differential oracles: the pairwise occurrence-closure table builder and
 the per-node trie-regex emitter, frozen.
 
-:func:`pairwise_tables` is how :class:`repro.nids.prefilter._Chunk` built its
-``prefix_closure`` and ``overlap_texts`` tables before it derived them from
-walks through the chunk's byte trie: a suffix index for the straddlers,
-then a loop of every pattern against every other pattern of the chunk
-(O(chunk² · len)).  It is kept verbatim so tests can assert the trie-walk
-tables are dict-equal to it, tuple order included.
+:func:`pairwise_tables` is how :class:`repro.nids.prefilter._Chunk` once
+built its whole ``prefix_closure`` and ``overlap_texts`` tables up front: a
+suffix index for the straddlers, then a loop of every pattern against
+every other pattern of the chunk (O(chunk² · len)).  It is kept verbatim
+so tests can assert that ``_Chunk.tables(text)``, which derives one text's
+entry on its first match, equals ``(prefix_closure[text],
+overlap_texts[text])`` for every text, tuple order included.
 :func:`per_node_trie_regex` is the emitter from before runs of single-child
-trie nodes were emitted as one literal.  Nothing under ``src/`` imports
-this module.
+trie nodes were emitted as one literal (and before the trie became implicit
+in the chunk's sorted texts).  Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations

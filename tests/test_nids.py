@@ -229,6 +229,15 @@ class TestParser:
                 f"{option};{sid})"
             )
 
+    @pytest.mark.parametrize("pcre", ["/a(b/", "/x{99999999999}/i", "/(?P<g>a)(?P<g>b)/"])
+    def test_uncompilable_pcre_is_parse_error(self, pcre):
+        # Pre-fix: parsed fine, and the first scan raised a bare re.error
+        # naming no rule.
+        with pytest.raises(RuleParseError, match=r"bad pcre option .*\(rule: "):
+            parse_rule(
+                f'alert tcp any any -> any any (msg:"m"; pcre:"{pcre}"; sid:1;)'
+            )
+
     def test_parse_error_carries_rule_text(self):
         with pytest.raises(RuleParseError, match=r"\(rule: "):
             parse_rule('alert tcp any any -> any any (msg:"m"; offset:zz; sid:1;)')

@@ -5,9 +5,13 @@ prefilter keeps the oracle automaton's contract — and the hypothesis
 properties check the strong form directly: :class:`RegexPrefilter` and the
 :class:`AhoCorasick` of ``tests/scan_oracle.py`` nominate *identical*
 pattern-id sets on arbitrary inputs, including dense self-overlapping
-alphabets and awkward chunk boundaries.  The chunk closure tables and trie regexes are also checked
-against the frozen builders in ``tests/prefilter_oracle.py``.
+alphabets and awkward chunk boundaries.  Each chunk's lazily derived
+closure tables and its trie regex are also checked against the frozen
+builders in ``tests/prefilter_oracle.py``.
 """
+
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,6 @@ from repro.nids.prefilter import (
     DEFAULT_CHUNK_SIZE,
     MAX_TRIE_PATTERN,
     RegexPrefilter,
-    _byte_trie,
     _trie_regex,
 )
 from repro.nids.scale import ScaleConfig, generate_scaled
@@ -185,11 +188,11 @@ def _assert_tables_match_oracle(patterns, chunk_size=DEFAULT_CHUNK_SIZE):
     chunks = _chunk_texts(patterns, chunk_size)
     assert len(chunks) == prefilter.chunk_count
     for texts, chunk in zip(chunks, prefilter._chunks):
+        assert list(chunk.position) == texts
+        assert chunk.ordered == sorted(texts)
         closure, overlaps = pairwise_tables(texts, chunk.ids_by_text)
-        assert chunk.prefix_closure == closure
-        assert chunk.overlap_texts == overlaps
-        assert list(chunk.overlap_texts) == texts
-        assert chunk.any_overlaps == any(overlaps.values())
+        for text in texts:
+            assert chunk.tables(text) == (closure[text], overlaps[text])
     return prefilter
 
 
@@ -204,11 +207,29 @@ def _assert_tables_match_oracle(patterns, chunk_size=DEFAULT_CHUNK_SIZE):
     st.integers(min_value=1, max_value=4),
 )
 @settings(max_examples=300)
-def test_trie_tables_equal_pairwise_oracle(patterns, chunk):
-    """Property: the trie-walk closure tables are dict-equal to the frozen
-    pairwise builder, tuple order included, on dense self-overlapping
-    pattern lists."""
+def test_lazy_tables_equal_pairwise_oracle(patterns, chunk):
+    """Property: every text's lazily derived closure tables equal the
+    frozen pairwise builder's, tuple order included, on dense
+    self-overlapping pattern lists."""
     _assert_tables_match_oracle(patterns, chunk)
+
+
+def test_tables_derived_only_for_matched_texts():
+    """A new chunk holds no tables; a search derives them only for the
+    texts it matched or confirmed, and a repeat search reuses them."""
+    patterns = [b"abc", b"ab", b"bcd", b"cd", b"xyz", b"zzz"]
+    prefilter = RegexPrefilter(patterns)
+    (chunk,) = prefilter._chunks
+    assert chunk._tables == {}
+    # findall reports only "abc" (its prefix "ab" rides in its closure);
+    # "bcd" and "cd" straddle out of it and are confirmed with ``in``.
+    first = prefilter.search(b"xxabcdxx")
+    assert first == {0, 1, 2, 3}
+    assert set(chunk._tables) == {b"abc", b"bcd", b"cd"}
+    assert prefilter.search(b"xxabcdxx") == first
+    assert set(chunk._tables) == {b"abc", b"bcd", b"cd"}
+    assert prefilter.search(b"xyz") == {4}
+    assert set(chunk._tables) == {b"abc", b"bcd", b"cd", b"xyz"}
 
 
 @pytest.fixture(scope="module")
@@ -234,9 +255,64 @@ def test_scaled_corpus_tables_equal_pairwise_oracle(scaled_patterns):
 def test_trie_regex_source_equals_per_node_emitter(scaled_patterns):
     for texts in _chunk_texts(scaled_patterns, DEFAULT_CHUNK_SIZE):
         assert (
-            _trie_regex(_byte_trie(texts)).pattern
+            _trie_regex(sorted(texts)).pattern
             == per_node_trie_regex(texts).pattern
         )
+
+
+def test_concurrent_first_searches_agree(scaled_patterns):
+    """Threads racing to derive (and memoize) the same chunk's tables
+    still each get the automaton's answer, and every memo entry equals
+    the pairwise oracle's."""
+    patterns = scaled_patterns[:600]
+    prefilter = RegexPrefilter(patterns)
+    automaton = AhoCorasick(patterns)
+    haystacks = [
+        b"GET " + first + b" " + second
+        for first, second in zip(patterns[::7], patterns[3::11])
+    ]
+    expected = [automaton.search(haystack) for haystack in haystacks]
+    failures = []
+
+    def worker(offset):
+        for step in range(len(haystacks)):
+            index = (offset + step) % len(haystacks)
+            if prefilter.search(haystacks[index]) != expected[index]:
+                failures.append(index)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    chunks = _chunk_texts(patterns, DEFAULT_CHUNK_SIZE)
+    for texts, chunk in zip(chunks, prefilter._chunks):
+        closure, overlaps = pairwise_tables(texts, chunk.ids_by_text)
+        for text, tables in chunk._tables.items():
+            assert tables == (closure[text], overlaps[text])
+    assert sum(len(chunk._tables) for chunk in prefilter._chunks) > 0
+
+
+@given(
+    st.lists(
+        st.text(alphabet="ab", min_size=1, max_size=8).map(str.encode),
+        min_size=1,
+        max_size=16,
+        unique=True,
+    )
+)
+@settings(max_examples=300)
+def test_trie_regex_source_equals_per_node_emitter_dense(texts):
+    """Property: on dense two-letter patterns (deep shared prefixes, texts
+    that end inside runs) the sorted emitter spells the per-node source."""
+    assert _trie_regex(sorted(texts)).pattern == per_node_trie_regex(texts).pattern
 
 
 _LONG = st.text(alphabet="ab", min_size=60, max_size=80).map(str.encode)

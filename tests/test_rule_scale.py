@@ -13,6 +13,8 @@ Two invariants anchor everything here:
   candidate sets equal a monolithic oracle automaton's.
 """
 
+import dataclasses
+import hashlib
 import pickle
 
 import pytest
@@ -23,7 +25,9 @@ from repro.nids import ruleset as ruleset_mod
 from repro.nids.engine import ScanTelemetry, scan_stream
 from repro.nids.parallel import parallel_scan
 from repro.nids.parser import _decode_content, encode_content, parse_rule
+from repro.exploits.rulegen import build_study_ruleset
 from repro.nids.prefilter import RegexPrefilter, ShardedPrefilter
+from repro.nids.rule import ANY_PORT, Rule
 from repro.nids.ruleset import (
     AUTO_SHARD_MIN_PATTERNS,
     Ruleset,
@@ -105,6 +109,45 @@ class TestGeneration:
         )
         assert scaled[0].fodder is None
         assert unexpected_findings(scaled, [planted]) == [planted]
+
+
+def _corpus_digest(config):
+    digest = hashlib.blake2b(digest_size=16)
+    for item in generate_scaled(config):
+        digest.update(
+            repr((item.text, item.published.isoformat(), item.fodder)).encode()
+        )
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "seed, expected",
+    [
+        (ScaleConfig().seed, "e4d4e7b7f78ea07e3a3af868e1ce731d"),
+        (7, "54006163da89ca31192552810fe841ef"),
+    ],
+)
+def test_corpus_pinned_byte_for_byte(seed, expected):
+    """Golden digest over every generated rule's text, publication instant
+    and fodder category at 10k rules: a changed draw fails here even when
+    it happens not to move an alert."""
+    assert _corpus_digest(ScaleConfig(size=10000, seed=seed)) == expected
+
+
+def test_port_insensitive_equals_replace():
+    """The direct-constructor rewrite equals ``dataclasses.replace`` on the
+    study ruleset and on scaled rules, field by field, so a field added to
+    :class:`Rule` and dropped by the rewrite fails here."""
+    rules = build_study_ruleset(port_insensitive=False).rules + [
+        item.rule for item in generate_scaled(ScaleConfig(size=500))
+    ]
+    assert any(not rule.dst_ports.any_port for rule in rules)
+    for rule in rules:
+        rewritten = rule.port_insensitive()
+        expected = dataclasses.replace(rule, src_ports=ANY_PORT, dst_ports=ANY_PORT)
+        assert rewritten == expected
+        for field in dataclasses.fields(Rule):
+            assert getattr(rewritten, field.name) == getattr(expected, field.name)
 
 
 class TestRoundTripProperty:
