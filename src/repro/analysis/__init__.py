@@ -23,11 +23,9 @@ from repro.analysis.impact import impact_cdfs
 from repro.analysis.kev_compare import KevComparison, compare_with_kev
 from repro.analysis.log4shell import Log4ShellAnalysis, analyse_log4shell
 from repro.analysis.confluence import ConfluenceAnalysis, analyse_confluence
-from repro.analysis.sources import source_concentration, source_profiles
 from repro.analysis.vendors import category_summaries, sophistication_gap_days
 from repro.analysis.evolution import cohort_skills
 from repro.analysis.coverage import attribution_quality
-from repro.analysis.campaigns import campaign_tiers, profile_campaigns
 
 __all__ = [
     "StudyConfig",
@@ -44,12 +42,8 @@ __all__ = [
     "analyse_log4shell",
     "ConfluenceAnalysis",
     "analyse_confluence",
-    "source_concentration",
-    "source_profiles",
     "category_summaries",
     "sophistication_gap_days",
     "cohort_skills",
     "attribution_quality",
-    "campaign_tiers",
-    "profile_campaigns",
 ]

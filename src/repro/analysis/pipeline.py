@@ -20,18 +20,15 @@ stages gets a wall-clock span recording where its data came from
 (``computed`` / ``cache`` / ``checkpoint``), the run's telemetry publishes
 into a per-run metrics registry, and the whole record is written atomically
 as a :class:`repro.obs.RunManifest` next to the study cache entry.  The
-one telemetry surface is :attr:`StudyResult.telemetry`; the old scattered
-attributes (``scan_telemetry``, ``cache_telemetry``, ``checkpoint_stages``)
-survive one release as deprecated shims.
+one telemetry surface is :attr:`StudyResult.telemetry`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.cache import CacheTelemetry, CheckpointStore, StudyCache
@@ -63,34 +60,6 @@ from repro.telescope.collector import CollectionStats, DscopeCollector
 from repro.telescope.config import TelescopeConfig
 from repro.traffic.generator import TrafficConfig, TrafficGenerator
 
-#: Named study presets: quick (CI-sized), standard (interactive), full (the
-#: paper's complete traffic volume).  Kept for the deprecated
-#: :meth:`StudyConfig.from_preset` shim; each is also a registered scenario,
-#: and :meth:`StudyConfig.from_scenario` is the blessed constructor.
-PRESETS: Dict[str, Dict[str, object]] = {
-    "quick": dict(volume_scale=0.02, background_per_exploit=0.3,
-                  background_nvd_count=2000),
-    "standard": dict(volume_scale=0.1, background_per_exploit=0.5,
-                     background_nvd_count=20000),
-    "full": dict(volume_scale=1.0, background_per_exploit=1.0,
-                 background_nvd_count=20000),
-}
-
-#: Deprecated StudyResult attributes already warned about this process —
-#: each shim warns exactly once, not once per access.
-_DEPRECATION_WARNED: Set[str] = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"StudyResult.{name} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 @dataclass(frozen=True, init=False)
 class StudyConfig:
@@ -120,10 +89,6 @@ class StudyConfig:
     workers: int = 1
     scenario: Optional[str] = None
     feed_dir: Optional[str] = None
-
-    #: Kept as a class-level alias of the module mapping for callers that
-    #: still spell ``StudyConfig.PRESETS``.
-    PRESETS = PRESETS
 
     def __init__(
         self,
@@ -170,36 +135,6 @@ class StudyConfig:
         values.update(overrides)
         values.setdefault("scenario", name)
         return cls(**values)  # type: ignore[arg-type]
-
-    @classmethod
-    def from_preset(cls, name: str, **overrides: object) -> "StudyConfig":
-        """Deprecated alias of :meth:`from_scenario` (presets are now
-        registered scenarios; kept one release)."""
-        if "from_preset" not in _DEPRECATION_WARNED:
-            _DEPRECATION_WARNED.add("from_preset")
-            warnings.warn(
-                "StudyConfig.from_preset is deprecated; use "
-                "StudyConfig.from_scenario",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if name not in PRESETS:
-            raise KeyError(
-                f"unknown preset {name!r}; known: {sorted(PRESETS)}"
-            )
-        return cls.from_scenario(name, **overrides)
-
-    @classmethod
-    def preset(
-        cls, name: str, *, seed: int = DEFAULT_SEED, workers: int = 1
-    ) -> "StudyConfig":
-        """Deprecated alias of :meth:`from_preset` (kept one release)."""
-        warnings.warn(
-            "StudyConfig.preset is deprecated; use StudyConfig.from_preset",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls.from_preset(name, seed=seed, workers=workers)
 
 
 @dataclass
@@ -252,26 +187,6 @@ class StudyResult:
     #: The run's unified telemetry: ``.scan``, ``.cache``, ``.checkpoints``,
     #: ``.manifest_path``.
     telemetry: StudyTelemetry = field(default_factory=StudyTelemetry)
-
-    # -- deprecated telemetry shims (one release of grace) -------------------
-
-    @property
-    def scan_telemetry(self) -> Optional[ScanTelemetry]:
-        """Deprecated: use :attr:`telemetry` ``.scan``."""
-        _warn_deprecated("scan_telemetry", "StudyResult.telemetry.scan")
-        return self.telemetry.scan
-
-    @property
-    def cache_telemetry(self) -> Optional["CacheTelemetry"]:
-        """Deprecated: use :attr:`telemetry` ``.cache``."""
-        _warn_deprecated("cache_telemetry", "StudyResult.telemetry.cache")
-        return self.telemetry.cache
-
-    @property
-    def checkpoint_stages(self) -> List[str]:
-        """Deprecated: use :attr:`telemetry` ``.checkpoints``."""
-        _warn_deprecated("checkpoint_stages", "StudyResult.telemetry.checkpoints")
-        return self.telemetry.checkpoints
 
     @property
     def kept_cves(self) -> List[str]:

@@ -19,27 +19,39 @@ from typing import Iterable, Tuple
 
 from repro._version import __version__
 
-#: Every module whose behaviour shapes the cached intermediates (arrival
-#: stream, session store, alert list).
+#: Every module whose behaviour shapes the cached intermediates (session
+#: store, alert list): the import closure of ``repro.analysis.pipeline``
+#: minus the cache's own format modules and the stages downstream of the
+#: cache.  A test checks this list against the closure, both ways; it is
+#: kept literal so no run walks the import graph.
 STAGE_MODULES: Tuple[str, ...] = (
     "repro.analysis.pipeline",
     "repro.datasets.catalog",
+    "repro.datasets.feeds",
     "repro.datasets.feeds.base",
     "repro.datasets.feeds.fixes",
     "repro.datasets.feeds.kevjson",
     "repro.datasets.feeds.nvd2",
+    "repro.datasets.kev",
     "repro.datasets.loader",
+    "repro.datasets.nvd",
+    "repro.datasets.records",
     "repro.datasets.seed_cves",
     "repro.datasets.seed_log4shell",
     "repro.datasets.sources",
+    "repro.datasets.suciu",
+    "repro.datasets.talos",
     "repro.exploits.log4shell",
     "repro.exploits.rulegen",
     "repro.exploits.templates",
     "repro.net.http",
     "repro.net.pcapstore",
     "repro.net.session",
+    "repro.nids.arena",
     "repro.nids.engine",
+    "repro.nids.lint",
     "repro.nids.matcher",
+    "repro.nids.parallel",
     "repro.nids.parser",
     "repro.nids.prefilter",
     "repro.nids.rule",
@@ -50,6 +62,7 @@ STAGE_MODULES: Tuple[str, ...] = (
     "repro.obs.metrics",
     "repro.obs.profile",
     "repro.obs.trace",
+    "repro.scenarios",
     "repro.scenarios.builtins",
     "repro.scenarios.registry",
     "repro.scenarios.resolve",

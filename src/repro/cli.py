@@ -91,7 +91,7 @@ def study_parent() -> argparse.ArgumentParser:
     parent.add_argument(
         "--scale", type=float, default=None,
         help="traffic volume scale (1.0 = the paper's full ~117k events; "
-             "default 0.05, or the preset's scale with --preset)",
+             "default 0.05, or the scenario's scale with --scenario)",
     )
     parent.add_argument("--seed", type=int, default=20230321)
     parent.add_argument(
@@ -104,11 +104,6 @@ def study_parent() -> argparse.ArgumentParser:
         help="directory holding real-feed snapshots (nvd.json, kev.json, "
              "fixes.csv) for feed-backed scenarios",
     )
-    parent.add_argument(
-        "--preset", choices=sorted(StudyConfig.PRESETS), default=None,
-        help="named study configuration (quick / standard / full); "
-             "presets are scenarios now — --scenario NAME is the same thing",
-    )
     return parent
 
 
@@ -120,10 +115,6 @@ def _study_config(args: argparse.Namespace) -> StudyConfig:
     if getattr(args, "feed_dir", None) is not None:
         overrides["feed_dir"] = args.feed_dir
     scenario_name = getattr(args, "scenario", None)
-    if scenario_name is not None and args.preset is not None:
-        raise SystemExit("error: --scenario and --preset are mutually exclusive")
-    # --preset is the legacy spelling: presets are registered scenarios.
-    scenario_name = scenario_name or args.preset
     if scenario_name is not None:
         try:
             return StudyConfig.from_scenario(scenario_name, **overrides)

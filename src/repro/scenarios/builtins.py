@@ -315,7 +315,7 @@ register_scenario(
     )
 )
 
-#: Preset-sized scenarios (the successors of StudyConfig.PRESETS); config
+#: The sized scenarios (quick / standard / full); config
 #: overrides only, so their cache keys match equivalent hand-built configs.
 PRESET_SCENARIOS = {
     "quick": dict(

@@ -11,13 +11,10 @@ never responds at the application layer.
 from repro.telescope.config import TelescopeConfig
 from repro.telescope.pool import CloudIpPool
 from repro.telescope.collector import CollectionStats, DscopeCollector
-from repro.telescope.darknet import DarknetTelescope, compare_vantage_points
 
 __all__ = [
     "TelescopeConfig",
     "CloudIpPool",
     "CollectionStats",
     "DscopeCollector",
-    "DarknetTelescope",
-    "compare_vantage_points",
 ]

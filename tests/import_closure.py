@@ -1,9 +1,9 @@
 """The ``repro.*`` import graph, read from source with ``ast``.
 
-Tests use :func:`closure` to assert that every module a pipeline stage
-imports, directly or transitively, is folded into the cache's code
-fingerprint (``repro.cache.fingerprint.STAGE_MODULES``).  No module is
-imported to walk the graph.
+Tests use :func:`closure` to assert that the modules the study pipeline
+imports, directly or transitively, are exactly those folded into the
+cache's code fingerprint (``repro.cache.fingerprint.STAGE_MODULES``) apart
+from a commented exclusion set.  No module is imported to walk the graph.
 """
 
 from __future__ import annotations

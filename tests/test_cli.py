@@ -92,8 +92,8 @@ class TestRunAndExperiment:
                      "--workers", "2"]) == 0
         assert capsys.readouterr().out == serial
 
-    def test_run_preset_quick(self, capsys):
-        assert main(["run", "--preset", "quick", "--scale", "0.01"]) == 0
+    def test_run_scenario_quick(self, capsys):
+        assert main(["run", "--scenario", "quick", "--scale", "0.01"]) == 0
         assert "Table 4 (measured)" in capsys.readouterr().out
 
     def test_experiment_finding7(self, capsys):

@@ -151,32 +151,9 @@ class TestPresets:
         with _pytest.raises(KeyError):
             StudyConfig.from_scenario("enormous")
 
-    def test_from_preset_delegates_to_scenario(self):
-        import warnings
-
-        from repro.analysis.pipeline import StudyConfig
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = StudyConfig.from_preset("quick", seed=5)
-        assert legacy == StudyConfig.from_scenario("quick", seed=5)
-
     def test_positional_construction_rejected(self):
         from repro.analysis.pipeline import StudyConfig
         import pytest as _pytest
 
         with _pytest.raises(TypeError):
             StudyConfig(42)
-
-    def test_preset_alias_warns(self):
-        import warnings
-
-        from repro.analysis.pipeline import StudyConfig
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = StudyConfig.preset("quick", seed=5)
-        assert legacy == StudyConfig.from_preset("quick", seed=5)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )

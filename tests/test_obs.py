@@ -9,14 +9,10 @@ import warnings
 
 import pytest
 
-import repro.analysis.pipeline as pipeline_module
 from repro.analysis.pipeline import (
     StudyConfig,
-    StudyResult,
-    StudyTelemetry,
     run_study,
 )
-from repro.nids.engine import ScanTelemetry
 from repro.obs import (
     MetricsRegistry,
     RunManifest,
@@ -313,44 +309,6 @@ class TestStageProfiler:
         assert profiling_enabled()
 
 
-class TestTelemetryFacade:
-    def _result(self):
-        return StudyResult(
-            config=_tiny_config(),
-            bundle=None,
-            store=None,
-            ruleset=None,
-            alerts=[],
-            events=[],
-            events_per_cve={},
-            rca_decisions=[],
-            timelines={},
-            collection_stats=None,
-            telemetry=StudyTelemetry(scan=ScanTelemetry(), checkpoints=["x"]),
-        )
-
-    def test_deprecated_shims_warn_exactly_once(self, monkeypatch):
-        monkeypatch.setattr(
-            pipeline_module, "_DEPRECATION_WARNED", set()
-        )
-        result = self._result()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert result.scan_telemetry is result.telemetry.scan
-            assert result.scan_telemetry is result.telemetry.scan
-            assert result.cache_telemetry is None
-            assert result.checkpoint_stages == ["x"]
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        # One warning per attribute, not per access.
-        assert len(deprecations) == 3
-        messages = "\n".join(str(w.message) for w in deprecations)
-        assert "telemetry.scan" in messages
-        assert "telemetry.cache" in messages
-        assert "telemetry.checkpoints" in messages
-
-
 class TestPipelineObservability:
     STAGES = ["datasets", "traffic", "capture", "scan", "extract", "timelines"]
 
@@ -454,7 +412,7 @@ class TestCli:
         from repro.cli import main
 
         cache_dir = str(tmp_path / "cli-cache")
-        args = ["--preset", "quick", "--scale", "0.005",
+        args = ["--scenario", "quick", "--scale", "0.005",
                 "--cache-dir", cache_dir]
         assert main(["run"] + args) == 0
         capsys.readouterr()
@@ -484,7 +442,7 @@ class TestCli:
         from repro.cli import main
 
         code = main([
-            "run", "--preset", "quick", "--scale", "0.005",
+            "run", "--scenario", "quick", "--scale", "0.005",
             "--cache-dir", str(tmp_path / "c"), "--json",
         ])
         assert code == 0

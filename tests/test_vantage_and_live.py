@@ -1,10 +1,9 @@
-"""Tests for the darknet vantage comparison and live-mode IDS evaluation."""
+"""Tests for live-mode IDS evaluation."""
 
 from datetime import timedelta
 
 import pytest
 
-from repro.datasets.seed_cves import STUDY_WINDOW
 from repro.nids.live import (
     LiveComparison,
     LiveDetectionEngine,
@@ -13,19 +12,7 @@ from repro.nids.live import (
 from repro.nids.parser import parse_rule
 from repro.nids.ruleset import Ruleset
 from repro.net.session import TcpSession
-from repro.telescope.darknet import (
-    DarknetTelescope,
-    compare_vantage_points,
-)
-from repro.traffic.arrivals import ScanArrival
 from repro.util.timeutil import utc
-
-
-def _arrival(day, port=80, src=1):
-    return ScanArrival(
-        timestamp=STUDY_WINDOW.start + timedelta(days=day),
-        src_ip=src, src_port=50000, dst_port=port, payload=b"EXPLOIT",
-    )
 
 
 def _session(day, payload=b"TOKEN"):
@@ -33,41 +20,6 @@ def _session(day, payload=b"TOKEN"):
         session_id=day, start=utc(2021, 3, 1) + timedelta(days=day),
         src_ip=1, src_port=1, dst_ip=2, dst_port=80, payload=payload,
     )
-
-
-class TestDarknet:
-    def test_records_syn_metadata_only(self):
-        darknet = DarknetTelescope(window=STUDY_WINDOW)
-        observations = darknet.observe([_arrival(1), _arrival(2, port=443)])
-        assert len(observations) == 2
-        assert not hasattr(observations[0], "payload")
-        assert darknet.stats.unique_sources == 1
-        assert darknet.stats.ports == {80: 1, 443: 1}
-
-    def test_out_of_window_ignored(self):
-        darknet = DarknetTelescope(window=STUDY_WINDOW)
-        darknet.observe([_arrival(-5), _arrival(9999)])
-        assert darknet.stats.syns == 0
-
-    def test_top_ports(self):
-        darknet = DarknetTelescope(window=STUDY_WINDOW)
-        darknet.observe(
-            [_arrival(i, port=80) for i in range(5)]
-            + [_arrival(i, port=443) for i in range(2)]
-        )
-        assert darknet.stats.top_ports(1) == [(80, 5)]
-
-    def test_comparison_attribution_gap(self):
-        arrivals = [_arrival(i) for i in range(10)]
-        comparison = compare_vantage_points(
-            arrivals,
-            window=STUDY_WINDOW,
-            interactive_sessions_with_payload=10,
-            interactive_attributed_events=8,
-        )
-        assert comparison.darknet_syns == 10
-        assert comparison.darknet_attributable_sessions == 0
-        assert comparison.attribution_gain == 8.0
 
 
 class TestLiveEngine:
