@@ -70,10 +70,11 @@ class StudyConfig:
     Named configurations come from :meth:`from_scenario`.
 
     ``workers`` is an *execution* knob: it sets how many worker processes
-    generate traffic and scan sessions, and can never change the result
-    (the study cache keys ignore it for the same reason).  ``feed_dir`` is
-    likewise execution-flavoured: it says *where* feed snapshots live, and
-    the cache keys on the snapshots' content, not their location.
+    scan sessions (the NIDS scan is the only parallel stage), and can never
+    change the result (the study cache keys ignore it for the same reason).
+    ``feed_dir`` is likewise execution-flavoured: it says *where* feed
+    snapshots live, and the cache keys on the snapshots' content, not their
+    location.
 
     ``scenario`` names a registered scenario (:mod:`repro.scenarios`)
     whose components the pipeline composes in place of its hard-wired
@@ -365,11 +366,7 @@ def _build_manifest(
     if scan_telemetry is not None:
         execution["scan_wall_seconds"] = scan_telemetry.wall_seconds
         execution["scan_cpu_seconds"] = scan_telemetry.cpu_seconds
-        # Transfer-plane decisions, so a manifest explains *how* a parallel
-        # request was actually served (arena size, warm-pool reuse, or the
-        # break-even fallback to serial).
-        execution["scan_arena_bytes"] = scan_telemetry.arena_bytes
-        execution["scan_pool_reuses"] = scan_telemetry.pool_reuses
+        # Whether a parallel request was served serially (break-even).
         execution["scan_fallback_serial"] = scan_telemetry.fallback_serial
         # Prefilter sharding: how the fast-pattern plane was partitioned
         # and how many shards actually compiled (lazy — untouched shards
@@ -502,9 +499,7 @@ def run_study(
                     span.set("source", "computed")
                     generator = resolved.build_traffic(bundle.window)
                     with profiler.stage("traffic"):
-                        arrivals = generator.generate(
-                            workers=config.workers, tracer=tracer
-                        )
+                        arrivals = generator.generate(tracer=tracer)
                     span.set("arrivals", len(arrivals))
 
             # Stage 3: telescope capture (or its checkpoint).
@@ -541,11 +536,7 @@ def run_study(
                 if alerts is None:
                     span.set("source", "computed")
                     engine = DetectionEngine(
-                        ruleset,
-                        workers=config.workers,
-                        checkpoint_store=checkpoint_store,
-                        checkpoint_key=study_key,
-                        tracer=tracer,
+                        ruleset, workers=config.workers, tracer=tracer
                     )
                     with profiler.stage("scan"):
                         alerts = engine.scan(store)

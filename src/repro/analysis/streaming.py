@@ -15,9 +15,9 @@ study say *right now*" while the traffic is still arriving.  Three pieces:
 * :func:`watch_study` — the driver.  Tails an arrival source (the
   synthetic :meth:`TrafficGenerator.stream` by default) through
   :meth:`DscopeCollector.collect_windows`, scans each window with one
-  :class:`DetectionEngine` (warm worker pool above the parallel break-even
-  threshold, serial below), folds it into an :class:`IncrementalStudy`,
-  and yields a :class:`WindowReport` per window — optionally writing a
+  :class:`DetectionEngine` (a forked worker pool above the parallel
+  break-even threshold, serial below), folds it into an
+  :class:`IncrementalStudy`, and yields a :class:`WindowReport` per window — optionally writing a
   rolling, schema-validated :class:`repro.obs.RunManifest` for each.
 * The memory contract: the streaming path never materialises the full
   archive.  The accumulator keeps alerts plus payloads of *alerted*
@@ -202,7 +202,7 @@ def watch_study(
     :meth:`TrafficGenerator.stream` for the given config (resumed from
     ``cursor``); pass any time-sorted arrival iterable to tail something
     else.  Each window is captured incrementally, scanned with the
-    config's worker count (the engine reuses a warm worker pool above the
+    config's worker count (the engine forks a worker pool above the
     parallel break-even threshold and runs serially below it — ``threshold``
     overrides the break-even), and folded into an
     :class:`IncrementalStudy`; after the final window the cumulative

@@ -1,36 +1,27 @@
 """Crash-recovery checkpoints for in-flight pipeline work.
 
 The study cache (:mod:`repro.cache.study`) persists *finished* runs; this
-module persists *partial* ones.  A long scan that dies mid-way — worker
-OOM, machine reboot, a ctrl-C — leaves behind per-stage and per-chunk
-checkpoints keyed by the same content hash as the study cache, so the next
-invocation of the same configuration recomputes only what is missing.
+module persists *partial* ones.  A run that dies mid-way — OOM, machine
+reboot, a ctrl-C — leaves behind per-stage checkpoints keyed by the same
+content hash as the study cache, so the next invocation of the same
+configuration recomputes only what is missing.
 
-A checkpoint under ``<cache root>/checkpoints/<key>/`` is one of two kinds:
-
-* a **stage** (``store``, ``alerts``) is the heavy stage's cache-entry data
-  file itself (``store.cols.zlib``, ``alerts.cols.zlib``: compressed column
-  containers), written once through the study cache's stage codecs, plus a
-  ``<stage>.stage.json`` record holding the record count and each file's
-  BLAKE2b digest and size.  The files are written in a ``.tmp<pid>``
-  staging directory and moved into place with ``os.replace``; the record
-  is written last, so a stage without one is incomplete.  Loading
-  re-checks every digest, and decoding re-checks the container's columns
-  and dtypes; when the run finishes,
-  :meth:`repro.cache.StudyCache.save` hard-links the files into the cache
-  entry, so a stage is encoded and written exactly once per run;
-* a **blob** (the parallel scan's ``chunk-*`` results) is one gzip JSON
-  file ``<name>.json.gz``, an envelope ``{"schema", "digest", "payload"}``
-  whose ``digest`` is the BLAKE2b hash of the canonical JSON encoding of
-  the payload.  Payloads must therefore be JSON-native (dicts, lists,
-  strings, numbers); anything that does not round-trip through JSON would
-  self-invalidate on load.
+A checkpoint under ``<cache root>/checkpoints/<key>/`` is one heavy
+**stage** (``store``, ``alerts``): the stage's cache-entry data file itself
+(``store.cols.zlib``, ``alerts.cols.zlib``: compressed column containers),
+written once through the study cache's stage codecs, plus a
+``<stage>.stage.json`` record holding the record count and each file's
+BLAKE2b digest and size.  The files are written in a ``.tmp<pid>`` staging
+directory and moved into place with ``os.replace``; the record is written
+last, so a stage is either absent or complete.  Loading re-checks every digest, and decoding re-checks the
+container's columns and dtypes; when the run finishes,
+:meth:`repro.cache.StudyCache.save` hard-links the files into the cache
+entry, so a stage is encoded and written exactly once per run.
 
 Traffic has no stage: the arrival stream is a pure function of the key,
 so a resumed run regenerates it, and only when capture has to run again.
 
-Either kind is published atomically, so it is absent or complete.  A
-checkpoint that fails its check on load (bit rot, truncation, schema
+A checkpoint that fails its check on load (bit rot, truncation, schema
 drift) counts an integrity failure, is deleted, and reads as a miss, so
 the caller recomputes and republishes it.
 
@@ -43,8 +34,6 @@ outlive ``max_age`` plus orphaned staging files.
 from __future__ import annotations
 
 import dataclasses
-import gzip
-import hashlib
 import json
 import os
 import re
@@ -63,19 +52,14 @@ from repro.cache.study import (
     write_stage,
 )
 
-#: Bump when the blob envelope or the stage record layout changes.  2: the
-#: stages are cache-entry data files plus a ``<stage>.stage.json`` record.
-#: (Stage file formats are covered by ``CACHE_SCHEMA``, which is part of
-#: every checkpoint key.)
+#: Bump when the stage record layout changes.  2: the stages are
+#: cache-entry data files plus a ``<stage>.stage.json`` record.  (Stage
+#: file formats are covered by ``CACHE_SCHEMA``, which is part of every
+#: checkpoint key.)
 CHECKPOINT_SCHEMA = 2
 
 _STAGING_RE = re.compile(r"\.tmp\d+$")
 _STAGE_SUFFIX = ".stage.json"
-
-
-def _digest_payload(payload) -> str:
-    canonical = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.blake2b(canonical, digest_size=16).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -132,50 +116,22 @@ class CheckpointStore:
         if not name or "/" in name or name.startswith("."):
             raise ValueError(f"invalid checkpoint name: {name!r}")
 
-    def _blob_path(self, key: str, name: str) -> Path:
-        self._check_name(name)
-        if f"{name}.json.gz" in STAGE_FILES:
-            raise ValueError(f"checkpoint blob name {name!r} is a stage file")
-        return self.dir_for(key) / f"{name}.json.gz"
-
     def _record_path(self, key: str, name: str) -> Path:
         self._check_name(name)
         return self.dir_for(key) / f"{name}{_STAGE_SUFFIX}"
 
     # -- save / load ---------------------------------------------------------
 
-    def save(self, key: str, name: str, payload) -> Path:
-        """Persist one checkpoint atomically; returns its path.
+    def save(self, key: str, name: str, payload: StagePayload) -> Path:
+        """Persist one stage checkpoint atomically; returns the path of the
+        stage's first data file.
 
-        A :class:`StagePayload` is written as its stage's data files (the
-        path returned is the stage's first file); anything else is a
-        JSON-native blob payload, staged in a ``.tmp<pid>`` sibling and
-        published with one ``os.replace``, so a reader can never observe a
-        torn blob — only the previous one or the new one.
+        The data files are staged in a ``.tmp<pid>`` directory and moved
+        into place; the stage record goes last, so a reader never observes
+        a torn stage — only none or a complete one.
         """
-        if isinstance(payload, StagePayload):
-            return self._save_stage(key, name, payload)
-        path = self._blob_path(key, name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        staging = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        envelope = {
-            "schema": CHECKPOINT_SCHEMA,
-            "digest": _digest_payload(payload),
-            "created": time.time(),
-            "payload": payload,
-        }
-        try:
-            with gzip.open(staging, "wt", encoding="ascii", compresslevel=1) as handle:
-                json.dump(envelope, handle)
-            os.replace(staging, path)
-        except BaseException:
-            staging.unlink(missing_ok=True)
-            raise
-        self._count("saves")
-        self._count("bytes_written", path.stat().st_size)
-        return path
-
-    def _save_stage(self, key: str, name: str, payload: StagePayload) -> Path:
+        if not isinstance(payload, StagePayload):
+            raise TypeError("a checkpoint is a StagePayload (encode_stage_*)")
         if name != payload.stage or name not in STAGES:
             raise ValueError(f"{payload.stage!r} stage saved as {name!r}")
         record_path = self._record_path(key, name)
@@ -202,39 +158,18 @@ class CheckpointStore:
         return directory / next(iter(record["files"]))
 
     def load(self, key: str, name: str):
-        """The checkpoint's value, or None.
+        """The stage's decoded value (what its ``encode_stage_*`` was
+        given), or None.
 
-        For a stage this is the decoded stage value (what its
-        ``encode_stage_*`` was given); for a blob, its payload.  A missing
-        checkpoint is a plain miss; an unreadable one, a schema mismatch,
-        or a digest, size or record-count mismatch counts an integrity
-        failure, deletes the checkpoint, and is reported as a miss so the
-        caller recomputes.
+        A missing stage is a plain miss; an unreadable record, a schema
+        mismatch, or a digest, size or record-count mismatch counts an
+        integrity failure, deletes the stage, and is reported as a miss so
+        the caller recomputes.
         """
         if name in STAGES and self._record_path(key, name).exists():
             return self._load_stage(key, name)
-        path = self._blob_path(key, name)
-        try:
-            raw_size = path.stat().st_size
-            with gzip.open(path, "rt", encoding="ascii") as handle:
-                envelope = json.load(handle)
-        except FileNotFoundError:
-            self._count("misses")
-            return None
-        except (OSError, ValueError):
-            self._invalidate([path])
-            return None
-        if (
-            not isinstance(envelope, dict)
-            or envelope.get("schema") != CHECKPOINT_SCHEMA
-            or "payload" not in envelope
-            or envelope.get("digest") != _digest_payload(envelope["payload"])
-        ):
-            self._invalidate([path])
-            return None
-        self._count("hits")
-        self._count("bytes_read", raw_size)
-        return envelope["payload"]
+        self._count("misses")
+        return None
 
     def _load_stage(self, key: str, name: str):
         codec = STAGES[name]
@@ -289,26 +224,18 @@ class CheckpointStore:
             path.unlink(missing_ok=True)
 
     def has(self, key: str, name: str) -> bool:
-        return (
-            self._record_path(key, name).exists()
-            or self._blob_path(key, name).exists()
-        )
+        return self._record_path(key, name).exists()
 
     def names(self, key: str) -> List[str]:
-        """Checkpoint names present under a key: complete stages and blobs
-        (sorted; staging files and stage data files excluded)."""
+        """The complete stages checkpointed under a key, sorted."""
         directory = self.dir_for(key)
         if not directory.is_dir():
             return []
-        names = set()
-        for child in directory.iterdir():
-            if _STAGING_RE.search(child.name) or child.name in STAGE_FILES:
-                continue
-            if child.name.endswith(_STAGE_SUFFIX):
-                names.add(child.name[: -len(_STAGE_SUFFIX)])
-            elif child.name.endswith(".json.gz"):
-                names.add(child.name[: -len(".json.gz")])
-        return sorted(names)
+        return sorted(
+            child.name[: -len(_STAGE_SUFFIX)]
+            for child in directory.iterdir()
+            if child.name.endswith(_STAGE_SUFFIX)
+        )
 
     def delete(self, key: str) -> bool:
         """Drop one key's entire checkpoint directory; True if it existed."""
@@ -332,8 +259,6 @@ class CheckpointStore:
 
     def _key_info(self, key: str) -> Dict[str, object]:
         directory = self.checkpoint_root / key
-        blobs = 0
-        chunks = 0
         total = 0
         newest = 0.0
         stages: List[str] = []
@@ -351,14 +276,8 @@ class CheckpointStore:
                 stage_files[child.name] = stat.st_size
             elif child.name.endswith(_STAGE_SUFFIX):
                 stages.append(child.name[: -len(_STAGE_SUFFIX)])
-            else:
-                blobs += 1
-                if child.name.startswith("chunk-"):
-                    chunks += 1
         return {
             "key": key,
-            "blobs": blobs,
-            "chunks": chunks,
             "stages": sorted(stages),
             "stage_files": dict(sorted(stage_files.items())),
             "bytes": total,
@@ -387,7 +306,7 @@ class CheckpointStore:
         Always deletes orphaned ``.tmp<pid>`` staging files and directories;
         with ``max_age``, additionally removes key directories whose newest
         file is older than the bound (an abandoned run nobody resumed).
-        Key directories holding no blob and no complete stage go too.
+        Key directories holding no complete stage go too.
         """
         if not self.checkpoint_root.is_dir():
             return 0
@@ -403,7 +322,7 @@ class CheckpointStore:
                 else:
                     child.unlink(missing_ok=True)
             info = self._key_info(key)
-            empty = info["blobs"] == 0 and not info["stages"]
+            empty = not info["stages"]
             expired = (
                 max_age is not None
                 and now - float(info["newest"]) > max_age.total_seconds()

@@ -47,11 +47,9 @@ STAGE_MODULES: Tuple[str, ...] = (
     "repro.net.http",
     "repro.net.pcapstore",
     "repro.net.session",
-    "repro.nids.arena",
     "repro.nids.engine",
     "repro.nids.lint",
     "repro.nids.matcher",
-    "repro.nids.parallel",
     "repro.nids.parser",
     "repro.nids.prefilter",
     "repro.nids.rule",

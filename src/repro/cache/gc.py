@@ -284,75 +284,3 @@ def _unlink_file(path: Path, report: ManifestGcReport) -> int:
     report.bytes_freed += size
     report.removed_names.append(path.name)
     return 1
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory arena sweep
-# ---------------------------------------------------------------------------
-
-#: An arena younger than this and owned by a live pid is presumed to belong
-#: to an in-flight scan and left alone (the pid may have been recycled).
-SHM_GRACE_SECONDS = 3600.0
-
-#: Default shared-memory mount swept for orphaned arenas.
-SHM_DIR = Path("/dev/shm")
-
-_ARENA_RE = re.compile(r"^repro-arena-(?P<pid>\d+)-[0-9a-f]+$")
-
-
-@dataclass
-class ShmGcReport:
-    """What one shared-memory sweep removed and what remains."""
-
-    segments_removed: int = 0
-    segments_kept: int = 0
-    bytes_freed: int = 0
-    removed_names: List[str] = field(default_factory=list)
-
-
-def collect_shm_garbage(
-    *,
-    grace: float = SHM_GRACE_SECONDS,
-    now: Optional[float] = None,
-    shm_dir: Optional[Path] = None,
-) -> ShmGcReport:
-    """Sweep orphaned ``repro-arena-*`` shared-memory segments.
-
-    Arena segments (:mod:`repro.nids.arena`) are normally unlinked by the
-    scan that built them — promptly in a ``finally``, or at interpreter
-    exit by a finalizer.  A SIGKILLed run gets neither, and its segment
-    squats on ``/dev/shm`` forever.  This sweep mirrors the
-    ``<key>.tmp<pid>`` staging policy above: a segment is garbage when its
-    embedded owner pid is gone, or when it has outlived ``grace`` seconds
-    (a live but unrelated process may have recycled the pid).  Segments
-    named by other processes' live recent scans are never touched.
-
-    Pure directory surgery against ``shm_dir`` (the real ``/dev/shm`` by
-    default; tests point it elsewhere), so any process can run it.
-    """
-    report = ShmGcReport()
-    root = SHM_DIR if shm_dir is None else shm_dir
-    if not root.is_dir():  # pragma: no cover - no shm mount on this OS
-        return report
-    now = time.time() if now is None else now
-    for child in sorted(root.iterdir()):
-        match = _ARENA_RE.match(child.name)
-        if match is None or not child.is_file():
-            continue
-        aged = False
-        try:
-            aged = now - child.stat().st_mtime > grace
-        except OSError:  # pragma: no cover - racing deletion
-            continue
-        if not aged and _pid_alive(int(match.group("pid"))):
-            report.segments_kept += 1
-            continue
-        try:
-            size = child.stat().st_size
-            child.unlink()
-        except OSError:  # pragma: no cover - racing deletion
-            continue
-        report.segments_removed += 1
-        report.bytes_freed += size
-        report.removed_names.append(child.name)
-    return report

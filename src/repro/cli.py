@@ -67,8 +67,8 @@ def common_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--workers", type=_positive_int, default=1,
-        help="worker processes for traffic generation and the NIDS scan "
-             "(1 = serial; results are identical for any value)",
+        help="worker processes for the NIDS scan (the only parallel "
+             "stage; 1 = serial; results are identical for any value)",
     )
     parent.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=True,
@@ -892,14 +892,6 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
     print(f"watch manifests removed: {manifest_report.manifests_removed} "
           f"({_format_bytes(manifest_report.bytes_freed)}); kept: "
           f"{manifest_report.manifests_kept}")
-    # Orphaned scan arenas (SIGKILLed runs) squat on /dev/shm, not in the
-    # cache directory, so the same gc pass sweeps them too.
-    from repro.cache import collect_shm_garbage
-
-    shm = collect_shm_garbage()
-    print(f"orphaned shm arenas removed: {shm.segments_removed} "
-          f"({_format_bytes(shm.bytes_freed)}); live kept: "
-          f"{shm.segments_kept}")
     return 0
 
 
@@ -941,14 +933,13 @@ def _cmd_cache_checkpoints(args: argparse.Namespace) -> int:
             age_hours = max(0.0, now - float(info["newest"])) / 3600
             rows.append([
                 str(info["key"])[:24],
-                info["blobs"],
-                info["chunks"],
+                ",".join(info["stages"]) or "-",
                 _format_bytes(int(info["bytes"])),
                 f"{age_hours:.1f}h",
             ])
         print()
         print(render_table(
-            ["key", "blobs", "chunks", "size", "age"], rows
+            ["key", "stages", "size", "age"], rows
         ))
         files = [
             [str(info["key"])[:24], name, _format_bytes(size)]
@@ -1023,7 +1014,7 @@ def _add_cache_commands(subparsers, common: argparse.ArgumentParser) -> None:
     )
     checkpoints_parser.add_argument(
         "--max-age-days", type=float, default=None, metavar="DAYS",
-        help="gc checkpoint keys whose newest blob is older than DAYS",
+        help="gc checkpoint keys whose newest file is older than DAYS",
     )
     checkpoints_parser.add_argument(
         "--clear", action="store_true",

@@ -26,9 +26,13 @@ from repro.nids.rule import (
 from repro.nids.parser import RuleParseError, parse_rule, parse_rules
 from repro.nids.matcher import match_rule
 from repro.nids.ruleset import Alert, Ruleset
-from repro.nids.engine import DetectionEngine, DetectionStats, ScanTelemetry, scan_stream
-from repro.nids.arena import ArenaFormatError, SessionArena
-from repro.nids.parallel import parallel_scan
+from repro.nids.engine import (
+    DetectionEngine,
+    DetectionStats,
+    ScanTelemetry,
+    parallel_scan,
+    scan_stream,
+)
 from repro.nids.prefilter import RegexPrefilter, ShardedPrefilter
 from repro.nids.live import LiveDetectionEngine, compare_live_vs_wayback
 from repro.nids.lint import LintFinding, lint_rule, lint_rules
@@ -59,8 +63,6 @@ __all__ = [
     "ScanTelemetry",
     "scan_stream",
     "parallel_scan",
-    "ArenaFormatError",
-    "SessionArena",
     "RegexPrefilter",
     "ShardedPrefilter",
     "ScaleConfig",

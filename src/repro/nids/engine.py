@@ -13,21 +13,36 @@ heavily), and accumulates a :class:`ScanTelemetry` describing where the
 scan spent its time.
 
 The pass is embarrassingly parallel: ``workers > 1`` partitions the archive
-into contiguous chunks and evaluates them in a process pool
-(:mod:`repro.nids.parallel`), each worker holding its own compiled ruleset.
-Alerts, statistics, and telemetry are merged in session order, so the
-parallel scan is indistinguishable from the serial one.
+into contiguous chunks and scans them in a ``fork`` process pool
+(:func:`parallel_scan`) whose workers inherit the compiled ruleset and the
+session list instead of receiving copies.  Alerts, statistics, and
+telemetry are merged in session order, so the parallel scan is
+indistinguishable from the serial one.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.session import TcpSession
 from repro.nids import matcher
 from repro.nids.ruleset import Alert, Ruleset
+
+#: Chunks handed to the pool per worker: more than one, so a chunk dense
+#: with candidate-heavy payloads does not leave the other workers idle at
+#: the end of the scan.
+CHUNKS_PER_WORKER = 4
+
+#: Sessions below which a parallel request is scanned serially in-process:
+#: below a few tens of thousands of sessions, forking the pool costs more
+#: than the match work it splits.  ``threshold=0`` forces the pool on.
+DEFAULT_PARALLEL_THRESHOLD = 25000
+
 
 @dataclass
 class ScanTelemetry:
@@ -52,28 +67,11 @@ class ScanTelemetry:
     #: can legitimately exceed it.  Never report summed worker clocks as
     #: elapsed time.
     wall_seconds: float = 0.0
-    #: Recovery counters, populated only by the fault-tolerant parallel
-    #: path (:func:`repro.nids.parallel.parallel_scan`): chunk submissions
-    #: that were retries, pool generations lost to worker death, chunks
-    #: that failed at least once but were recovered in the pool, chunks
-    #: that fell back to the in-process serial scan, and chunks served
-    #: from the on-disk checkpoint store instead of being rescanned.
-    chunk_retries: int = 0
-    pool_respawns: int = 0
+    #: Parallel-path counters (:func:`parallel_scan`): chunks the parent
+    #: rescanned itself because their worker raised or the pool broke, and
+    #: whether a parallel *request* was served serially (stream below the
+    #: break-even size, or no ``fork`` on this platform).
     recovered_chunks: int = 0
-    poison_chunks: int = 0
-    checkpoint_hits: int = 0
-    #: Transfer-plane counters, also parallel-path only: bytes of the
-    #: shared-memory arena the workers scanned from, time spent building
-    #: it, time spent on the remaining cross-process transfer work
-    #: (ruleset pickling, result decode/merge), whether the scan reused an
-    #: already-warm worker pool instead of forking a fresh one, and
-    #: whether a parallel *request* was served serially because the stream
-    #: fell below the break-even threshold.
-    arena_bytes: int = 0
-    arena_build_seconds: float = 0.0
-    transfer_seconds: float = 0.0
-    pool_reuses: int = 0
     fallback_serial: int = 0
     #: Sharded-prefilter counters (zero when the prefilter is monolithic):
     #: shard count of the widest engine seen (merged via ``max``, since
@@ -132,15 +130,7 @@ class ScanTelemetry:
         # accumulating passes); the parallel scan overwrites this with its
         # own parent-measured elapsed time after merging its workers.
         self.wall_seconds += other.wall_seconds
-        self.chunk_retries += other.chunk_retries
-        self.pool_respawns += other.pool_respawns
         self.recovered_chunks += other.recovered_chunks
-        self.poison_chunks += other.poison_chunks
-        self.checkpoint_hits += other.checkpoint_hits
-        self.arena_bytes += other.arena_bytes
-        self.arena_build_seconds += other.arena_build_seconds
-        self.transfer_seconds += other.transfer_seconds
-        self.pool_reuses += other.pool_reuses
         self.fallback_serial += other.fallback_serial
         # Shard count is a property of the compiled partition, not work
         # done: identical in every worker, so max (not sum) merges it.
@@ -173,15 +163,7 @@ class ScanTelemetry:
             "cpu_seconds": self.cpu_seconds,
             "wall_seconds": self.wall_seconds,
             "utilization": self.utilization,
-            "chunk_retries": self.chunk_retries,
-            "pool_respawns": self.pool_respawns,
             "recovered_chunks": self.recovered_chunks,
-            "poison_chunks": self.poison_chunks,
-            "checkpoint_hits": self.checkpoint_hits,
-            "arena_bytes": self.arena_bytes,
-            "arena_build_seconds": self.arena_build_seconds,
-            "transfer_seconds": self.transfer_seconds,
-            "pool_reuses": self.pool_reuses,
             "fallback_serial": self.fallback_serial,
             "prefilter_shards": self.prefilter_shards,
             "shards_compiled": self.shards_compiled,
@@ -189,50 +171,6 @@ class ScanTelemetry:
             "shard_searches": self.shard_searches,
             "pcre_cache": self.pcre_cache,
         }
-
-    #: Counter fields restored by :meth:`from_dict` (derived ratios are
-    #: recomputed; keys outside this list, such as the ``engine`` label older
-    #: checkpoints carry, are ignored).
-    _COUNTER_FIELDS = (
-        "sessions",
-        "payload_bytes",
-        "prefilter_hits",
-        "candidates_nominated",
-        "candidates_evaluated",
-        "match_cache_hits",
-        "match_cache_misses",
-        "prefilter_seconds",
-        "eval_seconds",
-        "scan_seconds",
-        "wall_seconds",
-        "chunk_retries",
-        "pool_respawns",
-        "recovered_chunks",
-        "poison_chunks",
-        "checkpoint_hits",
-        "arena_bytes",
-        "arena_build_seconds",
-        "transfer_seconds",
-        "pool_reuses",
-        "fallback_serial",
-        "prefilter_shards",
-        "shards_compiled",
-        "shard_compile_seconds",
-        "shard_searches",
-    )
-
-    @classmethod
-    def from_dict(cls, record: Dict[str, object]) -> "ScanTelemetry":
-        """Rebuild a telemetry from :meth:`as_dict` output (checkpoints)."""
-        telemetry = cls()
-        for name in cls._COUNTER_FIELDS:
-            value = record.get(name)
-            if value is not None:
-                setattr(telemetry, name, value)
-        pcre = record.get("pcre_cache")
-        if pcre is not None:
-            telemetry.pcre_cache = tuple(pcre)  # type: ignore[assignment]
-        return telemetry
 
 
 @dataclass
@@ -383,29 +321,160 @@ def scan_stream(
     return alerts, scanned, telemetry
 
 
+#: A worker's alert as a plain tuple (:class:`Alert`'s fields in order),
+#: several times cheaper to pickle back to the parent than the dataclass.
+AlertRow = Tuple[object, ...]
+
+#: The pool worker's scan inputs, set by :func:`_init_worker`.  Under
+#: ``fork`` they are inherited from the parent, never pickled, and each
+#: pool has its own, so concurrent scans from threads stay isolated.
+_worker_ruleset: Optional[Ruleset] = None
+_worker_sessions: Sequence[TcpSession] = ()
+
+
+def _init_worker(ruleset: Ruleset, sessions: Sequence[TcpSession]) -> None:
+    global _worker_ruleset, _worker_sessions
+    _worker_ruleset, _worker_sessions = ruleset, sessions
+
+
+def _scan_chunk(
+    bounds: Tuple[int, int]
+) -> Tuple[List[AlertRow], int, ScanTelemetry]:
+    """Scan one contiguous ``(start, stop)`` slice in a pool worker."""
+    start, stop = bounds
+    alerts, scanned, telemetry = scan_stream(
+        _worker_ruleset, _worker_sessions[start:stop]
+    )
+    rows = [
+        (
+            alert.session_id,
+            alert.timestamp,
+            alert.sid,
+            alert.cve_id,
+            alert.rule_published,
+            alert.dst_ip,
+            alert.dst_port,
+            alert.src_ip,
+        )
+        for alert in alerts
+    ]
+    return rows, scanned, telemetry
+
+
+def parallel_scan(
+    ruleset: Ruleset,
+    sessions: Iterable[TcpSession],
+    *,
+    workers: int,
+    tracer=None,
+    threshold: Optional[int] = None,
+) -> Tuple[List[Alert], int, ScanTelemetry]:
+    """Scan sessions across ``workers`` forked processes.
+
+    Returns ``(alerts, sessions_scanned, telemetry)`` exactly as
+    :func:`scan_stream` does for the same stream: the stream is cut into
+    ``workers * CHUNKS_PER_WORKER`` contiguous chunks, and the chunks'
+    alerts and telemetry are merged in chunk order.
+
+    Streams shorter than ``threshold`` sessions (default
+    :data:`DEFAULT_PARALLEL_THRESHOLD`; 0 forces the pool on), and every
+    stream where ``fork`` is unavailable, are scanned serially, with
+    ``telemetry.fallback_serial`` recording the decision.
+
+    If a chunk raises or a worker dies (breaking the pool), every chunk
+    without a result is rescanned serially in this process and counted in
+    ``telemetry.recovered_chunks``, so the output never depends on the
+    pool's health.  With ``tracer`` (a :class:`repro.obs.Tracer`), each
+    chunk attaches a pre-measured child span to the caller's open span.
+    ``wall_seconds`` is measured here around the whole pass; the summed
+    worker clocks are ``cpu_seconds``.
+    """
+    started = perf_counter()
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if threshold is None:
+        threshold = DEFAULT_PARALLEL_THRESHOLD
+    elif threshold < 0:
+        raise ValueError("parallel threshold must be >= 0")
+    items = sessions if isinstance(sessions, list) else list(sessions)
+    chunk = max(1, -(-len(items) // (workers * CHUNKS_PER_WORKER)))
+    bounds = [
+        (start, min(start + chunk, len(items)))
+        for start in range(0, len(items), chunk)
+    ]
+    if (
+        workers == 1
+        or len(bounds) <= 1
+        or len(items) < threshold
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        alerts, scanned, telemetry = scan_stream(ruleset, items)
+        telemetry.fallback_serial = int(workers > 1)
+        return alerts, scanned, telemetry
+
+    # Compile before forking, so every worker inherits the compiled tables.
+    ruleset._ensure_compiled()
+    results: Dict[int, Tuple[List[Alert], int, ScanTelemetry]] = {}
+
+    def _keep(index: int, result, source: str) -> None:
+        results[index] = result
+        if tracer is not None:
+            tracer.child(
+                f"chunk-{index:05d}",
+                duration=result[2].scan_seconds,
+                sessions=result[1],
+                source=source,
+            )
+
+    # ``fork``, not ``spawn``: spawned workers would receive the ruleset and
+    # the sessions pickled, the transfer cost that made every pickling or
+    # shared-memory design slower than this one.
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(ruleset, items),
+        ) as pool:
+            futures = {
+                pool.submit(_scan_chunk, bound): index
+                for index, bound in enumerate(bounds)
+            }
+            for future in as_completed(futures):
+                try:
+                    rows, scanned, telemetry = future.result()
+                except Exception:
+                    continue  # rescanned in this process below
+                alerts = [Alert(*row) for row in rows]
+                _keep(futures[future], (alerts, scanned, telemetry), "worker")
+    except BrokenProcessPool:
+        pass  # the pool died while accepting work; rescanned below
+    recovered = [index for index in range(len(bounds)) if index not in results]
+    for index in recovered:
+        start, stop = bounds[index]
+        _keep(index, scan_stream(ruleset, items[start:stop]), "recovered")
+
+    merged: List[Alert] = []
+    scanned = 0
+    telemetry = ScanTelemetry()
+    for index in range(len(bounds)):
+        chunk_alerts, count, chunk_telemetry = results[index]
+        merged.extend(chunk_alerts)
+        scanned += count
+        telemetry.merge(chunk_telemetry)
+    telemetry.recovered_chunks = len(recovered)
+    telemetry.wall_seconds = perf_counter() - started
+    return merged, scanned, telemetry
+
+
 class DetectionEngine:
     """Run a :class:`Ruleset` over session streams.
 
     ``workers`` selects the scan strategy: 1 (the default) scans in-process;
-    N > 1 scans in N worker processes with identical results.
-    ``chunk_size`` overrides the per-task partition size for parallel scans
-    (defaults to an even split across the pool).
-
-    ``checkpoint_store`` (a :class:`repro.cache.CheckpointStore`) together
-    with ``checkpoint_key`` enables per-chunk crash checkpoints on the
-    parallel path: completed chunks spill to disk as they finish, and a
-    killed scan rescans only the missing chunks on the next run.  The
-    caller owns deleting the checkpoints once the surrounding run succeeds.
-
-    ``tracer`` (a :class:`repro.obs.Tracer`, optional) records per-chunk
-    spans on the parallel path as chunk results arrive — workers cannot
-    share the parent's tracer, so their timings attach as pre-measured
-    child spans.
-
-    ``threshold`` is the break-even stream size below which a parallel
-    request runs serially anyway (see
-    :func:`repro.nids.parallel.parallel_scan`; ``threshold=0`` forces the
-    pool on).  It defaults to ``REPRO_PARALLEL_THRESHOLD``.
+    N > 1 scans in N forked worker processes (:func:`parallel_scan`) with
+    identical results.  ``threshold`` is that path's break-even stream
+    size (``threshold=0`` forces the pool on), and ``tracer`` (a
+    :class:`repro.obs.Tracer`, optional) receives its per-chunk spans.
     """
 
     def __init__(
@@ -413,9 +482,6 @@ class DetectionEngine:
         ruleset: Ruleset,
         *,
         workers: int = 1,
-        chunk_size: Optional[int] = None,
-        checkpoint_store=None,
-        checkpoint_key: Optional[str] = None,
         tracer=None,
         threshold: Optional[int] = None,
     ) -> None:
@@ -423,9 +489,6 @@ class DetectionEngine:
             raise ValueError("workers must be >= 1")
         self.ruleset = ruleset
         self.workers = workers
-        self.chunk_size = chunk_size
-        self.checkpoint_store = checkpoint_store
-        self.checkpoint_key = checkpoint_key
         self.tracer = tracer
         self.threshold = threshold
         self.stats = DetectionStats()
@@ -434,15 +497,10 @@ class DetectionEngine:
         """Scan sessions; returns retained alerts in session order."""
         if self.workers == 1:
             return self._scan_serial(sessions)
-        from repro.nids.parallel import parallel_scan
-
         alerts, scanned, telemetry = parallel_scan(
             self.ruleset,
             sessions,
             workers=self.workers,
-            chunk_size=self.chunk_size,
-            checkpoint_store=self.checkpoint_store,
-            checkpoint_key=self.checkpoint_key,
             tracer=self.tracer,
             threshold=self.threshold,
         )

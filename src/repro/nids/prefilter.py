@@ -290,9 +290,7 @@ class ShardedPrefilter:
     counters (:attr:`shards_compiled`, :attr:`compile_seconds`,
     :attr:`searches`) feed :class:`repro.nids.engine.ScanTelemetry` as
     deltas per scan.  Laziness matters in the workers of a parallel scan:
-    a warm worker attaches a digest-cached ruleset whose shards compile
-    once, on the first chunk that needs them, and never again for later
-    chunks or scans of the same ruleset.
+    each worker compiles only the shards its chunks' payloads search.
     """
 
     def __init__(
@@ -374,14 +372,3 @@ class ShardedPrefilter:
             if self._shard(index).contains_any(haystack, lowered=True):
                 return True
         return False
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle without compiled shard engines: a worker re-compiles its
-        shards lazily (and caches the ruleset by digest), so shipping the
-        compiled regexes would only bloat the transfer blob."""
-        state = self.__dict__.copy()
-        state["_engines"] = [None] * len(self._bounds)
-        state["shards_compiled"] = 0
-        state["compile_seconds"] = 0.0
-        state["searches"] = 0
-        return state

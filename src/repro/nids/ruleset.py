@@ -435,49 +435,6 @@ class Ruleset:
         are API-equal)."""
         return self._sharded if self._sharded is not None else self._prefilter
 
-    # -- pickling -----------------------------------------------------------
-    #
-    # The arena plane ships one pickled ruleset blob to every worker.  All
-    # compiled state (prefilter engines, plans, rank tables) is derived from
-    # the rule list, so the blob carries only the source tables and each
-    # worker recompiles once per ruleset digest (cached in
-    # ``parallel._worker_rulesets``); shards then compile lazily on the first
-    # chunk that searches them.  This keeps the shared-memory blob compact
-    # at 10k-rule scale instead of serialising thousands of compiled
-    # regexes.
-
-    _DERIVED_SLOTS = (
-        "_prefilter",
-        "_sharded",
-        "_pattern_rules",
-        "_unfiltered",
-        "_groups",
-        "_unfiltered_ordered",
-        "_rank",
-        "_plans",
-        "_alert_meta",
-    )
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = self.__dict__.copy()
-        for slot in self._DERIVED_SLOTS:
-            state.pop(slot, None)
-        state["_compiled"] = False
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._prefilter = None
-        self._sharded = None
-        self._pattern_rules = []
-        self._unfiltered = []
-        self._groups = []
-        self._unfiltered_ordered = array("l")
-        self._rank = array("l")
-        self._plans = []
-        self._alert_meta = []
-        self._compiled = False
-
     def _candidates(self, payload: bytes) -> List[int]:
         """Rule indices whose fast pattern occurs (plus unfiltered rules)."""
         candidates = list(self._unfiltered)

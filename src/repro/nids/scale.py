@@ -3,7 +3,7 @@
 The paper's production ruleset is >48k Talos signatures; the study rules
 (:mod:`repro.exploits.rulegen`) are dozens.  Everything between — the trie
 prefilter's factoring, the plan compiler, the publication-ordered merge,
-the arena transfer plane — behaves differently at four orders of magnitude,
+the parallel scan — behaves differently at four orders of magnitude,
 so this module grows a *deterministic*, seeded ruleset to O(10k) rules and
 emits it **as rule text**, so the parser is exercised at the same scale as
 the engine (several parser crashes only ever surfaced through generated
@@ -512,8 +512,7 @@ def throughput_sweep(
     parallel pass forces the pool on (``threshold=0``) so small sweeps
     still measure pool dispatch rather than the break-even fallback.
     """
-    from repro.nids.engine import scan_stream
-    from repro.nids.parallel import parallel_scan
+    from repro.nids.engine import parallel_scan, scan_stream
 
     entries: List[Dict[str, object]] = []
     for size in sizes:
@@ -554,7 +553,6 @@ def throughput_sweep(
             ),
             "alerts": len(parallel_alerts),
             "shards_compiled": parallel_tel.shards_compiled,
-            "pool_reuses": parallel_tel.pool_reuses,
         }
         entry["alerts_equal"] = serial_alerts == parallel_alerts
         entries.append(entry)

@@ -230,10 +230,10 @@ def get_registry() -> MetricsRegistry:
     return _REGISTRY
 
 
-# Forked pool workers (the parallel scan, sharded traffic generation) start
-# from a copy-on-write snapshot of the parent, registry included.  Reset it
-# in the child so anything a worker publishes is a delta from zero — merging
-# worker snapshots back can then never double-count parent state.
+# Forked pool workers (the parallel scan) start from a copy-on-write
+# snapshot of the parent, registry included.  Reset it in the child so
+# anything a worker publishes is a delta from zero — merging worker
+# snapshots back can then never double-count parent state.
 if hasattr(os, "register_at_fork"):  # pragma: no branch - absent off-POSIX
     os.register_at_fork(after_in_child=_REGISTRY.reset)
 

@@ -178,8 +178,8 @@ class EvasiveTraffic:
             return replace(arrival, payload=arrival.payload + padding)
         return replace(arrival, payload=arrival.payload.swapcase())
 
-    def generate(self, *, workers: int = 1, tracer=None) -> List[ScanArrival]:
-        arrivals = self.inner.generate(workers=workers, tracer=tracer)
+    def generate(self, *, tracer=None) -> List[ScanArrival]:
+        arrivals = self.inner.generate(tracer=tracer)
         return [self._mutate(arrival, i) for i, arrival in enumerate(arrivals)]
 
     def stream(self, *, cursor: int = 0) -> Iterator[ScanArrival]:

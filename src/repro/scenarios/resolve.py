@@ -91,7 +91,7 @@ class ResolvedScenario:
         return registration.factory(self.config, *args, **params)
 
     def build_traffic(self, window: Any) -> Any:
-        """The arrival source: ``.generate(workers=, tracer=)`` / ``.stream(cursor=)``."""
+        """The arrival source: ``.generate(tracer=)`` / ``.stream(cursor=)``."""
         return self._build("traffic", window)
 
     def build_collector(self, window: Any) -> Any:

@@ -70,9 +70,8 @@ class TrafficConfig:
 
     ``background_shards`` splits background radiation into that many
     independently seeded RNG substreams.  The sampled stream depends on the
-    shard count (it is part of the configuration, like ``seed``) but never
-    on how many workers generate it; 1 (the default) preserves the
-    historical single-stream draw order.
+    shard count (it is part of the configuration, like ``seed``); 1 (the
+    default) preserves the historical single-stream draw order.
     """
 
     seed: int = 20230321
@@ -251,8 +250,8 @@ class TrafficGenerator:
 
         ``total`` is the *whole* background volume; the shard generates its
         ``total // shards`` (+1 for the remainder shards) slice from its own
-        RNG substream, so any worker may generate any shard and the merged
-        stream is always the same.
+        RNG substream, so the shards can be generated in any order and the
+        merged stream is always the same.
         """
         shards = self.config.background_shards
         if not 0 <= shard < shards:
@@ -300,14 +299,9 @@ class TrafficGenerator:
 
     # -- full stream ---------------------------------------------------------
 
-    def generate(self, *, workers: int = 1, tracer=None) -> List[ScanArrival]:
-        """The complete arrival stream, time-sorted.
-
-        ``workers > 1`` generates per-CVE campaigns and background shards in
-        that many worker processes.  Every shard draws from its own RNG
-        substream and shards are merged in a canonical order (campaigns in
-        seed-table order, then background shards) before the final stable
-        sort, so the stream is identical for any worker count.
+    def generate(self, *, tracer=None) -> List[ScanArrival]:
+        """The complete arrival stream, time-sorted: campaigns in seed-table
+        order, then the background shards, stably sorted by timestamp.
 
         ``tracer`` (a :class:`repro.obs.Tracer`, optional) records the
         campaign/background/sort phases as child spans of the caller's
@@ -315,26 +309,20 @@ class TrafficGenerator:
         """
         from repro.obs import span_or_null
 
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if workers == 1:
-            arrivals: List[ScanArrival] = []
-            with span_or_null(tracer, "campaigns") as span:
-                for seed_cve in SEED_CVES:
-                    arrivals.extend(self.campaign_arrivals(seed_cve))
-                exploit_count = len(arrivals)
-                if span is not None:
-                    span.set("arrivals", exploit_count)
-            with span_or_null(tracer, "background") as span:
-                background_count = int(
-                    exploit_count * self.config.background_per_exploit
-                )
-                arrivals.extend(self.background_arrivals(background_count))
-                if span is not None:
-                    span.set("arrivals", background_count)
-        else:
-            with span_or_null(tracer, "sharded-generate", workers=workers):
-                arrivals = self._generate_sharded(workers)
+        arrivals: List[ScanArrival] = []
+        with span_or_null(tracer, "campaigns") as span:
+            for seed_cve in SEED_CVES:
+                arrivals.extend(self.campaign_arrivals(seed_cve))
+            exploit_count = len(arrivals)
+            if span is not None:
+                span.set("arrivals", exploit_count)
+        with span_or_null(tracer, "background") as span:
+            background_count = int(
+                exploit_count * self.config.background_per_exploit
+            )
+            arrivals.extend(self.background_arrivals(background_count))
+            if span is not None:
+                span.set("arrivals", background_count)
         with span_or_null(tracer, "sort"):
             arrivals.sort(key=lambda arrival: arrival.timestamp)
         return arrivals
@@ -388,95 +376,3 @@ class TrafficGenerator:
         if cursor:
             merged = islice(merged, cursor, None)
         return merged
-
-    def _generate_sharded(self, workers: int) -> List[ScanArrival]:
-        """Fan shard tasks out to a process pool; merge in canonical order.
-
-        Background volume depends on the exploit total, so campaigns run as
-        a first wave and background shards as a second, reusing one pool
-        (each worker builds its scanner population once, in the
-        initializer).
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        campaign_tasks = [("campaign", seed_cve.cve_id) for seed_cve in SEED_CVES]
-        arrivals: List[ScanArrival] = []
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_traffic_worker,
-            initargs=(self.config, self.window),
-        ) as pool:
-            for rows in pool.map(_run_traffic_task, campaign_tasks):
-                arrivals.extend(_decode_arrivals(rows))
-            background_count = int(
-                len(arrivals) * self.config.background_per_exploit
-            )
-            background_tasks = [
-                ("background", shard, background_count)
-                for shard in range(self.config.background_shards)
-            ]
-            for rows in pool.map(_run_traffic_task, background_tasks):
-                arrivals.extend(_decode_arrivals(rows))
-        return arrivals
-
-
-# -- worker-process plumbing (module-level so tasks pickle) -----------------
-
-_worker_generator: Optional[TrafficGenerator] = None
-
-
-def _init_traffic_worker(config: TrafficConfig, window) -> None:
-    """Pool initializer: build this worker's generator (and its scanner
-    population) exactly once."""
-    global _worker_generator
-    _worker_generator = TrafficGenerator(config, window=window)
-
-
-def _encode_arrivals(arrivals: List[ScanArrival]) -> List[tuple]:
-    """Arrivals as plain tuples — they cross the process boundary several
-    times faster than dataclass instances."""
-    return [
-        (
-            arrival.timestamp,
-            arrival.src_ip,
-            arrival.src_port,
-            arrival.dst_port,
-            arrival.payload,
-            arrival.truth_cve,
-            arrival.variant_sid,
-        )
-        for arrival in arrivals
-    ]
-
-
-def _decode_arrivals(rows: List[tuple]) -> List[ScanArrival]:
-    return [
-        ScanArrival(
-            timestamp=row[0],
-            src_ip=row[1],
-            src_port=row[2],
-            dst_port=row[3],
-            payload=row[4],
-            truth_cve=row[5],
-            variant_sid=row[6],
-        )
-        for row in rows
-    ]
-
-
-def _run_traffic_task(task: tuple) -> List[tuple]:
-    """Generate one shard: a CVE campaign or a background slice."""
-    generator = _worker_generator
-    if generator is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("traffic worker not initialised")
-    kind = task[0]
-    if kind == "campaign":
-        cve_id = task[1]
-        seed_cve = next(s for s in SEED_CVES if s.cve_id == cve_id)
-        return _encode_arrivals(generator.campaign_arrivals(seed_cve))
-    if kind == "background":
-        _, shard, total = task
-        return _encode_arrivals(
-            generator.background_shard_arrivals(shard, total)
-        )
-    raise ValueError(f"unknown traffic task {task!r}")

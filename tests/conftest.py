@@ -7,9 +7,12 @@ fixtures.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.analysis.pipeline import StudyConfig, StudyResult, run_study
+from repro.nids import engine
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +30,36 @@ def study() -> StudyResult:
 @pytest.fixture(scope="session")
 def bundle(study: StudyResult):
     return study.bundle
+
+
+@pytest.fixture()
+def scan_fault(monkeypatch):
+    """Make one chunk of every parallel scan in the test fail in its worker.
+
+    ``scan_fault("worker_crash:<k>", workers=n)`` makes the pool worker
+    scanning chunk ``k`` of an ``n``-worker scan die through ``os._exit``,
+    which breaks the whole pool; ``"chunk_error:<k>"`` makes it raise.  The
+    patched scan core reaches the workers through fork.  The parent holds
+    no worker stream, so its own rescans run the real scan.
+    """
+    real = engine.scan_stream
+
+    def install(spec: str, *, workers: int) -> None:
+        kind, chunk = spec.split(":")
+        if kind not in ("worker_crash", "chunk_error"):
+            raise ValueError(f"unknown fault {spec!r}")
+        chunk = int(chunk)
+
+        def faulty(ruleset, sessions):
+            stream = engine._worker_sessions
+            size = -(-len(stream) // (workers * engine.CHUNKS_PER_WORKER))
+            start = chunk * size
+            if start < len(stream) and sessions and sessions[0] is stream[start]:
+                if kind == "worker_crash":
+                    os._exit(99)
+                raise RuntimeError(f"injected {spec}")
+            return real(ruleset, sessions)
+
+        monkeypatch.setattr(engine, "scan_stream", faulty)
+
+    return install

@@ -1,19 +1,31 @@
 """Tests for the crash-recovery checkpoint store and its CLI surface.
 
-The store's contract: a blob is either absent or complete (atomic publish),
-a corrupt blob is indistinguishable from a missing one (verified loads),
-and checkpoints are recovery state with an explicit end of life (delete on
-success, gc by age).
+The store's contract: a stage checkpoint is either absent or complete
+(atomic publish), a corrupt one is indistinguishable from a missing one
+(verified loads), and checkpoints are recovery state with an explicit end
+of life (delete on success, gc by age).
 """
 
-import gzip
 import json
 from datetime import timedelta
 
 import pytest
 
 from repro.cache import CheckpointStore
+from repro.cache.checkpoint import encode_stage_alerts
+from repro.cache.study import STAGES
 from repro.cli import main
+from repro.nids.ruleset import Alert
+from repro.util.timeutil import utc
+
+ALERTS = [
+    Alert(
+        session_id=index, timestamp=utc(2022, 1, 1 + index), sid=58722,
+        cve_id="CVE-2021-44228", rule_published=utc(2021, 12, 10),
+        dst_ip=2, dst_port=80, src_ip=1,
+    )
+    for index in range(3)
+]
 
 
 @pytest.fixture()
@@ -21,57 +33,62 @@ def store(tmp_path):
     return CheckpointStore(root=tmp_path)
 
 
+def _save(store, key="key"):
+    return store.save(key, "alerts", encode_stage_alerts(ALERTS))
+
+
+def _record_path(store, key="key"):
+    return store.dir_for(key) / "alerts.stage.json"
+
+
 class TestBlobLifecycle:
     def test_roundtrip(self, store):
-        payload = {"rows": [[1, "a"], [2, "b"]], "scanned": 2}
-        path = store.save("key", "chunk-00000", payload)
+        path = _save(store)
         assert path.exists()
-        assert store.load("key", "chunk-00000") == payload
+        assert store.load("key", "alerts") == ALERTS
         assert store.telemetry.saves == 1
         assert store.telemetry.hits == 1
         assert store.telemetry.misses == 0
 
     def test_missing_blob_is_a_plain_miss(self, store):
-        assert store.load("key", "nothing") is None
+        assert store.load("key", "alerts") is None
         assert store.telemetry.misses == 1
         assert store.telemetry.integrity_failures == 0
 
     def test_has_and_names(self, store):
-        store.save("key", "arrivals", {"a": 1})
-        store.save("key", "chunk-00001", {"b": 2})
-        assert store.has("key", "arrivals")
+        _save(store)
+        assert store.has("key", "alerts")
         assert not store.has("key", "store")
-        assert store.names("key") == ["arrivals", "chunk-00001"]
+        assert store.names("key") == ["alerts"]
         assert store.names("unknown") == []
 
     def test_tampered_payload_is_evicted(self, store):
-        path = store.save("key", "blob", {"value": 1})
-        with gzip.open(path, "rt", encoding="ascii") as handle:
-            envelope = json.load(handle)
-        envelope["payload"]["value"] = 2  # digest now wrong
-        with gzip.open(path, "wt", encoding="ascii") as handle:
-            json.dump(envelope, handle)
+        path = _save(store)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF  # digest now wrong
+        path.write_bytes(bytes(data))
 
-        assert store.load("key", "blob") is None
+        assert store.load("key", "alerts") is None
         assert store.telemetry.integrity_failures == 1
         assert not path.exists()  # evicted so the recompute can republish
+        assert not store.has("key", "alerts")
 
     def test_garbage_bytes_are_evicted(self, store):
-        path = store.save("key", "blob", {"value": 1})
-        path.write_bytes(b"not gzip at all")
-        assert store.load("key", "blob") is None
+        _save(store)
+        record = _record_path(store)
+        record.write_bytes(b"not json at all")
+        assert store.load("key", "alerts") is None
         assert store.telemetry.integrity_failures == 1
-        assert not path.exists()
+        assert not record.exists()
 
     def test_schema_mismatch_is_evicted(self, store):
-        path = store.save("key", "blob", {"value": 1})
-        with gzip.open(path, "rt", encoding="ascii") as handle:
-            envelope = json.load(handle)
-        envelope["schema"] = 999
-        with gzip.open(path, "wt", encoding="ascii") as handle:
-            json.dump(envelope, handle)
-        assert store.load("key", "blob") is None
-        assert not path.exists()
+        _save(store)
+        record = _record_path(store)
+        document = json.loads(record.read_text())
+        document["schema"] = 999
+        record.write_text(json.dumps(document))
+        assert store.load("key", "alerts") is None
+        assert not record.exists()
 
     def test_staging_never_published_on_failure(self, store, monkeypatch):
         def boom(*args, **kwargs):
@@ -79,42 +96,45 @@ class TestBlobLifecycle:
 
         monkeypatch.setattr("os.replace", boom)
         with pytest.raises(OSError):
-            store.save("key", "blob", {"value": 1})
-        # Neither the blob nor its staging sibling survives.
-        assert not store.has("key", "blob")
+            _save(store)
+        # Neither the stage nor its staging directory survives.
+        assert not store.has("key", "alerts")
         assert list(store.dir_for("key").iterdir()) == []
 
     @pytest.mark.parametrize("bad", ["", "a/b", ".hidden", "../escape"])
     def test_invalid_keys_and_names_rejected(self, store, bad):
+        payload = encode_stage_alerts(ALERTS)
         with pytest.raises(ValueError):
-            store.save(bad, "blob", {})
+            store.save(bad, "alerts", payload)
         with pytest.raises(ValueError):
-            store.save("key", bad, {})
+            store.save("key", bad, payload)
+
+    def test_rejects_non_stage_payload(self, store):
+        with pytest.raises(TypeError):
+            store.save("key", "alerts", {"rows": []})
 
 
 class TestPopulation:
     def test_delete_and_keys(self, store):
-        store.save("one", "a", {})
-        store.save("two", "b", {})
+        _save(store, "one")
+        _save(store, "two")
         assert store.keys() == ["one", "two"]
         assert store.delete("one")
         assert not store.delete("one")  # already gone
         assert store.keys() == ["two"]
 
-    def test_stats_counts_chunks(self, store):
-        store.save("key", "arrivals", {"a": 1})
-        store.save("key", "chunk-x-00000", {"b": 2})
-        store.save("key", "chunk-x-00001", {"c": 3})
+    def test_stats_lists_stages(self, store):
+        _save(store)
         snapshot = store.stats()
         assert snapshot["key_count"] == 1
         (info,) = snapshot["keys"]
-        assert info["blobs"] == 3
-        assert info["chunks"] == 2
+        assert info["stages"] == ["alerts"]
+        assert sorted(info["stage_files"]) == sorted(STAGES["alerts"].files)
         assert info["bytes"] > 0
 
     def test_gc_by_age(self, store):
-        store.save("stale", "blob", {})
-        store.save("fresh", "blob", {})
+        _save(store, "stale")
+        _save(store, "fresh")
         newest = store._key_info("stale")["newest"]
         removed = store.gc(
             max_age=timedelta(days=1),
@@ -125,8 +145,8 @@ class TestPopulation:
         assert store.keys() == []
 
     def test_gc_reaps_orphaned_staging(self, store):
-        store.save("key", "blob", {})
-        orphan = store.dir_for("key") / "torn.json.gz.tmp12345"
+        _save(store)
+        orphan = store.dir_for("key") / "alerts.stage.tmp12345"
         orphan.write_bytes(b"partial")
         assert store.gc() == 0  # key itself is alive
         assert not orphan.exists()
@@ -137,8 +157,8 @@ class TestPopulation:
         assert store.keys() == []
 
     def test_clear(self, store):
-        store.save("one", "a", {})
-        store.save("two", "b", {})
+        _save(store, "one")
+        _save(store, "two")
         assert store.clear() == 2
         assert store.keys() == []
 
@@ -146,8 +166,7 @@ class TestPopulation:
 class TestCheckpointCli:
     def _seed(self, tmp_path):
         store = CheckpointStore(root=tmp_path)
-        store.save("deadbeef", "arrivals", {"records": []})
-        store.save("deadbeef", "chunk-x-00000", {"rows": []})
+        _save(store, "deadbeef")
         return store
 
     def test_list(self, tmp_path, capsys):
@@ -164,7 +183,7 @@ class TestCheckpointCli:
         ) == 0
         snapshot = json.loads(capsys.readouterr().out)
         assert snapshot["key_count"] == 1
-        assert snapshot["keys"][0]["chunks"] == 1
+        assert snapshot["keys"][0]["stages"] == ["alerts"]
 
     def test_gc_flag(self, tmp_path, capsys):
         self._seed(tmp_path)

@@ -12,7 +12,6 @@ MODULE_NAMES = [
     "repro.analysis.pipeline",
     "repro.core.skill",
     "repro.obs.trace",
-    "repro.nids.parallel",
     "repro.nids.rule",
     "repro.util.iputil",
     "repro.util.rng",

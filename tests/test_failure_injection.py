@@ -1,6 +1,7 @@
 """Failure-injection tests: the pipeline must be robust to malformed,
 adversarial, and degenerate inputs at every layer — and, for the scan
-pipeline, to worker death and mid-run kills (:class:`TestScanRecovery`)."""
+pipeline, to worker death, chunk errors and mid-run kills
+(:class:`TestScanRecovery`)."""
 
 from datetime import timedelta
 
@@ -12,8 +13,7 @@ from repro.exploits.rulegen import build_study_ruleset
 from repro.net.http import parse_http_request
 from repro.net.pcapstore import SessionStore
 from repro.net.session import TcpSession
-from repro.nids.engine import DetectionEngine, scan_stream
-from repro.nids.parallel import InjectedFault, ScanAborted, parallel_scan
+from repro.nids.engine import DetectionEngine, parallel_scan, scan_stream
 from repro.telescope.collector import DscopeCollector
 from repro.traffic.arrivals import ScanArrival
 from repro.traffic.generator import TrafficConfig, TrafficGenerator
@@ -124,29 +124,22 @@ class TestCollectorRobustness:
         assert len(store) == 3
 
 
-class TestScanRecovery:
-    """Injected worker faults: the scan must recover, stay byte-identical
-    to serial, and account for every fault in its telemetry."""
+class _Killed(Exception):
+    """Stands in for a process killed mid-scan."""
 
-    #: Telemetry counters that measure *scan work* (as opposed to recovery
-    #: bookkeeping or wall-clock timings) — these must match serial exactly
-    #: no matter what faults were injected.
-    WORK_COUNTERS = (
-        "sessions", "payload_bytes", "prefilter_hits",
-        "candidates_nominated", "candidates_evaluated",
-        "match_cache_hits", "match_cache_misses",
-    )
+
+class _StageMustNotRun:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("traffic generated despite a store checkpoint")
+
+
+class TestScanRecovery:
+    """A worker that dies or raises: the parent rescans the chunks left
+    without a result, so the scan stays byte-identical to serial."""
 
     @pytest.fixture(scope="class")
     def world(self):
-        """(ruleset, sessions, serial alerts/scanned, clean-parallel telemetry).
-
-        Alerts and counts are compared against the *serial* scan (the
-        byte-identity contract); work-counter telemetry against a clean
-        ``workers=2`` scan, because the match-cache memoises per chunk, so
-        chunked scans legitimately count prefilter work differently from
-        one serial sweep.
-        """
+        """(ruleset, sessions, serial alerts, serial sessions scanned)."""
         generator = TrafficGenerator(
             TrafficConfig(seed=7, volume_scale=0.01, background_per_exploit=0.3)
         )
@@ -154,172 +147,68 @@ class TestScanRecovery:
         ruleset = build_study_ruleset()
         sessions = list(store)
         alerts, scanned, _ = scan_stream(ruleset, sessions)
-        # threshold=0 forces the pool on: this world is far below the
-        # break-even size, and serial fallback would make every recovery
-        # assertion vacuous.  (Explicit here because class-scoped fixtures
-        # run before the function-scoped env monkeypatch below.)
-        clean_alerts, clean_scanned, clean_telemetry = parallel_scan(
-            ruleset, sessions, workers=2, threshold=0
-        )
-        assert clean_alerts == alerts and clean_scanned == scanned
-        return ruleset, sessions, alerts, scanned, clean_telemetry
+        assert alerts  # never vacuous
+        return ruleset, sessions, alerts, scanned
 
-    @pytest.fixture(autouse=True)
-    def _deterministic_recovery(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "0")
-        monkeypatch.delenv("REPRO_FAULT", raising=False)
-
-    def _assert_identical(self, world, outcome):
-        _, _, serial_alerts, serial_scanned, clean_telemetry = world
+    def _assert_recovered(self, world, outcome):
+        _, _, serial_alerts, serial_scanned = world
         alerts, scanned, telemetry = outcome
         assert alerts == serial_alerts
         assert scanned == serial_scanned
-        for name in self.WORK_COUNTERS:
-            assert getattr(telemetry, name) == getattr(clean_telemetry, name), name
-
-    def test_worker_crash_recovers_identically(self, world, monkeypatch):
-        ruleset, sessions, *_ = world
-        monkeypatch.setenv("REPRO_FAULT", "worker_crash:1")
-        outcome = parallel_scan(ruleset, sessions, workers=2)
-        self._assert_identical(world, outcome)
-        telemetry = outcome[2]
-        # One crash → exactly one pool generation lost; the crashed chunk
-        # (plus any collateral in-flight chunks) was retried and recovered.
-        assert telemetry.pool_respawns == 1
-        assert telemetry.poison_chunks == 0
-        assert telemetry.chunk_retries >= 1
         assert telemetry.recovered_chunks >= 1
+        assert telemetry.fallback_serial == 0
 
-    def test_chunk_error_retries_in_same_pool(self, world, monkeypatch):
+    def test_worker_crash_recovers_identically(self, world, scan_fault):
         ruleset, sessions, *_ = world
-        monkeypatch.setenv("REPRO_FAULT", "chunk_error:2")
-        outcome = parallel_scan(ruleset, sessions, workers=2)
-        self._assert_identical(world, outcome)
-        telemetry = outcome[2]
-        # A chunk-level exception implicates only that chunk: no respawn,
-        # one retry, one recovery — all exact.
-        assert telemetry.pool_respawns == 0
-        assert telemetry.chunk_retries == 1
-        assert telemetry.recovered_chunks == 1
-        assert telemetry.poison_chunks == 0
+        # os._exit in a worker breaks the whole pool: every chunk still in
+        # flight is rescanned in the parent.
+        scan_fault("worker_crash:1", workers=2)
+        outcome = parallel_scan(ruleset, sessions, workers=2, threshold=0)
+        self._assert_recovered(world, outcome)
 
-    def test_poison_chunk_falls_back_to_serial(self, world, monkeypatch):
+    def test_chunk_error_recovers_identically(self, world, scan_fault):
         ruleset, sessions, *_ = world
-        monkeypatch.setenv("REPRO_FAULT", "chunk_error:0:99")
-        outcome = parallel_scan(ruleset, sessions, workers=2)
-        self._assert_identical(world, outcome)
-        telemetry = outcome[2]
-        assert telemetry.poison_chunks == 1
-        assert telemetry.chunk_retries == 1
-        assert telemetry.recovered_chunks == 0
-        assert telemetry.pool_respawns == 0
-
-    def test_always_crashing_chunk_poisons_not_hangs(self, world, monkeypatch):
-        ruleset, sessions, *_ = world
-        monkeypatch.setenv("REPRO_FAULT", "worker_crash:0:99")
-        outcome = parallel_scan(ruleset, sessions, workers=2)
-        self._assert_identical(world, outcome)
-        telemetry = outcome[2]
-        # The chunk crashes on both its attempts (one per generation), so
-        # exactly two generations die before it goes poison.
-        assert telemetry.pool_respawns == 2
-        assert telemetry.poison_chunks >= 1
-
-    def test_fault_hook_callable(self, world, monkeypatch):
-        from repro.nids import parallel
-
-        def hook(chunk_index, attempt):
-            if chunk_index == 3 and attempt == 1:
-                raise InjectedFault("hook fault on chunk 3")
-
-        monkeypatch.setattr(parallel, "_fault_hook", hook)
-        ruleset, sessions, *_ = world
-        outcome = parallel_scan(ruleset, sessions, workers=2)
-        self._assert_identical(world, outcome)
-        telemetry = outcome[2]
-        assert telemetry.chunk_retries == 1
-        assert telemetry.recovered_chunks == 1
-
-    def test_killed_scan_resumes_from_checkpoints(
-        self, world, monkeypatch, tmp_path
-    ):
-        ruleset, sessions, *_ = world
-        store = CheckpointStore(root=tmp_path)
-        monkeypatch.setenv("REPRO_FAULT", "scan_abort:3")
-        with pytest.raises(ScanAborted):
-            parallel_scan(
-                ruleset, sessions, workers=2,
-                checkpoint_store=store, checkpoint_key="scan",
-            )
-        saved = [n for n in store.names("scan") if n.startswith("chunk-")]
-        assert len(saved) == 3  # exactly the chunks that completed
-
-        monkeypatch.delenv("REPRO_FAULT")
-        outcome = parallel_scan(
-            ruleset, sessions, workers=2,
-            checkpoint_store=store, checkpoint_key="scan",
-        )
-        self._assert_identical(world, outcome)
-        # The three checkpointed chunks were served from disk, not rescanned.
-        assert outcome[2].checkpoint_hits == 3
-
-    def test_different_chunking_misses_checkpoints(
-        self, world, monkeypatch, tmp_path
-    ):
-        ruleset, sessions, *_ = world
-        store = CheckpointStore(root=tmp_path)
-        monkeypatch.setenv("REPRO_FAULT", "scan_abort:2")
-        with pytest.raises(ScanAborted):
-            parallel_scan(
-                ruleset, sessions, workers=2,
-                checkpoint_store=store, checkpoint_key="scan",
-            )
-        monkeypatch.delenv("REPRO_FAULT")
-        # A different partition must not reuse the spilled chunks.  (Only
-        # alerts/counts are comparable here: chunking changes the per-chunk
-        # match-cache, hence the work counters.)
-        alerts, scanned, telemetry = parallel_scan(
-            ruleset, sessions, workers=2, chunk_size=101,
-            checkpoint_store=store, checkpoint_key="scan",
-        )
-        _, _, serial_alerts, serial_scanned, _ = world
-        assert alerts == serial_alerts
-        assert scanned == serial_scanned
-        assert telemetry.checkpoint_hits == 0
+        scan_fault("chunk_error:2", workers=2)
+        outcome = parallel_scan(ruleset, sessions, workers=2, threshold=0)
+        self._assert_recovered(world, outcome)
+        # An exception implicates only its own chunk; the pool survives.
+        assert outcome[2].recovered_chunks == 1
 
     def test_study_killed_mid_scan_resumes(self, monkeypatch, tmp_path):
         from repro.analysis.pipeline import StudyConfig, run_study
         from repro.cache import StudyCache, study_key
+        from repro.scenarios import builtins
 
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
         config = StudyConfig(
             seed=7, volume_scale=0.01, background_per_exploit=0.3,
-            background_nvd_count=500, workers=2,
+            background_nvd_count=500,
         )
         cache = StudyCache(root=tmp_path)
         checkpoints = CheckpointStore(root=tmp_path)
 
-        monkeypatch.setenv("REPRO_FAULT", "scan_abort:2")
-        with pytest.raises(ScanAborted):
-            run_study(config, cache=cache, checkpoints=checkpoints)
-        key = study_key(config)
-        names = checkpoints.names(key)
-        assert "store" in names
-        assert sum(1 for name in names if name.startswith("chunk-")) == 2
+        def killed_scan(self, sessions):
+            raise _Killed
 
-        monkeypatch.delenv("REPRO_FAULT")
-        resumed = run_study(config, cache=cache, checkpoints=checkpoints)
-        # The store and the two finished chunks came from disk (the arrival
-        # stream is never checkpointed: a store checkpoint makes it moot).
+        with monkeypatch.context() as patch:
+            patch.setattr(DetectionEngine, "scan", killed_scan)
+            with pytest.raises(_Killed):
+                run_study(config, cache=cache, checkpoints=checkpoints)
+        key = study_key(config)
+        assert checkpoints.names(key) == ["store"]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "TrafficGenerator", _StageMustNotRun)
+            resumed = run_study(config, cache=cache, checkpoints=checkpoints)
+        # The store came from disk (the arrival stream is never
+        # checkpointed: a store checkpoint makes it moot).
         assert resumed.telemetry.checkpoints == ["store"]
-        assert resumed.telemetry.scan.checkpoint_hits == 2
         assert not resumed.from_cache
         # Recovery state is deleted the moment the run succeeds...
         assert checkpoints.keys() == []
         # ...and the result is indistinguishable from an undisturbed run.
-        plain = run_study(config)
+        plain = run_study(config, cache=False, checkpoints=False)
         assert resumed.alerts == plain.alerts
+        assert list(resumed.store) == list(plain.store)
         assert resumed.collection_stats == plain.collection_stats
         assert resumed.ground_truth == plain.ground_truth
 

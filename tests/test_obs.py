@@ -351,7 +351,9 @@ class TestPipelineObservability:
     def test_serial_and_parallel_agree(self, tmp_path, monkeypatch):
         # Force the pool on: the tiny store is below the break-even size
         # and the chunk-span assertions need real chunks.
-        monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "0")
+        from repro.nids import engine
+
+        monkeypatch.setattr(engine, "DEFAULT_PARALLEL_THRESHOLD", 0)
         serial = run_study(_tiny_config(), cache=tmp_path / "a")
         parallel = run_study(
             _tiny_config(workers=2), cache=tmp_path / "b"

@@ -1,11 +1,11 @@
-"""Tests for the parallel study pipeline and the on-disk study cache.
+"""Tests for the parallel scan and the on-disk study cache.
 
-Property-style equivalence: the multiprocess NIDS scan and the sharded
-traffic generation must be *indistinguishable* from the serial paths —
-same alerts (order and fields), same statistics, same arrival streams —
-for any worker count and seed.  Plus cache behaviour: a second identical
-study is served from disk without touching the heavy stages, and any
-config change misses.
+Property-style equivalence: the multiprocess NIDS scan must be
+*indistinguishable* from the serial path — same alerts (order and
+fields), same statistics — for any worker count and seed, and it runs
+serially below its break-even size.  Plus cache behaviour: a second
+identical study is served from disk without touching the heavy stages, and
+any config change misses.
 """
 
 from __future__ import annotations
@@ -21,7 +21,12 @@ from repro.cache.study import STAGES
 from repro.datasets.seed_cves import STUDY_WINDOW
 from repro.exploits.rulegen import build_study_ruleset
 from repro.net.session import TcpSession
-from repro.nids.engine import DetectionEngine
+from repro.nids.engine import (
+    DEFAULT_PARALLEL_THRESHOLD,
+    DetectionEngine,
+    parallel_scan,
+    scan_stream,
+)
 from repro.nids.matcher import SessionBuffers
 from repro.nids.parser import parse_rule
 from repro.nids.ruleset import Ruleset
@@ -53,16 +58,14 @@ def seeded_world(request):
 
 
 class TestParallelScanEquivalence:
-    @pytest.fixture(autouse=True)
-    def _force_pool(self, monkeypatch):
-        # These worlds are far below the break-even size; without this the
-        # serial fallback would make every equivalence here vacuous.
-        monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "0")
+    # These worlds are far below the break-even size, so every parallel
+    # engine here forces the pool on (threshold=0); serial fallback would
+    # make the equivalences vacuous.
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_alerts_and_stats_identical(self, seeded_world, workers):
         _, _, store, ruleset, serial_alerts, serial_stats = seeded_world
-        engine = DetectionEngine(ruleset, workers=workers)
+        engine = DetectionEngine(ruleset, workers=workers, threshold=0)
         alerts = engine.scan(store)
         assert alerts == serial_alerts
         assert engine.stats == serial_stats
@@ -72,44 +75,22 @@ class TestParallelScanEquivalence:
             == list(serial_stats.alerts_by_sid.items())
         )
 
-    def test_explicit_chunk_size(self, seeded_world):
-        _, _, store, ruleset, serial_alerts, _ = seeded_world
-        engine = DetectionEngine(ruleset, workers=2, chunk_size=97)
-        assert engine.scan(store) == serial_alerts
-
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
             DetectionEngine(Ruleset(), workers=0)
 
-    def test_overlapping_scans_from_threads(self, seeded_world, monkeypatch):
-        """Concurrent parallel scans must not read each other's work (each
-        task names its own arena and ruleset digest) — and must actually
-        *overlap*: no lock may serialise one scan behind another.
-
-        The rendezvous barrier fires in each scan after its pool is ready
-        and before any chunk runs; both scans can only meet there if
-        neither holds a scan-long lock.  If one did, this would deadlock
-        (and the barrier timeout would fail the test) instead of passing
-        serially.
-        """
+    def test_overlapping_scans_from_threads(self, seeded_world):
+        """Concurrent parallel scans must not read each other's work: each
+        scan forks its own pool, whose workers inherit that scan's
+        sessions."""
         import threading
-
-        from repro.nids import parallel
 
         _, _, store, ruleset, serial_alerts, _ = seeded_world
         sessions = list(store)
         results = {}
-        rendezvous = threading.Barrier(2, timeout=60)
-        overlapped = []
-
-        def hook():
-            rendezvous.wait()
-            overlapped.append(True)
-
-        monkeypatch.setattr(parallel, "_after_fork_hook", hook)
 
         def scan(name, subset):
-            engine = DetectionEngine(ruleset, workers=2)
+            engine = DetectionEngine(ruleset, workers=2, threshold=0)
             results[name] = engine.scan(subset)
 
         # Different-sized streams, so crossed scan state would be visible
@@ -124,26 +105,51 @@ class TestParallelScanEquivalence:
         for thread in threads:
             thread.join()
 
-        assert overlapped == [True, True]
         assert results["full"] == serial_alerts
-        monkeypatch.setattr(parallel, "_after_fork_hook", None)
         serial_half = DetectionEngine(ruleset).scan(half)
         assert results["half"] == serial_half
 
 
+class TestBreakEvenPolicy:
+    def _sessions(self, count, payload):
+        return [
+            TcpSession(
+                session_id=index, start=utc(2022, 1, 1), src_ip=1,
+                src_port=1024, dst_ip=2, dst_port=80, payload=payload,
+            )
+            for index in range(count)
+        ]
+
+    def test_small_stream_falls_back_to_serial(self):
+        ruleset = build_study_ruleset()
+        sessions = self._sessions(50, b"GET / HTTP/1.1\r\n\r\n")
+        assert len(sessions) < DEFAULT_PARALLEL_THRESHOLD
+        serial_alerts, _, _ = scan_stream(ruleset, sessions)
+        alerts, scanned, telemetry = parallel_scan(ruleset, sessions, workers=4)
+        assert alerts == serial_alerts
+        assert scanned == len(sessions)
+        # The decision is recorded, and no pool work happened at all.
+        assert telemetry.fallback_serial == 1
+        assert telemetry.recovered_chunks == 0
+
+    def test_forced_pool_does_not_fall_back(self):
+        ruleset = build_study_ruleset()
+        sessions = self._sessions(200, b"x" * 10)
+        _, scanned, telemetry = parallel_scan(
+            ruleset, sessions, workers=2, threshold=0
+        )
+        assert scanned == len(sessions)
+        assert telemetry.fallback_serial == 0
+
+    def test_serial_request_not_marked_fallback(self):
+        ruleset = build_study_ruleset()
+        _, _, telemetry = parallel_scan(
+            ruleset, self._sessions(1, b"x"), workers=1
+        )
+        assert telemetry.fallback_serial == 0
+
+
 class TestShardedGenerationEquivalence:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_stream_identical(self, seeded_world, workers):
-        seed, serial_arrivals, *_ = seeded_world
-        generator = TrafficGenerator(_traffic_config(seed))
-        assert generator.generate(workers=workers) == serial_arrivals
-
-    def test_background_shards_worker_independent(self):
-        config = _traffic_config(SEEDS[0], background_shards=4)
-        generator = TrafficGenerator(config)
-        serial = generator.generate()
-        assert generator.generate(workers=3) == serial
-
     def test_background_shards_change_the_stream_not_its_size(self):
         base = TrafficGenerator(_traffic_config(SEEDS[0])).generate()
         sharded = TrafficGenerator(
@@ -151,10 +157,6 @@ class TestShardedGenerationEquivalence:
         ).generate()
         assert len(sharded) == len(base)
         assert sharded != base  # a different (but equally valid) draw
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            TrafficGenerator(_traffic_config(SEEDS[0])).generate(workers=0)
 
 
 def _tiny_study_config(**overrides) -> StudyConfig:

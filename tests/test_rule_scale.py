@@ -15,15 +15,14 @@ Two invariants anchor everything here:
 
 import dataclasses
 import hashlib
-import pickle
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nids import ruleset as ruleset_mod
-from repro.nids.engine import ScanTelemetry, scan_stream
-from repro.nids.parallel import parallel_scan
+from repro.nids.engine import ScanTelemetry, parallel_scan, scan_stream
 from repro.nids.parser import _decode_content, encode_content, parse_rule
 from repro.exploits.rulegen import build_study_ruleset
 from repro.nids.prefilter import RegexPrefilter, ShardedPrefilter
@@ -255,14 +254,6 @@ class TestShardedPrefilter:
         sharded.search(b"alphabet")  # no recompiles on a second search
         assert sharded.shards_compiled == sharded.shard_count
 
-    def test_pickle_drops_compiled_engines(self):
-        sharded = ShardedPrefilter(self.PATTERNS, shard_size=3)
-        reference = sharded.search(b"alphabet ${jndi:ldap")
-        assert sharded.shards_compiled > 0
-        clone = pickle.loads(pickle.dumps(sharded))
-        assert clone.shards_compiled == 0  # recompiles lazily at destination
-        assert clone.search(b"alphabet ${jndi:ldap") == reference
-
     def test_empty_pattern_table_tolerated(self):
         sharded = ShardedPrefilter([])
         assert sharded.search(b"anything") == set()
@@ -299,18 +290,6 @@ class TestRulesetSharding:
         assert stats["prefilter_shards"] == 0
         assert stats["shards_compiled"] == 0
 
-    def test_compact_pickle_round_trips(self, scaled, sessions):
-        ruleset = build_scaled_ruleset(ScaleConfig(size=SIZE), shards=3)
-        reference, _, _ = scan_stream(ruleset, sessions)
-        blob = pickle.dumps(ruleset)
-        clone = pickle.loads(blob)
-        alerts, _, _ = scan_stream(clone, sessions)
-        assert alerts == reference
-        # Derived compile state (plans, groups, shard engines) is rebuilt at
-        # the destination, never shipped.
-        state = pickle.loads(pickle.dumps(ruleset)).__dict__
-        assert state["_compiled"] is False
-
 
 class TestShardedScanEquivalence:
     """Alerts must be byte-identical sharded vs monolithic, however scanned."""
@@ -341,23 +320,18 @@ class TestShardedScanEquivalence:
         # workers * shards.
         assert 4 <= telemetry.shards_compiled <= 8
 
-    @pytest.mark.parametrize("fault", ["worker_crash:0:1", "chunk_error:1"])
-    def test_parallel_with_faults(self, scaled, sessions, monkeypatch, fault):
+    @pytest.mark.parametrize("fault", ["worker_crash:0", "chunk_error:1"])
+    def test_parallel_with_faults(self, scaled, sessions, scan_fault, fault):
         mono = build_scaled_ruleset(ScaleConfig(size=SIZE), shards=1)
         reference, _, _ = scan_stream(mono, sessions)
-        monkeypatch.setenv("REPRO_FAULT", fault)
+        scan_fault(fault, workers=2)
         sharded = build_scaled_ruleset(ScaleConfig(size=SIZE), shards=4)
         alerts, scanned, telemetry = parallel_scan(
             sharded, sessions, workers=2, threshold=0
         )
         assert alerts == reference
         assert scanned == len(sessions)
-        recovered = (
-            telemetry.chunk_retries
-            + telemetry.pool_respawns
-            + telemetry.recovered_chunks
-        )
-        assert recovered >= 1  # the fault actually fired
+        assert telemetry.recovered_chunks >= 1  # the fault actually fired
 
     def test_second_scan_compiles_nothing(self, scaled, sessions):
         ruleset = build_scaled_ruleset(ScaleConfig(size=SIZE), shards=3)
@@ -395,13 +369,10 @@ class TestTelemetryShardCounters:
             "shard_compile_seconds", "shard_searches",
         ):
             assert key in record
-        restored = ScanTelemetry.from_dict(record)
-        assert restored.prefilter_shards == 3
-        assert restored.shard_searches == 5
-        # Chunk checkpoints written before the scan had one engine still
-        # carry an "engine" label; they must keep loading.
-        legacy = ScanTelemetry.from_dict(dict(record, engine="aho"))
-        assert legacy.shard_searches == 5
+        assert record["prefilter_shards"] == 3
+        assert record["shard_searches"] == 5
+        # The record is published into run manifests: JSON-native.
+        assert json.loads(json.dumps(record)) == record
 
 
 class TestThroughputSweep:

@@ -8,9 +8,9 @@ links those files into its entry.  These tests pin down:
   statistics round-trip exactly, and an aware datetime is rejected;
 * malformed content behind a matching digest is caught by the decoder
   and read as an integrity failure and a miss;
-* the remaining JSON codecs (``SessionStore`` files, parallel-scan chunk
-  rows): ``isoformat``/``fromisoformat`` timestamps give the same strings
-  and values as the ``strftime``/``strptime`` codec they replaced;
+* the remaining JSON codec (``SessionStore`` files):
+  ``isoformat``/``fromisoformat`` timestamps give the same strings and
+  values as the ``strftime``/``strptime`` codec they replaced;
 * each stage is written exactly once per cold cached run, and a resumed
   run with a store checkpoint never generates traffic;
 * a damaged stage file is detected on resume, deleted and recomputed;
@@ -50,7 +50,6 @@ from repro.cli import main
 from repro.net.pcapstore import SessionStore, decode_session, encode_session
 from repro.net.session import TcpSession
 from repro.nids.engine import DetectionEngine
-from repro.nids.parallel import _rows_from_json, _rows_to_json
 from repro.nids.ruleset import Alert
 from repro.store.columnar import ALERT_DTYPES, datetimes, micros_column, to_micros
 from repro.store.shard import container_chunks, read_container
@@ -318,22 +317,6 @@ class TestTimestampCodec:
         assert encode_session(session) == _old_session(session)
         assert decode_session(_old_session(session)) == session
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(alerts(), max_size=4))
-    def test_chunk_rows(self, batch):
-        rows = [
-            (a.session_id, a.timestamp, a.sid, a.cve_id, a.rule_published,
-             a.dst_ip, a.dst_port, a.src_ip)
-            for a in batch
-        ]
-        old = [
-            [row[0], row[1].strftime(OLD_FORMAT), row[2], row[3],
-             row[4].strftime(OLD_FORMAT), row[5], row[6], row[7]]
-            for row in rows
-        ]
-        assert _rows_to_json(rows) == old
-        assert _rows_from_json(old) == rows
-
 
 # -- one write per stage -----------------------------------------------------------
 
@@ -566,7 +549,6 @@ class TestLinkOnPublish:
 
 def test_cli_lists_stage_files(staged, capsys):
     _, key, checkpoints, _ = staged
-    checkpoints.save(key, "chunk-x-00000", {"rows": []})
     root = str(checkpoints.root)
     assert main(["cache", "checkpoints", "--cache-dir", root]) == 0
     out = capsys.readouterr().out
@@ -576,7 +558,6 @@ def test_cli_lists_stage_files(staged, capsys):
     (info,) = json.loads(capsys.readouterr().out)["keys"]
     assert info["stages"] == sorted(STAGES)
     assert sorted(info["stage_files"]) == sorted(_data_files())
-    assert info["blobs"] == 1 and info["chunks"] == 1
 
 
 def test_benchmark_trace_targets_resolve():

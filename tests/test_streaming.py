@@ -116,17 +116,17 @@ class TestIncrementalStudy:
 
     @pytest.mark.parametrize("fault", ["worker_crash:0", "chunk_error:0"])
     def test_faulted_parallel_windows_byte_identical(
-        self, study, monkeypatch, fault
+        self, study, scan_fault, fault
     ):
-        # scan_abort is excluded by design: it kills the scan (checkpoint
-        # resume territory), so there is no completed run to compare.
-        monkeypatch.setenv("REPRO_FAULT", fault)
+        scan_fault(fault, workers=2)
         engine = DetectionEngine(study.ruleset, workers=2, threshold=0)
         inc = self._observe_in_windows(study, engine, n_windows=2)
-        monkeypatch.delenv("REPRO_FAULT")
         snapshot = inc.snapshot()
         assert snapshot.alerts == study.alerts
         assert snapshot.stats == _batch_stats(study)
+        # Chunk 0 of each window failed in its worker and was rescanned
+        # (a crash also takes the chunks still in flight with it).
+        assert engine.stats.telemetry.recovered_chunks >= 2
 
     def test_memory_bounded_to_alerted_sessions(self, study):
         engine = DetectionEngine(study.ruleset)
