@@ -28,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.cache import CacheTelemetry, CheckpointStore, StudyCache
@@ -56,6 +58,7 @@ from repro.obs import (
     manifests_root,
     publish_mapping,
 )
+from repro.store.columnar import AlertTable
 from repro.telescope.collector import CollectionStats, DscopeCollector
 from repro.telescope.config import TelescopeConfig
 from repro.traffic.generator import TrafficConfig, TrafficGenerator
@@ -173,7 +176,9 @@ class StudyResult:
     bundle: DatasetBundle
     store: SessionStore
     ruleset: Ruleset
-    alerts: List[Alert]
+    #: The scan's alerts as one column table (a ``Sequence[Alert]`` whose
+    #: records are built only when something reads them).
+    alerts: AlertTable
     events: List[ExploitEvent]
     events_per_cve: Dict[str, List[ExploitEvent]]
     rca_decisions: List[RcaDecision]
@@ -228,7 +233,7 @@ class AnalysisOutputs:
 
 def derive_analysis(
     bundle: DatasetBundle,
-    alerts: List[Alert],
+    alerts: Sequence[Alert],
     payloads: Union[SessionStore, Mapping[int, bytes]],
     *,
     tracer: Optional[Tracer] = None,
@@ -236,10 +241,13 @@ def derive_analysis(
 ) -> AnalysisOutputs:
     """Run exploit-event extraction, RCA pruning, and timeline assembly.
 
-    ``payloads`` supplies session payloads for root-cause analysis: the
-    full :class:`SessionStore` on the batch path, or a session_id →
-    payload mapping covering the alerted sessions on the streaming path
-    (RCA never reads payloads of unalerted sessions).  ``rca`` is a
+    ``alerts`` is an :class:`AlertTable` on the batch path (events are
+    built from its columns) or a plain list on the streaming path (packed
+    first).  ``payloads`` supplies session payloads for root-cause
+    analysis: the full :class:`SessionStore` on the batch path (RCA reads
+    its :meth:`SessionStore.payloads`), or a session_id → payload mapping
+    covering the alerted sessions on the streaming path (RCA never reads
+    payloads of unalerted sessions).  ``rca`` is a
     factory called with the payloads (a scenario's registered RCA
     component); None uses the paper's heuristic.
     """
@@ -541,6 +549,9 @@ def run_study(
                     with profiler.stage("scan"):
                         alerts = engine.scan(store)
                     scan_telemetry = engine.stats.telemetry
+                    # Packed once: the checkpoint, the cache entry, the
+                    # event derivation and the shard all read this table.
+                    alerts = AlertTable.pack(alerts)
                     if checkpoint_store is not None:
                         checkpoint_store.save(
                             study_key, "alerts", encode_stage_alerts(alerts)

@@ -41,7 +41,10 @@ reads one data file, a column container (the shard's framing, see
 :mod:`repro.store.shard`) written through one zlib stream: ``store`` holds
 the session columns, a deduplicated payload heap and the ground truth,
 with the collection statistics in the container header; ``alerts`` holds
-the shard's own ``alert_*`` columns (:func:`repro.store.columnar.pack_alerts`).
+the shard's own ``alert_*`` columns (:class:`repro.store.columnar.AlertTable`).
+A loaded stage is a view over its checked columns, not a list of records:
+the store builds its ``TcpSession`` records only when iterated, and the
+alert table its ``Alert`` records only when read.
 The crash checkpoints of :mod:`repro.cache.checkpoint` write the same files
 with the same codec, so when a run checkpointed its stages,
 :meth:`StudyCache.save` hard-links those files into the entry (copying when
@@ -65,7 +68,10 @@ import zlib
 from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+    Union,
+)
 
 from repro.cache.fingerprint import code_fingerprint
 from repro.cache.gc import (
@@ -88,12 +94,13 @@ from repro.net.session import TcpSession
 from repro.nids.ruleset import Alert
 from repro.store.columnar import (
     ALERT_DTYPES,
+    MISSING,
+    AlertTable,
     Interner,
     check_index,
+    check_times,
     datetimes,
     micros_column,
-    pack_alerts,
-    unpack_alerts,
 )
 from repro.store.shard import container_chunks, read_container
 from repro.telescope.collector import CollectionStats
@@ -296,7 +303,47 @@ def _write_captured(directory: Path, captured: "Captured") -> int:
     return len(sessions)
 
 
+class _SessionColumns:
+    """The ``store`` stage's validated session columns and payload heap: what
+    the loaded :class:`SessionStore` is a view over."""
+
+    def __init__(self, columns: Dict[str, np.ndarray]) -> None:
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return int(self._columns["session_id"].size)
+
+    def _payload_of_row(self) -> Iterator[bytes]:
+        """Each row's payload, in column order."""
+        heap = self._columns["payload_heap"].tobytes()
+        bounds = self._columns["payload_offset"].tolist()
+        distinct = [heap[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return map(distinct.__getitem__, self._columns["session_payload"].tolist())
+
+    def payloads(self) -> Dict[int, bytes]:
+        return dict(zip(self._columns["session_id"].tolist(), self._payload_of_row()))
+
+    def __iter__(self) -> Iterator[TcpSession]:
+        columns = self._columns
+        return map(
+            TcpSession,
+            columns["session_id"].tolist(),
+            datetimes(columns["session_start"]),
+            columns["session_src_ip"].tolist(),
+            columns["session_src_port"].tolist(),
+            columns["session_dst_ip"].tolist(),
+            columns["session_dst_port"].tolist(),
+            self._payload_of_row(),
+            datetimes(columns["session_end"]),
+            columns["session_established"].astype(bool).tolist(),
+        )
+
+
 def _read_captured(directory: Path) -> "Captured":
+    """The ``store`` stage, checked column by column: the store is a view
+    over the session columns (see :meth:`SessionStore.from_columns`), so
+    everything its records would reject is rejected here, as
+    ``ValueError``."""
     header, columns = _read_columns(directory / STORE_FILE, STORE_DTYPES)
     count = columns["session_id"].size
     if any(
@@ -306,46 +353,26 @@ def _read_captured(directory: Path) -> "Captured":
     ) or columns["truth_session"].size != columns["truth_cve"].size:
         raise ValueError(f"{STORE_FILE}: columns differ in length")
     offsets = columns["payload_offset"]
-    heap = columns["payload_heap"].tobytes()
     if (
         offsets.size == 0
         or offsets[0] != 0
-        or offsets[-1] != len(heap)
+        or offsets[-1] != columns["payload_heap"].size
         or bool((np.diff(offsets) < 0).any())
     ):
         raise ValueError(f"{STORE_FILE}: malformed payload heap")
-    bounds = offsets.tolist()
-    payloads = [heap[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    check_index(columns["session_payload"], 0, len(payloads), "payload")
+    check_index(columns["session_payload"], 0, offsets.size - 1, "payload")
+    start, end = columns["session_start"], columns["session_end"]
+    check_times(start, "session start")
+    closed = end != MISSING
+    check_times(end[closed], "session end")
+    if bool((end[closed] < start[closed]).any()):
+        raise ValueError(f"{STORE_FILE}: a session ends before it starts")
+    truth_sessions = columns["truth_session"]
+    if np.unique(truth_sessions).size != truth_sessions.size:
+        raise ValueError(f"{STORE_FILE}: duplicate ground-truth sessions")
     cves = list(header["cves"])
     check_index(columns["truth_cve"], -1, len(cves), "ground-truth CVE")
 
-    store = SessionStore()
-    store.extend(
-        TcpSession(
-            session_id=session_id,
-            start=start,
-            src_ip=src_ip,
-            src_port=src_port,
-            dst_ip=dst_ip,
-            dst_port=dst_port,
-            payload=payloads[payload],
-            end=end,
-            established=established,
-        )
-        for session_id, start, end, src_ip, dst_ip, src_port, dst_port,
-        established, payload in zip(
-            columns["session_id"].tolist(),
-            datetimes(columns["session_start"]),
-            datetimes(columns["session_end"]),
-            columns["session_src_ip"].tolist(),
-            columns["session_dst_ip"].tolist(),
-            columns["session_src_port"].tolist(),
-            columns["session_dst_port"].tolist(),
-            columns["session_established"].astype(bool).tolist(),
-            columns["session_payload"].tolist(),
-        )
-    )
     stats = header["stats"]
     collection_stats = CollectionStats(
         **{name: stats[name] for name in _STATS_COUNTERS},
@@ -353,27 +380,25 @@ def _read_captured(directory: Path) -> "Captured":
         source_ips=set(stats["source_ips"]),
     )
     table = [*cves, None]  # index -1 -> None
-    ground_truth = {
-        session_id: table[cve]
-        for session_id, cve in zip(
-            columns["truth_session"].tolist(), columns["truth_cve"].tolist()
-        )
-    }
+    ground_truth = dict(zip(
+        truth_sessions.tolist(),
+        map(table.__getitem__, columns["truth_cve"].tolist()),
+    ))
+    store = SessionStore.from_columns(_SessionColumns(columns))
     return store, collection_stats, ground_truth
 
 
-def _write_alerts(directory: Path, alerts: List[Alert]) -> int:
-    cves = Interner()
-    columns = pack_alerts(alerts, cves)
+def _write_alerts(directory: Path, alerts: Sequence[Alert]) -> int:
+    table = AlertTable.pack(alerts)
     _write_columns(
-        directory / ALERTS_FILE, {"cves": cves.values}, columns, ALERT_DTYPES
+        directory / ALERTS_FILE, {"cves": table.cves}, table.columns, ALERT_DTYPES
     )
-    return len(alerts)
+    return len(table)
 
 
-def _read_alerts(directory: Path) -> List[Alert]:
+def _read_alerts(directory: Path) -> AlertTable:
     header, columns = _read_columns(directory / ALERTS_FILE, ALERT_DTYPES)
-    return unpack_alerts(columns, list(header["cves"]))
+    return AlertTable(columns, header["cves"])
 
 
 #: The capture stage's value: the session store, the collector's
@@ -453,7 +478,7 @@ class CachedStudy:
     path: Path
     meta: dict
     store: SessionStore
-    alerts: List[Alert]
+    alerts: AlertTable
     collection_stats: CollectionStats
     ground_truth: Dict[int, Optional[str]]
 
@@ -600,7 +625,7 @@ class StudyCache:
         config,
         *,
         store: SessionStore,
-        alerts: List[Alert],
+        alerts: Sequence[Alert],
         collection_stats: CollectionStats,
         ground_truth: Dict[int, Optional[str]],
         checkpoints: Optional["CheckpointStore"] = None,

@@ -112,10 +112,9 @@ class RootCauseAnalysis:
         if not 0.0 < exploit_threshold <= 1.0:
             raise ValueError("exploit_threshold must be in (0, 1]")
         if isinstance(payloads, SessionStore):
-            # Batch path: index the full archive.
-            self._payloads: Dict[int, bytes] = {
-                session.session_id: session.payload for session in payloads
-            }
+            # Batch path: index the full archive (from its columns when the
+            # store was loaded from the study cache).
+            self._payloads: Dict[int, bytes] = payloads.payloads()
         else:
             # Streaming path: a session_id -> payload mapping covering (at
             # least) the alerted sessions — RCA only ever inspects payloads

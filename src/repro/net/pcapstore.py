@@ -15,9 +15,22 @@ import json
 from bisect import bisect_left, bisect_right
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Union
 
 from repro.net.session import TcpSession
+
+
+class SessionColumns(Protocol):
+    """Column-stored sessions a :class:`SessionStore` can be a view over
+    (the study cache's ``store`` stage file is one)."""
+
+    def __len__(self) -> int: ...
+
+    def __iter__(self) -> Iterator[TcpSession]:
+        """Every session, built from its row, in column order."""
+
+    def payloads(self) -> Dict[int, bytes]:
+        """session_id -> payload, without building any session."""
 
 
 def encode_session(session: TcpSession) -> dict:
@@ -68,16 +81,46 @@ class SessionStore:
     Sessions may be appended in any order; iteration and range queries are
     always in start-time order.  The index is rebuilt lazily, so bulk appends
     stay O(1) each.
+
+    A store is filled either by :meth:`append` / :meth:`extend` (capture)
+    or, from a loaded stage file, as a view over its columns
+    (:meth:`from_columns`).  A view answers ``len()`` and :meth:`payloads`
+    from the columns; the first read or write of its records (iteration,
+    :meth:`between`, :meth:`to_port`, :meth:`save`, :meth:`append`) builds
+    every :class:`TcpSession` once, in column order, through :meth:`extend`.
     """
 
     def __init__(self) -> None:
         self._sessions: List[TcpSession] = []
         self._sorted = True
+        self._columns: Optional[SessionColumns] = None
+
+    @classmethod
+    def from_columns(cls, columns: "SessionColumns") -> "SessionStore":
+        """A store whose sessions are ``columns``' rows, built on first use."""
+        store = cls()
+        store._columns = columns
+        return store
 
     def __len__(self) -> int:
+        if self._columns is not None:
+            return len(self._columns)
         return len(self._sessions)
 
+    def payloads(self) -> Dict[int, bytes]:
+        """session_id -> payload for every session (what root-cause
+        analysis reads); a view answers from its columns."""
+        if self._columns is not None:
+            return self._columns.payloads()
+        return {session.session_id: session.payload for session in self}
+
+    def _materialise(self) -> None:
+        columns, self._columns = self._columns, None
+        self.extend(columns)
+
     def append(self, session: TcpSession) -> None:
+        if self._columns is not None:
+            self._materialise()
         if self._sessions and session.start < self._sessions[-1].start:
             self._sorted = False
         self._sessions.append(session)
@@ -87,6 +130,8 @@ class SessionStore:
             self.append(session)
 
     def _ensure_sorted(self) -> None:
+        if self._columns is not None:
+            self._materialise()
         if not self._sorted:
             self._sessions.sort(key=lambda s: (s.start, s.session_id))
             self._sorted = True

@@ -24,16 +24,21 @@ Packing consumes a :class:`repro.analysis.pipeline.StudyResult` (batch) or
 a :class:`repro.analysis.streaming.StudySnapshot` plus its bundle
 (incremental); :mod:`repro.store.shard` persists the result as a binary
 shard and reloads it zero-copy; :mod:`repro.store.kernels` answers queries
-from the columns.  The alert column group (:func:`pack_alerts` /
-:func:`unpack_alerts`) is also the study cache's encoding of the scan's
-alert list, so alerts have exactly one column encoding.
+from the columns.  The alert column group (:func:`pack_alerts`, held by
+an :class:`AlertTable`) is also the study cache's encoding of the scan's
+alert list, so alerts have exactly one column encoding: the scan's list is
+packed once, and the cache, the event derivation and the shard packer all
+read that table.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+)
 
 import numpy as np
 
@@ -144,10 +149,32 @@ def datetimes(column: np.ndarray) -> List[Optional[datetime]]:
     return column.view("datetime64[us]").tolist()
 
 
+def shared_values(column: np.ndarray) -> list:
+    """``column.tolist()`` with one Python object per distinct value, so a
+    column of few distinct values costs a pointer per row, not an object."""
+    values, index = np.unique(column, return_inverse=True)
+    return list(map(values.tolist().__getitem__, index.tolist()))
+
+
 def check_index(column: np.ndarray, low: int, high: int, what: str) -> None:
     """Raise ``ValueError`` unless every value lies in ``[low, high)``."""
     if column.size and not low <= int(column.min()) <= int(column.max()) < high:
         raise ValueError(f"{what} index out of range")
+
+
+#: The microsecond stamps a ``datetime`` can hold; :func:`datetimes` turns
+#: a value outside them into an int, not a datetime.
+_MIN_US = (datetime.min - _EPOCH) // _US
+_MAX_US = (datetime.max - _EPOCH) // _US
+
+
+def check_times(column: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless every value is a datetime's microsecond
+    stamp (:data:`MISSING` is not)."""
+    if column.size and not (
+        _MIN_US <= int(column.min()) <= int(column.max()) <= _MAX_US
+    ):
+        raise ValueError(f"{what} missing or out of range")
 
 
 class Interner:
@@ -193,45 +220,91 @@ def pack_alerts(alerts: Sequence["Alert"], cves: Interner) -> Dict[str, np.ndarr
     }
 
 
-def unpack_alerts(
-    columns: Mapping[str, np.ndarray], cves: Sequence[Optional[str]]
-) -> List["Alert"]:
-    """Inverse of :func:`pack_alerts`, given the interned CVE table.
+class AlertTable(SequenceABC):
+    """An alert list as its :data:`ALERT_DTYPES` columns plus the interned
+    CVE table (``alert_cve`` indexes ``cves``; -1 is None).
 
-    Raises ``ValueError`` when the columns differ in length or a CVE index
-    falls outside ``cves``.
+    A read-only ``Sequence[Alert]``: ``len`` comes from the columns, and
+    the :class:`Alert` records are unpacked once, on first iteration or
+    indexing (or are the list the table was packed from).  ``==`` compares
+    the records with any alert sequence.  Construction checks everything
+    the records and their readers rely on — equal column lengths, CVE
+    indexes in range, both timestamps present and within ``datetime``'s
+    range — and raises ``ValueError`` otherwise.
     """
-    from repro.nids.ruleset import Alert
 
-    count = columns["alert_session"].size
-    if any(columns[name].size != count for name in ALERT_DTYPES):
-        raise ValueError("alert columns differ in length")
-    cve_index = columns["alert_cve"]
-    check_index(cve_index, -1, len(cves), "alert CVE")
-    table = [*cves, None]  # index -1 -> None
-    return [
-        Alert(
-            session_id=session_id,
-            timestamp=timestamp,
-            sid=sid,
-            cve_id=table[cve],
-            rule_published=published,
-            dst_ip=dst_ip,
-            dst_port=dst_port,
-            src_ip=src_ip,
-        )
-        for session_id, timestamp, sid, cve, published, dst_ip, dst_port, src_ip
-        in zip(
-            columns["alert_session"].tolist(),
-            datetimes(columns["alert_t"]),
-            columns["alert_sid"].tolist(),
-            cve_index.tolist(),
-            datetimes(columns["alert_rule_published"]),
-            columns["alert_dst_ip"].tolist(),
-            columns["alert_dst_port"].tolist(),
-            columns["alert_src_ip"].tolist(),
-        )
-    ]
+    def __init__(
+        self,
+        columns: Mapping[str, np.ndarray],
+        cves: Sequence[str],
+        alerts: Optional[List["Alert"]] = None,
+    ) -> None:
+        count = columns["alert_session"].size
+        if any(columns[name].size != count for name in ALERT_DTYPES):
+            raise ValueError("alert columns differ in length")
+        check_index(columns["alert_cve"], -1, len(cves), "alert CVE")
+        check_times(columns["alert_t"], "alert time")
+        check_times(columns["alert_rule_published"], "rule publication time")
+        self.columns: Dict[str, np.ndarray] = dict(columns)
+        self.cves: List[str] = list(cves)
+        self._alerts = alerts
+
+    @classmethod
+    def pack(cls, alerts: Iterable["Alert"]) -> "AlertTable":
+        """``alerts`` as a table; a table is returned as it is."""
+        if isinstance(alerts, AlertTable):
+            return alerts
+        alerts = list(alerts)
+        cves = Interner()
+        return cls(pack_alerts(alerts, cves), cves.values, alerts)
+
+    def _records(self) -> List["Alert"]:
+        if self._alerts is None:
+            from repro.nids.ruleset import Alert
+
+            columns = self.columns
+            table = [*self.cves, None]  # index -1 -> None
+            self._alerts = list(map(
+                Alert,
+                columns["alert_session"].tolist(),
+                datetimes(columns["alert_t"]),
+                columns["alert_sid"].tolist(),
+                [table[cve] for cve in columns["alert_cve"].tolist()],
+                datetimes(columns["alert_rule_published"]),
+                columns["alert_dst_ip"].tolist(),
+                columns["alert_dst_port"].tolist(),
+                columns["alert_src_ip"].tolist(),
+            ))
+        return self._alerts
+
+    def __len__(self) -> int:
+        return int(self.columns["alert_session"].size)
+
+    def __getitem__(self, index):
+        return self._records()[index]
+
+    def __iter__(self) -> Iterator["Alert"]:
+        return iter(self._records())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (AlertTable, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and self._records() == list(other)
+
+    def __repr__(self) -> str:
+        return f"AlertTable({len(self)} alerts, {len(self.cves)} CVEs)"
+
+    def columns_into(self, cves: Interner) -> Dict[str, np.ndarray]:
+        """The columns with ``alert_cve`` re-indexed into ``cves``: what
+        :func:`pack_alerts` of the records into ``cves`` gives, without
+        the records (CVEs are interned in order of first appearance)."""
+        codes = self.columns["alert_cve"]
+        used, first = np.unique(codes, return_index=True)
+        remap = np.full(len(self.cves) + 1, -1, np.int32)  # last: -1 -> -1
+        for code in used[np.argsort(first)].tolist():
+            if code >= 0:
+                remap[code] = cves.intern(self.cves[code])
+        return {**self.columns, "alert_cve": remap[codes]}
 
 
 @dataclass
@@ -399,7 +472,7 @@ class ColumnarStudy:
         for letter in EVENT_LETTERS:
             columns[f"timeline_t_{letter}"] = event_cols[letter]
 
-        columns.update(pack_alerts(alerts, cves))
+        columns.update(AlertTable.pack(alerts).columns_into(cves))
 
         columns["event_cve"] = np.fromiter(
             (cves.intern(event.cve_id) for event in kept_events),

@@ -4,8 +4,9 @@ Property-style equivalence: the multiprocess NIDS scan must be
 *indistinguishable* from the serial path — same alerts (order and
 fields), same statistics — for any worker count and seed, and it runs
 serially below its break-even size.  Plus cache behaviour: a second
-identical study is served from disk without touching the heavy stages, and
-any config change misses.
+identical study is served from disk without touching the heavy stages
+(and without building a session or alert record), and any config change
+misses.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.analysis.pipeline import StudyConfig, run_study
 from repro.cache import StudyCache, study_key
 from repro.cache.study import STAGES
 from repro.datasets.seed_cves import STUDY_WINDOW
+from repro.experiments.registry import list_experiments, run_experiment
 from repro.exploits.rulegen import build_study_ruleset
 from repro.net.session import TcpSession
 from repro.nids.engine import (
@@ -29,7 +31,8 @@ from repro.nids.engine import (
 )
 from repro.nids.matcher import SessionBuffers
 from repro.nids.parser import parse_rule
-from repro.nids.ruleset import Ruleset
+from repro.nids.ruleset import Alert, Ruleset
+from repro.store import ColumnarStudy, ShardStore
 from repro.telescope.collector import DscopeCollector
 from repro.traffic.generator import TrafficConfig, TrafficGenerator
 from repro.util.timeutil import utc
@@ -190,8 +193,46 @@ class TestStudyCache:
         assert list(second.store) == list(first.store)
         assert second.collection_stats == first.collection_stats
         assert second.ground_truth == first.ground_truth
-        assert sorted(second.timelines) == sorted(first.timelines)
+        # What the warm run re-derives from the columns, value for value.
+        assert second.events == first.events
+        assert second.events_per_cve == first.events_per_cve
+        assert second.rca_decisions == first.rca_decisions
+        assert second.timelines == first.timelines
         assert cache.hits == 1 and cache.misses == 1
+
+    def test_warm_run_builds_no_records(self, tmp_path, monkeypatch):
+        """A cache hit, every artifact and the shard pack read the loaded
+        columns: no ``TcpSession`` and no ``Alert`` is built, the shard is
+        byte-identical to the cold one, and iterating the store and the
+        alerts afterwards still gives the cold records."""
+        config = _tiny_study_config()
+        cold = run_study(config, cache=tmp_path / "cache")
+        cold_shard = ShardStore(tmp_path / "cold").save(ColumnarStudy.from_study(cold))
+
+        built = {"sessions": 0, "alerts": 0}
+
+        def counting(kind, init):
+            def wrapper(self, *args, **kwargs):
+                built[kind] += 1
+                init(self, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            TcpSession, "__init__", counting("sessions", TcpSession.__init__)
+        )
+        monkeypatch.setattr(Alert, "__init__", counting("alerts", Alert.__init__))
+        warm = run_study(config, cache=tmp_path / "cache")
+        for experiment_id in list_experiments():
+            run_experiment(experiment_id, warm)
+        warm_shard = ShardStore(tmp_path / "warm").save(ColumnarStudy.from_study(warm))
+        assert warm.from_cache
+        assert built == {"sessions": 0, "alerts": 0}
+        assert warm_shard.read_bytes() == cold_shard.read_bytes()
+
+        assert list(warm.store) == list(cold.store)
+        assert list(warm.alerts) == list(cold.alerts)
+        assert built == {"sessions": len(cold.store), "alerts": len(cold.alerts)}
 
     def test_changed_config_misses(self, tmp_path):
         cache = StudyCache(root=tmp_path)

@@ -6,8 +6,13 @@ links those files into its entry.  These tests pin down:
 
 * the stage codecs: sessions, alerts, ground truth and collection
   statistics round-trip exactly, and an aware datetime is rejected;
-* malformed content behind a matching digest is caught by the decoder
-  and read as an integrity failure and a miss;
+* malformed content behind a matching digest — damaged framing, or
+  well-framed columns no writer produces (a session ending before it
+  starts, a missing time, an index out of range, a duplicate ground-truth
+  session) — is caught by the decoder's checks and read as an integrity
+  failure and a miss;
+* events derived from the alert columns equal the per-alert derivation,
+  and re-indexing a table into a shard's CVE interner equals packing it;
 * the remaining JSON codec (``SessionStore`` files):
   ``isoformat``/``fromisoformat`` timestamps give the same strings and
   values as the ``strftime``/``strptime`` codec they replaced;
@@ -32,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.pipeline import StudyConfig, run_study
@@ -47,11 +52,21 @@ from repro.cache.checkpoint import encode_stage_alerts, encode_stage_store
 from repro.cache.integrity import file_entry
 from repro.cache.study import STAGE_FILES, STAGES, STORE_DTYPES, write_stage
 from repro.cli import main
+from repro.lifecycle.exploit_events import ExploitEvent, events_from_alerts
 from repro.net.pcapstore import SessionStore, decode_session, encode_session
 from repro.net.session import TcpSession
 from repro.nids.engine import DetectionEngine
 from repro.nids.ruleset import Alert
-from repro.store.columnar import ALERT_DTYPES, datetimes, micros_column, to_micros
+from repro.store.columnar import (
+    ALERT_DTYPES,
+    MISSING,
+    AlertTable,
+    Interner,
+    datetimes,
+    micros_column,
+    pack_alerts,
+    to_micros,
+)
 from repro.store.shard import container_chunks, read_container
 from repro.telescope.collector import CollectionStats
 from repro.traffic.generator import TrafficGenerator
@@ -167,6 +182,49 @@ class TestStageCodecs:
     def test_alerts_round_trip(self, alert_list):
         assert _round_trip("alerts", alert_list) == alert_list
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(alerts(), max_size=12))
+    @example([
+        Alert(
+            session_id=1, timestamp=datetime(2022, 1, 1), sid=1,
+            cve_id="CVE-2021-44228", rule_published=datetime(2022, 1, 1),
+            dst_ip=1, dst_port=80, src_ip=2,
+        )
+    ])
+    def test_events_from_alert_columns(self, alert_list):
+        """The column derivation gives the events the per-alert one did,
+        ``mitigated`` included (a tie with the rule's publication is
+        mitigated), for a table and for a plain list."""
+        expected = [
+            ExploitEvent(
+                cve_id=alert.cve_id, timestamp=alert.timestamp, sid=alert.sid,
+                session_id=alert.session_id, src_ip=alert.src_ip,
+                dst_ip=alert.dst_ip, dst_port=alert.dst_port,
+                mitigated=not alert.pre_publication,
+            )
+            for alert in alert_list
+            if alert.cve_id is not None
+        ]
+        assert events_from_alerts(alert_list) == expected
+        assert events_from_alerts(AlertTable.pack(alert_list)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(alerts(), max_size=12), st.lists(cve_ids, max_size=3))
+    def test_table_columns_into_an_interner(self, alert_list, seen):
+        """Re-indexing a table's CVE column into a shard's interner equals
+        packing the records into it."""
+        packed, remapped = Interner(), Interner()
+        for cve_id in seen:
+            packed.intern(cve_id)
+            remapped.intern(cve_id)
+        expected = pack_alerts(alert_list, packed)
+        columns = AlertTable.pack(alert_list).columns_into(remapped)
+        assert remapped.values == packed.values
+        assert sorted(columns) == sorted(expected)
+        for name, column in expected.items():
+            assert columns[name].dtype == column.dtype, name
+            assert columns[name].tolist() == column.tolist(), name
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.none(), st.datetimes()), max_size=8))
     def test_datetime_column(self, values):
@@ -246,19 +304,57 @@ def _malform(stage: str, data: bytes, how: str) -> bytes:
         return _recompress(raw + b"\0" * 8)
     if how == "truncated_stream":
         return data[:-4]
-    assert how == "trailing_stream_bytes"
-    return data + b"junk"
+    if how == "trailing_stream_bytes":
+        return data + b"junk"
+    # Well-framed columns holding what no writer produces.
+    if how == "session_ends_before_start":
+        columns["session_end"] = columns["session_start"] - 1
+    elif how == "session_start_missing":
+        columns["session_start"][:] = MISSING
+    elif how == "payload_index_out_of_range":
+        columns["session_payload"][:] = columns["payload_offset"].size - 1
+    elif how == "duplicate_truth_session":
+        columns["truth_session"] = np.repeat(columns["truth_session"][:1], 2)
+        columns["truth_cve"] = np.repeat(columns["truth_cve"][:1], 2)
+    elif how == "alert_cve_out_of_range":
+        columns["alert_cve"][:] = len(header["cves"])
+    elif how == "alert_time_missing":
+        columns["alert_t"][:] = MISSING
+    elif how == "alert_time_out_of_range":  # past datetime.max
+        columns["alert_t"][:] = np.iinfo(np.int64).max
+    else:
+        assert how == "rule_published_missing"
+        columns["alert_rule_published"][:] = MISSING
+    return _rewrite(header, columns, dtypes)
 
 
-MALFORMATIONS = [
+#: Damage to the framing: any stage file.
+FRAMING = [
     "bad_magic", "unknown_column", "missing_column", "dtype_mismatch",
     "short_column", "trailing_bytes", "truncated_stream",
     "trailing_stream_bytes",
 ]
+#: Columns that decode but that no writer produces, per stage: the reader
+#: must reject each by a column check, or the cache would serve a study
+#: that fails (or is wrong) later.
+SEMANTIC = {
+    "store": [
+        "session_ends_before_start", "session_start_missing",
+        "payload_index_out_of_range", "duplicate_truth_session",
+    ],
+    "alerts": [
+        "alert_cve_out_of_range", "alert_time_missing",
+        "alert_time_out_of_range", "rule_published_missing",
+    ],
+}
+MALFORMATIONS = [
+    pytest.param(stage, how, id=f"{stage}-{how}")
+    for stage in STAGES
+    for how in FRAMING + SEMANTIC[stage]
+]
 
 
-@pytest.mark.parametrize("how", MALFORMATIONS)
-@pytest.mark.parametrize("stage", list(STAGES))
+@pytest.mark.parametrize("stage, how", MALFORMATIONS)
 class TestMalformedContent:
     def test_study_cache_load_is_an_integrity_miss(self, staged, tmp_path, stage, how):
         config, _, _, values = staged
