@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import timedelta
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import (
     TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Union,
@@ -175,7 +177,9 @@ class StudyResult:
     config: StudyConfig
     bundle: DatasetBundle
     store: SessionStore
-    ruleset: Ruleset
+    #: Returns the study's ruleset; :attr:`ruleset` calls it once, on first
+    #: read (a cache hit scans nothing, so it builds no ruleset).
+    build_ruleset: Callable[[], Ruleset] = field(repr=False, compare=False)
     #: The scan's alerts as one column table (a ``Sequence[Alert]`` whose
     #: records are built only when something reads them).
     alerts: AlertTable
@@ -193,6 +197,11 @@ class StudyResult:
     #: The run's unified telemetry: ``.scan``, ``.cache``, ``.checkpoints``,
     #: ``.manifest_path``.
     telemetry: StudyTelemetry = field(default_factory=StudyTelemetry)
+
+    @cached_property
+    def ruleset(self) -> Ruleset:
+        """The retrospective ruleset the scan evaluated (or would have)."""
+        return self.build_ruleset()
 
     @property
     def kept_cves(self) -> List[str]:
@@ -212,7 +221,7 @@ class StudyResult:
         kept: List[ExploitEvent] = []
         for group in self.events_per_cve.values():
             kept.extend(group)
-        kept.sort(key=lambda event: event.timestamp)
+        kept.sort(key=attrgetter("timestamp"))
         return kept
 
 
@@ -459,11 +468,12 @@ def run_study(
     scan_telemetry: Optional[ScanTelemetry] = None
 
     with tracer.span("run_study", key=study_key, workers=config.workers):
-        # Stage 1: datasets (plus the retrospective ruleset they imply),
-        # both from the resolved scenario's components.
+        # Stage 1: datasets, from the resolved scenario's components.  The
+        # ruleset is built only where a scan runs, or when the result's
+        # ``ruleset`` is first read.
+        build_ruleset: Callable[[], Ruleset] = resolved.build_ruleset
         with tracer.span("datasets") as span:
             bundle = build_bundle(resolved.plan)
-            ruleset = resolved.build_ruleset()
             span.set("background_cves", len(bundle.nvd_background))
 
         cached = study_cache.load(config) if study_cache is not None else None
@@ -543,6 +553,8 @@ def run_study(
                         span.set("source", "checkpoint")
                 if alerts is None:
                     span.set("source", "computed")
+                    ruleset = resolved.build_ruleset()
+                    build_ruleset = lambda: ruleset  # noqa: E731
                     engine = DetectionEngine(
                         ruleset, workers=config.workers, tracer=tracer
                     )
@@ -629,7 +641,7 @@ def run_study(
         config=config,
         bundle=bundle,
         store=store,
-        ruleset=ruleset,
+        build_ruleset=build_ruleset,
         alerts=alerts,
         events=events,
         events_per_cve=kept,

@@ -69,8 +69,8 @@ from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
-    Union,
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, Optional,
+    Sequence, Tuple, Union,
 )
 
 from repro.cache.fingerprint import code_fingerprint
@@ -320,8 +320,8 @@ class _SessionColumns:
         distinct = [heap[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         return map(distinct.__getitem__, self._columns["session_payload"].tolist())
 
-    def payloads(self) -> Dict[int, bytes]:
-        return dict(zip(self._columns["session_id"].tolist(), self._payload_of_row()))
+    def payloads(self) -> Mapping[int, bytes]:
+        return _RowPayloads(self._columns)
 
     def __iter__(self) -> Iterator[TcpSession]:
         columns = self._columns
@@ -337,6 +337,35 @@ class _SessionColumns:
             datetimes(columns["session_end"]),
             columns["session_established"].astype(bool).tolist(),
         )
+
+
+class _RowPayloads(Mapping[int, bytes]):
+    """session_id -> payload over the session columns, read on demand: an
+    id is found in the sorted ids, and only its row's payload is sliced
+    from the heap (root-cause analysis reads a few dozen per CVE).  It
+    equals ``dict(zip(ids, payloads))`` of the rows: a repeated id maps to
+    its last row's payload, and ids iterate in order of first appearance.
+    """
+
+    def __init__(self, columns: Dict[str, np.ndarray]) -> None:
+        self._columns = columns
+        # Stable, so a repeated id's rows stay in column order.
+        self._order = columns["session_id"].argsort(kind="stable")
+        self._sorted_ids = columns["session_id"][self._order]
+
+    def __getitem__(self, session_id: int) -> bytes:
+        position = int(self._sorted_ids.searchsorted(session_id, "right")) - 1
+        if position < 0 or self._sorted_ids[position] != session_id:
+            raise KeyError(session_id)
+        payload = int(self._columns["session_payload"][self._order[position]])
+        low, high = self._columns["payload_offset"][payload:payload + 2].tolist()
+        return self._columns["payload_heap"][low:high].tobytes()
+
+    def __len__(self) -> int:
+        return len(dict.fromkeys(self._sorted_ids.tolist()))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(dict.fromkeys(self._columns["session_id"].tolist()))
 
 
 def _read_captured(directory: Path) -> "Captured":
@@ -368,7 +397,10 @@ def _read_captured(directory: Path) -> "Captured":
     if bool((end[closed] < start[closed]).any()):
         raise ValueError(f"{STORE_FILE}: a session ends before it starts")
     truth_sessions = columns["truth_session"]
-    if np.unique(truth_sessions).size != truth_sessions.size:
+    # Sorted and compared, not ``np.unique``, which imports ``numpy.ma``
+    # (13 ms in a fresh process that otherwise never needs it).
+    ordered = np.sort(truth_sessions)
+    if bool((ordered[1:] == ordered[:-1]).any()):
         raise ValueError(f"{STORE_FILE}: duplicate ground-truth sessions")
     cves = list(header["cves"])
     check_index(columns["truth_cve"], -1, len(cves), "ground-truth CVE")

@@ -22,6 +22,9 @@ from __future__ import annotations
 from datetime import datetime, timedelta
 from typing import Dict, List, Optional
 
+import numpy as np
+
+from repro.datasets.nvd import round_tenths
 from repro.datasets.records import KevEntry
 from repro.datasets.seed_cves import SEED_CVES, STUDY_WINDOW, SeedCve
 from repro.util.rng import derive_rng
@@ -173,22 +176,28 @@ def kev_cvss_scores(entries: List[KevEntry], *, seed: int) -> Dict[str, float]:
     """Assign CVSS scores to KEV entries (Figure 2's KEV curve).
 
     Studied CVEs keep their paper-reported impact; synthetic background
-    entries draw from the KEV severity histogram.
+    entries draw from the KEV severity histogram.  Each background entry
+    draws a bucket, as ``rng.choice(p=)`` would, then a score, as
+    ``rng.uniform(low, high)`` would: all of those uniforms come from one
+    ``rng.random`` call, even ones through the choice's ``cdf.searchsorted``
+    and odd ones through the uniform's ``low + (high - low) * u``.
     """
     studied_impact = {row.cve_id: row.impact for row in SEED_CVES}
     rng = derive_rng(seed, "kev", "cvss")
     edges = [edge for edge, _ in _KEV_CVSS_BUCKETS]
     weights = [weight for _, weight in _KEV_CVSS_BUCKETS]
     total_weight = sum(weights)
-    scores: Dict[str, float] = {}
-    for entry in entries:
-        if entry.cve_id in studied_impact:
-            scores[entry.cve_id] = studied_impact[entry.cve_id]
-            continue
-        bucket = int(
-            rng.choice(len(edges), p=[w / total_weight for w in weights])
-        )
-        low = edges[bucket]
-        high = edges[bucket + 1] if bucket + 1 < len(edges) else 10.0
-        scores[entry.cve_id] = round(min(float(rng.uniform(low, high)), 10.0), 1)
-    return scores
+    background = [entry.cve_id for entry in entries if entry.cve_id not in studied_impact]
+    uniforms = rng.random(2 * len(background))
+    cdf = np.array([w / total_weight for w in weights]).cumsum()
+    cdf /= cdf[-1]
+    buckets = cdf.searchsorted(uniforms[0::2], side="right")
+    bounds = np.array(edges + [10.0])
+    low, high = bounds[buckets], bounds[buckets + 1]
+    scores = np.minimum(low + (high - low) * uniforms[1::2], 10.0)
+    # A repeated CVE keeps its last draw, as it would from scalar draws.
+    drawn = dict(zip(background, round_tenths(scores).tolist()))
+    return {
+        cve_id: studied_impact[cve_id] if cve_id in studied_impact else drawn[cve_id]
+        for cve_id in (entry.cve_id for entry in entries)
+    }

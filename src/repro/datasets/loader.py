@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.datasets.catalog import CVE_PROFILES, CveProfile
 from repro.datasets.kev import kev_cvss_scores
 from repro.datasets.records import (
@@ -94,9 +96,11 @@ def build_bundle(plan: DatasetPlan) -> DatasetBundle:
         for entry in kev_entries
     ]
     background = tuple(plan.sources["nvd_background"].fetch())
-    for score in background:
-        if not 0.0 <= score <= 10.0:  # NaN fails too
-            raise ValueError(f"nvd_background CVSS out of range: {score}")
+    scores = np.asarray(background)
+    outside = ~((scores >= 0.0) & (scores <= 10.0))  # NaN is outside too
+    if outside.any():
+        score = background[int(outside.argmax())]
+        raise ValueError(f"nvd_background CVSS out of range: {score}")
     return DatasetBundle(
         window=plan.window,
         seed=plan.seed,

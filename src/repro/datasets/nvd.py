@@ -89,5 +89,23 @@ def background_cvss(
     # stream a scalar ``rng.uniform(low, high)`` per score would.
     bounds = np.array(edges + [10.0])
     scores = rng.uniform(bounds[bucket_choices], bounds[bucket_choices + 1])
-    # Python's round, not np.round: the two differ at ties.
-    return tuple(min(round(score, 1), 10.0) for score in scores.tolist())
+    return tuple(np.minimum(round_tenths(scores), 10.0).tolist())
+
+
+def round_tenths(values: np.ndarray) -> np.ndarray:
+    """``round(value, 1)`` for every value in [0, 10], as one array pass.
+
+    Python's ``round`` rounds the value's exact decimal expansion, ties to
+    even; ``np.round`` scales by 10 first and so differs near ties.  Here
+    ``10 * value`` is off by at most one ulp, so away from a tie its floor
+    and fraction pick the same tenth ``round`` does, and the tenth divided
+    by 10 is the same double.  Values within 1e-6 of a half-tenth go
+    through ``round`` itself.
+    """
+    scaled = values * 10.0
+    tenths = np.floor(scaled)
+    fraction = scaled - tenths
+    rounded = (tenths + (fraction > 0.5)) / 10.0
+    for index in np.flatnonzero(np.abs(fraction - 0.5) < 1e-6).tolist():
+        rounded[index] = round(float(values[index]), 1)
+    return rounded

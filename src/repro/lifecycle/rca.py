@@ -17,7 +17,8 @@ survive because their payloads carry injection structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from itertools import islice
+from typing import Dict, List, Mapping, Tuple, Union
 
 from repro.lifecycle.exploit_events import ExploitEvent
 from repro.net.pcapstore import SessionStore
@@ -56,6 +57,11 @@ _EXPLOIT_MARKERS: Tuple[bytes, ...] = (
     b";/bin/sh",        # header command injection
 )
 
+#: Control bytes other than tab, LF and CR: what counts as unprintable.
+_UNPRINTABLE = bytes(
+    byte for byte in range(0x20) if byte not in (0x09, 0x0A, 0x0D)
+)
+
 
 def looks_like_exploit(payload: bytes) -> bool:
     """Whether a payload carries exploit structure.
@@ -74,7 +80,7 @@ def looks_like_exploit(payload: bytes) -> bool:
     # Overflow / binary-protocol payloads: substantial non-printable share
     # or long filler runs.
     if len(payload) >= 64:
-        unprintable = sum(1 for byte in payload if byte < 0x20 and byte not in (0x09, 0x0A, 0x0D))
+        unprintable = len(payload) - len(payload.translate(None, _UNPRINTABLE))
         if unprintable / len(payload) > 0.15:
             return True
         if b"AAAAAAAAAAAAAAAA" in payload:
@@ -112,9 +118,9 @@ class RootCauseAnalysis:
         if not 0.0 < exploit_threshold <= 1.0:
             raise ValueError("exploit_threshold must be in (0, 1]")
         if isinstance(payloads, SessionStore):
-            # Batch path: index the full archive (from its columns when the
-            # store was loaded from the study cache).
-            self._payloads: Dict[int, bytes] = payloads.payloads()
+            # Batch path: the full archive's mapping (read row by row from
+            # its columns when the store was loaded from the study cache).
+            self._payloads: Mapping[int, bytes] = payloads.payloads()
         else:
             # Streaming path: a session_id -> payload mapping covering (at
             # least) the alerted sessions — RCA only ever inspects payloads
@@ -133,10 +139,12 @@ class RootCauseAnalysis:
         pre-rule-publication matches); the earliest such sessions are the
         ones the paper manually analysed.
         """
-        leading = [event for event in events if event.unmitigated]
-        if not leading:
+        sample = list(islice(
+            (event for event in events if not event.mitigated),
+            self.leading_sample,
+        ))
+        if not sample:
             return RcaDecision(cve_id, True, 0, 0, "no pre-publication matches")
-        sample = leading[: self.leading_sample]
         exploit_like = sum(
             1
             for event in sample

@@ -15,7 +15,7 @@ import json
 from bisect import bisect_left, bisect_right
 from datetime import datetime
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Union
+from typing import Iterable, Iterator, List, Mapping, Optional, Protocol, Union
 
 from repro.net.session import TcpSession
 
@@ -29,8 +29,9 @@ class SessionColumns(Protocol):
     def __iter__(self) -> Iterator[TcpSession]:
         """Every session, built from its row, in column order."""
 
-    def payloads(self) -> Dict[int, bytes]:
-        """session_id -> payload, without building any session."""
+    def payloads(self) -> Mapping[int, bytes]:
+        """A read-only session_id -> payload ``Mapping``, built without any
+        session; it may read each payload only when it is looked up."""
 
 
 def encode_session(session: TcpSession) -> dict:
@@ -107,9 +108,10 @@ class SessionStore:
             return len(self._columns)
         return len(self._sessions)
 
-    def payloads(self) -> Dict[int, bytes]:
+    def payloads(self) -> Mapping[int, bytes]:
         """session_id -> payload for every session (what root-cause
-        analysis reads); a view answers from its columns."""
+        analysis reads); a view answers from its columns, as a read-only
+        mapping that reads a payload only when it is looked up."""
         if self._columns is not None:
             return self._columns.payloads()
         return {session.session_id: session.payload for session in self}

@@ -198,12 +198,11 @@ def first_attack_micros(study: ColumnarStudy) -> Dict[int, int]:
         return {}
     # Seeded with +inf (int64 max) so the minimum-reduce can only ever pick
     # real event timestamps; untouched slots are filtered out below.
-    earliest = np.full(len(study.cves), np.iinfo(np.int64).max, dtype=np.int64)
+    untouched = np.iinfo(np.int64).max
+    earliest = np.full(len(study.cves), untouched, dtype=np.int64)
     np.minimum.at(earliest, cve_col, time_col)
-    return {
-        int(index): int(earliest[index])
-        for index in np.unique(cve_col)
-    }
+    touched = np.flatnonzero(earliest != untouched)
+    return dict(zip(touched.tolist(), earliest[touched].tolist()))
 
 
 def first_attacks(study: ColumnarStudy) -> Dict[str, datetime]:

@@ -123,6 +123,18 @@ class CloudIpPool:
             index -= size
         raise AssertionError("index out of pool range")  # pragma: no cover
 
+    def _address_to_index(
+        self, blocks: Tuple[Tuple[int, int], ...], address: int
+    ) -> int:
+        """Inverse of :meth:`_index_to_address`; -1 outside the blocks."""
+        offset = 0
+        for base, prefix in blocks:
+            size = 1 << (32 - prefix)
+            if base <= address < base + size:
+                return offset + address - base
+            offset += size
+        return -1
+
     def _collides(self, region: str, slot: int, epoch: int, address: int) -> bool:
         """Whether one of the four lower slots' probe-0 draws for this
         epoch, hashed under *this* slot's region, is ``address``.
@@ -135,10 +147,12 @@ class CloudIpPool:
         addresses, and with them committed reference digests, so it waits
         for a deliberate re-baseline.
         """
-        blocks = self._blocks[region]
+        # ``_index_to_address`` is a bijection on [0, capacity), so the
+        # neighbours' draws are compared as indices: one walk of the blocks
+        # for ``address`` instead of one per neighbour.
+        index = self._address_to_index(self._blocks[region], address)
         capacity = self._capacity[region]
-        for other_slot in range(max(slot - 4, 0), slot):
-            other = self._draw(region, epoch, other_slot, 0)
-            if self._index_to_address(blocks, other % capacity) == address:
-                return True
-        return False
+        return any(
+            self._draw(region, epoch, other_slot, 0) % capacity == index
+            for other_slot in range(max(slot - 4, 0), slot)
+        )

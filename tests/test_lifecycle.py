@@ -3,6 +3,8 @@
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.loader import build_bundle
 from repro.datasets.sources import default_plan
@@ -122,6 +124,37 @@ class TestLooksLikeExploit:
     ])
     def test_benign_traffic_passes(self, payload):
         assert not looks_like_exploit(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.sampled_from([b"\x00", b"\x09", b"\x0a", b"\x0d", b"\x1f", b"a", b"~"])
+        | st.binary(max_size=8),
+        max_size=40,
+    ).map(b"".join))
+    def test_equals_the_per_byte_count(self, payload):
+        assert looks_like_exploit(payload) == _looks_like_exploit_per_byte(payload)
+
+
+def _looks_like_exploit_per_byte(payload: bytes) -> bool:
+    """:func:`looks_like_exploit` as it counted unprintable bytes one by
+    one, frozen as the reference for the ``bytes.translate`` count."""
+    from repro.lifecycle.rca import _EXPLOIT_MARKERS
+
+    if not payload:
+        return False
+    lowered = payload.lower()
+    if any(marker in lowered for marker in _EXPLOIT_MARKERS):
+        return True
+    if len(payload) >= 64:
+        unprintable = sum(
+            1 for byte in payload
+            if byte < 0x20 and byte not in (0x09, 0x0A, 0x0D)
+        )
+        if unprintable / len(payload) > 0.15:
+            return True
+        if b"AAAAAAAAAAAAAAAA" in payload:
+            return True
+    return False
 
 
 class TestRootCauseAnalysis:

@@ -12,9 +12,14 @@ misses.
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.analysis.pipeline as pipeline
 from repro.analysis.pipeline import StudyConfig, run_study
 from repro.cache import StudyCache, study_key
@@ -32,6 +37,7 @@ from repro.nids.engine import (
 from repro.nids.matcher import SessionBuffers
 from repro.nids.parser import parse_rule
 from repro.nids.ruleset import Alert, Ruleset
+from repro.scenarios.resolve import ResolvedScenario
 from repro.store import ColumnarStudy, ShardStore
 from repro.telescope.collector import DscopeCollector
 from repro.traffic.generator import TrafficConfig, TrafficGenerator
@@ -170,6 +176,11 @@ def _tiny_study_config(**overrides) -> StudyConfig:
     return StudyConfig(**defaults)
 
 
+def _rules_published(ruleset: Ruleset) -> list:
+    """The ruleset's (rule, published_at) pairs, in rule order."""
+    return [(rule, ruleset.published_at(rule.sid)) for rule in ruleset.rules]
+
+
 class _StageMustNotRun:
     def __init__(self, *args, **kwargs):
         raise AssertionError("heavy stage ran despite a cache hit")
@@ -202,19 +213,20 @@ class TestStudyCache:
 
     def test_warm_run_builds_no_records(self, tmp_path, monkeypatch):
         """A cache hit, every artifact and the shard pack read the loaded
-        columns: no ``TcpSession`` and no ``Alert`` is built, the shard is
-        byte-identical to the cold one, and iterating the store and the
-        alerts afterwards still gives the cold records."""
+        columns: no ``TcpSession``, no ``Alert`` and no ruleset is built,
+        the shard is byte-identical to the cold one, and iterating the
+        store and the alerts (or reading the ruleset) afterwards still
+        gives the cold records."""
         config = _tiny_study_config()
         cold = run_study(config, cache=tmp_path / "cache")
         cold_shard = ShardStore(tmp_path / "cold").save(ColumnarStudy.from_study(cold))
 
-        built = {"sessions": 0, "alerts": 0}
+        built = {"sessions": 0, "alerts": 0, "rulesets": 0}
 
-        def counting(kind, init):
+        def counting(kind, function):
             def wrapper(self, *args, **kwargs):
                 built[kind] += 1
-                init(self, *args, **kwargs)
+                return function(self, *args, **kwargs)
 
             return wrapper
 
@@ -222,17 +234,46 @@ class TestStudyCache:
             TcpSession, "__init__", counting("sessions", TcpSession.__init__)
         )
         monkeypatch.setattr(Alert, "__init__", counting("alerts", Alert.__init__))
+        monkeypatch.setattr(
+            ResolvedScenario,
+            "build_ruleset",
+            counting("rulesets", ResolvedScenario.build_ruleset),
+        )
         warm = run_study(config, cache=tmp_path / "cache")
         for experiment_id in list_experiments():
             run_experiment(experiment_id, warm)
         warm_shard = ShardStore(tmp_path / "warm").save(ColumnarStudy.from_study(warm))
         assert warm.from_cache
-        assert built == {"sessions": 0, "alerts": 0}
+        assert built == {"sessions": 0, "alerts": 0, "rulesets": 0}
         assert warm_shard.read_bytes() == cold_shard.read_bytes()
 
         assert list(warm.store) == list(cold.store)
         assert list(warm.alerts) == list(cold.alerts)
-        assert built == {"sessions": len(cold.store), "alerts": len(cold.alerts)}
+        assert _rules_published(warm.ruleset) == _rules_published(cold.ruleset)
+        assert warm.ruleset is warm.ruleset
+        assert built == {
+            "sessions": len(cold.store), "alerts": len(cold.alerts), "rulesets": 1,
+        }
+
+    def test_warm_run_never_imports_numpy_ma(self, tmp_path):
+        """A cache hit in a fresh interpreter leaves ``numpy.ma`` unimported
+        (``np.unique`` imports it; the load checks sort instead)."""
+        run_study(_tiny_study_config(), cache=tmp_path)
+        script = (
+            "import sys\n"
+            "from repro.analysis.pipeline import StudyConfig, run_study\n"
+            "config = StudyConfig(volume_scale=0.01, background_per_exploit=0.3,"
+            " background_nvd_count=500)\n"
+            "assert run_study(config, cache=sys.argv[1]).from_cache\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        warm = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert warm.returncode == 0, warm.stderr
+        assert warm.stdout.strip() == "False"
 
     def test_changed_config_misses(self, tmp_path):
         cache = StudyCache(root=tmp_path)

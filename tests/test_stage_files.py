@@ -178,6 +178,33 @@ class TestStageCodecs:
         assert list(read_truth) == list(ground_truth)  # key order too
 
     @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            sessions(payload=payloads).map(
+                lambda session: dataclasses.replace(
+                    session, session_id=session.session_id % 5
+                )
+            ),
+            max_size=12,
+        ),
+        st.lists(st.integers(-1, 6), max_size=6),
+    )
+    def test_loaded_payloads_equal_the_records_dict(self, session_list, probes):
+        """The loaded store's payload mapping reads the rows on demand and
+        still equals the dict the records give, repeated ids included (the
+        last row wins, as in a dict)."""
+        store = SessionStore()
+        store.extend(session_list)
+        expected = {session.session_id: session.payload for session in store}
+        read_store, _, _ = _round_trip("store", (store, CollectionStats(), {}))
+        loaded = read_store.payloads()
+        assert len(read_store) == len(session_list)  # no session was built
+        assert list(loaded.items()) == list(expected.items())
+        assert len(loaded) == len(expected)
+        for session_id in probes:
+            assert loaded.get(session_id, b"?") == expected.get(session_id, b"?")
+
+    @settings(max_examples=150, deadline=None)
     @given(st.lists(alerts(), max_size=12))
     def test_alerts_round_trip(self, alert_list):
         assert _round_trip("alerts", alert_list) == alert_list

@@ -3,16 +3,18 @@
 Each payload draws its bounded integers in one broadcast
 ``rng.integers(lows, highs)`` call, ports are picked with
 ``rng.integers(0, n)`` and the NVD background draws its CVSS scores in one
-broadcast ``rng.uniform``.  These tests pin every output, and the random
-stream's state after it, to ``tests/traffic_oracle.py``: the same bytes
-from the same stream.  The property tests at the end pin the three numpy
-equivalences the change relies on, so a numpy upgrade that breaks one
-fails here by name.
+broadcast ``rng.uniform``, rounded by :func:`round_tenths`; the KEV
+scores take all their uniforms in one ``rng.random`` call.  These tests
+pin every output, and the random stream's state after it, to
+``tests/traffic_oracle.py``: the same bytes from the same stream.  The
+property tests at the end pin the numpy equivalences the change relies on,
+so a numpy upgrade that breaks one fails here by name.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.pipeline import StudyConfig
 from repro.cache.fingerprint import STAGE_MODULES
-from repro.datasets.nvd import background_cvss
+from repro.datasets.kev import build_kev, kev_cvss_scores
+from repro.datasets.nvd import background_cvss, round_tenths
 from repro.datasets.seed_cves import STUDY_WINDOW
 from repro.datasets.seed_log4shell import LOG4SHELL_VARIANTS
 from repro.exploits.log4shell import log4shell_payload
@@ -156,6 +159,15 @@ def test_nvd_background_equals_oracle(seed, count):
     )
 
 
+@pytest.mark.parametrize("seed", list(range(20)) + [20230321])
+def test_kev_cvss_scores_equal_oracle(seed):
+    entries = build_kev(seed=seed)
+    scores = kev_cvss_scores(entries, seed=seed)
+    expected = traffic_oracle.kev_cvss_scores(entries, seed=seed)
+    assert list(scores.items()) == list(expected.items())
+    assert all(type(score) is float for score in scores.values())
+
+
 # -- the numpy equivalences ---------------------------------------------------
 
 _seeds = st.integers(min_value=0, max_value=2**63 - 1)
@@ -214,6 +226,22 @@ def test_broadcast_uniform_equals_scalar_draws(seed, bounds):
         float(old.uniform(low, high)) for low, high in zip(lows, highs)
     ]
     assert new.bit_generator.state == old.bit_generator.state
+
+
+def _half_tenths():
+    """Every (k + 0.5) / 10 in [0, 10] and its two neighbouring doubles."""
+    for k in range(100):
+        tie = (k + 0.5) / 10
+        yield from (math.nextafter(tie, 0.0), tie, math.nextafter(tie, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=50))
+def test_round_tenths_equals_round(values):
+    values = values + list(_half_tenths())
+    assert round_tenths(np.array(values)).tolist() == [
+        round(value, 1) for value in values
+    ]
 
 
 # -- cache fingerprint coverage -----------------------------------------------

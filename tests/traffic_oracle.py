@@ -14,7 +14,10 @@ drew its CVSS scores in one broadcast ``rng.uniform(lows, highs)``:
 * :class:`OracleTrafficGenerator` picks ports with ``rng.choice([...])``
   and builds every payload through the two functions above;
 * :func:`background_population` draws one scalar ``rng.uniform(low,
-  high)`` per record.
+  high)`` per record;
+* :func:`kev_cvss_scores` draws one scalar ``rng.choice(p=)`` and one
+  ``rng.uniform(low, high)`` per background KEV entry and rounds each score
+  with Python's ``round``.
 
 They are kept verbatim so tests can assert the new generators emit the
 same bytes and leave the random streams in the same state.  Nothing under
@@ -24,12 +27,13 @@ same bytes and leave the random streams in the same state.  Nothing under
 from __future__ import annotations
 
 from datetime import datetime, timedelta
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.datasets.kev import _KEV_CVSS_BUCKETS
 from repro.datasets.nvd import _CVSS_BUCKETS
-from repro.datasets.records import CveRecord
+from repro.datasets.records import CveRecord, KevEntry
 from repro.datasets.seed_cves import SEED_CVES, STUDY_WINDOW, SeedCve
 from repro.datasets.seed_log4shell import (
     LOG4SHELL_CVE,
@@ -294,3 +298,24 @@ def background_population(
             )
         )
     return records
+
+
+def kev_cvss_scores(entries: List[KevEntry], *, seed: int) -> Dict[str, float]:
+    """Assign CVSS scores to KEV entries (Figure 2's KEV curve)."""
+    studied_impact = {row.cve_id: row.impact for row in SEED_CVES}
+    rng = derive_rng(seed, "kev", "cvss")
+    edges = [edge for edge, _ in _KEV_CVSS_BUCKETS]
+    weights = [weight for _, weight in _KEV_CVSS_BUCKETS]
+    total_weight = sum(weights)
+    scores: Dict[str, float] = {}
+    for entry in entries:
+        if entry.cve_id in studied_impact:
+            scores[entry.cve_id] = studied_impact[entry.cve_id]
+            continue
+        bucket = int(
+            rng.choice(len(edges), p=[w / total_weight for w in weights])
+        )
+        low = edges[bucket]
+        high = edges[bucket + 1] if bucket + 1 < len(edges) else 10.0
+        scores[entry.cve_id] = round(min(float(rng.uniform(low, high)), 10.0), 1)
+    return scores
