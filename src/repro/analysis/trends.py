@@ -15,7 +15,7 @@ from datetime import datetime
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.datasets.seed_cves import SEED_CVES, STUDY_WINDOW
-from repro.lifecycle.events import CveTimeline, P
+from repro.lifecycle.events import CveTimeline, P, known_times
 from repro.lifecycle.exploit_events import ExploitEvent
 from repro.util.stats import bin_counts
 from repro.util.timeutil import TimeWindow, to_days
@@ -62,15 +62,13 @@ def events_relative_to_publication(
     hi_days: float = 500.0,
 ) -> List[Tuple[float, int]]:
     """Figure 4: exploit events binned by days since their CVE's P."""
+    published = known_times(timelines, P)
     offsets: List[float] = []
     for event in events:
-        timeline = timelines.get(event.cve_id)
-        if timeline is None:
-            continue
-        published = timeline.time(P)
-        if published is None:
-            continue
-        offsets.append(to_days(event.timestamp - published))
+        when = published.get(event.cve_id)
+        if when is not None:
+            # to_days(event.timestamp - when), without the call per event
+            offsets.append((event.timestamp - when).total_seconds() / 86400.0)
     return bin_counts(offsets, bin_width=bin_days, lo=lo_days, hi=hi_days)
 
 

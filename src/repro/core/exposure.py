@@ -16,11 +16,11 @@ publication — falls out of the unmitigated CDF.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
-from repro.lifecycle.events import CveTimeline, D, P
+from repro.lifecycle.events import CveTimeline, D, P, known_times
 from repro.lifecycle.exploit_events import ExploitEvent
-from repro.util.stats import Ecdf, bin_counts
+from repro.util.stats import Ecdf
 from repro.util.timeutil import to_days
 
 
@@ -35,18 +35,6 @@ class CveBin(object):
     @property
     def total(self) -> int:
         return self.mitigated_cves + self.unmitigated_cves
-
-
-def _days_since_publication(
-    event: ExploitEvent, timelines: Mapping[str, CveTimeline]
-) -> Optional[float]:
-    timeline = timelines.get(event.cve_id)
-    if timeline is None:
-        return None
-    published = timeline.time(P)
-    if published is None:
-        return None
-    return to_days(event.timestamp - published)
 
 
 def unique_cve_bins(
@@ -64,22 +52,28 @@ def unique_cve_bins(
     bin when its rule deployment D falls before the bin's end, regardless
     of individual event flags.
     """
+    published = known_times(timelines, P)
+    deployed = known_times(timelines, D)
+    rule_days = {
+        cve_id: to_days(deployed[cve_id] - when)
+        for cve_id, when in published.items()
+        if cve_id in deployed
+    }
     per_bin: Dict[float, Dict[str, bool]] = {}
     for event in events:
-        days = _days_since_publication(event, timelines)
-        if days is None or not lo_days <= days < hi_days:
+        cve_id = event.cve_id
+        when = published.get(cve_id)
+        if when is None:
+            continue
+        # to_days(event.timestamp - when), without the call per event
+        days = (event.timestamp - when).total_seconds() / 86400.0
+        if not lo_days <= days < hi_days:
             continue
         bin_start = lo_days + bin_days * int((days - lo_days) // bin_days)
-        cves = per_bin.setdefault(bin_start, {})
-        timeline = timelines[event.cve_id]
-        deployed = timeline.time(D)
-        published = timeline.time(P)
-        rule_available = (
-            deployed is not None
-            and published is not None
-            and to_days(deployed - published) < bin_start + bin_days
+        rule = rule_days.get(cve_id)
+        per_bin.setdefault(bin_start, {})[cve_id] = (
+            rule is not None and rule < bin_start + bin_days
         )
-        cves[event.cve_id] = rule_available
     bins: List[CveBin] = []
     start = lo_days
     while start < hi_days:
@@ -102,13 +96,17 @@ def exposure_cdf(
 ) -> Tuple[Ecdf, Ecdf]:
     """(mitigated, unmitigated) CDFs of events over days since publication
     (Figure 7)."""
+    published = known_times(timelines, P)
     mitigated: List[float] = []
     unmitigated: List[float] = []
     for event in events:
-        days = _days_since_publication(event, timelines)
-        if days is None:
+        when = published.get(event.cve_id)
+        if when is None:
             continue
-        (mitigated if event.mitigated else unmitigated).append(days)
+        # to_days(event.timestamp - when), without the call per event
+        (mitigated if event.mitigated else unmitigated).append(
+            (event.timestamp - when).total_seconds() / 86400.0
+        )
     return Ecdf.from_values(mitigated), Ecdf.from_values(unmitigated)
 
 
@@ -127,7 +125,12 @@ def unmitigated_half_life_days(
 ) -> float:
     """Days after publication by which half the unmitigated exposure has
     occurred (Finding 12: ~30 days)."""
-    _, unmitigated = exposure_cdf(events, timelines)
+    return half_life_days(exposure_cdf(events, timelines)[1])
+
+
+def half_life_days(unmitigated: Ecdf) -> float:
+    """The median of an unmitigated exposure CDF (see
+    :func:`unmitigated_half_life_days`)."""
     if unmitigated.n == 0:
         raise ValueError("no unmitigated events")
     return unmitigated.quantile(0.5)

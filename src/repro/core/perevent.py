@@ -13,11 +13,13 @@ per-CVE (Finding 10).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from datetime import datetime
 from typing import Dict, Iterable, List, Mapping, Optional
 
-from repro.core.desiderata import DESIDERATA, Desideratum
+from repro.core.desiderata import DESIDERATA
 from repro.core.skill import PAPER_BASELINES, SkillReport
-from repro.lifecycle.events import A, CveTimeline, LifecycleEvent
+from repro.lifecycle.events import A, CveTimeline
 from repro.lifecycle.exploit_events import ExploitEvent
 
 
@@ -33,37 +35,44 @@ def per_event_satisfaction(
     instance; desiderata not involving A (``F < P`` etc.) are constant per
     CVE and weighted by that CVE's event count, matching the paper's
     per-event aggregation.
+
+    Each CVE's timeline is read once: its events' timestamps are grouped
+    and sorted, so the events satisfying ``E < A`` are the ones after the
+    last timestamp ``<= time(E)`` (ties stay unsatisfied).
     """
     resolved = dict(baselines) if baselines is not None else dict(PAPER_BASELINES)
-    counts: Dict[str, List[int]] = {
-        desideratum.label: [0, 0] for desideratum in DESIDERATA
-    }
+    times_by_cve: Dict[str, List[datetime]] = {}
     for event in events:
-        timeline = timelines.get(event.cve_id)
+        times_by_cve.setdefault(event.cve_id, []).append(event.timestamp)
+    satisfied = [0] * len(DESIDERATA)
+    evaluated = [0] * len(DESIDERATA)
+    for cve_id, times in times_by_cve.items():
+        timeline = timelines.get(cve_id)
         if timeline is None:
             continue
-        for desideratum in DESIDERATA:
+        times.sort()
+        n = len(times)
+        for index, desideratum in enumerate(DESIDERATA):
             if desideratum.second is A:
                 other = timeline.time(desideratum.first)
                 if other is None:
                     continue
-                outcome = other < event.timestamp
+                hits = n - bisect_right(times, other)
             else:
-                cve_outcome = desideratum.satisfied_by(timeline)
-                if cve_outcome is None:
+                outcome = desideratum.satisfied_by(timeline)
+                if outcome is None:
                     continue
-                outcome = cve_outcome
-            bucket = counts[desideratum.label]
-            bucket[1] += 1
-            bucket[0] += int(outcome)
+                hits = n if outcome else 0
+            evaluated[index] += n
+            satisfied[index] += hits
     return [
         SkillReport(
             desideratum=desideratum,
-            satisfied=counts[desideratum.label][0],
-            evaluated=counts[desideratum.label][1],
+            satisfied=satisfied[index],
+            evaluated=evaluated[index],
             baseline=resolved[desideratum.label],
         )
-        for desideratum in DESIDERATA
+        for index, desideratum in enumerate(DESIDERATA)
     ]
 
 

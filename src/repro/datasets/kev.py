@@ -89,8 +89,13 @@ def _kev_added_dates(rows: List[SeedCve], seed: int) -> Dict[str, datetime]:
     rank so that the overall composition lands on the paper's 59%
     irrespective of RNG stream luck; only lag magnitudes are drawn.
     """
-    forced = [row for row in rows if (row.first_attack or row.published) <= _kev_floor(row)]
-    flexible = [row for row in rows if row not in forced]
+    # The rows are distinct seed CVEs (cve_id is unique in SEED_CVES), so a
+    # row is forced exactly when its cve_id is.
+    forced = {
+        row.cve_id for row in rows
+        if (row.first_attack or row.published) <= _kev_floor(row)
+    }
+    flexible = [row for row in rows if row.cve_id not in forced]
     target_first = round(DSCOPE_FIRST_SHARE * len(rows))
     extra_first = max(target_first - len(forced), 0)
     ranked = sorted(
@@ -103,7 +108,7 @@ def _kev_added_dates(rows: List[SeedCve], seed: int) -> Dict[str, datetime]:
         rng = derive_rng(seed, "kev", "lag", row.cve_id)
         anchor = row.first_attack or row.published
         floor = _kev_floor(row)
-        if row in forced:
+        if row.cve_id in forced:
             # Reports reach CISA some time after the program can list them.
             lag = timedelta(days=float(rng.lognormal(mean=2.5, sigma=1.0)))
             added[row.cve_id] = floor + lag

@@ -27,9 +27,9 @@ from repro.analysis.trends import (
 from repro.core.desiderata import desiderata_matrix
 from repro.core.exposure import (
     exposure_cdf,
+    half_life_days,
     mitigated_share,
     unique_cve_bins,
-    unmitigated_half_life_days,
 )
 from repro.core.hypothetical import ids_vendor_inclusion_experiment
 from repro.core.perevent import per_event_satisfaction
@@ -260,7 +260,7 @@ def _fig7(result: StudyResult) -> ExperimentResult:
         result.kept_events, result.timelines
     )
     share = mitigated_share(result.kept_events)
-    half_life = unmitigated_half_life_days(result.kept_events, result.timelines)
+    half_life = half_life_days(unmitigated_cdf)
     paper = {
         "mitigated share": 0.95,
         "unmitigated half-life (days)": 30.0,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.util.timeutil import Duration
 
@@ -99,3 +99,19 @@ class CveTimeline:
         """Known events sorted by timestamp (stable on ties: V F P D X A)."""
         known = [(self.times[e], i, e) for i, e in enumerate(LifecycleEvent) if self.times.get(e)]
         return tuple(e for _, _, e in sorted(known))
+
+
+def known_times(
+    timelines: Mapping[str, CveTimeline], event: LifecycleEvent
+) -> Dict[str, datetime]:
+    """``cve_id → time(event)`` for every timeline where ``event`` is known.
+
+    Built once before a loop over exploit events, so each event costs one
+    dict lookup instead of a timeline lookup.
+    """
+    known: Dict[str, datetime] = {}
+    for cve_id, timeline in timelines.items():
+        when = timeline.time(event)
+        if when is not None:
+            known[cve_id] = when
+    return known

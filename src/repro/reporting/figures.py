@@ -44,10 +44,14 @@ def figure_series(name: str, source) -> FigureSeries:
 
 
 def downsample_cdf(cdf: Ecdf, *, points: int = 200) -> FigureSeries:
-    """A fixed-size rendering of a (possibly huge) CDF."""
-    series = cdf.series()
-    if len(series) <= points:
-        return FigureSeries(name="cdf", points=series)
-    step = (len(series) - 1) / (points - 1)
-    sampled = [series[round(i * step)] for i in range(points)]
+    """A fixed-size rendering of a (possibly huge) CDF.
+
+    Only the sampled step points are converted to floats; the full
+    :meth:`Ecdf.series` is built only when it is the rendering.
+    """
+    if cdf.n <= points:
+        return FigureSeries(name="cdf", points=cdf.series())
+    step = (cdf.n - 1) / (points - 1)
+    indices = [round(i * step) for i in range(points)]
+    sampled = list(zip(cdf.xs[indices].tolist(), cdf.ps[indices].tolist()))
     return FigureSeries(name="cdf", points=sampled)
