@@ -558,12 +558,12 @@ def run_study(
                     engine = DetectionEngine(
                         ruleset, workers=config.workers, tracer=tracer
                     )
+                    # The scan reads the store's columns and returns its
+                    # alerts as one table: the checkpoint, the cache entry,
+                    # the event derivation and the shard all read it.
                     with profiler.stage("scan"):
                         alerts = engine.scan(store)
                     scan_telemetry = engine.stats.telemetry
-                    # Packed once: the checkpoint, the cache entry, the
-                    # event derivation and the shard all read this table.
-                    alerts = AlertTable.pack(alerts)
                     if checkpoint_store is not None:
                         checkpoint_store.save(
                             study_key, "alerts", encode_stage_alerts(alerts)

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, Optional,
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional,
     Sequence, Tuple, Union,
 )
 
@@ -89,8 +89,7 @@ from repro.cache.integrity import (
 )
 import numpy as np
 
-from repro.net.pcapstore import SessionStore
-from repro.net.session import TcpSession
+from repro.net.pcapstore import STORE_DTYPES, SessionColumns, SessionStore
 from repro.nids.ruleset import Alert
 from repro.store.columnar import (
     ALERT_DTYPES,
@@ -99,8 +98,6 @@ from repro.store.columnar import (
     Interner,
     check_index,
     check_times,
-    datetimes,
-    micros_column,
 )
 from repro.store.shard import container_chunks, read_container
 from repro.telescope.collector import CollectionStats
@@ -205,26 +202,8 @@ def study_key(config) -> str:
 
 STORE_FILE = "store.cols.zlib"
 ALERTS_FILE = "alerts.cols.zlib"
-
-#: The ``store`` stage's columns: one row per session (store order), the
-#: deduplicated payload heap (``payload_offset`` has one more entry than
-#: there are distinct payloads; ``session_payload`` indexes it), and the
-#: ground truth (``truth_cve`` indexes the header's ``cves``; -1 is None).
-STORE_DTYPES: Dict[str, str] = {
-    "session_id": "int64",
-    "session_start": "int64",
-    "session_end": "int64",
-    "session_src_ip": "uint32",
-    "session_dst_ip": "uint32",
-    "session_src_port": "uint16",
-    "session_dst_port": "uint16",
-    "session_established": "uint8",
-    "session_payload": "int32",
-    "payload_heap": "uint8",
-    "payload_offset": "int64",
-    "truth_session": "int64",
-    "truth_cve": "int32",
-}
+# ``store`` holds :data:`repro.net.pcapstore.STORE_DTYPES`, ``alerts``
+# :data:`repro.store.columnar.ALERT_DTYPES`.
 
 _STATS_COUNTERS = (
     "arrivals_routed",
@@ -262,30 +241,14 @@ def _read_columns(
 
 def _write_captured(directory: Path, captured: "Captured") -> int:
     store, collection_stats, ground_truth = captured
-    sessions = list(store)
-    heap_index: Dict[bytes, int] = {}
-    payload_index = [
-        heap_index.setdefault(session.payload, len(heap_index))
-        for session in sessions
-    ]
-    payloads = list(heap_index)
-    offsets = np.zeros(len(payloads) + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum([len(payload) for payload in payloads], dtype=np.int64)
+    # A captured or loaded store's columns are written as they are; a
+    # record-built store is packed once.
+    sessions = store.columns()
+    if sessions.zone is not None:
+        raise ValueError("only naive UTC datetimes are stored")
     cves = Interner()
     columns = {
-        "session_id": np.array([s.session_id for s in sessions], np.int64),
-        "session_start": micros_column([s.start for s in sessions]),
-        "session_end": micros_column([s.end for s in sessions]),
-        "session_src_ip": np.array([s.src_ip for s in sessions], np.uint32),
-        "session_dst_ip": np.array([s.dst_ip for s in sessions], np.uint32),
-        "session_src_port": np.array([s.src_port for s in sessions], np.uint16),
-        "session_dst_port": np.array([s.dst_port for s in sessions], np.uint16),
-        "session_established": np.array(
-            [s.established for s in sessions], np.uint8
-        ),
-        "session_payload": np.array(payload_index, np.int32),
-        "payload_heap": np.frombuffer(b"".join(payloads), np.uint8),
-        "payload_offset": offsets,
+        **sessions.columns,
         "truth_session": np.array(list(ground_truth), np.int64),
         "truth_cve": np.array(
             [cves.intern(truth) for truth in ground_truth.values()], np.int32
@@ -301,71 +264,6 @@ def _write_captured(directory: Path, captured: "Captured") -> int:
         STORE_DTYPES,
     )
     return len(sessions)
-
-
-class _SessionColumns:
-    """The ``store`` stage's validated session columns and payload heap: what
-    the loaded :class:`SessionStore` is a view over."""
-
-    def __init__(self, columns: Dict[str, np.ndarray]) -> None:
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return int(self._columns["session_id"].size)
-
-    def _payload_of_row(self) -> Iterator[bytes]:
-        """Each row's payload, in column order."""
-        heap = self._columns["payload_heap"].tobytes()
-        bounds = self._columns["payload_offset"].tolist()
-        distinct = [heap[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        return map(distinct.__getitem__, self._columns["session_payload"].tolist())
-
-    def payloads(self) -> Mapping[int, bytes]:
-        return _RowPayloads(self._columns)
-
-    def __iter__(self) -> Iterator[TcpSession]:
-        columns = self._columns
-        return map(
-            TcpSession,
-            columns["session_id"].tolist(),
-            datetimes(columns["session_start"]),
-            columns["session_src_ip"].tolist(),
-            columns["session_src_port"].tolist(),
-            columns["session_dst_ip"].tolist(),
-            columns["session_dst_port"].tolist(),
-            self._payload_of_row(),
-            datetimes(columns["session_end"]),
-            columns["session_established"].astype(bool).tolist(),
-        )
-
-
-class _RowPayloads(Mapping[int, bytes]):
-    """session_id -> payload over the session columns, read on demand: an
-    id is found in the sorted ids, and only its row's payload is sliced
-    from the heap (root-cause analysis reads a few dozen per CVE).  It
-    equals ``dict(zip(ids, payloads))`` of the rows: a repeated id maps to
-    its last row's payload, and ids iterate in order of first appearance.
-    """
-
-    def __init__(self, columns: Dict[str, np.ndarray]) -> None:
-        self._columns = columns
-        # Stable, so a repeated id's rows stay in column order.
-        self._order = columns["session_id"].argsort(kind="stable")
-        self._sorted_ids = columns["session_id"][self._order]
-
-    def __getitem__(self, session_id: int) -> bytes:
-        position = int(self._sorted_ids.searchsorted(session_id, "right")) - 1
-        if position < 0 or self._sorted_ids[position] != session_id:
-            raise KeyError(session_id)
-        payload = int(self._columns["session_payload"][self._order[position]])
-        low, high = self._columns["payload_offset"][payload:payload + 2].tolist()
-        return self._columns["payload_heap"][low:high].tobytes()
-
-    def __len__(self) -> int:
-        return len(dict.fromkeys(self._sorted_ids.tolist()))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(dict.fromkeys(self._columns["session_id"].tolist()))
 
 
 def _read_captured(directory: Path) -> "Captured":
@@ -396,6 +294,10 @@ def _read_captured(directory: Path) -> "Captured":
     check_times(end[closed], "session end")
     if bool((end[closed] < start[closed]).any()):
         raise ValueError(f"{STORE_FILE}: a session ends before it starts")
+    # Rows are in the store's iteration order (starts never decrease),
+    # which a view and the scan over its columns rely on.
+    if bool((np.diff(start) < 0).any()):
+        raise ValueError(f"{STORE_FILE}: sessions out of order")
     truth_sessions = columns["truth_session"]
     # Sorted and compared, not ``np.unique``, which imports ``numpy.ma``
     # (13 ms in a fresh process that otherwise never needs it).
@@ -416,12 +318,13 @@ def _read_captured(directory: Path) -> "Captured":
         truth_sessions.tolist(),
         map(table.__getitem__, columns["truth_cve"].tolist()),
     ))
-    store = SessionStore.from_columns(_SessionColumns(columns))
+    store = SessionStore.from_columns(SessionColumns(columns))
     return store, collection_stats, ground_truth
 
 
 def _write_alerts(directory: Path, alerts: Sequence[Alert]) -> int:
     table = AlertTable.pack(alerts)
+    table.check_naive()
     _write_columns(
         directory / ALERTS_FILE, {"cves": table.cves}, table.columns, ALERT_DTYPES
     )

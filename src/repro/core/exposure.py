@@ -70,10 +70,13 @@ def unique_cve_bins(
         if not lo_days <= days < hi_days:
             continue
         bin_start = lo_days + bin_days * int((days - lo_days) // bin_days)
-        rule = rule_days.get(cve_id)
-        per_bin.setdefault(bin_start, {})[cve_id] = (
-            rule is not None and rule < bin_start + bin_days
-        )
+        cves = per_bin.get(bin_start)
+        if cves is None:
+            cves = per_bin[bin_start] = {}
+        # The flag depends on (bin, CVE) alone: set it once per pair.
+        if cve_id not in cves:
+            rule = rule_days.get(cve_id)
+            cves[cve_id] = rule is not None and rule < bin_start + bin_days
     bins: List[CveBin] = []
     start = lo_days
     while start < hi_days:

@@ -99,7 +99,7 @@ def _kev_added_dates(rows: List[SeedCve], seed: int) -> Dict[str, datetime]:
     target_first = round(DSCOPE_FIRST_SHARE * len(rows))
     extra_first = max(target_first - len(forced), 0)
     ranked = sorted(
-        flexible, key=lambda row: derive_rng(seed, "kev", "rank", row.cve_id).uniform()
+        flexible, key=lambda row: derive_rng(seed, "kev", "rank", row.cve_id).random()
     )
     dscope_first = set(row.cve_id for row in ranked[:extra_first])
 
@@ -162,7 +162,7 @@ def build_kev(
         # floor converts negatives for pre-Nov-2021 publications (and the
         # studied overlap never draws negative), leaving ~0.59 of draws
         # effective: 0.30 x 0.59 ~= 0.18 post-clamp.
-        if rng.uniform() < 0.30:
+        if rng.random() < 0.30:
             a_minus_p = -float(rng.lognormal(mean=3.0, sigma=1.3))
         else:
             a_minus_p = float(rng.lognormal(mean=3.4, sigma=1.2))

@@ -5,18 +5,22 @@ traffic archive is scanned with the full (retrospective) ruleset, and each
 session contributes at most one alert (its earliest-published matching
 signature).
 
-The serial scan is a stream: :func:`scan_stream` consumes sessions one at a
-time without materializing per-session candidate lists, memoises the match
-outcome per distinct payload (port-insensitive matching makes the winning
-rule a pure function of the payload bytes; archives repeat payloads
-heavily), and accumulates a :class:`ScanTelemetry` describing where the
-scan spent its time.
+The scan reads the ``store`` stage's columns
+(:class:`~repro.net.pcapstore.SessionColumns`; records are packed into
+them first) and returns the alerts as an
+:class:`~repro.store.columnar.AlertTable`, so it builds neither a session
+nor an alert.  Its core, :func:`scan_rows`, matches each distinct payload
+of a row range once (port-insensitive matching makes the winning rule a
+pure function of the payload bytes; archives repeat payloads heavily),
+maps the winners onto the rows through their heap indices, and
+accumulates a :class:`ScanTelemetry` describing where the scan spent its
+time.
 
-The pass is embarrassingly parallel: ``workers > 1`` partitions the archive
-into contiguous chunks and scans them in a ``fork`` process pool
+The pass is embarrassingly parallel: ``workers > 1`` partitions the rows
+into contiguous ranges and scans them in a ``fork`` process pool
 (:func:`parallel_scan`) whose workers inherit the compiled ruleset and the
-session list instead of receiving copies.  Alerts, statistics, and
-telemetry are merged in session order, so the parallel scan is
+columns instead of receiving copies.  Alerted rows, statistics, and
+telemetry are merged in row order, so the parallel scan is
 indistinguishable from the serial one.
 """
 
@@ -25,13 +29,23 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple, Union
 
+import numpy as np
+
+from repro.net.pcapstore import SessionColumns, SessionStore
 from repro.net.session import TcpSession
 from repro.nids import matcher
 from repro.nids.ruleset import Alert, Ruleset
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.store.columnar import AlertTable
+
+#: What a scan reads: a store, its columns, or session records.
+Sessions = Union[SessionStore, SessionColumns, Iterable[TcpSession]]
 
 #: Chunks handed to the pool per worker: more than one, so a chunk dense
 #: with candidate-heavy payloads does not leave the other workers idle at
@@ -193,79 +207,67 @@ class DetectionStats:
             return 0.0
         return self.sessions_alerted / self.sessions_scanned
 
-    def record(self, alert: Alert) -> None:
-        """Account one retained alert."""
-        self.sessions_alerted += 1
-        if alert.pre_publication:
-            self.pre_publication_alerts += 1
-        self.alerts_by_sid[alert.sid] = self.alerts_by_sid.get(alert.sid, 0) + 1
-
     def replay(self, alerts: Iterable[Alert], *, sessions_scanned: int) -> None:
-        """Re-derive counters from an already-scanned alert stream.
+        """Derive the counters from an already-scanned alert stream, from
+        its columns (an :class:`~repro.store.columnar.AlertTable`, or the
+        alerts packed into one).
 
-        Used wherever alerts arrive pre-computed — the merged output of a
-        parallel pass, or a streaming consumer folding in one window at a
-        time — and must be accounted exactly as a serial :meth:`record`
-        loop would (including ``alerts_by_sid`` insertion order).
+        Used for every scan, serial or parallel, and wherever alerts arrive
+        pre-computed — a streaming consumer folding in one window at a
+        time: each alert counts once, in stream order, so ``alerts_by_sid``
+        keeps the order of first appearance.
         """
+        from repro.store.columnar import AlertTable
+
+        columns = AlertTable.pack(alerts).columns
         self.sessions_scanned += sessions_scanned
-        for alert in alerts:
-            self.record(alert)
+        self.sessions_alerted += int(columns["alert_sid"].size)
+        self.pre_publication_alerts += int(
+            (columns["alert_t"] < columns["alert_rule_published"]).sum()
+        )
+        by_sid = self.alerts_by_sid
+        for sid, count in Counter(columns["alert_sid"].tolist()).items():
+            by_sid[sid] = by_sid.get(sid, 0) + count
 
 
-def scan_stream(
-    ruleset: Ruleset, sessions: Iterable[TcpSession]
-) -> Tuple[List[Alert], int, ScanTelemetry]:
-    """Scan a session stream; the shared core of serial and worker scans.
+def session_columns(sessions: Sessions) -> SessionColumns:
+    """The scan's input as columns: a store's own (packed once if it was
+    built from records), or a record sequence packed in its order."""
+    if isinstance(sessions, SessionColumns):
+        return sessions
+    if isinstance(sessions, SessionStore):
+        return sessions.columns()
+    return SessionColumns.pack(list(sessions))
 
-    Returns ``(alerts, sessions_scanned, telemetry)`` with alerts in stream
-    order.  Match outcomes are memoised per payload (plus the port pair when
-    the ruleset is port-sensitive, since ports then join the match
-    decision).
+
+def scan_rows(
+    ruleset: Ruleset, columns: SessionColumns, start: int, stop: int
+) -> Tuple[np.ndarray, np.ndarray, ScanTelemetry]:
+    """Scan rows ``[start, stop)``: the core of serial and worker scans.
+
+    Returns ``(rows, winners, telemetry)``: the alerted rows in row order
+    and each one's winning rule index.  A port-insensitive ruleset's match
+    is a pure function of the payload, so each distinct non-empty payload
+    of the rows is matched once (:meth:`Ruleset.match_payloads`) and the
+    winners are mapped onto the rows through their heap indices; a
+    port-sensitive one is memoised on ``(payload, src_port, dst_port)``.
     """
     ruleset._ensure_compiled()
     telemetry = ScanTelemetry()
     # Shard counters are cumulative on the ruleset (it outlives scans and is
-    # digest-cached in workers), so the stream records the *delta* — deltas
-    # sum correctly when parallel workers merge their telemetry.
+    # inherited by workers), so the scan records the *delta* — deltas sum
+    # correctly when parallel workers merge their telemetry.
     shard_stats_before = ruleset.prefilter_stats()
     started = perf_counter()
-    items = sessions if isinstance(sessions, list) else list(sessions)
-    scanned = len(items)
-
-    match_payload = ruleset._match_payload
-    alert_for = ruleset._alert_for
-    port_sensitive = not ruleset.port_insensitive
-    # Pass 1: resolve each distinct payload (plus the port pair when the
-    # ruleset is port-sensitive, since ports then join the match decision)
-    # to its winning rule index once.  The dedup itself is a C-speed set
-    # comprehension rather than a per-session probe loop.
-    memo: Dict[object, Optional[int]] = {}
-    prefilter_hits = nominated = evaluated = 0
-    prefilter_seconds = eval_seconds = 0.0
-    if port_sensitive:
-        distinct = {
-            (session.payload, session.src_port, session.dst_port)
-            for session in items
-            if session.payload
-        }
-        probes = sum(1 for session in items if session.payload)
-        for key in distinct:
-            payload, src_port, dst_port = key
-            winner, hit, n_nominated, n_evaluated, t_prefilter, t_eval = (
-                match_payload(payload, src_port=src_port, dst_port=dst_port)
-            )
-            memo[key] = winner
-            if hit:
-                prefilter_hits += 1
-            nominated += n_nominated
-            evaluated += n_evaluated
-            prefilter_seconds += t_prefilter
-            eval_seconds += t_eval
-    else:
-        payloads = {session.payload for session in items}
-        payloads.discard(b"")
-        probes = scanned - sum(1 for session in items if not session.payload)
+    table = columns.columns
+    payload = table["session_payload"][start:stop]
+    distinct = columns.distinct_payloads()
+    lengths = np.diff(table["payload_offset"])[payload]
+    matched = np.flatnonzero(lengths > 0)
+    if ruleset.port_insensitive:
+        used = np.zeros(len(distinct), bool)
+        used[payload[matched]] = True
+        keys = np.flatnonzero(used).tolist()
         (
             memo,
             prefilter_hits,
@@ -273,36 +275,48 @@ def scan_stream(
             evaluated,
             prefilter_seconds,
             eval_seconds,
-        ) = ruleset.match_payloads(payloads)
-    # Pass 2: emit alerts in stream order.  Empty payloads miss the memo and
-    # fall out as None, same as a no-match.
-    memo_get = memo.get
-    if port_sensitive:
-        alerts = [
-            alert_for(winner, session)
-            for session in items
-            if (
-                winner := memo_get(
-                    (session.payload, session.src_port, session.dst_port)
-                )
-            )
-            is not None
+        ) = ruleset.match_payloads(map(distinct.__getitem__, keys))
+        best = np.full(len(distinct), -1, np.int64)
+        best[keys] = [
+            -1 if (winner := memo[distinct[key]]) is None else winner
+            for key in keys
         ]
+        winners = best[payload]
     else:
-        alerts = [
-            alert_for(winner, session)
-            for session in items
-            if (winner := memo_get(session.payload)) is not None
+        match_payload = ruleset._match_payload
+        memo: Dict[Tuple[int, int, int], Optional[int]] = {}
+        prefilter_hits = nominated = evaluated = 0
+        prefilter_seconds = eval_seconds = 0.0
+        row_keys = list(zip(
+            payload[matched].tolist(),
+            table["session_src_port"][start:stop][matched].tolist(),
+            table["session_dst_port"][start:stop][matched].tolist(),
+        ))
+        for key in dict.fromkeys(row_keys):
+            index, src_port, dst_port = key
+            winner, hit, n_nominated, n_evaluated, t_prefilter, t_eval = (
+                match_payload(distinct[index], src_port=src_port, dst_port=dst_port)
+            )
+            memo[key] = winner
+            prefilter_hits += hit
+            nominated += n_nominated
+            evaluated += n_evaluated
+            prefilter_seconds += t_prefilter
+            eval_seconds += t_eval
+        winners = np.full(stop - start, -1, np.int64)
+        winners[matched] = [
+            -1 if (winner := memo[key]) is None else winner for key in row_keys
         ]
+    alerted = np.flatnonzero(winners >= 0)
     telemetry.match_cache_misses = len(memo)
-    telemetry.match_cache_hits = probes - len(memo)
+    telemetry.match_cache_hits = int(matched.size) - len(memo)
     telemetry.prefilter_hits = prefilter_hits
     telemetry.candidates_nominated = nominated
     telemetry.candidates_evaluated = evaluated
     telemetry.prefilter_seconds = prefilter_seconds
     telemetry.eval_seconds = eval_seconds
-    telemetry.sessions = scanned
-    telemetry.payload_bytes = sum(len(session.payload) for session in items)
+    telemetry.sessions = stop - start
+    telemetry.payload_bytes = int(lengths.sum())
     telemetry.scan_seconds = perf_counter() - started
     telemetry.wall_seconds = telemetry.scan_seconds
     shard_stats = ruleset.prefilter_stats()
@@ -318,67 +332,91 @@ def scan_stream(
         shard_stats["shard_searches"] - shard_stats_before["shard_searches"]
     )
     telemetry.snapshot_pcre_cache()
-    return alerts, scanned, telemetry
+    return alerted + start, winners[alerted], telemetry
 
 
-#: A worker's alert as a plain tuple (:class:`Alert`'s fields in order),
-#: several times cheaper to pickle back to the parent than the dataclass.
-AlertRow = Tuple[object, ...]
+def alert_table(
+    ruleset: Ruleset,
+    columns: SessionColumns,
+    rows: np.ndarray,
+    winners: np.ndarray,
+) -> "AlertTable":
+    """The alerts of ``rows`` won by ``winners`` (rule indices), as the
+    :class:`~repro.store.columnar.AlertTable` :meth:`AlertTable.pack` of
+    their records would give: CVEs interned in alert order."""
+    from repro.store.columnar import AlertTable, Interner, intern_codes
+
+    rules = ruleset.alert_columns()
+    table = columns.columns
+    cves = Interner()
+    return AlertTable(
+        {
+            "alert_session": table["session_id"][rows],
+            "alert_t": table["session_start"][rows],
+            "alert_sid": rules.sid[winners],
+            "alert_cve": intern_codes(rules.cve[winners], rules.cves, cves),
+            "alert_rule_published": rules.published[winners],
+            "alert_src_ip": table["session_src_ip"][rows].astype(np.int64),
+            "alert_dst_ip": table["session_dst_ip"][rows].astype(np.int64),
+            "alert_dst_port": table["session_dst_port"][rows].astype(np.int32),
+        },
+        cves.values,
+        zones=(columns.zone, rules.zone),
+    )
+
+
+def scan_stream(
+    ruleset: Ruleset, sessions: Sessions
+) -> Tuple["AlertTable", int, ScanTelemetry]:
+    """Scan sessions (a store, columns, or records) serially.
+
+    Returns ``(alerts, sessions_scanned, telemetry)`` with the alerts in
+    session order, as an :class:`~repro.store.columnar.AlertTable`.
+    """
+    columns = session_columns(sessions)
+    rows, winners, telemetry = scan_rows(ruleset, columns, 0, len(columns))
+    return alert_table(ruleset, columns, rows, winners), len(columns), telemetry
+
 
 #: The pool worker's scan inputs, set by :func:`_init_worker`.  Under
 #: ``fork`` they are inherited from the parent, never pickled, and each
 #: pool has its own, so concurrent scans from threads stay isolated.
 _worker_ruleset: Optional[Ruleset] = None
-_worker_sessions: Sequence[TcpSession] = ()
+_worker_columns: Optional[SessionColumns] = None
 
 
-def _init_worker(ruleset: Ruleset, sessions: Sequence[TcpSession]) -> None:
-    global _worker_ruleset, _worker_sessions
-    _worker_ruleset, _worker_sessions = ruleset, sessions
+def _init_worker(ruleset: Ruleset, columns: SessionColumns) -> None:
+    global _worker_ruleset, _worker_columns
+    _worker_ruleset, _worker_columns = ruleset, columns
 
 
 def _scan_chunk(
     bounds: Tuple[int, int]
-) -> Tuple[List[AlertRow], int, ScanTelemetry]:
-    """Scan one contiguous ``(start, stop)`` slice in a pool worker."""
+) -> Tuple[np.ndarray, np.ndarray, ScanTelemetry]:
+    """Scan one contiguous ``(start, stop)`` row range in a pool worker;
+    its alerts go back as two small index arrays."""
     start, stop = bounds
-    alerts, scanned, telemetry = scan_stream(
-        _worker_ruleset, _worker_sessions[start:stop]
-    )
-    rows = [
-        (
-            alert.session_id,
-            alert.timestamp,
-            alert.sid,
-            alert.cve_id,
-            alert.rule_published,
-            alert.dst_ip,
-            alert.dst_port,
-            alert.src_ip,
-        )
-        for alert in alerts
-    ]
-    return rows, scanned, telemetry
+    return scan_rows(_worker_ruleset, _worker_columns, start, stop)
 
 
 def parallel_scan(
     ruleset: Ruleset,
-    sessions: Iterable[TcpSession],
+    sessions: Sessions,
     *,
     workers: int,
     tracer=None,
     threshold: Optional[int] = None,
-) -> Tuple[List[Alert], int, ScanTelemetry]:
+) -> Tuple["AlertTable", int, ScanTelemetry]:
     """Scan sessions across ``workers`` forked processes.
 
     Returns ``(alerts, sessions_scanned, telemetry)`` exactly as
-    :func:`scan_stream` does for the same stream: the stream is cut into
-    ``workers * CHUNKS_PER_WORKER`` contiguous chunks, and the chunks'
-    alerts and telemetry are merged in chunk order.
+    :func:`scan_stream` does for the same sessions: the rows are cut into
+    ``workers * CHUNKS_PER_WORKER`` contiguous ranges, and the ranges'
+    alerted rows, winners and telemetry are merged in range order.
 
-    Streams shorter than ``threshold`` sessions (default
+    Inputs shorter than ``threshold`` sessions (default
     :data:`DEFAULT_PARALLEL_THRESHOLD`; 0 forces the pool on), and every
-    stream where ``fork`` is unavailable, are scanned serially, with
+    input where ``fork`` is unavailable, are scanned serially, with
     ``telemetry.fallback_serial`` recording the decision.
 
     If a chunk raises or a worker dies (breaking the pool), every chunk
@@ -396,25 +434,27 @@ def parallel_scan(
         threshold = DEFAULT_PARALLEL_THRESHOLD
     elif threshold < 0:
         raise ValueError("parallel threshold must be >= 0")
-    items = sessions if isinstance(sessions, list) else list(sessions)
-    chunk = max(1, -(-len(items) // (workers * CHUNKS_PER_WORKER)))
+    columns = session_columns(sessions)
+    count = len(columns)
+    chunk = max(1, -(-count // (workers * CHUNKS_PER_WORKER)))
     bounds = [
-        (start, min(start + chunk, len(items)))
-        for start in range(0, len(items), chunk)
+        (start, min(start + chunk, count)) for start in range(0, count, chunk)
     ]
     if (
         workers == 1
         or len(bounds) <= 1
-        or len(items) < threshold
+        or count < threshold
         or "fork" not in multiprocessing.get_all_start_methods()
     ):
-        alerts, scanned, telemetry = scan_stream(ruleset, items)
+        alerts, scanned, telemetry = scan_stream(ruleset, columns)
         telemetry.fallback_serial = int(workers > 1)
         return alerts, scanned, telemetry
 
-    # Compile before forking, so every worker inherits the compiled tables.
+    # Compile and split the heap before forking, so every worker inherits
+    # the compiled tables and the payloads.
     ruleset._ensure_compiled()
-    results: Dict[int, Tuple[List[Alert], int, ScanTelemetry]] = {}
+    columns.distinct_payloads()
+    results: Dict[int, Tuple[np.ndarray, np.ndarray, ScanTelemetry]] = {}
 
     def _keep(index: int, result, source: str) -> None:
         results[index] = result
@@ -422,19 +462,19 @@ def parallel_scan(
             tracer.child(
                 f"chunk-{index:05d}",
                 duration=result[2].scan_seconds,
-                sessions=result[1],
+                sessions=result[2].sessions,
                 source=source,
             )
 
     # ``fork``, not ``spawn``: spawned workers would receive the ruleset and
-    # the sessions pickled, the transfer cost that made every pickling or
+    # the columns pickled, the transfer cost that made every pickling or
     # shared-memory design slower than this one.
     try:
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
-            initargs=(ruleset, items),
+            initargs=(ruleset, columns),
         ) as pool:
             futures = {
                 pool.submit(_scan_chunk, bound): index
@@ -442,29 +482,25 @@ def parallel_scan(
             }
             for future in as_completed(futures):
                 try:
-                    rows, scanned, telemetry = future.result()
+                    result = future.result()
                 except Exception:
                     continue  # rescanned in this process below
-                alerts = [Alert(*row) for row in rows]
-                _keep(futures[future], (alerts, scanned, telemetry), "worker")
+                _keep(futures[future], result, "worker")
     except BrokenProcessPool:
         pass  # the pool died while accepting work; rescanned below
     recovered = [index for index in range(len(bounds)) if index not in results]
     for index in recovered:
-        start, stop = bounds[index]
-        _keep(index, scan_stream(ruleset, items[start:stop]), "recovered")
+        _keep(index, scan_rows(ruleset, columns, *bounds[index]), "recovered")
 
-    merged: List[Alert] = []
-    scanned = 0
     telemetry = ScanTelemetry()
     for index in range(len(bounds)):
-        chunk_alerts, count, chunk_telemetry = results[index]
-        merged.extend(chunk_alerts)
-        scanned += count
-        telemetry.merge(chunk_telemetry)
+        telemetry.merge(results[index][2])
     telemetry.recovered_chunks = len(recovered)
+    rows = np.concatenate([results[index][0] for index in range(len(bounds))])
+    winners = np.concatenate([results[index][1] for index in range(len(bounds))])
+    alerts = alert_table(ruleset, columns, rows, winners)
     telemetry.wall_seconds = perf_counter() - started
-    return merged, scanned, telemetry
+    return alerts, count, telemetry
 
 
 class DetectionEngine:
@@ -493,8 +529,9 @@ class DetectionEngine:
         self.threshold = threshold
         self.stats = DetectionStats()
 
-    def scan(self, sessions: Iterable[TcpSession]) -> List[Alert]:
-        """Scan sessions; returns retained alerts in session order."""
+    def scan(self, sessions: Sessions) -> "AlertTable":
+        """Scan sessions; returns the retained alerts in session order, as
+        an :class:`~repro.store.columnar.AlertTable`."""
         if self.workers == 1:
             return self._scan_serial(sessions)
         alerts, scanned, telemetry = parallel_scan(
@@ -504,13 +541,11 @@ class DetectionEngine:
             tracer=self.tracer,
             threshold=self.threshold,
         )
-        # Re-derive the counters from the merged alert stream so the stats
-        # (including alerts_by_sid insertion order) match a serial pass.
         self.stats.replay(alerts, sessions_scanned=scanned)
         self.stats.telemetry.merge(telemetry)
         return alerts
 
-    def _scan_serial(self, sessions: Iterable[TcpSession]) -> List[Alert]:
+    def _scan_serial(self, sessions: Sessions) -> "AlertTable":
         alerts, scanned, telemetry = scan_stream(self.ruleset, sessions)
         self.stats.replay(alerts, sessions_scanned=scanned)
         self.stats.telemetry.merge(telemetry)

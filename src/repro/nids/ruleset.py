@@ -32,9 +32,11 @@ from __future__ import annotations
 import heapq
 from array import array
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, tzinfo
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.net.session import TcpSession
 from repro.nids.matcher import (
@@ -46,6 +48,7 @@ from repro.nids.matcher import (
 )
 from repro.nids.prefilter import DEFAULT_SHARD_SIZE, RegexPrefilter, ShardedPrefilter
 from repro.nids.rule import ContentMatch, IsDataAt, PcreMatch, Rule, SizeBound
+from repro.util.timeutil import zoned_micros
 
 #: Auto-sharding kicks in at this many *distinct* fast patterns.  Below it a
 #: single compiled engine is cheap and marginally faster to search; above it
@@ -227,6 +230,19 @@ def _eval_plan(steps: Tuple[tuple, ...], buffers: SessionBuffers) -> bool:
     return True
 
 
+@dataclass(frozen=True)
+class RuleAlertColumns:
+    """Per rule index: the SID, the first CVE (``cve`` indexes ``cves``;
+    -1 is None) and the publication time in microseconds
+    (:func:`repro.util.timeutil.zoned_micros`, whose tzinfo is ``zone``)."""
+
+    sid: np.ndarray
+    cve: np.ndarray
+    cves: List[str]
+    published: np.ndarray
+    zone: Optional[tzinfo]
+
+
 class Ruleset:
     """A set of rules with publication dates.
 
@@ -260,7 +276,7 @@ class Ruleset:
         self._unfiltered_ordered: "array[int]" = array("l")
         self._rank: "array[int]" = array("l")
         self._plans: List[Tuple[tuple, ...]] = []
-        self._alert_meta: List[Tuple[int, Optional[str], datetime]] = []
+        self._alert_columns: Optional[RuleAlertColumns] = None
         self._compiled = False
 
     def __len__(self) -> int:
@@ -386,10 +402,7 @@ class Ruleset:
         ]
         self._unfiltered_ordered = array("l", sorted(self._unfiltered, key=by_rank))
         self._plans = [_compile_plan(rule) for rule, _ in self._rules]
-        self._alert_meta = [
-            (rule.sid, rule.cve_ids[0] if rule.cve_ids else None, published)
-            for rule, published in self._rules
-        ]
+        self._alert_columns = None
         self._compiled = True
 
     def _ensure_compiled(self) -> None:
@@ -590,20 +603,24 @@ class Ruleset:
             eval_seconds,
         )
 
-    def _alert_for(self, index: int, session: TcpSession) -> Alert:
-        """Build the alert for a winning rule index.
-
-        Through the constructor, positionally: filling ``__dict__``
-        directly is no faster and gives every alert a dict of its own,
-        about twice the memory of the constructor's shared-key instance
-        (and, once done, it stops later alerts of the process sharing keys
-        too).
-        """
-        sid, cve_id, published = self._alert_meta[index]
-        return Alert(
-            session.session_id, session.start, sid, cve_id, published,
-            session.dst_ip, session.dst_port, session.src_ip,
-        )
+    def alert_columns(self) -> RuleAlertColumns:
+        """What an alert takes from its winning rule, per rule index, as
+        columns (built once per compile)."""
+        self._ensure_compiled()
+        if self._alert_columns is None:
+            rules = self._rules
+            cves = [rule.cve_ids[0] if rule.cve_ids else None for rule, _ in rules]
+            names = list(dict.fromkeys(cve for cve in cves if cve is not None))
+            code = {cve: index for index, cve in enumerate(names)}
+            published, zone = zoned_micros([when for _, when in rules])
+            self._alert_columns = RuleAlertColumns(
+                sid=np.array([rule.sid for rule, _ in rules], np.int32),
+                cve=np.array([code.get(cve, -1) for cve in cves], np.int32),
+                cves=names,
+                published=published,
+                zone=zone,
+            )
+        return self._alert_columns
 
     def match_session(self, session: TcpSession) -> Optional[Alert]:
         """Evaluate all rules; retain the earliest-published match.
@@ -620,7 +637,8 @@ class Ruleset:
         )[0]
         if winner is None:
             return None
-        return self._alert_for(winner, session)
+        rule, published = self._rules[winner]
+        return self._alert(rule, published, session)
 
     def match_all(self, session: TcpSession) -> List[Alert]:
         """All matching rules for a session (diagnostics / case studies)."""

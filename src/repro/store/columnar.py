@@ -35,23 +35,28 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, tzinfo
 from typing import (
     TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Tuple,
 )
 
 import numpy as np
 
 from repro.lifecycle.events import CveTimeline, LifecycleEvent
+from repro.util.timeutil import (  # noqa: F401 - the column codec, re-exported
+    MISSING,
+    datetimes,
+    micros_column,
+    zoned_datetimes,
+    zoned_micros,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.pipeline import StudyResult
     from repro.analysis.streaming import StudySnapshot
     from repro.datasets.loader import DatasetBundle
     from repro.nids.ruleset import Alert
-
-#: Sentinel for "timestamp unknown" in int64 microsecond columns.
-MISSING = np.int64(np.iinfo(np.int64).min)
 
 #: The six lifecycle events in enum order; timeline timestamp columns are
 #: named ``timeline_t_<letter>`` in this order.
@@ -123,32 +128,6 @@ def from_micros(stamp: int) -> Optional[datetime]:
     return _EPOCH + timedelta(microseconds=int(stamp))
 
 
-def micros_column(values: Sequence[Optional[datetime]]) -> np.ndarray:
-    """Naive-UTC datetimes -> an int64 microsecond column (None ->
-    :data:`MISSING`), by the exact arithmetic of :func:`to_micros`.
-
-    Raises ``ValueError`` for a timezone-aware datetime: subtracting the
-    naive epoch from one fails, so no aware value is ever converted
-    silently.  (Python arithmetic here is several times faster than
-    ``np.array(values, "datetime64[us]")`` on datetime objects.)
-    """
-    missing = int(MISSING)
-    try:
-        return np.array(
-            [missing if when is None else (when - _EPOCH) // _US for when in values],
-            dtype=np.int64,
-        )
-    except TypeError as exc:
-        raise ValueError(f"only naive UTC datetimes are stored: {exc}") from None
-
-
-def datetimes(column: np.ndarray) -> List[Optional[datetime]]:
-    """Inverse of :func:`micros_column` (:data:`MISSING` -> None), at C
-    speed: :data:`MISSING` is NaT when the column is viewed as
-    ``datetime64[us]``."""
-    return column.view("datetime64[us]").tolist()
-
-
 def shared_values(column: np.ndarray) -> list:
     """``column.tolist()`` with one Python object per distinct value, so a
     column of few distinct values costs a pointer per row, not an object."""
@@ -195,6 +174,12 @@ class Interner:
         return index
 
 
+#: The tzinfos of an alert table's two time columns, ``alert_t`` and
+#: ``alert_rule_published`` (see :func:`zoned_micros`); every stage
+#: produces :data:`NAIVE` tables, and only those are stored.
+Zones = Tuple[Optional[tzinfo], Optional[tzinfo]]
+NAIVE: Zones = (None, None)
+
 #: The alert column group (pipeline alert order): shared by the shard and
 #: the study cache's ``alerts`` stage file.
 ALERT_DTYPES: Dict[str, str] = {
@@ -203,21 +188,50 @@ ALERT_DTYPES: Dict[str, str] = {
 }
 
 
-def pack_alerts(alerts: Sequence["Alert"], cves: Interner) -> Dict[str, np.ndarray]:
-    """The :data:`ALERT_DTYPES` columns of an alert list; CVE ids are
-    interned into ``cves`` in alert order (None -> -1)."""
-    return {
+def _alert_columns(
+    alerts: Sequence["Alert"], cves: Interner
+) -> Tuple[Dict[str, np.ndarray], Zones]:
+    """:func:`pack_alerts` that also packs aware times, returning the
+    columns and their :data:`Zones`."""
+    times, time_zone = zoned_micros([a.timestamp for a in alerts])
+    published, published_zone = zoned_micros([a.rule_published for a in alerts])
+    columns = {
         "alert_session": np.array([a.session_id for a in alerts], np.int64),
-        "alert_t": micros_column([a.timestamp for a in alerts]),
+        "alert_t": times,
         "alert_sid": np.array([a.sid for a in alerts], np.int32),
         "alert_cve": np.array([cves.intern(a.cve_id) for a in alerts], np.int32),
-        "alert_rule_published": micros_column(
-            [a.rule_published for a in alerts]
-        ),
+        "alert_rule_published": published,
         "alert_src_ip": np.array([a.src_ip for a in alerts], np.int64),
         "alert_dst_ip": np.array([a.dst_ip for a in alerts], np.int64),
         "alert_dst_port": np.array([a.dst_port for a in alerts], np.int32),
     }
+    return columns, (time_zone, published_zone)
+
+
+def pack_alerts(alerts: Sequence["Alert"], cves: Interner) -> Dict[str, np.ndarray]:
+    """The :data:`ALERT_DTYPES` columns of an alert list; CVE ids are
+    interned into ``cves`` in alert order (None -> -1).  Raises
+    ``ValueError`` for an aware time."""
+    columns, zones = _alert_columns(alerts, cves)
+    _check_naive(zones)
+    return columns
+
+
+def _check_naive(zones: Zones) -> None:
+    if zones != NAIVE:
+        raise ValueError("only naive UTC datetimes are stored")
+
+
+def intern_codes(
+    codes: np.ndarray, values: Sequence[str], cves: Interner
+) -> np.ndarray:
+    """``codes`` (indexes into ``values``; -1 is None) re-indexed into
+    ``cves``, which interns the values in order of first appearance."""
+    remap = np.full(len(values) + 1, -1, np.int32)  # last: -1 -> -1
+    for code in dict.fromkeys(codes.tolist()):
+        if code >= 0:
+            remap[code] = cves.intern(values[code])
+    return remap[codes]
 
 
 class AlertTable(SequenceABC):
@@ -230,7 +244,9 @@ class AlertTable(SequenceABC):
     the records with any alert sequence.  Construction checks everything
     the records and their readers rely on — equal column lengths, CVE
     indexes in range, both timestamps present and within ``datetime``'s
-    range — and raises ``ValueError`` otherwise.
+    range — and raises ``ValueError`` otherwise.  ``zones`` is the
+    :data:`Zones` of the time columns (aware alerts can be packed and
+    compared, but only naive tables are stored).
     """
 
     def __init__(
@@ -238,6 +254,8 @@ class AlertTable(SequenceABC):
         columns: Mapping[str, np.ndarray],
         cves: Sequence[str],
         alerts: Optional[List["Alert"]] = None,
+        *,
+        zones: Zones = NAIVE,
     ) -> None:
         count = columns["alert_session"].size
         if any(columns[name].size != count for name in ALERT_DTYPES):
@@ -247,6 +265,7 @@ class AlertTable(SequenceABC):
         check_times(columns["alert_rule_published"], "rule publication time")
         self.columns: Dict[str, np.ndarray] = dict(columns)
         self.cves: List[str] = list(cves)
+        self.zones = zones
         self._alerts = alerts
 
     @classmethod
@@ -256,7 +275,13 @@ class AlertTable(SequenceABC):
             return alerts
         alerts = list(alerts)
         cves = Interner()
-        return cls(pack_alerts(alerts, cves), cves.values, alerts)
+        columns, zones = _alert_columns(alerts, cves)
+        return cls(columns, cves.values, alerts, zones=zones)
+
+    def check_naive(self) -> None:
+        """Raise ``ValueError`` unless both time columns are naive UTC
+        (what a stage file or a shard may hold)."""
+        _check_naive(self.zones)
 
     def _records(self) -> List["Alert"]:
         if self._alerts is None:
@@ -267,10 +292,12 @@ class AlertTable(SequenceABC):
             self._alerts = list(map(
                 Alert,
                 columns["alert_session"].tolist(),
-                datetimes(columns["alert_t"]),
+                zoned_datetimes(columns["alert_t"], self.zones[0]),
                 columns["alert_sid"].tolist(),
                 [table[cve] for cve in columns["alert_cve"].tolist()],
-                datetimes(columns["alert_rule_published"]),
+                zoned_datetimes(
+                    columns["alert_rule_published"], self.zones[1]
+                ),
                 columns["alert_dst_ip"].tolist(),
                 columns["alert_dst_port"].tolist(),
                 columns["alert_src_ip"].tolist(),
@@ -298,13 +325,9 @@ class AlertTable(SequenceABC):
         """The columns with ``alert_cve`` re-indexed into ``cves``: what
         :func:`pack_alerts` of the records into ``cves`` gives, without
         the records (CVEs are interned in order of first appearance)."""
-        codes = self.columns["alert_cve"]
-        used, first = np.unique(codes, return_index=True)
-        remap = np.full(len(self.cves) + 1, -1, np.int32)  # last: -1 -> -1
-        for code in used[np.argsort(first)].tolist():
-            if code >= 0:
-                remap[code] = cves.intern(self.cves[code])
-        return {**self.columns, "alert_cve": remap[codes]}
+        self.check_naive()
+        codes = intern_codes(self.columns["alert_cve"], self.cves, cves)
+        return {**self.columns, "alert_cve": codes}
 
 
 @dataclass

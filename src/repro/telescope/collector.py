@@ -12,14 +12,17 @@ All capture goes through one batch routing core, :meth:`_route`: it checks
 a batch is time-sorted, draws every in-window arrival's slot with one bulk
 ``integers`` call, then walks the live tenancy table in arrival order with
 epochs and tenancy starts in integer microseconds from the window start.
-Sessions are built in closed form when their tenancy is torn down — a telescope instance
-completes the handshake 20 ms after the SYN and sees the FIN 60 ms after it
-(``tests/packet_model.py`` holds the packet-level model of the same
-exchange, the reference ``tests/test_capture_batch.py`` pins this against).
-Three entry points share the core:
+Sessions are stamped in closed form when their tenancy is torn down — a
+telescope instance completes the handshake 20 ms after the SYN and sees the
+FIN 60 ms after it (``tests/packet_model.py`` holds the packet-level model
+of the same exchange, the reference ``tests/test_capture_batch.py`` pins
+this against).  Stamping builds no record: it appends the tenancy's rows
+to column lists, which become the ``store`` stage's
+:class:`~repro.net.pcapstore.SessionColumns`.  Three entry points share the
+core:
 
 * :meth:`DscopeCollector.collect` — the batch path: route the whole stream,
-  return the full :class:`SessionStore`;
+  return the full :class:`SessionStore`, a view over those columns;
 * :meth:`DscopeCollector.collect_windows` — the streaming path: route one
   arrival window at a time, yielding each window's *finished* sessions as
   their tenancies close.  Tenancies still open at a window boundary carry
@@ -37,19 +40,21 @@ from datetime import datetime, timedelta
 from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.net.pcapstore import SessionStore
+import numpy as np
+
+from repro.net.pcapstore import SessionColumns, SessionStore
 from repro.net.session import TcpSession
 from repro.telescope.config import TelescopeConfig
 from repro.telescope.pool import CloudIpPool
 from repro.traffic.arrivals import ScanArrival
 from repro.util.rng import derive_rng
-from repro.util.timeutil import TimeWindow
+from repro.util.timeutil import TimeWindow, zoned_micros
 
 _US = timedelta(microseconds=1)
 #: A captured session starts when the handshake's ACK lands, 20 ms after
-#: the SYN, and ends at the FIN, 60 ms after it.
-_ESTABLISHED = timedelta(milliseconds=20)
-_CLOSED = timedelta(milliseconds=60)
+#: the SYN, and ends at the FIN, 60 ms after it (in microseconds).
+_ESTABLISHED_US = 20_000
+_CLOSED_US = 60_000
 #: Arrivals per routing batch on :meth:`DscopeCollector.collect`: enough
 #: to amortise the bulk draw, small enough that the per-batch lists stay
 #: off the process's peak memory.
@@ -118,15 +123,17 @@ class CaptureWindow:
 class _Tenancy:
     """One materialised (slot, epoch) tenancy: its address, the
     microsecond (from the window start) at which it stops receiving — its
-    planned end or its preemption — and the arrivals it accepted, in order.
+    planned end or its preemption — and the arrivals it accepted, in order,
+    with the microsecond (from the window start) each one came in.
     """
 
-    __slots__ = ("ip", "end_us", "arrivals")
+    __slots__ = ("ip", "end_us", "arrivals", "elapsed")
 
     def __init__(self, ip: int, end_us: int) -> None:
         self.ip = ip
         self.end_us = end_us
         self.arrivals: List[ScanArrival] = []
+        self.elapsed: List[int] = []
 
 
 class DscopeCollector:
@@ -157,6 +164,15 @@ class DscopeCollector:
         self._stagger_us = [
             lifetime * (slot / slots) // _US for slot in range(slots)
         ]
+        #: The window start in microseconds since the epoch, and its
+        #: tzinfo (None for naive UTC): session times are offsets from it.
+        origin, self._zone = zoned_micros([window.start])
+        self._origin_us = int(origin[0])
+        #: Stamped rows not yet taken (:meth:`_take`): each closed
+        #: tenancy's accepted arrivals, their offsets and its address.
+        self._rows: List[ScanArrival] = []
+        self._row_elapsed: List[int] = []
+        self._row_dst: List[int] = []
         self._begin_stream()
 
     # -- fleet geometry ----------------------------------------------------
@@ -225,47 +241,74 @@ class DscopeCollector:
         end_us = start_us + self._life_us
         if self.config.preemption_rate > 0:
             rng = derive_rng(self.config.seed, "preempt", region, slot, epoch)
-            if rng.uniform() < self.config.preemption_rate:
+            if rng.random() < self.config.preemption_rate:
                 fraction = float(rng.uniform(0.2, 0.95))
                 cut = self.config.instance_lifetime * fraction
                 end_us = min(end_us, start_us + cut // _US)
         return _Tenancy(self.pool.allocate(region, slot, epoch), end_us)
 
-    def _stamp(self, tenancy: _Tenancy) -> List[TcpSession]:
-        """Tear a tenancy down: id-stamp and account its sessions, in
-        arrival order."""
-        sessions: List[TcpSession] = []
-        session_id = self._next_session_id
-        for arrival in tenancy.arrivals:
-            sessions.append(
-                TcpSession(
-                    session_id=session_id,
-                    start=arrival.timestamp + _ESTABLISHED,
-                    src_ip=arrival.src_ip,
-                    src_port=arrival.src_port,
-                    dst_ip=tenancy.ip,
-                    dst_port=arrival.dst_port,
-                    payload=arrival.payload,
-                    end=arrival.timestamp + _CLOSED,
-                )
-            )
-            self.ground_truth[session_id] = arrival.truth_cve
-            session_id += 1
-        self._next_session_id = session_id
-        self.stats.sessions_captured += len(sessions)
-        return sessions
+    def _stamp(self, tenancy: _Tenancy) -> None:
+        """Tear a tenancy down: queue its sessions' rows, in arrival order."""
+        count = len(tenancy.arrivals)
+        self._rows.extend(tenancy.arrivals)
+        self._row_elapsed.extend(tenancy.elapsed)
+        self._row_dst.extend([tenancy.ip] * count)
+        self.stats.sessions_captured += count
 
-    def _route(self, batch: Sequence[ScanArrival]) -> List[TcpSession]:
-        """Route a time-sorted batch; returns the sessions it finished.
+    def _take(self, *, sort: bool) -> SessionColumns:
+        """The rows stamped since the last take, as session columns.
+
+        Session ids follow stamp order, and so does the ground truth; with
+        ``sort`` the rows are in ``(start, session_id)`` order, a store's
+        iteration order, and stamp order otherwise.
+        """
+        rows, elapsed, dst_ips = self._rows, self._row_elapsed, self._row_dst
+        self._rows, self._row_elapsed, self._row_dst = [], [], []
+        first = self._next_session_id
+        self._next_session_id += len(rows)
+        self.ground_truth.update(
+            zip(range(first, first + len(rows)), [a.truth_cve for a in rows])
+        )
+        ids = np.arange(first, first + len(rows), dtype=np.int64)
+        starts = np.array(elapsed, np.int64) + (self._origin_us + _ESTABLISHED_US)
+        if sort and rows:
+            # Stable: ids rise in stamp order, so ties keep id order.
+            order = np.argsort(starts, kind="stable")
+            ids, starts = ids[order], starts[order]
+            order = order.tolist()
+            rows = list(map(rows.__getitem__, order))
+            dst_ips = list(map(dst_ips.__getitem__, order))
+        return SessionColumns.from_rows(
+            ids,
+            starts,
+            starts + (_CLOSED_US - _ESTABLISHED_US),
+            [a.src_ip for a in rows],
+            [a.src_port for a in rows],
+            dst_ips,
+            [a.dst_port for a in rows],
+            [a.payload for a in rows],
+            np.ones(len(rows), np.uint8),
+            zone=self._zone,
+        )
+
+    def _sessions(self) -> List[TcpSession]:
+        """The rows stamped since the last take, as sessions in stamp
+        order (built by the columns' own row constructor)."""
+        if not self._rows:
+            return []
+        return list(self._take(sort=False))
+
+    def _route(self, batch: Sequence[ScanArrival]) -> None:
+        """Route a time-sorted batch, stamping the tenancies it closes.
 
         The core every entry point shares.  Routing an arrival may close
         other tenancies (the slot being re-materialised, or tenancies whose
-        reception ended) — their sessions are returned, id-stamped, in the
+        reception ended) — their rows are queued for :meth:`_take` in the
         order the tenancies closed.  A preempted tenancy's address is dark
         until the slot's next epoch, so an arrival after its end is lost.
         """
         if not batch:
-            return []
+            return
         origin = self.window.start
         elapsed = [(arrival.timestamp - origin) // _US for arrival in batch]
         if (self._last_us is not None and elapsed[0] < self._last_us) or any(
@@ -279,7 +322,7 @@ class DscopeCollector:
             if 0 <= now < self._window_us
         ]
         if not inside:
-            return []
+            return
         # Cloud routing is oblivious to tenancy: a pseudorandom slot per
         # in-window arrival, drawn for the whole batch at once.
         slots = self._routing_rng.integers(
@@ -287,7 +330,6 @@ class DscopeCollector:
         ).tolist()
 
         live = self._live
-        finished: List[TcpSession] = []
         receiving: List[int] = []
         sources: List[int] = []
         materialised = lost = 0
@@ -301,7 +343,7 @@ class DscopeCollector:
                     if other[0] == slot or held.end_us <= now
                 ]
                 for other in stale:
-                    finished.extend(self._stamp(live.pop(other)))
+                    self._stamp(live.pop(other))
                 tenancy = live[key] = self._materialise(*key)
                 materialised += 1
             if now >= tenancy.end_us:
@@ -309,6 +351,7 @@ class DscopeCollector:
                 continue
             arrival = batch[index]
             tenancy.arrivals.append(arrival)
+            tenancy.elapsed.append(now)
             # The IP counts as receiving only now: a tenancy whose every
             # arrival was preempted away never received analysable traffic.
             receiving.append(tenancy.ip)
@@ -320,21 +363,23 @@ class DscopeCollector:
         stats.arrivals_routed += len(receiving)
         stats.receiving_ips.update(receiving)
         stats.source_ips.update(sources)
-        return finished
 
     def feed(self, arrival: ScanArrival) -> List[TcpSession]:
         """Route one arrival (a batch of one); returns the sessions this
         step finished."""
-        return self._route([arrival])
+        self._route([arrival])
+        return self._sessions()
+
+    def _close_all(self) -> None:
+        """Tear down every live tenancy, in routing order."""
+        live, self._live = self._live, {}
+        for tenancy in live.values():
+            self._stamp(tenancy)
 
     def flush(self) -> List[TcpSession]:
         """End the stream: tear down every live tenancy, in routing order."""
-        live, self._live = self._live, {}
-        return [
-            session
-            for tenancy in live.values()
-            for session in self._stamp(tenancy)
-        ]
+        self._close_all()
+        return self._sessions()
 
     def collect(self, arrivals: Iterable[ScanArrival]) -> SessionStore:
         """Route arrivals onto the fleet; returns the session archive.
@@ -345,12 +390,12 @@ class DscopeCollector:
         tenancies are torn down as time advances.
         """
         self._begin_stream()
-        store = SessionStore()
         stream = iter(arrivals)
         for batch in iter(lambda: list(islice(stream, _BATCH)), []):
-            store.extend(self._route(batch))
-        store.extend(self.flush())
-        return store
+            self._route(batch)
+        self._close_all()
+        return SessionStore.from_columns(self._take(sort=True))
+
     def collect_windows(
         self,
         arrivals: Iterable[ScanArrival],
@@ -402,7 +447,8 @@ class DscopeCollector:
             if self.window.contains(arrival.timestamp):
                 target = int((arrival.timestamp - base) // span)
             if target is not None and target > index:
-                finished.extend(self._route(batch))
+                self._route(batch)
+                finished.extend(self._sessions())
                 batch = []
                 while index < target:
                     if (
@@ -419,6 +465,7 @@ class DscopeCollector:
             batch.append(arrival)
             if target is not None:
                 seen += 1
-        finished.extend(self._route(batch))
-        finished.extend(self.flush())
+        self._route(batch)
+        self._close_all()
+        finished.extend(self._sessions())
         yield close(index, final=True)

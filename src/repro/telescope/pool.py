@@ -5,9 +5,16 @@ same address is reused across tenants over time (which the paper notes
 improves coverage, since telescope IPs were previously production IPs).
 :class:`CloudIpPool` reproduces both properties deterministically: the
 address for an (instance slot, epoch) pair is a keyed hash into the
-region's block, so allocations are stable, collisions across concurrent
-slots are avoided by rehashing, and long-run reuse happens naturally as the
-hash space fills.
+region's block, so allocations are stable and long-run reuse happens
+naturally as the hash space fills.
+
+A draw is rehashed when it equals one of the four lower slots' first
+draws for the epoch, hashed under the drawing slot's region.  Slots are
+striped across regions, so those four slots always sit in other regions:
+the check never sees an address a same-region tenancy holds, and
+concurrent same-region slots can collide (:meth:`CloudIpPool._collides`).
+Fixing it moves allocated addresses, and with them the benchmark's
+reference digests, so it waits for a re-baseline (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -63,13 +70,20 @@ class CloudIpPool:
         #: Encoded ``(slot, probe)`` key suffixes, filled on first use, so
         #: the table grows to the slots the fleet actually has.
         self._suffixes: Dict[Tuple[int, int], bytes] = {}
+        #: Per slot: the encoded probe-0 suffixes of the slot and of the
+        #: (up to) four lower slots :meth:`_collides` checks, slot first.
+        self._first_suffixes: Dict[int, Tuple[bytes, ...]] = {}
+        #: The last tenancy's ``(region, slot, epoch)`` and its first
+        #: draws as indices (:meth:`_first_draws`).
+        self._drawn_key: Tuple[str, int, int] = ("", 0, 0)
+        self._drawn: Tuple[int, ...] = ()
 
     def region_capacity(self, region: str) -> int:
         """Total addresses available in a region's blocks."""
         return self._capacity[region]
 
-    def _draw(self, region: str, epoch: int, slot: int, probe: int) -> int:
-        """``derive_seed(seed, "ip", region, epoch, slot, probe)``."""
+    def _epoch_hasher(self, region: str, epoch: int):
+        """The BLAKE2b state after ``(seed, "ip", region, epoch)``."""
         if self._epoch_key != (region, epoch):
             state = self._region_states.get(region)
             if state is None:
@@ -78,11 +92,16 @@ class CloudIpPool:
             self._epoch_state = state.copy()
             self._epoch_state.update(encode_key(epoch))
             self._epoch_key = (region, epoch)
+        return self._epoch_state
+
+    def _draw(self, region: str, epoch: int, slot: int, probe: int) -> int:
+        """``derive_seed(seed, "ip", region, epoch, slot, probe)``."""
+        epoch_state = self._epoch_hasher(region, epoch)
         suffix = self._suffixes.get((slot, probe))
         if suffix is None:
             suffix = encode_key(slot) + encode_key(probe)
             self._suffixes[(slot, probe)] = suffix
-        hasher = self._epoch_state.copy()
+        hasher = epoch_state.copy()
         hasher.update(suffix)
         return int.from_bytes(hasher.digest(), "little")
 
@@ -90,28 +109,52 @@ class CloudIpPool:
         """The address held by ``slot`` during ``epoch`` in ``region``.
 
         Deterministic: the same (region, slot, epoch) always yields the
-        same address; different concurrent slots in the same epoch get
-        distinct addresses (rehash on collision with a bounded probe).
+        same address.  A draw that :meth:`_collides` is rehashed with the
+        next probe, at most eight draws in all; probes past the first are
+        drawn only on a collision.
         """
         if region not in self._blocks:
             raise KeyError(f"unknown region {region!r}")
         blocks = self._blocks[region]
         capacity = self._capacity[region]
+        index = self._first_draws(region, slot, epoch)[0]
         for probe in range(8):
-            index = self._draw(region, epoch, slot, probe) % capacity
-            # Collision check against other slots this epoch is probabilistic
-            # in the real cloud too; rehashing keyed by (slot, probe) makes
-            # same-epoch collisions vanishingly rare for realistic block
-            # sizes.  Every probe — including rehashes — must pass the
-            # collision check: a rehash can itself land on a taken address.
+            if probe:
+                index = self._draw(region, epoch, slot, probe) % capacity
             address = self._index_to_address(blocks, index)
             if not self._collides(region, slot, epoch, address):
                 return address
-        # Eight independent draws all colliding means the region block is
+        # Eight draws all colliding means the region block is
         # pathologically small relative to the concurrent slot count; keep
         # the last draw rather than loop forever (matches real clouds, where
         # address reuse under exhaustion is the operator's problem).
         return address
+
+    def _first_draws(self, region: str, slot: int, epoch: int) -> Tuple[int, ...]:
+        """The probe-0 draws, as indices into the region's blocks, of
+        ``slot`` and then of the lower slots :meth:`_collides` checks.
+
+        One digest loop per tenancy over the slot's pre-encoded suffixes,
+        kept until the next tenancy asks, so every probe's collision check
+        reuses it."""
+        key = (region, slot, epoch)
+        if self._drawn_key != key:
+            capacity = self._capacity[region]
+            suffixes = self._first_suffixes.get(slot)
+            if suffixes is None:
+                suffixes = tuple(
+                    encode_key(other) + encode_key(0)
+                    for other in range(slot, max(slot - 4, 0) - 1, -1)
+                )
+                self._first_suffixes[slot] = suffixes
+            epoch_state = self._epoch_hasher(region, epoch)
+            draws = []
+            for suffix in suffixes:
+                hasher = epoch_state.copy()
+                hasher.update(suffix)
+                draws.append(int.from_bytes(hasher.digest(), "little") % capacity)
+            self._drawn_key, self._drawn = key, tuple(draws)
+        return self._drawn
 
     def _index_to_address(
         self, blocks: Tuple[Tuple[int, int], ...], index: int
@@ -144,15 +187,10 @@ class CloudIpPool:
         in other regions, and hashing them under ``region`` never yields an
         address a same-region tenancy actually holds (those neighbours are
         ``slot-8``, ``slot-16``, ...).  Fixing it moves some allocated
-        addresses, and with them committed reference digests, so it waits
-        for a deliberate re-baseline.
+        addresses, and with them the benchmark's reference digests, so it
+        waits for a re-baseline (ROADMAP item 2).
         """
         # ``_index_to_address`` is a bijection on [0, capacity), so the
-        # neighbours' draws are compared as indices: one walk of the blocks
-        # for ``address`` instead of one per neighbour.
+        # neighbours' draws are compared as indices.
         index = self._address_to_index(self._blocks[region], address)
-        capacity = self._capacity[region]
-        return any(
-            self._draw(region, epoch, other_slot, 0) % capacity == index
-            for other_slot in range(max(slot - 4, 0), slot)
-        )
+        return index in self._first_draws(region, slot, epoch)[1:]

@@ -124,7 +124,7 @@ class TrafficGenerator:
         Pre-publication scanning is generic (untargeted ports, Appendix C);
         post-publication campaigns mostly hit the product port.
         """
-        if when < published or rng.uniform() < self.config.offport_fraction:
+        if when < published or rng.random() < self.config.offport_fraction:
             return _SPRAY_PORTS[int(rng.integers(0, len(_SPRAY_PORTS)))]
         return default_port
 
@@ -184,7 +184,7 @@ class TrafficGenerator:
         anchor = max(first, published)
         tail_span = (self.window.end - anchor).total_seconds()
         for _ in range(count - 1):
-            draw = rng.uniform()
+            draw = rng.random()
             if draw < 0.70:
                 when = anchor + timedelta(days=float(rng.exponential(8.0)))
             elif draw < 0.92:
@@ -264,7 +264,7 @@ class TrafficGenerator:
         arrivals: List[ScanArrival] = []
         passwords = ["123456", "admin", "password", "root1234", "qwerty"]
         for when in background_times(window=self.window, rng=rng, count=count):
-            kind = rng.uniform()
+            kind = rng.random()
             if kind < 0.35:
                 password = passwords[int(rng.integers(0, len(passwords)))]
                 payload = (

@@ -8,7 +8,9 @@ each one read its CVEs' timeline constants once:
   event × desideratum, keying its counts by ``Desideratum.label``;
 * :func:`unique_cve_bins`, :func:`exposure_cdf` and
   :func:`events_relative_to_publication` look up P (and, for Figure 6, D)
-  through the timeline once per event;
+  through the timeline once per event, and Figure 6 writes its flag once
+  per event;
+* :func:`events_over_study` (Figure 3) calls ``to_days`` once per event;
 * :func:`downsample_cdf` builds the whole ``Ecdf.series()`` and then
   samples it.
 
@@ -23,11 +25,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.core.desiderata import DESIDERATA
 from repro.core.exposure import CveBin
 from repro.core.skill import PAPER_BASELINES, SkillReport
+from repro.datasets.seed_cves import STUDY_WINDOW
 from repro.lifecycle.events import A, CveTimeline, D, P
 from repro.lifecycle.exploit_events import ExploitEvent
 from repro.reporting.figures import FigureSeries
 from repro.util.stats import Ecdf, bin_counts
-from repro.util.timeutil import to_days
+from repro.util.timeutil import TimeWindow, to_days
 
 
 def per_event_satisfaction(
@@ -143,6 +146,18 @@ def unmitigated_half_life_days(
     if unmitigated.n == 0:
         raise ValueError("no unmitigated events")
     return unmitigated.quantile(0.5)
+
+
+def events_over_study(
+    events: Iterable[ExploitEvent],
+    *,
+    window: TimeWindow = STUDY_WINDOW,
+    bin_days: float = 30.0,
+) -> List[Tuple[float, int]]:
+    offsets = [to_days(event.timestamp - window.start) for event in events]
+    return bin_counts(
+        offsets, bin_width=bin_days, lo=0.0, hi=to_days(window.duration)
+    )
 
 
 def events_relative_to_publication(

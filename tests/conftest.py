@@ -40,9 +40,9 @@ def scan_fault(monkeypatch):
     scanning chunk ``k`` of an ``n``-worker scan die through ``os._exit``,
     which breaks the whole pool; ``"chunk_error:<k>"`` makes it raise.  The
     patched scan core reaches the workers through fork.  The parent holds
-    no worker stream, so its own rescans run the real scan.
+    no worker columns, so its own rescans run the real scan.
     """
-    real = engine.scan_stream
+    real = engine.scan_rows
 
     def install(spec: str, *, workers: int) -> None:
         kind, chunk = spec.split(":")
@@ -50,16 +50,16 @@ def scan_fault(monkeypatch):
             raise ValueError(f"unknown fault {spec!r}")
         chunk = int(chunk)
 
-        def faulty(ruleset, sessions):
-            stream = engine._worker_sessions
-            size = -(-len(stream) // (workers * engine.CHUNKS_PER_WORKER))
-            start = chunk * size
-            if start < len(stream) and sessions and sessions[0] is stream[start]:
-                if kind == "worker_crash":
-                    os._exit(99)
-                raise RuntimeError(f"injected {spec}")
-            return real(ruleset, sessions)
+        def faulty(ruleset, columns, start, stop):
+            inherited = engine._worker_columns
+            if inherited is not None:
+                size = -(-len(inherited) // (workers * engine.CHUNKS_PER_WORKER))
+                if start == chunk * size:
+                    if kind == "worker_crash":
+                        os._exit(99)
+                    raise RuntimeError(f"injected {spec}")
+            return real(ruleset, columns, start, stop)
 
-        monkeypatch.setattr(engine, "scan_stream", faulty)
+        monkeypatch.setattr(engine, "scan_rows", faulty)
 
     return install

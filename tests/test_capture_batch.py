@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.fingerprint import STAGE_MODULES
+from repro.net.pcapstore import SessionColumns
 from repro.telescope.collector import DscopeCollector
 from repro.telescope.config import TelescopeConfig
 from repro.telescope.pool import CloudIpPool
@@ -42,6 +43,15 @@ def _arrival(offset_us, *, src=0x2D010101, port=80, payload=b"GET /",
         payload=payload,
         truth_cve=truth,
     )
+
+
+def assert_same_columns(got, expected):
+    """Two :class:`SessionColumns` hold equal columns, dtypes and zone."""
+    assert got.zone == expected.zone
+    assert sorted(got.columns) == sorted(expected.columns)
+    for name, column in expected.columns.items():
+        assert got.columns[name].dtype == column.dtype, name
+        assert got.columns[name].tolist() == column.tolist(), name
 
 
 def _assert_same_capture(new, new_sessions, old, old_sessions):
@@ -104,9 +114,11 @@ streams = st.lists(arrivals, max_size=60).map(
 def test_collect_matches_oracle(config, stream):
     new = DscopeCollector(config, window=WINDOW)
     old = OracleCollector(config, window=WINDOW)
-    _assert_same_capture(
-        new, list(new.collect(stream)), old, list(old.collect(stream))
-    )
+    store = new.collect(stream)
+    reference = list(old.collect(stream))
+    _assert_same_capture(new, list(store), old, reference)
+    # The store is a view over capture's columns: the records packed.
+    assert_same_columns(store.columns(), SessionColumns.pack(reference))
 
 
 def _feed_both(config, stream):

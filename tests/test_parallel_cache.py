@@ -220,6 +220,9 @@ class TestStudyCache:
         config = _tiny_study_config()
         cold = run_study(config, cache=tmp_path / "cache")
         cold_shard = ShardStore(tmp_path / "cold").save(ColumnarStudy.from_study(cold))
+        # The cold run's store and alerts are column views too: build their
+        # records before counting.
+        cold_sessions, cold_alerts = list(cold.store), list(cold.alerts)
 
         built = {"sessions": 0, "alerts": 0, "rulesets": 0}
 
@@ -247,8 +250,8 @@ class TestStudyCache:
         assert built == {"sessions": 0, "alerts": 0, "rulesets": 0}
         assert warm_shard.read_bytes() == cold_shard.read_bytes()
 
-        assert list(warm.store) == list(cold.store)
-        assert list(warm.alerts) == list(cold.alerts)
+        assert list(warm.store) == cold_sessions
+        assert list(warm.alerts) == cold_alerts
         assert _rules_published(warm.ruleset) == _rules_published(cold.ruleset)
         assert warm.ruleset is warm.ruleset
         assert built == {

@@ -15,7 +15,7 @@ from datetime import timedelta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.trends import events_relative_to_publication
+from repro.analysis.trends import events_over_study, events_relative_to_publication
 from repro.core.exposure import exposure_cdf, unique_cve_bins
 from repro.core.perevent import per_event_satisfaction
 from repro.datasets.seed_cves import SEED_CVES
@@ -25,7 +25,7 @@ from repro.lifecycle.events import CveTimeline, LifecycleEvent
 from repro.lifecycle.exploit_events import ExploitEvent
 from repro.reporting.figures import downsample_cdf
 from repro.util.stats import Ecdf
-from repro.util.timeutil import utc
+from repro.util.timeutil import TimeWindow, utc
 
 from tests import artifact_oracle as oracle
 
@@ -125,6 +125,22 @@ def test_events_relative_to_publication_matches_oracle(world, ranges):
         oracle.events_relative_to_publication(events, timelines, **kwargs)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    _worlds(),
+    st.sampled_from([1.0, 7.0, 30.0, 45.5]),
+    st.integers(-300, 300),
+    st.integers(1, 900),
+    st.just(0) | st.integers(0, 86_399),
+)
+def test_events_over_study_matches_oracle(world, bin_days, start, length, second):
+    events, _ = world
+    begin = T0 + timedelta(days=start, seconds=second)
+    window = TimeWindow(begin, begin + timedelta(days=length))
+    assert events_over_study(iter(events), window=window, bin_days=bin_days) == \
+        oracle.events_over_study(events, window=window, bin_days=bin_days)
+
+
 def _outcome(function, cdf, points):
     try:
         series = function(cdf, points=points)
@@ -159,7 +175,8 @@ def test_study_artifacts_match_oracle_build(study, monkeypatch):
     rebuilt = [run_experiment(name, study) for name in list_experiments()]
     # The registry resolves its builders as module globals on every call.
     for name in ("per_event_satisfaction", "exposure_cdf", "unique_cve_bins",
-                 "events_relative_to_publication", "downsample_cdf"):
+                 "events_relative_to_publication", "events_over_study",
+                 "downsample_cdf"):
         monkeypatch.setattr(registry, name, getattr(oracle, name))
     artifacts = [run_experiment(name, study) for name in list_experiments()]
     assert len(rebuilt) == 18

@@ -228,6 +228,21 @@ def test_broadcast_uniform_equals_scalar_draws(seed, bounds):
     assert new.bit_generator.state == old.bit_generator.state
 
 
+@settings(max_examples=60, deadline=None)
+@given(_seeds, st.integers(1, 64), st.integers(0, 3))
+def test_random_equals_uniform_without_arguments(seed, count, interleaved):
+    """``rng.random()`` is the draw ``rng.uniform()`` makes (NumPy computes
+    ``0.0 + 1.0 * next_double``): equal doubles, one after another and
+    between other draws, and the generator ends in the same state."""
+    new, old = _twin_rngs(seed)
+    for _ in range(count):
+        assert new.random() == old.uniform()
+        assert new.integers(0, 1 << 20, size=interleaved).tolist() == (
+            old.integers(0, 1 << 20, size=interleaved).tolist()
+        )
+    assert new.bit_generator.state == old.bit_generator.state
+
+
 def _half_tenths():
     """Every (k + 0.5) / 10 in [0, 10] and its two neighbouring doubles."""
     for k in range(100):
