@@ -529,7 +529,7 @@ def run_study(
                     span.set("source", "computed")
                     collector = resolved.build_collector(bundle.window)
                     with profiler.stage("capture"):
-                        store = collector.collect(arrivals)
+                        store = collector.collect(arrivals, tracer=tracer)
                     del arrivals  # nothing reads the stream after capture
                     collection_stats = collector.stats
                     ground_truth = collector.ground_truth

@@ -72,7 +72,7 @@ class SessionColumns:
         self._distinct = distinct
 
     @classmethod
-    def from_rows(
+    def from_heap(
         cls,
         ids: np.ndarray,
         starts: np.ndarray,
@@ -81,31 +81,36 @@ class SessionColumns:
         src_ports: Sequence[int],
         dst_ips: Sequence[int],
         dst_ports: Sequence[int],
-        payloads: Sequence[bytes],
+        payload: np.ndarray,
+        heap: Sequence[bytes],
         established: Sequence[bool],
         *,
         zone: Optional[tzinfo] = None,
     ) -> "SessionColumns":
-        """Columns of rows given field by field (times in microseconds);
-        payloads are interned into the heap in row order."""
-        heap_index: Dict[bytes, int] = {}
-        payload_index = [
-            heap_index.setdefault(payload, len(heap_index))
-            for payload in payloads
-        ]
-        distinct = list(heap_index)
+        """Columns of rows given field by field (times in microseconds),
+        whose payloads are indices into ``heap``, a list of distinct
+        payloads that may hold entries no row uses.
+
+        The heap is renumbered to first use in row order and the unused
+        entries are left out, so the columns are the same whatever order
+        the heap came in and whatever else it held.
+        """
+        used = list(dict.fromkeys(payload.tolist()))
+        renumber = np.zeros(len(heap), np.int32)
+        renumber[used] = np.arange(len(used), dtype=np.int32)
+        distinct = list(map(heap.__getitem__, used))
         offsets = np.zeros(len(distinct) + 1, dtype=np.int64)
         offsets[1:] = np.cumsum(list(map(len, distinct)), dtype=np.int64)
         columns = {
             "session_id": ids,
             "session_start": starts,
             "session_end": ends,
-            "session_src_ip": np.array(src_ips, np.uint32),
-            "session_dst_ip": np.array(dst_ips, np.uint32),
-            "session_src_port": np.array(src_ports, np.uint16),
-            "session_dst_port": np.array(dst_ports, np.uint16),
-            "session_established": np.array(established, np.uint8),
-            "session_payload": np.array(payload_index, np.int32),
+            "session_src_ip": np.asarray(src_ips, np.uint32),
+            "session_dst_ip": np.asarray(dst_ips, np.uint32),
+            "session_src_port": np.asarray(src_ports, np.uint16),
+            "session_dst_port": np.asarray(dst_ports, np.uint16),
+            "session_established": np.asarray(established, np.uint8),
+            "session_payload": renumber[payload],
             "payload_heap": np.frombuffer(b"".join(distinct), np.uint8),
             "payload_offset": offsets,
         }
@@ -117,7 +122,9 @@ class SessionColumns:
         starts, zone = zoned_micros([s.start for s in sessions])
         # A session's end is None or as aware as its start.
         ends, _ = zoned_micros([s.end for s in sessions])
-        return cls.from_rows(
+        heap: Dict[bytes, int] = {}
+        payload = [heap.setdefault(s.payload, len(heap)) for s in sessions]
+        return cls.from_heap(
             np.array([s.session_id for s in sessions], np.int64),
             starts,
             ends,
@@ -125,7 +132,8 @@ class SessionColumns:
             [s.src_port for s in sessions],
             [s.dst_ip for s in sessions],
             [s.dst_port for s in sessions],
-            [s.payload for s in sessions],
+            np.array(payload, np.int32),
+            list(heap),
             [s.established for s in sessions],
             zone=zone,
         )

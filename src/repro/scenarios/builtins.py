@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from repro.datasets.feeds import FixesFeedSource, KevFeedSource, Nvd2FeedSource
 from repro.datasets.seed_cves import STUDY_WINDOW
@@ -31,7 +33,7 @@ from repro.scenarios.resolve import register_scenario
 from repro.scenarios.spec import ComponentRef, Scenario
 from repro.telescope.collector import DscopeCollector
 from repro.telescope.config import TelescopeConfig
-from repro.traffic.arrivals import ScanArrival
+from repro.traffic.arrivals import ArrivalColumns, ScanArrival
 from repro.traffic.generator import TrafficConfig, TrafficGenerator
 from repro.util.rng import derive_seed
 
@@ -166,21 +168,31 @@ class EvasiveTraffic:
         self.seed = seed
         self.pad_max = pad_max
 
+    def _mangle(self, payload: bytes, index: int) -> bytes:
+        """The exploit payload of the arrival at ``index``, as sent."""
+        token = derive_seed(self.seed, "evasive", index)
+        mode = token % 3
+        if mode == 1:
+            return payload + b"\x00" * (1 + (token >> 2) % self.pad_max)
+        if mode == 2:
+            return payload.swapcase()
+        return payload
+
     def _mutate(self, arrival: ScanArrival, index: int) -> ScanArrival:
         if arrival.truth_cve is None:
             return arrival
-        token = derive_seed(self.seed, "evasive", index)
-        mode = token % 3
-        if mode == 0:
-            return arrival
-        if mode == 1:
-            padding = b"\x00" * (1 + (token >> 2) % self.pad_max)
-            return replace(arrival, payload=arrival.payload + padding)
-        return replace(arrival, payload=arrival.payload.swapcase())
+        return replace(arrival, payload=self._mangle(arrival.payload, index))
 
-    def generate(self, *, tracer=None) -> List[ScanArrival]:
+    def generate(self, *, tracer=None) -> ArrivalColumns:
+        """The inner stream with each exploit row's payload index pointing
+        at its mangled payload, interned into the heap."""
         arrivals = self.inner.generate(tracer=tracer)
-        return [self._mutate(arrival, i) for i, arrival in enumerate(arrivals)]
+        heap = {payload: code for code, payload in enumerate(arrivals.heap)}
+        codes = arrivals.payload.tolist()
+        for row in np.flatnonzero(arrivals.truth >= 0).tolist():
+            payload = self._mangle(arrivals.heap[codes[row]], row)
+            codes[row] = heap.setdefault(payload, len(heap))
+        return arrivals.with_payloads(np.array(codes, np.int32), list(heap))
 
     def stream(self, *, cursor: int = 0) -> Iterator[ScanArrival]:
         for offset, arrival in enumerate(self.inner.stream(cursor=cursor)):

@@ -8,21 +8,26 @@ lockstep.  Only tenancies that actually receive traffic are materialised
 tenancy counts) are computed analytically, exactly as a 2-year 5M-IP
 deployment must be on one machine.
 
-All capture goes through one batch routing core, :meth:`_route`: it checks
-a batch is time-sorted, draws every in-window arrival's slot with one bulk
-``integers`` call, then walks the live tenancy table in arrival order with
-epochs and tenancy starts in integer microseconds from the window start.
-Sessions are stamped in closed form when their tenancy is torn down — a
-telescope instance completes the handshake 20 ms after the SYN and sees the
-FIN 60 ms after it (``tests/packet_model.py`` holds the packet-level model
-of the same exchange, the reference ``tests/test_capture_batch.py`` pins
-this against).  Stamping builds no record: it appends the tenancy's rows
-to column lists, which become the ``store`` stage's
-:class:`~repro.net.pcapstore.SessionColumns`.  Three entry points share the
-core:
+All capture goes through one batch routing core, :meth:`_route`, over
+:class:`~repro.traffic.arrivals.ArrivalColumns`: it computes a batch's
+offsets from the window start, its sortedness and its in-window rows as
+arrays, draws the in-window arrivals' slots with bulk ``integers`` calls,
+then walks the live tenancy table in arrival order with epochs and tenancy
+starts in integer microseconds from the window start.  A tenancy holds the
+stream rows of the arrivals it accepted, not the arrivals.  Sessions are
+stamped in closed form when their tenancy is torn down — a telescope
+instance completes the handshake 20 ms after the SYN and sees the FIN 60 ms
+after it (``tests/packet_model.py`` holds the packet-level model of the
+same exchange, the reference ``tests/test_capture_batch.py`` pins this
+against).  Stamping builds no record: it queues the tenancy's rows, and a
+take gathers them from the arrival columns by numpy indexing into the
+``store`` stage's :class:`~repro.net.pcapstore.SessionColumns`, handing
+over the arrivals' payload heap without hashing a payload.  Three entry
+points share the core:
 
-* :meth:`DscopeCollector.collect` — the batch path: route the whole stream,
-  return the full :class:`SessionStore`, a view over those columns;
+* :meth:`DscopeCollector.collect` — the batch path: route the whole stream
+  (columns, or rows packed once), return the full :class:`SessionStore`, a
+  view over those columns;
 * :meth:`DscopeCollector.collect_windows` — the streaming path: route one
   arrival window at a time, yielding each window's *finished* sessions as
   their tenancies close.  Tenancies still open at a window boundary carry
@@ -30,15 +35,16 @@ core:
   byte-for-byte (same session ids, same order, same stats);
 * :meth:`DscopeCollector.feed` / :meth:`DscopeCollector.flush` — one
   arrival at a time (a batch of one), then tear down what is still live.
+
+The streaming paths route :class:`ScanArrival` rows, each batch packed
+into columns; a batch is held while a live tenancy holds one of its rows.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -46,7 +52,7 @@ from repro.net.pcapstore import SessionColumns, SessionStore
 from repro.net.session import TcpSession
 from repro.telescope.config import TelescopeConfig
 from repro.telescope.pool import CloudIpPool
-from repro.traffic.arrivals import ScanArrival
+from repro.traffic.arrivals import ArrivalColumns, ScanArrival
 from repro.util.rng import derive_rng
 from repro.util.timeutil import TimeWindow, zoned_micros
 
@@ -55,10 +61,10 @@ _US = timedelta(microseconds=1)
 #: the SYN, and ends at the FIN, 60 ms after it (in microseconds).
 _ESTABLISHED_US = 20_000
 _CLOSED_US = 60_000
-#: Arrivals per routing batch on :meth:`DscopeCollector.collect`: enough
-#: to amortise the bulk draw, small enough that the per-batch lists stay
-#: off the process's peak memory.
-_BATCH = 256
+#: In-window arrivals routed per bulk slot draw: enough to amortise the
+#: draw, small enough that the per-chunk lists stay off the process's peak
+#: memory.
+_CHUNK = 4096
 
 
 @dataclass
@@ -123,17 +129,16 @@ class CaptureWindow:
 class _Tenancy:
     """One materialised (slot, epoch) tenancy: its address, the
     microsecond (from the window start) at which it stops receiving — its
-    planned end or its preemption — and the arrivals it accepted, in order,
-    with the microsecond (from the window start) each one came in.
+    planned end or its preemption — and the stream rows of the arrivals it
+    accepted, in order.
     """
 
-    __slots__ = ("ip", "end_us", "arrivals", "elapsed")
+    __slots__ = ("ip", "end_us", "rows")
 
     def __init__(self, ip: int, end_us: int) -> None:
         self.ip = ip
         self.end_us = end_us
-        self.arrivals: List[ScanArrival] = []
-        self.elapsed: List[int] = []
+        self.rows: List[int] = []
 
 
 class DscopeCollector:
@@ -161,18 +166,14 @@ class DscopeCollector:
         self._window_us = window.duration // _US
         #: Slot tenancies are staggered by ``slot/concurrency`` of a
         #: lifetime, so the fleet recycles smoothly rather than in lockstep.
-        self._stagger_us = [
-            lifetime * (slot / slots) // _US for slot in range(slots)
-        ]
+        self._stagger_us = np.array(
+            [lifetime * (slot / slots) // _US for slot in range(slots)],
+            np.int64,
+        )
         #: The window start in microseconds since the epoch, and its
         #: tzinfo (None for naive UTC): session times are offsets from it.
         origin, self._zone = zoned_micros([window.start])
         self._origin_us = int(origin[0])
-        #: Stamped rows not yet taken (:meth:`_take`): each closed
-        #: tenancy's accepted arrivals, their offsets and its address.
-        self._rows: List[ScanArrival] = []
-        self._row_elapsed: List[int] = []
-        self._row_dst: List[int] = []
         self._begin_stream()
 
     # -- fleet geometry ----------------------------------------------------
@@ -180,12 +181,12 @@ class DscopeCollector:
     def _epoch(self, slot: int, elapsed_us: int) -> int:
         """The slot's tenancy epoch ``elapsed_us`` after the window start
         (−1 before the slot's first staggered tenancy begins)."""
-        return (elapsed_us - self._stagger_us[slot]) // self._life_us
+        return (elapsed_us - int(self._stagger_us[slot])) // self._life_us
 
     def _start_us(self, slot: int, epoch: int) -> int:
         """When the slot's tenancy ``epoch`` starts, in microseconds from
         the window start."""
-        return self._stagger_us[slot] + epoch * self._life_us
+        return int(self._stagger_us[slot]) + epoch * self._life_us
 
     def tenancy_for(self, slot: int, when: datetime) -> Tuple[int, datetime]:
         """(epoch, tenancy start) for a slot at a point in time."""
@@ -226,8 +227,17 @@ class DscopeCollector:
         self._last_us: Optional[int] = None
         #: Arrivals fed so far this stream — the resumable cursor: after a
         #: window yields, ``TrafficGenerator.stream(cursor=arrivals_fed)``
-        #: continues with exactly the next unprocessed arrival.
+        #: continues with exactly the next unprocessed arrival.  An
+        #: arrival's stream row is its position in this count.
         self.arrivals_fed = 0
+        #: The routed batches that live or stamped rows come from, and the
+        #: stream row of each one's first arrival.
+        self._sources: List[ArrivalColumns] = []
+        self._source_rows: List[int] = []
+        #: Stamped rows not yet taken (:meth:`_take`): each closed
+        #: tenancy's accepted stream rows, and its address per row.
+        self._stamped: List[int] = []
+        self._stamped_dst: List[int] = []
 
     def _materialise(self, slot: int, epoch: int) -> _Tenancy:
         """The tenancy of ``slot`` in ``epoch``.
@@ -249,125 +259,175 @@ class DscopeCollector:
 
     def _stamp(self, tenancy: _Tenancy) -> None:
         """Tear a tenancy down: queue its sessions' rows, in arrival order."""
-        count = len(tenancy.arrivals)
-        self._rows.extend(tenancy.arrivals)
-        self._row_elapsed.extend(tenancy.elapsed)
-        self._row_dst.extend([tenancy.ip] * count)
+        count = len(tenancy.rows)
+        self._stamped.extend(tenancy.rows)
+        self._stamped_dst.extend([tenancy.ip] * count)
         self.stats.sessions_captured += count
+
+    def _source(self, rows: np.ndarray) -> Tuple[ArrivalColumns, np.ndarray]:
+        """The arrivals the stream ``rows`` come from, and the rows'
+        positions in them: the one routed batch of :meth:`collect`, or the
+        held batches of the streaming paths, concatenated."""
+        firsts = np.array(self._source_rows, np.int64)
+        which = np.searchsorted(firsts, rows, "right") - 1
+        sizes = [len(source) for source in self._sources]
+        bases = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        return (
+            ArrivalColumns.concat(self._sources),
+            rows - firsts[which] + bases[which],
+        )
 
     def _take(self, *, sort: bool) -> SessionColumns:
         """The rows stamped since the last take, as session columns.
 
         Session ids follow stamp order, and so does the ground truth; with
         ``sort`` the rows are in ``(start, session_id)`` order, a store's
-        iteration order, and stamp order otherwise.
+        iteration order, and stamp order otherwise.  A session starts
+        20 ms after its arrival and ends 40 ms later.  Its payload indexes
+        the arrivals' own heap, which the columns renumber and compact.
         """
-        rows, elapsed, dst_ips = self._rows, self._row_elapsed, self._row_dst
-        self._rows, self._row_elapsed, self._row_dst = [], [], []
+        rows = np.array(self._stamped, np.int64)
+        dst_ips = np.array(self._stamped_dst, np.uint32)
+        self._stamped, self._stamped_dst = [], []
+        arrivals, at = self._source(rows)
+        count = rows.size
         first = self._next_session_id
-        self._next_session_id += len(rows)
-        self.ground_truth.update(
-            zip(range(first, first + len(rows)), [a.truth_cve for a in rows])
-        )
-        ids = np.arange(first, first + len(rows), dtype=np.int64)
-        starts = np.array(elapsed, np.int64) + (self._origin_us + _ESTABLISHED_US)
-        if sort and rows:
+        self._next_session_id += count
+        table = [*arrivals.cves, None]  # code -1 -> None
+        self.ground_truth.update(zip(
+            range(first, first + count),
+            map(table.__getitem__, arrivals.truth[at].tolist()),
+        ))
+        self._release()
+        ids = np.arange(first, first + count, dtype=np.int64)
+        starts = arrivals.t[at] + _ESTABLISHED_US
+        if sort:
             # Stable: ids rise in stamp order, so ties keep id order.
             order = np.argsort(starts, kind="stable")
-            ids, starts = ids[order], starts[order]
-            order = order.tolist()
-            rows = list(map(rows.__getitem__, order))
-            dst_ips = list(map(dst_ips.__getitem__, order))
-        return SessionColumns.from_rows(
+            ids, starts, at, dst_ips = (
+                ids[order], starts[order], at[order], dst_ips[order]
+            )
+        return SessionColumns.from_heap(
             ids,
             starts,
             starts + (_CLOSED_US - _ESTABLISHED_US),
-            [a.src_ip for a in rows],
-            [a.src_port for a in rows],
+            arrivals.src_ip[at],
+            arrivals.src_port[at],
             dst_ips,
-            [a.dst_port for a in rows],
-            [a.payload for a in rows],
-            np.ones(len(rows), np.uint8),
+            arrivals.dst_port[at],
+            arrivals.payload[at],
+            arrivals.heap,
+            np.ones(count, np.uint8),
             zone=self._zone,
         )
+
+    def _release(self) -> None:
+        """Drop the routed batches no live tenancy holds a row of (nothing
+        is stamped but not taken when this runs)."""
+        held = [tenancy.rows[0] for tenancy in self._live.values() if tenancy.rows]
+        oldest = min(held, default=self.arrivals_fed)
+        keep = 0
+        while keep < len(self._sources) and (
+            self._source_rows[keep] + len(self._sources[keep]) <= oldest
+        ):
+            keep += 1
+        del self._sources[:keep], self._source_rows[:keep]
 
     def _sessions(self) -> List[TcpSession]:
         """The rows stamped since the last take, as sessions in stamp
         order (built by the columns' own row constructor)."""
-        if not self._rows:
+        if not self._stamped:
             return []
         return list(self._take(sort=False))
 
-    def _route(self, batch: Sequence[ScanArrival]) -> None:
+    def _route(self, batch: ArrivalColumns) -> None:
         """Route a time-sorted batch, stamping the tenancies it closes.
 
-        The core every entry point shares.  Routing an arrival may close
-        other tenancies (the slot being re-materialised, or tenancies whose
-        reception ended) — their rows are queued for :meth:`_take` in the
-        order the tenancies closed.  A preempted tenancy's address is dark
-        until the slot's next epoch, so an arrival after its end is lost.
+        The core every entry point shares.  The batch's offsets from the
+        window start, its sortedness and its in-window rows are computed
+        as arrays; the slots of its in-window arrivals are drawn
+        ``_CHUNK`` at a time, each chunk in one bulk ``integers`` call (the
+        same stream as one scalar draw per arrival).  Routing an arrival
+        may close other tenancies (the slot being re-materialised, or
+        tenancies whose reception ended) — their rows are queued for
+        :meth:`_take` in the order the tenancies closed.  A preempted
+        tenancy's address is dark until the slot's next epoch, so an
+        arrival after its end is lost.
         """
-        if not batch:
+        if not len(batch):
             return
-        origin = self.window.start
-        elapsed = [(arrival.timestamp - origin) // _US for arrival in batch]
-        if (self._last_us is not None and elapsed[0] < self._last_us) or any(
-            map(operator.lt, elapsed[1:], elapsed)
+        if (batch.zone is None) != (self._zone is None):
+            raise TypeError("can't compare offset-naive and offset-aware times")
+        elapsed = batch.t - self._origin_us
+        if (self._last_us is not None and elapsed[0] < self._last_us) or bool(
+            (elapsed[1:] < elapsed[:-1]).any()
         ):
             raise ValueError("arrival stream is not time-sorted")
-        self._last_us = elapsed[-1]
+        self._last_us = int(elapsed[-1])
+        first_row = self.arrivals_fed
         self.arrivals_fed += len(batch)
-        inside = [
-            index for index, now in enumerate(elapsed)
-            if 0 <= now < self._window_us
-        ]
-        if not inside:
+        inside = np.flatnonzero((elapsed >= 0) & (elapsed < self._window_us))
+        if not inside.size:
             return
+        self._sources.append(batch)
+        self._source_rows.append(first_row)
+        for low in range(0, inside.size, _CHUNK):
+            self._assign(batch, first_row, elapsed, inside[low:low + _CHUNK])
+
+    def _assign(
+        self,
+        batch: ArrivalColumns,
+        first_row: int,
+        elapsed: np.ndarray,
+        inside: np.ndarray,
+    ) -> None:
+        """Route the batch's in-window arrivals at positions ``inside``."""
         # Cloud routing is oblivious to tenancy: a pseudorandom slot per
-        # in-window arrival, drawn for the whole batch at once.
+        # in-window arrival.
         slots = self._routing_rng.integers(
-            0, self.config.concurrent_instances, size=len(inside)
-        ).tolist()
+            0, self.config.concurrent_instances, size=inside.size
+        )
+        now = elapsed[inside]
+        epochs = (now - self._stagger_us[slots]) // self._life_us
 
         live = self._live
         receiving: List[int] = []
-        sources: List[int] = []
+        accepted: List[int] = []
         materialised = lost = 0
-        for index, slot in zip(inside, slots):
-            now = elapsed[index]
-            key = (slot, self._epoch(slot, now))
+        for index, slot, epoch, now_us in zip(
+            inside.tolist(), slots.tolist(), epochs.tolist(), now.tolist()
+        ):
+            key = (slot, epoch)
             tenancy = live.get(key)
             if tenancy is None:
                 stale = [
                     other for other, held in live.items()
-                    if other[0] == slot or held.end_us <= now
+                    if other[0] == slot or held.end_us <= now_us
                 ]
                 for other in stale:
                     self._stamp(live.pop(other))
-                tenancy = live[key] = self._materialise(*key)
+                tenancy = live[key] = self._materialise(slot, epoch)
                 materialised += 1
-            if now >= tenancy.end_us:
+            if now_us >= tenancy.end_us:
                 lost += 1
                 continue
-            arrival = batch[index]
-            tenancy.arrivals.append(arrival)
-            tenancy.elapsed.append(now)
+            tenancy.rows.append(first_row + index)
             # The IP counts as receiving only now: a tenancy whose every
             # arrival was preempted away never received analysable traffic.
             receiving.append(tenancy.ip)
-            sources.append(arrival.src_ip)
+            accepted.append(index)
 
         stats = self.stats
         stats.tenancies_materialised += materialised
         stats.arrivals_lost_to_preemption += lost
         stats.arrivals_routed += len(receiving)
         stats.receiving_ips.update(receiving)
-        stats.source_ips.update(sources)
+        stats.source_ips.update(batch.src_ip[accepted].tolist())
 
     def feed(self, arrival: ScanArrival) -> List[TcpSession]:
         """Route one arrival (a batch of one); returns the sessions this
         step finished."""
-        self._route([arrival])
+        self._route(ArrivalColumns.from_rows([arrival]))
         return self._sessions()
 
     def _close_all(self) -> None:
@@ -381,20 +441,38 @@ class DscopeCollector:
         self._close_all()
         return self._sessions()
 
-    def collect(self, arrivals: Iterable[ScanArrival]) -> SessionStore:
+    def collect(
+        self, arrivals: Iterable[ScanArrival], *, tracer=None
+    ) -> SessionStore:
         """Route arrivals onto the fleet; returns the session archive.
 
-        Arrivals must be time-sorted.  Each arrival is routed to a
-        pseudorandom slot (cloud routing is oblivious to tenancy), the
-        slot's current tenancy is materialised on demand, and finished
-        tenancies are torn down as time advances.
+        ``arrivals`` is :class:`ArrivalColumns` (what traffic generates) or
+        time-sorted :class:`ScanArrival` rows, packed into columns once.
+        Each arrival is routed to a pseudorandom slot (cloud routing is
+        oblivious to tenancy), the slot's current tenancy is materialised
+        on demand, and finished tenancies are torn down as time advances.
+
+        ``tracer`` (a :class:`repro.obs.Tracer`, optional) records the
+        ``route`` (with the tenancies materialised) and ``take`` (with the
+        sessions) phases as child spans of the caller's open span.
         """
+        from repro.obs import span_or_null
+
+        columns = ArrivalColumns.of(arrivals)
         self._begin_stream()
-        stream = iter(arrivals)
-        for batch in iter(lambda: list(islice(stream, _BATCH)), []):
-            self._route(batch)
-        self._close_all()
-        return SessionStore.from_columns(self._take(sort=True))
+        with span_or_null(tracer, "route") as span:
+            before = self.stats.tenancies_materialised
+            self._route(columns)
+            self._close_all()
+            if span is not None:
+                span.set(
+                    "tenancies", self.stats.tenancies_materialised - before
+                )
+        with span_or_null(tracer, "take") as span:
+            sessions = self._take(sort=True)
+            if span is not None:
+                span.set("sessions", len(sessions))
+        return SessionStore.from_columns(sessions)
 
     def collect_windows(
         self,
@@ -447,7 +525,7 @@ class DscopeCollector:
             if self.window.contains(arrival.timestamp):
                 target = int((arrival.timestamp - base) // span)
             if target is not None and target > index:
-                self._route(batch)
+                self._route(ArrivalColumns.from_rows(batch))
                 finished.extend(self._sessions())
                 batch = []
                 while index < target:
@@ -465,7 +543,7 @@ class DscopeCollector:
             batch.append(arrival)
             if target is not None:
                 seen += 1
-        self._route(batch)
+        self._route(ArrivalColumns.from_rows(batch))
         self._close_all()
         finished.extend(self._sessions())
         yield close(index, final=True)
