@@ -4,17 +4,19 @@ The batch pipeline (:func:`repro.analysis.pipeline.run_study`) answers
 "what did two years of traffic show"; this module answers "what does the
 study say *right now*" while the traffic is still arriving.  Three pieces:
 
-* :class:`IncrementalStudy` — the accumulator.  Feed it each window's
-  sessions and alerts; its :meth:`~IncrementalStudy.snapshot` re-derives
-  the full analysis (events, RCA pruning, timelines, detection statistics)
-  from the cumulative state.  After the final window the snapshot is
-  byte-identical to a batch ``run_study`` over the same traffic: alerts in
-  the archive's canonical ``(timestamp, session_id)`` order, the same
+* :class:`IncrementalStudy` — the accumulator.  Give it each window's
+  sessions (whatever the scan reads) and alerts; its
+  :meth:`~IncrementalStudy.snapshot` re-derives the full analysis (events,
+  RCA pruning, timelines, detection statistics) from the cumulative state.
+  After the final window the snapshot is byte-identical to a batch
+  ``run_study`` over the same traffic: alerts in the archive's canonical
+  ``(timestamp, session_id)`` order, the same
   :class:`repro.nids.engine.DetectionStats`, the same timelines — because
   both paths share :func:`repro.analysis.pipeline.derive_analysis`.
 * :func:`watch_study` — the driver.  Tails an arrival source (the
   synthetic :meth:`TrafficGenerator.stream` by default) through
-  :meth:`DscopeCollector.collect_windows`, scans each window with one
+  :meth:`DscopeCollector.collect_windows`, whose windows are the batch
+  capture's own session columns, scans each window with one
   :class:`DetectionEngine` (a forked worker pool above the parallel
   break-even threshold, serial below), folds it into an
   :class:`IncrementalStudy`, and yields a :class:`WindowReport` per window — optionally writing a
@@ -23,13 +25,13 @@ study say *right now*" while the traffic is still arriving.  Three pieces:
   archive.  The accumulator keeps alerts plus payloads of *alerted*
   sessions only (root-cause analysis reads no other payloads); each
   window's sessions are dropped once folded in.  The synthetic arrival
-  source itself still holds its component lists (see
+  source itself generates the whole stream first (see
   :meth:`TrafficGenerator.stream`) — a real tap would not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Union
@@ -39,8 +41,13 @@ from repro.datasets.loader import DatasetBundle, build_bundle
 from repro.lifecycle.events import CveTimeline, LifecycleEvent
 from repro.lifecycle.exploit_events import ExploitEvent
 from repro.lifecycle.rca import RcaDecision
-from repro.net.session import TcpSession
-from repro.nids.engine import DetectionEngine, DetectionStats, ScanTelemetry
+from repro.nids.engine import (
+    DetectionEngine,
+    DetectionStats,
+    ScanTelemetry,
+    Sessions,
+    session_columns,
+)
 from repro.nids.ruleset import Alert
 from repro.obs import MetricsRegistry, RunManifest, Tracer, publish_mapping
 from repro.traffic.arrivals import ScanArrival
@@ -120,17 +127,16 @@ class IncrementalStudy:
         sessions; the bounded-memory invariant tests assert on this)."""
         return len(self._payloads)
 
-    def observe(
-        self, sessions: List[TcpSession], alerts: List[Alert]
-    ) -> None:
-        """Fold one window's sessions and their scan alerts in."""
+    def observe(self, sessions: Sessions, alerts: List[Alert]) -> None:
+        """Fold one window's sessions (anything the scan reads) and their
+        scan alerts in."""
+        columns = session_columns(sessions)
         self.windows_observed += 1
-        self.sessions_seen += len(sessions)
+        self.sessions_seen += len(columns)
         if alerts:
-            alerted = {alert.session_id for alert in alerts}
-            for session in sessions:
-                if session.session_id in alerted:
-                    self._payloads[session.session_id] = session.payload
+            payloads = columns.payloads()
+            for alert in alerts:
+                self._payloads[alert.session_id] = payloads[alert.session_id]
             self._alerts.extend(alerts)
 
     def cumulative_alerts(self) -> List[Alert]:

@@ -202,6 +202,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     ):
         snapshot = report.snapshot
         rate = snapshot.a_before_p_rate
+        # Kept events, as `repro run` counts them.
+        events = sum(map(len, snapshot.events_per_cve.values()))
         if args.json:
             # One JSON object per window (JSONL), streamed as it happens.
             print(json.dumps({
@@ -213,7 +215,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 "window_alerts": report.alerts,
                 "sessions": snapshot.sessions_seen,
                 "alerts": len(snapshot.alerts),
-                "events": len(snapshot.events),
+                "events": events,
                 "kept_cves": snapshot.kept_cves,
                 "a_before_p_rate": rate,
                 "cursor": report.cursor,
@@ -230,7 +232,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 f"+{report.sessions:>6} sessions  +{report.alerts:>5} alerts"
                 f"  |  cumulative: {snapshot.sessions_seen:,} sessions, "
                 f"{len(snapshot.alerts):,} alerts, "
-                f"{len(snapshot.events):,} events, "
+                f"{events:,} events, "
                 f"{len(snapshot.kept_cves)} CVEs  |  A<P {rate_text}",
                 flush=True,
             )

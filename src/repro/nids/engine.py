@@ -533,25 +533,15 @@ class DetectionEngine:
         """Scan sessions; returns the retained alerts in session order, as
         an :class:`~repro.store.columnar.AlertTable`."""
         if self.workers == 1:
-            return self._scan_serial(sessions)
-        alerts, scanned, telemetry = parallel_scan(
-            self.ruleset,
-            sessions,
-            workers=self.workers,
-            tracer=self.tracer,
-            threshold=self.threshold,
-        )
+            alerts, scanned, telemetry = scan_stream(self.ruleset, sessions)
+        else:
+            alerts, scanned, telemetry = parallel_scan(
+                self.ruleset,
+                sessions,
+                workers=self.workers,
+                tracer=self.tracer,
+                threshold=self.threshold,
+            )
         self.stats.replay(alerts, sessions_scanned=scanned)
         self.stats.telemetry.merge(telemetry)
         return alerts
-
-    def _scan_serial(self, sessions: Sessions) -> "AlertTable":
-        alerts, scanned, telemetry = scan_stream(self.ruleset, sessions)
-        self.stats.replay(alerts, sessions_scanned=scanned)
-        self.stats.telemetry.merge(telemetry)
-        return alerts
-
-    def scan_one(self, session: TcpSession) -> Optional[Alert]:
-        """Scan a single session (updates stats identically)."""
-        results = self._scan_serial([session])
-        return results[0] if results else None

@@ -9,10 +9,8 @@ a variation the registry makes possible.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
-from typing import Iterator, Optional
 
 import numpy as np
 
@@ -33,7 +31,7 @@ from repro.scenarios.resolve import register_scenario
 from repro.scenarios.spec import ComponentRef, Scenario
 from repro.telescope.collector import DscopeCollector
 from repro.telescope.config import TelescopeConfig
-from repro.traffic.arrivals import ArrivalColumns, ScanArrival
+from repro.traffic.arrivals import ArrivalColumns
 from repro.traffic.generator import TrafficConfig, TrafficGenerator
 from repro.util.rng import derive_seed
 
@@ -158,9 +156,9 @@ class EvasiveTraffic:
     Models scanners that mangle payloads to dodge signatures: per exploit
     arrival a seed derived from (study seed, absolute arrival index) picks
     leave-alone, null-padding (survives content matches), or ASCII
-    case-flipping (defeats case-sensitive content matches).  Index-keyed
-    derivation keeps ``stream(cursor=n)`` byte-identical to
-    ``generate()[n:]``, mirroring the inner generator's contract.
+    case-flipping (defeats case-sensitive content matches).  The mangling
+    is keyed by index, so an arrival's payload depends only on its place
+    in the stream.
     """
 
     def __init__(self, inner: TrafficGenerator, *, seed: int, pad_max: int = 12):
@@ -178,11 +176,6 @@ class EvasiveTraffic:
             return payload.swapcase()
         return payload
 
-    def _mutate(self, arrival: ScanArrival, index: int) -> ScanArrival:
-        if arrival.truth_cve is None:
-            return arrival
-        return replace(arrival, payload=self._mangle(arrival.payload, index))
-
     def generate(self, *, tracer=None) -> ArrivalColumns:
         """The inner stream with each exploit row's payload index pointing
         at its mangled payload, interned into the heap."""
@@ -194,9 +187,8 @@ class EvasiveTraffic:
             codes[row] = heap.setdefault(payload, len(heap))
         return arrivals.with_payloads(np.array(codes, np.int32), list(heap))
 
-    def stream(self, *, cursor: int = 0) -> Iterator[ScanArrival]:
-        for offset, arrival in enumerate(self.inner.stream(cursor=cursor)):
-            yield self._mutate(arrival, cursor + offset)
+    #: The rows of :meth:`generate` from a cursor, as for the inner source.
+    stream = TrafficGenerator.stream
 
 
 @scenario.register(

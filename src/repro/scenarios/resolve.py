@@ -91,7 +91,9 @@ class ResolvedScenario:
         return registration.factory(self.config, *args, **params)
 
     def build_traffic(self, window: Any) -> Any:
-        """The arrival source: ``.generate(tracer=)`` / ``.stream(cursor=)``."""
+        """The arrival source: ``.generate(tracer=)`` returns its
+        :class:`~repro.traffic.arrivals.ArrivalColumns`, and
+        ``.stream(cursor=)`` yields their rows from ``cursor`` on."""
         return self._build("traffic", window)
 
     def build_collector(self, window: Any) -> Any:

@@ -22,22 +22,19 @@ same exchange, the reference ``tests/test_capture_batch.py`` pins this
 against).  Stamping builds no record: it queues the tenancy's rows, and a
 take gathers them from the arrival columns by numpy indexing into the
 ``store`` stage's :class:`~repro.net.pcapstore.SessionColumns`, handing
-over the arrivals' payload heap without hashing a payload.  Three entry
-points share the core:
+over the arrivals' payload heap without hashing a payload.  Two entry
+points share the core, and both emit those columns:
 
 * :meth:`DscopeCollector.collect` — the batch path: route the whole stream
   (columns, or rows packed once), return the full :class:`SessionStore`, a
   view over those columns;
 * :meth:`DscopeCollector.collect_windows` — the streaming path: route one
-  arrival window at a time, yielding each window's *finished* sessions as
-  their tenancies close.  Tenancies still open at a window boundary carry
-  over; concatenating every window's sessions reproduces the batch capture
-  byte-for-byte (same session ids, same order, same stats);
-* :meth:`DscopeCollector.feed` / :meth:`DscopeCollector.flush` — one
-  arrival at a time (a batch of one), then tear down what is still live.
-
-The streaming paths route :class:`ScanArrival` rows, each batch packed
-into columns; a batch is held while a live tenancy holds one of its rows.
+  arrival window at a time (its rows packed into columns), yielding each
+  window's *finished* sessions, one take per window, as their tenancies
+  close.  Tenancies still open at a window boundary carry over, and a
+  routed window is held while a live tenancy holds one of its rows;
+  concatenating every window's sessions reproduces the batch capture
+  byte-for-byte (same session ids, same order, same stats).
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.net.pcapstore import SessionColumns, SessionStore
-from repro.net.session import TcpSession
 from repro.telescope.config import TelescopeConfig
 from repro.telescope.pool import CloudIpPool
 from repro.traffic.arrivals import ArrivalColumns, ScanArrival
@@ -109,9 +105,10 @@ class CollectionStats:
 class CaptureWindow:
     """One arrival window's output on the streaming capture path.
 
-    ``sessions`` holds the sessions whose tenancies *closed* during this
-    window (plus, on the final window, everything flushed at end of
-    stream) — not the sessions whose traffic arrived in it; a tenancy
+    ``sessions`` holds, as the ``store`` stage's columns in stamp order,
+    the sessions whose tenancies *closed* during this window (plus, on the
+    final window, every tenancy still live at end of stream) — not the
+    sessions whose traffic arrived in it; a tenancy
     closes lazily when its slot is re-materialised or the fleet sweeps
     expired instances, so a session may surface a window or two after its
     traffic.  ``arrivals`` counts in-study-window arrivals whose timestamps
@@ -121,7 +118,7 @@ class CaptureWindow:
     index: int
     start: datetime
     end: datetime
-    sessions: List[TcpSession]
+    sessions: SessionColumns
     arrivals: int
     final: bool = False
 
@@ -225,7 +222,7 @@ class DscopeCollector:
         #: Live tenancies keyed by (slot, epoch), in materialisation order.
         self._live: Dict[Tuple[int, int], _Tenancy] = {}
         self._last_us: Optional[int] = None
-        #: Arrivals fed so far this stream — the resumable cursor: after a
+        #: Arrivals routed so far this stream — the resumable cursor: after a
         #: window yields, ``TrafficGenerator.stream(cursor=arrivals_fed)``
         #: continues with exactly the next unprocessed arrival.  An
         #: arrival's stream row is its position in this count.
@@ -267,7 +264,10 @@ class DscopeCollector:
     def _source(self, rows: np.ndarray) -> Tuple[ArrivalColumns, np.ndarray]:
         """The arrivals the stream ``rows`` come from, and the rows'
         positions in them: the one routed batch of :meth:`collect`, or the
-        held batches of the streaming paths, concatenated."""
+        held windows of :meth:`collect_windows`, concatenated (an empty
+        take joins none)."""
+        if not rows.size:
+            return ArrivalColumns.pack([], [], [], [], []), rows
         firsts = np.array(self._source_rows, np.int64)
         which = np.searchsorted(firsts, rows, "right") - 1
         sizes = [len(source) for source in self._sources]
@@ -332,13 +332,6 @@ class DscopeCollector:
         ):
             keep += 1
         del self._sources[:keep], self._source_rows[:keep]
-
-    def _sessions(self) -> List[TcpSession]:
-        """The rows stamped since the last take, as sessions in stamp
-        order (built by the columns' own row constructor)."""
-        if not self._stamped:
-            return []
-        return list(self._take(sort=False))
 
     def _route(self, batch: ArrivalColumns) -> None:
         """Route a time-sorted batch, stamping the tenancies it closes.
@@ -424,22 +417,11 @@ class DscopeCollector:
         stats.receiving_ips.update(receiving)
         stats.source_ips.update(batch.src_ip[accepted].tolist())
 
-    def feed(self, arrival: ScanArrival) -> List[TcpSession]:
-        """Route one arrival (a batch of one); returns the sessions this
-        step finished."""
-        self._route(ArrivalColumns.from_rows([arrival]))
-        return self._sessions()
-
     def _close_all(self) -> None:
         """Tear down every live tenancy, in routing order."""
         live, self._live = self._live, {}
         for tenancy in live.values():
             self._stamp(tenancy)
-
-    def flush(self) -> List[TcpSession]:
-        """End the stream: tear down every live tenancy, in routing order."""
-        self._close_all()
-        return self._sessions()
 
     def collect(
         self, arrivals: Iterable[ScanArrival], *, tracer=None
@@ -486,36 +468,37 @@ class DscopeCollector:
         Windows partition the study window into fixed ``span`` slices
         anchored at ``window.start``; an arrival belongs to the window
         containing its timestamp.  Each :class:`CaptureWindow` carries the
-        sessions that finished while its arrivals were being routed — the
-        concatenation across all windows is byte-identical to
-        :meth:`collect` over the same stream (same ids, order, stats,
-        ground truth), but no more than one window's working set is held
-        beyond the live tenancy table.  Quiet windows are yielded empty so
-        downstream consumers see a steady cadence.
+        sessions that finished while its arrivals were being routed, taken
+        once as columns — the concatenation across all windows is
+        byte-identical to :meth:`collect` over the same stream (same ids,
+        order, stats, ground truth), but no more than one window's working
+        set is held beyond the live tenancy table.  Quiet windows are
+        yielded with empty columns so downstream consumers see a steady
+        cadence.
 
-        ``max_windows`` truncates the stream after that many windows (the
-        final window still flushes whatever closed by then) — the bounded
-        tail for smoke tests and ``repro watch --max-windows``.
+        ``max_windows`` (at least 1) truncates the stream after that many
+        windows (the final window still tears down whatever is live by
+        then) — the bounded tail for smoke tests and
+        ``repro watch --max-windows``.
         """
         if span <= timedelta(0):
             raise ValueError("window span must be positive")
+        if max_windows is not None and max_windows < 1:
+            raise ValueError("max_windows must be at least 1")
         self._begin_stream()
         base = self.window.start
-        index = 0
-        finished: List[TcpSession] = []
-        seen = 0
+        index = seen = 0
 
-        def close(idx: int, final: bool) -> CaptureWindow:
+        def close(final: bool) -> CaptureWindow:
             return CaptureWindow(
-                index=idx,
-                start=base + idx * span,
-                end=base + (idx + 1) * span,
-                sessions=finished,
+                index=index,
+                start=base + index * span,
+                end=base + (index + 1) * span,
+                sessions=self._take(sort=False),
                 arrivals=seen,
                 final=final,
             )
 
-        truncated = False
         # Arrivals are grouped lazily: a window's batch is routed when the
         # first arrival of a later window is pulled, so at most one
         # arrival past the yielded window has been read.
@@ -526,24 +509,19 @@ class DscopeCollector:
                 target = int((arrival.timestamp - base) // span)
             if target is not None and target > index:
                 self._route(ArrivalColumns.from_rows(batch))
-                finished.extend(self._sessions())
                 batch = []
-                while index < target:
-                    if (
-                        max_windows is not None
-                        and index + 1 >= max_windows
-                    ):
-                        truncated = True
-                        break
-                    yield close(index, final=False)
-                    finished, seen = [], 0
+                last = target if max_windows is None else min(
+                    target, max_windows - 1
+                )
+                while index < last:
+                    yield close(final=False)
+                    seen = 0
                     index += 1
-                if truncated:
+                if index < target:  # past the last window: truncate
                     break
             batch.append(arrival)
             if target is not None:
                 seen += 1
         self._route(ArrivalColumns.from_rows(batch))
         self._close_all()
-        finished.extend(self._sessions())
-        yield close(index, final=True)
+        yield close(final=True)

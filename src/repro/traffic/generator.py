@@ -18,14 +18,13 @@ Each component (a campaign, a background shard) draws its arrivals' fields
 per event in a fixed order and packs them into
 :class:`~repro.traffic.arrivals.ArrivalColumns`; :meth:`generate`
 concatenates the components and sorts them once by time, and
-:meth:`stream` merges the same components' rows.
+:meth:`stream` yields its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -347,40 +346,21 @@ class TrafficGenerator:
             return ArrivalColumns.concat(components).sorted()
 
     def stream(self, *, cursor: int = 0) -> Iterator[ScanArrival]:
-        """The complete arrival stream as a time-ordered generator of rows.
-
-        Yields exactly the arrivals :meth:`generate` returns, in exactly its
-        order: each component's rows (the same columns :meth:`generate`
-        concatenates, stably sorted by time) are merged with
-        :func:`heapq.merge`, whose tie-break — earlier iterable first —
-        reproduces the batch path's single stable sort over the
-        concatenation.
-
-        ``cursor`` resumes mid-stream: ``stream(cursor=k)`` yields the
-        suffix starting at the k-th arrival (0-based) of the identical
-        regenerated stream, so a consumer that remembers how many arrivals
+        """The rows of :meth:`generate` from the ``cursor``-th (0-based)
+        on: ``stream(cursor=k)`` resumes the identical regenerated stream
+        at its k-th arrival, so a consumer that remembers how many arrivals
         it has processed can pick up where it stopped after a restart.
 
-        Memory honesty: the synthetic source must materialise each
-        component to sort it (the temporal models draw whole campaigns),
-        so *this* generator holds the same arrivals a batch generate does.
-        What streaming bounds is everything downstream — capture, scan,
-        and analysis never hold more than one window's working set.  A
-        real packet tap would replace this method and make the bound
-        end-to-end.
+        Memory honesty: the synthetic source generates the whole stream
+        before yielding its first row (the temporal models draw whole
+        campaigns).  What streaming bounds is everything downstream —
+        capture, scan, and analysis never hold more than one window's
+        working set.  A real packet tap would replace this method and make
+        the bound end-to-end.
         """
-        import heapq
-        from itertools import islice
-
         if cursor < 0:
             raise ValueError("cursor must be >= 0")
-        merged: Iterator[ScanArrival] = heapq.merge(
-            *(component.sorted() for component in self._components()),
-            key=attrgetter("timestamp"),
-        )
-        if cursor:
-            merged = islice(merged, cursor, None)
-        return merged
+        return iter(self.generate().take(slice(cursor, None)))
 
 
 def _fields(draws: List[tuple]) -> List[Sequence]:

@@ -18,6 +18,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from datetime import timedelta, timezone
 from types import SimpleNamespace
 
@@ -262,6 +263,18 @@ def test_out_of_range_fields_are_rejected(field, value):
 # -- traffic sources --------------------------------------------------------------
 
 
+def _mangled_rows(traffic):
+    """The oracle for the evasive wrapper's column mangling: the inner
+    stream's rows, each exploit row's payload mangled by its index."""
+    for index, arrival in enumerate(traffic.inner.stream()):
+        if arrival.truth_cve is None:
+            yield arrival
+        else:
+            yield dataclasses.replace(
+                arrival, payload=traffic._mangle(arrival.payload, index)
+            )
+
+
 def test_evasive_generate_equals_stream():
     traffic = EvasiveTraffic(
         TrafficGenerator(
@@ -271,6 +284,7 @@ def test_evasive_generate_equals_stream():
     )
     arrivals = traffic.generate()
     rows = list(arrivals)
+    assert rows == list(_mangled_rows(traffic))
     assert rows == list(traffic.stream())
     plain = list(traffic.inner.generate())
     mangled = sum(a.payload != b.payload for a, b in zip(rows, plain))

@@ -22,7 +22,7 @@ from repro.net.pcapstore import SessionColumns
 from repro.telescope.collector import DscopeCollector
 from repro.telescope.config import TelescopeConfig
 from repro.telescope.pool import CloudIpPool
-from repro.traffic.arrivals import ScanArrival
+from repro.traffic.arrivals import ArrivalColumns, ScanArrival
 from repro.util.rng import derive_rng, derive_seed
 from repro.util.timeutil import TimeWindow, utc
 from tests import import_closure
@@ -121,26 +121,43 @@ def test_collect_matches_oracle(config, stream):
     assert_same_columns(store.columns(), SessionColumns.pack(reference))
 
 
-def _feed_both(config, stream):
-    """Feed both collectors one arrival at a time, comparing every step."""
+def _windows_against_oracle(config, stream, span):
+    """Capture ``stream`` window by window, and compare each window with
+    the sessions the oracle finishes while fed the same arrivals one at a
+    time (an arrival that opens a later window starts that window)."""
     new = DscopeCollector(config, window=WINDOW)
     old = OracleCollector(config, window=WINDOW)
+    windows = list(new.collect_windows(stream, span=span))
     old._begin_stream()
-    new_sessions, old_sessions = [], []
+    expected = {}
+    index = 0
     for arrival in stream:
-        new_sessions.extend(new.feed(arrival))
-        old_sessions.extend(old.feed(arrival))
-        assert new_sessions == old_sessions
-    new_sessions.extend(new.flush())
-    old_sessions.extend(old.flush())
-    _assert_same_capture(new, new_sessions, old, old_sessions)
-    return new
+        if WINDOW.contains(arrival.timestamp):
+            index = max(index, (arrival.timestamp - WINDOW.start) // span)
+        expected.setdefault(index, []).extend(old.feed(arrival))
+    expected.setdefault(index, []).extend(old.flush())
+    assert [w.index for w in windows] == list(range(len(windows)))
+    for window in windows:
+        assert list(window.sessions) == expected.get(window.index, [])
+    _assert_same_capture(
+        new, [s for w in windows for s in w.sessions],
+        old, [s for w in windows for s in expected.get(w.index, [])],
+    )
+    return new, windows
+
+
+#: Window spans from finer than the stream's grid to coarser than a
+#: tenancy lifetime.
+spans = st.sampled_from([
+    timedelta(minutes=1), timedelta(minutes=5), timedelta(minutes=47),
+    timedelta(hours=2),
+])
 
 
 @settings(max_examples=60, deadline=None)
-@given(configs, streams)
-def test_feed_then_flush_matches_oracle(config, stream):
-    _feed_both(config, stream)
+@given(configs, streams, spans)
+def test_windows_match_oracle(config, stream, span):
+    _windows_against_oracle(config, stream, span)
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,8 +202,13 @@ def test_arrivals_on_exact_tenancy_boundaries():
     # tenancy's planned end, so the sweep's ``end <= now`` edge decides
     # which tenancies a step closes.
     config = TelescopeConfig(concurrent_instances=2, seed=4)
+    # One arrival per window: each routed batch is a batch of one.
     five_minutes = 300_000_000
-    _feed_both(config, [_arrival(k * five_minutes) for k in range(48)])
+    _windows_against_oracle(
+        config,
+        [_arrival(k * five_minutes) for k in range(48)],
+        timedelta(minutes=5),
+    )
 
 
 def test_arrival_at_exact_preemption_instant_is_lost():
@@ -198,7 +220,10 @@ def test_arrival_at_exact_preemption_instant_is_lost():
         0, first.timestamp
     ).end
     at_cut = _arrival((cut - WINDOW.start) // timedelta(microseconds=1))
-    collector = _feed_both(config, [first, at_cut])
+    # The cut is at least two minutes in, so each arrival is its own window.
+    collector, _ = _windows_against_oracle(
+        config, [first, at_cut], timedelta(minutes=1)
+    )
     assert collector.stats.arrivals_lost_to_preemption == 1
 
 
@@ -243,23 +268,51 @@ def test_out_of_order_across_window_boundary_raises():
         list(collector.collect_windows(stream, span=timedelta(hours=1)))
 
 
-def test_out_of_order_across_feed_calls_raises():
+@pytest.mark.parametrize("max_windows", [0, -1])
+def test_collect_windows_rejects_max_windows_below_one(max_windows):
     collector = DscopeCollector(window=WINDOW)
-    collector.feed(_arrival(HOUR_US))
-    with pytest.raises(ValueError, match="time-sorted"):
-        collector.feed(_arrival(HOUR_US - 1))
+    with pytest.raises(ValueError, match="max_windows"):
+        list(collector.collect_windows(
+            [_arrival(10)], span=timedelta(hours=1), max_windows=max_windows
+        ))
 
 
-def test_feed_one_at_a_time_equals_collect():
+def test_windows_of_one_arrival_equal_collect():
     config = TelescopeConfig(concurrent_instances=4, preemption_rate=0.3, seed=5)
     stream = [_arrival(k * 180_000_000, src=k % 7) for k in range(240)]
-    fed = DscopeCollector(config, window=WINDOW)
-    sessions = [s for a in stream for s in fed.feed(a)] + fed.flush()
+    windowed, windows = _windows_against_oracle(
+        config, stream, timedelta(minutes=3)
+    )
+    assert [w.arrivals for w in windows] == [1] * len(stream)
     batch = DscopeCollector(config, window=WINDOW)
     store = batch.collect(stream)
+    sessions = [s for w in windows for s in w.sessions]
     assert sorted(sessions, key=lambda s: (s.start, s.session_id)) == list(store)
-    assert fed.stats == batch.stats
-    assert fed.ground_truth == batch.ground_truth
+    assert windowed.stats == batch.stats
+    assert windowed.ground_truth == batch.ground_truth
+
+
+def test_quiet_window_takes_join_no_arrivals(monkeypatch):
+    # Each window is one take; only a take with stamped rows joins the
+    # held arrival batches.
+    joins = []
+    concat = ArrivalColumns.concat.__func__
+
+    def counting(cls, parts):
+        joins.append(len(parts))
+        return concat(cls, parts)
+
+    monkeypatch.setattr(ArrivalColumns, "concat", classmethod(counting))
+    stream = [_arrival(1), _arrival(5 * HOUR_US), _arrival(5 * HOUR_US + 7),
+              _arrival(10 * HOUR_US)]
+    collector = DscopeCollector(
+        TelescopeConfig(concurrent_instances=1), window=WINDOW
+    )
+    windows = list(collector.collect_windows(stream, span=timedelta(hours=1)))
+    # A tenancy closes when its slot next materialises: the first in
+    # window 5, the rest at end of stream.
+    assert [len(w.sessions) for w in windows] == [0] * 5 + [1] + [0] * 4 + [3]
+    assert len(joins) == 2
 
 
 # -- the equivalences the fast path relies on -------------------------------

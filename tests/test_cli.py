@@ -103,6 +103,19 @@ class TestRunAndExperiment:
         assert "paper" in out and "measured" in out
 
 
+class TestWatch:
+    def test_final_window_agrees_with_run(self, capsys, tmp_path):
+        study = ["--scenario", "quick", "--scale", "0.01", "--json"]
+        assert main(["watch", *study, "--window-days", "60",
+                     "--out", str(tmp_path / "manifests")]) == 0
+        final = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert main(["run", *study, "--no-cache"]) == 0
+        batch = json.loads(capsys.readouterr().out)
+        assert final["final"]
+        for key in ("sessions", "alerts", "events", "kept_cves"):
+            assert final[key] == batch[key], key
+
+
 class TestReport:
     def test_report_known_cve(self, capsys):
         assert main(["report", "2021-44228", "--scale", "0.01"]) == 0

@@ -135,7 +135,7 @@ class OracleTrafficGenerator(TrafficGenerator):
 
     Only the methods that draw payloads or ports are overridden;
     :meth:`generate` and :meth:`stream` are inherited, so the oracle runs
-    the same merge and sort over its own arrivals.
+    the same sort over its own arrivals.
     """
 
     def _dst_port(
