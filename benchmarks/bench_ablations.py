@@ -26,7 +26,7 @@ from repro.datasets.seed_cves import STUDY_WINDOW
 from repro.datasets.sources import default_plan
 from repro.exploits.rulegen import build_study_ruleset
 from repro.lifecycle.assembly import assemble_timelines
-from repro.lifecycle.exploit_events import events_by_cve, events_from_alerts
+from repro.lifecycle.exploit_events import EventTable
 from repro.lifecycle.rca import RootCauseAnalysis
 from repro.nids.engine import DetectionEngine
 from repro.telescope.collector import DscopeCollector
@@ -160,7 +160,7 @@ def test_ablation_rca_threshold(benchmark, results_dir):
         StudyConfig(volume_scale=0.02, background_per_exploit=0.5,
                     background_nvd_count=500)
     )
-    grouped = events_by_cve(events_from_alerts(result.alerts))
+    grouped = EventTable.from_alerts(result.alerts).by_cve()
 
     def sweep():
         rows = []

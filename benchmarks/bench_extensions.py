@@ -16,7 +16,7 @@ from repro.analysis.evolution import cohort_skills
 from repro.analysis.vendors import category_summaries, sophistication_gap_days
 from repro.core.autopatch import auto_patch_sweep
 from repro.core.mpcvd import generate_mpcvd_cases, summarise_cases
-from repro.lifecycle.exploit_events import events_from_alerts
+from repro.lifecycle.exploit_events import EventTable
 from repro.nids.live import compare_live_vs_wayback
 
 
@@ -110,7 +110,7 @@ def test_live_vs_wayback(benchmark, study_full, results_dir):
 
 
 def test_attribution_quality(benchmark, study_full, results_dir):
-    events = events_from_alerts(study_full.alerts)
+    events = EventTable.from_alerts(study_full.alerts)
     quality = benchmark.pedantic(
         attribution_quality,
         args=(events, study_full.ground_truth),

@@ -15,7 +15,6 @@ import argparse
 
 from repro import StudyConfig, run_study
 from repro.analysis.kev_compare import compare_with_kev
-from repro.lifecycle.exploit_events import first_attacks
 from repro.util.tables import render_table
 
 
@@ -29,7 +28,7 @@ def main() -> None:
     print(f"running study (volume scale {args.scale}) ...")
     result = run_study(StudyConfig(volume_scale=args.scale,
                                    background_nvd_count=2000))
-    firsts = first_attacks(result.kept_events)
+    firsts = result.kept_events.first_attacks()
     comparison = compare_with_kev(result.bundle, firsts)
 
     print(f"\nKEV entries published in the study window: "

@@ -17,7 +17,7 @@ one (paper Section 3.2).
 
 from repro.datasets.seed_cves import STUDY_WINDOW, seed_by_id
 from repro.exploits.rulegen import build_study_ruleset, sid_to_cve
-from repro.lifecycle.exploit_events import events_by_cve, events_from_alerts
+from repro.lifecycle.exploit_events import EventTable
 from repro.lifecycle.rca import RootCauseAnalysis
 from repro.nids.engine import DetectionEngine
 from repro.telescope.collector import DscopeCollector
@@ -64,7 +64,7 @@ def main() -> None:
     # 4. Root-cause analysis separates such genuine early exploitation from
     #    signature false positives.
     rca = RootCauseAnalysis(store)
-    grouped = events_by_cve(events_from_alerts(alerts))
+    grouped = EventTable.from_alerts(alerts).by_cve()
     kept, decisions = rca.filter(grouped)
     print(f"\nroot-cause analysis: kept {len(kept)} CVEs")
     for decision in decisions:

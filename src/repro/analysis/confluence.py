@@ -15,12 +15,12 @@ a weakness class that happens to trigger a specific product's bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import Mapping, Sequence
 
 from repro.datasets.seed_cves import seed_by_id
-from repro.lifecycle.exploit_events import ExploitEvent
+from repro.lifecycle.exploit_events import EventTable, ExploitEvent
 from repro.util.stats import Ecdf
-from repro.util.timeutil import to_days
+from repro.util.timeutil import zoned_micros
 
 CONFLUENCE_CVE = "CVE-2022-26134"
 EARLY_OGNL_CVE = "CVE-2022-28938"
@@ -50,40 +50,37 @@ class ConfluenceAnalysis:
 
 
 def analyse_confluence(
-    events: Mapping[str, List[ExploitEvent]],
+    events: Mapping[str, Sequence[ExploitEvent]],
 ) -> ConfluenceAnalysis:
-    """Analyse a study run's Confluence events (keyed by CVE id)."""
-    campaign = events.get(CONFLUENCE_CVE, [])
-    published = seed_by_id(CONFLUENCE_CVE).published
-    offsets = [to_days(event.timestamp - published) for event in campaign]
+    """Analyse a study run's Confluence events (keyed by CVE id), from the
+    :class:`EventTable` columns."""
+    campaign = EventTable.pack(events.get(CONFLUENCE_CVE, ()))
+    offsets = campaign.days_since(seed_by_id(CONFLUENCE_CVE).published)
     cdf = Ecdf.from_values(offsets)
 
+    total = len(campaign)
     mitigated = (
-        sum(1 for event in campaign if event.mitigated) / len(campaign)
-        if campaign
-        else 0.0
+        int(campaign.columns["mitigated"].sum()) / total if total else 0.0
     )
     # Finding 18's "increasing rate to date": share of sessions in the
     # second half of the CVE's post-publication lifetime.
-    if offsets:
-        horizon = max(offsets)
-        late_half = sum(1 for offset in offsets if offset > horizon / 2)
-        late_share = late_half / len(offsets)
+    if total:
+        horizon = float(offsets.max())
+        late_half = int((offsets > horizon / 2).sum())
+        late_share = late_half / total
     else:
         late_share = 0.0
 
-    early = [
-        event
-        for event in events.get(EARLY_OGNL_CVE, [])
-        if event.timestamp < seed_by_id(EARLY_OGNL_CVE).published
-    ]
-    on_port = sum(1 for event in early if event.dst_port == CONFLUENCE_PORT)
+    ognl = EventTable.pack(events.get(EARLY_OGNL_CVE, ()))
+    (published,), _ = zoned_micros([seed_by_id(EARLY_OGNL_CVE).published])
+    early = ognl.columns["t"] < published
+    on_port = int((ognl.columns["dst_port"][early] == CONFLUENCE_PORT).sum())
 
     return ConfluenceAnalysis(
-        total_sessions=len(campaign),
+        total_sessions=total,
         sessions_cdf=cdf,
         mitigated_share=mitigated,
         late_half_share=late_share,
-        early_ognl_events=len(early),
+        early_ognl_events=int(early.sum()),
         early_ognl_on_confluence_port=on_port,
     )

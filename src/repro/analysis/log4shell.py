@@ -10,8 +10,9 @@ burst-then-tail shape with a late resurgence (Finding 13).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.datasets.seed_cves import seed_by_id
 from repro.datasets.seed_log4shell import (
@@ -19,9 +20,9 @@ from repro.datasets.seed_log4shell import (
     LOG4SHELL_VARIANTS,
     variant_groups,
 )
-from repro.lifecycle.exploit_events import ExploitEvent
+from repro.lifecycle.exploit_events import EventTable, ExploitEvent
 from repro.util.stats import Ecdf
-from repro.util.timeutil import TimeWindow, to_days, utc
+from repro.util.timeutil import TimeWindow, utc, zoned_micros
 
 
 @dataclass(frozen=True)
@@ -54,46 +55,44 @@ class Log4ShellAnalysis:
 
 
 def analyse_log4shell(
-    events: Mapping[str, List[ExploitEvent]],
+    events: Mapping[str, Sequence[ExploitEvent]],
 ) -> Log4ShellAnalysis:
-    """Analyse a study run's Log4Shell events (keyed by CVE id)."""
-    campaign = events.get(LOG4SHELL_CVE, [])
+    """Analyse a study run's Log4Shell events (keyed by CVE id), from the
+    campaign's :class:`EventTable` columns."""
+    campaign = EventTable.pack(events.get(LOG4SHELL_CVE, ()))
     published = seed_by_id(LOG4SHELL_CVE).published
 
-    offsets = [to_days(event.timestamp - published) for event in campaign]
+    offsets = campaign.days_since(published)
     sessions_cdf = Ecdf.from_values(offsets)
 
     # Figure 9: variant-group CDFs during December 2021.
     december = TimeWindow(utc(2021, 12, 1), utc(2022, 1, 1))
-    by_sid: Dict[int, List[ExploitEvent]] = {}
-    for event in campaign:
-        by_sid.setdefault(event.sid, []).append(event)
+    (begin, end), _ = zoned_micros([december.start, december.end])
+    times = campaign.columns["t"]
+    sids = campaign.columns["sid"]
+    in_december = (times >= begin) & (times < end)
+    december_days = campaign.days_since(december.start)
     sid_to_group = {variant.sid: variant.group for variant in LOG4SHELL_VARIANTS}
-    group_offsets: Dict[str, List[float]] = {g: [] for g in variant_groups()}
-    for sid, sid_events in by_sid.items():
-        group = sid_to_group.get(sid)
-        if group is None:
-            continue
-        for event in sid_events:
-            if december.contains(event.timestamp):
-                group_offsets[group].append(
-                    to_days(event.timestamp - december.start)
-                )
+    group_offsets: Dict[str, List[np.ndarray]] = {g: [] for g in variant_groups()}
+    for sid, group in sid_to_group.items():
+        rows = in_december & (sids == sid)
+        if rows.any():
+            group_offsets[group].append(december_days[rows])
     group_cdfs = {
-        group: Ecdf.from_values(values)
+        group: Ecdf.from_values(np.concatenate(values))
         for group, values in group_offsets.items()
         if values
     }
 
     variants: List[VariantObservation] = []
     for variant in LOG4SHELL_VARIANTS:
-        sid_events = sorted(
-            by_sid.get(variant.sid, []), key=lambda event: event.timestamp
-        )
-        rule_time = published + variant.rule_offset
+        rows = sids == variant.sid
+        count = int(rows.sum())
         first_delta: Optional[float] = None
-        if sid_events:
-            first_delta = to_days(sid_events[0].timestamp - rule_time)
+        if count:
+            # Days are monotonic in time: the first event's is the minimum.
+            rule_time = published + variant.rule_offset
+            first_delta = float(campaign.days_since(rule_time)[rows].min())
         variants.append(
             VariantObservation(
                 sid=variant.sid,
@@ -101,13 +100,13 @@ def analyse_log4shell(
                 context=variant.context,
                 match=variant.match,
                 adaptation=variant.adaptation,
-                events=len(sid_events),
+                events=count,
                 first_attack_minus_rule_days=first_delta,
             )
         )
 
-    late = sum(1 for offset in offsets if offset > 300.0)
-    resurgence = late / len(offsets) if offsets else 0.0
+    late = int((offsets > 300.0).sum())
+    resurgence = late / int(offsets.size) if offsets.size else 0.0
 
     return Log4ShellAnalysis(
         total_events=len(campaign),

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import timedelta
 from functools import cached_property
-from operator import attrgetter
 from pathlib import Path
 from typing import (
     TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Union,
@@ -41,12 +40,7 @@ from repro.datasets.loader import DEFAULT_SEED, DatasetBundle, build_bundle
 from repro.exploits.rulegen import build_study_ruleset
 from repro.lifecycle.assembly import assemble_timelines
 from repro.lifecycle.events import CveTimeline
-from repro.lifecycle.exploit_events import (
-    ExploitEvent,
-    events_by_cve,
-    events_from_alerts,
-    first_attacks,
-)
+from repro.lifecycle.exploit_events import EventTable, kept_events
 from repro.lifecycle.rca import RcaDecision, RootCauseAnalysis
 from repro.net.pcapstore import SessionStore
 from repro.nids.engine import DetectionEngine, ScanTelemetry
@@ -183,14 +177,18 @@ class StudyResult:
     #: The scan's alerts as one column table (a ``Sequence[Alert]`` whose
     #: records are built only when something reads them).
     alerts: AlertTable
-    events: List[ExploitEvent]
-    events_per_cve: Dict[str, List[ExploitEvent]]
+    #: The attributed alerts as events, in alert order.
+    events: EventTable
+    #: Each CVE surviving root-cause analysis -> its events sorted by time
+    #: (slices of one table), in CVE-id order.
+    events_per_cve: Dict[str, EventTable]
     rca_decisions: List[RcaDecision]
     timelines: Dict[str, CveTimeline]
     collection_stats: CollectionStats
     #: session_id -> ground-truth CVE (validation only; the detection
-    #: pipeline never reads it).
-    ground_truth: Dict[int, Optional[str]] = field(default_factory=dict)
+    #: pipeline never reads it).  A cache hit's is a read-only view over
+    #: the stage file's columns, made a dict only when something reads it.
+    ground_truth: Mapping[int, Optional[str]] = field(default_factory=dict)
     #: Whether the heavy stages (generation, capture, scan) were served
     #: from the on-disk study cache instead of recomputed.
     from_cache: bool = False
@@ -215,14 +213,11 @@ class StudyResult:
             decision.cve_id for decision in self.rca_decisions if not decision.kept
         )
 
-    @property
-    def kept_events(self) -> List[ExploitEvent]:
-        """Exploit events for surviving CVEs only, time-sorted."""
-        kept: List[ExploitEvent] = []
-        for group in self.events_per_cve.values():
-            kept.extend(group)
-        kept.sort(key=attrgetter("timestamp"))
-        return kept
+    @cached_property
+    def kept_events(self) -> EventTable:
+        """Exploit events for surviving CVEs only, time-sorted (ties in
+        CVE-id order, then in alert order)."""
+        return kept_events(self.events_per_cve)
 
 
 @dataclass
@@ -234,8 +229,8 @@ class AnalysisOutputs:
     two paths cannot drift.
     """
 
-    events: List[ExploitEvent]
-    events_per_cve: Dict[str, List[ExploitEvent]]
+    events: EventTable
+    events_per_cve: Dict[str, EventTable]
     rca_decisions: List[RcaDecision]
     timelines: Dict[str, CveTimeline]
 
@@ -250,9 +245,10 @@ def derive_analysis(
 ) -> AnalysisOutputs:
     """Run exploit-event extraction, RCA pruning, and timeline assembly.
 
-    ``alerts`` is an :class:`AlertTable` on the batch path (events are
-    built from its columns) or a plain list on the streaming path (packed
-    first).  ``payloads`` supplies session payloads for root-cause
+    ``alerts`` is an :class:`AlertTable` (a plain alert list is packed
+    first); the events are its attributed rows (:class:`EventTable`), and
+    grouping, root-cause analysis and the first attacks read their
+    columns.  ``payloads`` supplies session payloads for root-cause
     analysis: the full :class:`SessionStore` on the batch path (RCA reads
     its :meth:`SessionStore.payloads`), or a session_id → payload mapping
     covering the alerted sessions on the streaming path (RCA never reads
@@ -263,8 +259,8 @@ def derive_analysis(
     from repro.obs import span_or_null
 
     with span_or_null(tracer, "extract") as span:
-        events = events_from_alerts(alerts)
-        grouped = events_by_cve(events)
+        events = EventTable.from_alerts(alerts)
+        grouped = events.by_cve()
         analyser = rca(payloads) if rca is not None else RootCauseAnalysis(payloads)
         kept, decisions = analyser.filter(grouped)
         if span is not None:
@@ -272,8 +268,8 @@ def derive_analysis(
             span.set("kept_cves", len(kept))
 
     with span_or_null(tracer, "timelines") as span:
-        kept_events = [event for group in kept.values() for event in group]
-        timelines = assemble_timelines(bundle, first_attacks(kept_events))
+        first_attacks = EventTable.concat(kept.values()).first_attacks()
+        timelines = assemble_timelines(bundle, first_attacks)
         if span is not None:
             span.set("timelines", len(timelines))
 

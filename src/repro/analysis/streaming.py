@@ -33,13 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.analysis.pipeline import StudyConfig, derive_analysis
 from repro.datasets.loader import DatasetBundle, build_bundle
 from repro.lifecycle.events import CveTimeline, LifecycleEvent
-from repro.lifecycle.exploit_events import ExploitEvent
+from repro.lifecycle.exploit_events import EventTable, kept_events
 from repro.lifecycle.rca import RcaDecision
 from repro.nids.engine import (
     DetectionEngine,
@@ -50,6 +51,7 @@ from repro.nids.engine import (
 )
 from repro.nids.ruleset import Alert
 from repro.obs import MetricsRegistry, RunManifest, Tracer, publish_mapping
+from repro.store.columnar import AlertTable
 from repro.traffic.arrivals import ScanArrival
 
 #: Filename prefix of the rolling manifests a watch run emits (used with
@@ -67,9 +69,9 @@ class StudySnapshot:
     """
 
     sessions_seen: int
-    alerts: List[Alert]
-    events: List[ExploitEvent]
-    events_per_cve: Dict[str, List[ExploitEvent]]
+    alerts: AlertTable
+    events: EventTable
+    events_per_cve: Dict[str, EventTable]
     rca_decisions: List[RcaDecision]
     timelines: Dict[str, CveTimeline]
     stats: DetectionStats
@@ -78,6 +80,12 @@ class StudySnapshot:
     def kept_cves(self) -> List[str]:
         """CVEs surviving root-cause analysis so far, sorted."""
         return sorted(self.events_per_cve)
+
+    @cached_property
+    def kept_events(self) -> EventTable:
+        """Exploit events for surviving CVEs only, time-sorted, as
+        :attr:`repro.analysis.pipeline.StudyResult.kept_events`."""
+        return kept_events(self.events_per_cve)
 
     @property
     def a_before_p_rate(self) -> Optional[float]:
@@ -146,14 +154,19 @@ class IncrementalStudy:
         ``(start, session_id)`` and an alert's timestamp *is* its session's
         start, so sorting by ``(timestamp, session_id)`` reproduces the
         batch alert order exactly — windows may close tenancies out of
-        session order, this puts them back.
+        session order, this puts them back.  The list is the accumulator's
+        own, sorted in place: read it, do not change it.
         """
         self._alerts.sort(key=lambda alert: (alert.timestamp, alert.session_id))
-        return list(self._alerts)
+        return self._alerts
 
     def snapshot(self, *, tracer: Optional[Tracer] = None) -> StudySnapshot:
-        """Re-derive the full analysis from the cumulative state."""
-        alerts = self.cumulative_alerts()
+        """Re-derive the full analysis from the cumulative state.
+
+        The cumulative alerts are packed into one table, which the event
+        derivation and the detection statistics both read.
+        """
+        alerts = AlertTable.pack(self.cumulative_alerts())
         analysis = derive_analysis(
             self.bundle, alerts, self._payloads, tracer=tracer, rca=self.rca
         )

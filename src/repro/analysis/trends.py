@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Dict, Iterable, List, Mapping, Tuple
 
+import numpy as np
+
 from repro.datasets.seed_cves import SEED_CVES, STUDY_WINDOW
 from repro.lifecycle.events import CveTimeline, P, known_times
-from repro.lifecycle.exploit_events import ExploitEvent
+from repro.lifecycle.exploit_events import EventTable, ExploitEvent
 from repro.util.stats import bin_counts
 from repro.util.timeutil import TimeWindow, to_days
 
@@ -47,11 +49,7 @@ def events_over_study(
     bin_days: float = 30.0,
 ) -> List[Tuple[float, int]]:
     """Figure 3: exploit events per (monthly) bin over the study."""
-    start = window.start
-    # to_days(event.timestamp - start), without the call per event
-    offsets = [
-        (event.timestamp - start).total_seconds() / 86400.0 for event in events
-    ]
+    offsets = EventTable.pack(events).days_since(window.start)
     return bin_counts(
         offsets, bin_width=bin_days, lo=0.0, hi=to_days(window.duration)
     )
@@ -65,15 +63,17 @@ def events_relative_to_publication(
     lo_days: float = -200.0,
     hi_days: float = 500.0,
 ) -> List[Tuple[float, int]]:
-    """Figure 4: exploit events binned by days since their CVE's P."""
+    """Figure 4: exploit events binned by days since their CVE's P (each
+    CVE's events are one time slice of the :class:`EventTable`)."""
     published = known_times(timelines, P)
-    offsets: List[float] = []
-    for event in events:
-        when = published.get(event.cve_id)
+    offsets: List[np.ndarray] = [np.empty(0)]
+    for cve_id, group in EventTable.pack(events).by_cve().items():
+        when = published.get(cve_id)
         if when is not None:
-            # to_days(event.timestamp - when), without the call per event
-            offsets.append((event.timestamp - when).total_seconds() / 86400.0)
-    return bin_counts(offsets, bin_width=bin_days, lo=lo_days, hi=hi_days)
+            offsets.append(group.days_since(when))
+    return bin_counts(
+        np.concatenate(offsets), bin_width=bin_days, lo=lo_days, hi=hi_days
+    )
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, Optional,
     Sequence, Tuple, Union,
 )
 
@@ -313,13 +313,41 @@ def _read_captured(directory: Path) -> "Captured":
         receiving_ips=set(stats["receiving_ips"]),
         source_ips=set(stats["source_ips"]),
     )
-    table = [*cves, None]  # index -1 -> None
-    ground_truth = dict(zip(
-        truth_sessions.tolist(),
-        map(table.__getitem__, columns["truth_cve"].tolist()),
-    ))
+    ground_truth = _TruthColumns(truth_sessions, columns["truth_cve"], cves)
     store = SessionStore.from_columns(SessionColumns(columns))
     return store, collection_stats, ground_truth
+
+
+class _TruthColumns(Mapping[int, Optional[str]]):
+    """session_id -> ground-truth CVE over the ``truth_session`` and
+    ``truth_cve`` columns (``truth_cve`` indexes ``cves``; -1 is None).
+    ``len`` comes from the columns; the dict is built on the first lookup
+    or iteration (only the attribution check reads it), in column order.
+    """
+
+    def __init__(
+        self, sessions: np.ndarray, codes: np.ndarray, cves: List[str]
+    ) -> None:
+        self._columns = (sessions, codes, cves)
+        self._dict: Optional[Dict[int, Optional[str]]] = None
+
+    def _truth(self) -> Dict[int, Optional[str]]:
+        if self._dict is None:
+            sessions, codes, cves = self._columns
+            table = [*cves, None]  # index -1 -> None
+            self._dict = dict(zip(
+                sessions.tolist(), map(table.__getitem__, codes.tolist())
+            ))
+        return self._dict
+
+    def __getitem__(self, session_id: int) -> Optional[str]:
+        return self._truth()[session_id]
+
+    def __len__(self) -> int:
+        return int(self._columns[0].size)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._truth())
 
 
 def _write_alerts(directory: Path, alerts: Sequence[Alert]) -> int:
@@ -338,7 +366,7 @@ def _read_alerts(directory: Path) -> AlertTable:
 
 #: The capture stage's value: the session store, the collector's
 #: statistics, and its ground truth (session id -> true CVE or None).
-Captured = Tuple[SessionStore, CollectionStats, Dict[int, Optional[str]]]
+Captured = Tuple[SessionStore, CollectionStats, Mapping[int, Optional[str]]]
 
 
 @dataclass(frozen=True)
@@ -415,7 +443,7 @@ class CachedStudy:
     store: SessionStore
     alerts: AlertTable
     collection_stats: CollectionStats
-    ground_truth: Dict[int, Optional[str]]
+    ground_truth: Mapping[int, Optional[str]]
 
 
 @dataclass
@@ -562,7 +590,7 @@ class StudyCache:
         store: SessionStore,
         alerts: Sequence[Alert],
         collection_stats: CollectionStats,
-        ground_truth: Dict[int, Optional[str]],
+        ground_truth: Mapping[int, Optional[str]],
         checkpoints: Optional["CheckpointStore"] = None,
     ) -> Path:
         """Persist one study's intermediates; returns the entry path.

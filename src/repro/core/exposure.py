@@ -18,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Tuple
 
+import numpy as np
+
 from repro.lifecycle.events import CveTimeline, D, P, known_times
-from repro.lifecycle.exploit_events import ExploitEvent
+from repro.lifecycle.exploit_events import EventTable, ExploitEvent
 from repro.util.stats import Ecdf
 from repro.util.timeutil import to_days
 
@@ -50,33 +52,26 @@ def unique_cve_bins(
     Following the caption — "CVEs are separated based on whether an IDS
     rule is available during that bin" — a CVE counts as *mitigated* in a
     bin when its rule deployment D falls before the bin's end, regardless
-    of individual event flags.
+    of individual event flags.  Each CVE's events are one time slice of
+    the :class:`EventTable`; its flag is set once per bin it reaches.
     """
     published = known_times(timelines, P)
     deployed = known_times(timelines, D)
-    rule_days = {
-        cve_id: to_days(deployed[cve_id] - when)
-        for cve_id, when in published.items()
-        if cve_id in deployed
-    }
     per_bin: Dict[float, Dict[str, bool]] = {}
-    for event in events:
-        cve_id = event.cve_id
+    for cve_id, group in EventTable.pack(events).by_cve().items():
         when = published.get(cve_id)
         if when is None:
             continue
-        # to_days(event.timestamp - when), without the call per event
-        days = (event.timestamp - when).total_seconds() / 86400.0
-        if not lo_days <= days < hi_days:
-            continue
-        bin_start = lo_days + bin_days * int((days - lo_days) // bin_days)
-        cves = per_bin.get(bin_start)
-        if cves is None:
-            cves = per_bin[bin_start] = {}
-        # The flag depends on (bin, CVE) alone: set it once per pair.
-        if cve_id not in cves:
-            rule = rule_days.get(cve_id)
-            cves[cve_id] = rule is not None and rule < bin_start + bin_days
+        days = group.days_since(when)
+        days = days[(days >= lo_days) & (days < hi_days)]
+        rule = (
+            to_days(deployed[cve_id] - when) if cve_id in deployed else None
+        )
+        for index in sorted(set(((days - lo_days) // bin_days).tolist())):
+            bin_start = lo_days + bin_days * int(index)
+            per_bin.setdefault(bin_start, {})[cve_id] = (
+                rule is not None and rule < bin_start + bin_days
+            )
     bins: List[CveBin] = []
     start = lo_days
     while start < hi_days:
@@ -100,26 +95,29 @@ def exposure_cdf(
     """(mitigated, unmitigated) CDFs of events over days since publication
     (Figure 7)."""
     published = known_times(timelines, P)
-    mitigated: List[float] = []
-    unmitigated: List[float] = []
-    for event in events:
-        when = published.get(event.cve_id)
+    mitigated: List[np.ndarray] = [np.empty(0)]
+    unmitigated: List[np.ndarray] = [np.empty(0)]
+    for cve_id, group in EventTable.pack(events).by_cve().items():
+        when = published.get(cve_id)
         if when is None:
             continue
-        # to_days(event.timestamp - when), without the call per event
-        (mitigated if event.mitigated else unmitigated).append(
-            (event.timestamp - when).total_seconds() / 86400.0
-        )
-    return Ecdf.from_values(mitigated), Ecdf.from_values(unmitigated)
+        days = group.days_since(when)
+        flags = group.columns["mitigated"]
+        mitigated.append(days[flags])
+        unmitigated.append(days[~flags])
+    return (
+        Ecdf.from_values(np.concatenate(mitigated)),
+        Ecdf.from_values(np.concatenate(unmitigated)),
+    )
 
 
 def mitigated_share(events: Iterable[ExploitEvent]) -> float:
     """Fraction of exploit events arriving after their signature deployed
     (the paper's "exploit traffic is prevented 95% of the time")."""
-    events = list(events)
-    if not events:
+    flags = EventTable.pack(events).columns["mitigated"]
+    if not flags.size:
         raise ValueError("no exploit events")
-    return sum(1 for event in events if event.mitigated) / len(events)
+    return int(flags.sum()) / int(flags.size)
 
 
 def unmitigated_half_life_days(

@@ -13,14 +13,15 @@ per-CVE (Finding 10).
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from datetime import datetime
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Iterable, List, Mapping, Optional
+
+import numpy as np
 
 from repro.core.desiderata import DESIDERATA
 from repro.core.skill import PAPER_BASELINES, SkillReport
 from repro.lifecycle.events import A, CveTimeline
-from repro.lifecycle.exploit_events import ExploitEvent
+from repro.lifecycle.exploit_events import EventTable, ExploitEvent
+from repro.util.timeutil import zoned_micros
 
 
 def per_event_satisfaction(
@@ -36,28 +37,26 @@ def per_event_satisfaction(
     CVE and weighted by that CVE's event count, matching the paper's
     per-event aggregation.
 
-    Each CVE's timeline is read once: its events' timestamps are grouped
-    and sorted, so the events satisfying ``E < A`` are the ones after the
-    last timestamp ``<= time(E)`` (ties stay unsatisfied).
+    Each CVE's timeline is read once: its events are one time slice of
+    the :class:`EventTable`, so the events satisfying ``E < A`` are the
+    ones after the last timestamp ``<= time(E)`` (ties stay unsatisfied).
     """
     resolved = dict(baselines) if baselines is not None else dict(PAPER_BASELINES)
-    times_by_cve: Dict[str, List[datetime]] = {}
-    for event in events:
-        times_by_cve.setdefault(event.cve_id, []).append(event.timestamp)
     satisfied = [0] * len(DESIDERATA)
     evaluated = [0] * len(DESIDERATA)
-    for cve_id, times in times_by_cve.items():
+    for cve_id, group in EventTable.pack(events).by_cve().items():
         timeline = timelines.get(cve_id)
         if timeline is None:
             continue
-        times.sort()
-        n = len(times)
+        times = group.columns["t"]
+        n = len(group)
         for index, desideratum in enumerate(DESIDERATA):
             if desideratum.second is A:
                 other = timeline.time(desideratum.first)
                 if other is None:
                     continue
-                hits = n - bisect_right(times, other)
+                (bound,), _ = zoned_micros([other])
+                hits = n - int(np.searchsorted(times, bound, side="right"))
             else:
                 outcome = desideratum.satisfied_by(timeline)
                 if outcome is None:

@@ -36,7 +36,6 @@ from repro.core.perevent import per_event_satisfaction
 from repro.core.skill import compute_skill, mean_skill
 from repro.core.windows import narrow_violations, violation_rate, window_cdf
 from repro.lifecycle.events import A, D, F, P, V, X
-from repro.lifecycle.exploit_events import first_attacks
 from repro.reporting.figures import downsample_cdf, figure_series
 from repro.reporting.tables import render_skill_table, render_table3, render_table6
 from repro.util.tables import render_table
@@ -324,7 +323,7 @@ def _fig9(result: StudyResult) -> ExperimentResult:
 
 def _fig10(result: StudyResult) -> ExperimentResult:
     comparison = compare_with_kev(
-        result.bundle, first_attacks(result.kept_events)
+        result.bundle, result.kept_events.first_attacks()
     )
     paper = {"KEV A<P rate": 0.18, "KEV CVEs in window": 424.0}
     measured = {
@@ -342,7 +341,7 @@ def _fig10(result: StudyResult) -> ExperimentResult:
 
 def _fig11(result: StudyResult) -> ExperimentResult:
     comparison = compare_with_kev(
-        result.bundle, first_attacks(result.kept_events)
+        result.bundle, result.kept_events.first_attacks()
     )
     paper = {
         "overlap CVEs": 44.0,

@@ -17,11 +17,15 @@ survive because their payloads carry injection structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, TypeVar, Union
 
-from repro.lifecycle.exploit_events import ExploitEvent
+import numpy as np
+
+from repro.lifecycle.exploit_events import EventTable, ExploitEvent
 from repro.net.pcapstore import SessionStore
+
+#: A CVE's events: an :class:`EventTable` slice, or any record sequence.
+Events = TypeVar("Events", bound=Sequence[ExploitEvent])
 
 #: Byte markers of exploit structure: injection syntax, traversal, command
 #: substitution, protocol abuse.  Matched case-insensitively.
@@ -130,25 +134,25 @@ class RootCauseAnalysis:
         self.leading_sample = leading_sample
 
     def analyse_cve(
-        self, cve_id: str, events: List[ExploitEvent]
+        self, cve_id: str, events: Sequence[ExploitEvent]
     ) -> RcaDecision:
         """Decide whether one CVE's attributions are sound.
 
         Only CVEs whose signature matched traffic before its own
         publication are scrutinised (``mitigated`` is False exactly for
         pre-rule-publication matches); the earliest such sessions are the
-        ones the paper manually analysed.
+        ones the paper manually analysed: the first ``leading_sample``
+        unmitigated rows of the (time-sorted) events.
         """
-        sample = list(islice(
-            (event for event in events if not event.mitigated),
-            self.leading_sample,
-        ))
+        columns = EventTable.pack(events).columns
+        rows = np.flatnonzero(~columns["mitigated"])[:self.leading_sample]
+        sample = columns["session"][rows].tolist()
         if not sample:
             return RcaDecision(cve_id, True, 0, 0, "no pre-publication matches")
         exploit_like = sum(
             1
-            for event in sample
-            if looks_like_exploit(self._payloads.get(event.session_id, b""))
+            for session_id in sample
+            if looks_like_exploit(self._payloads.get(session_id, b""))
         )
         fraction = exploit_like / len(sample)
         if fraction >= self.exploit_threshold:
@@ -162,10 +166,11 @@ class RootCauseAnalysis:
         )
 
     def filter(
-        self, grouped: Dict[str, List[ExploitEvent]]
-    ) -> Tuple[Dict[str, List[ExploitEvent]], List[RcaDecision]]:
-        """Prune false-positive CVEs; returns (kept groups, all decisions)."""
-        kept: Dict[str, List[ExploitEvent]] = {}
+        self, grouped: Mapping[str, Events]
+    ) -> Tuple[Dict[str, Events], List[RcaDecision]]:
+        """Prune false-positive CVEs; returns (kept groups, all decisions),
+        both in CVE-id order."""
+        kept: Dict[str, Events] = {}
         decisions: List[RcaDecision] = []
         for cve_id, events in sorted(grouped.items()):
             decision = self.analyse_cve(cve_id, events)

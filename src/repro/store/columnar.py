@@ -82,8 +82,8 @@ COLUMN_DTYPES: Dict[str, str] = {
     "alert_src_ip": "int64",
     "alert_dst_ip": "int64",
     "alert_dst_port": "int32",
-    # kept exploit events (time-sorted, ties by nothing further — the
-    # pipeline's kept_events order)
+    # kept exploit events (the pipeline's kept_events order: by time, ties
+    # by CVE id, then alert order)
     "event_cve": "int32",
     "event_t": "int64",
     "event_sid": "int32",
@@ -126,13 +126,6 @@ def from_micros(stamp: int) -> Optional[datetime]:
     if stamp == int(MISSING):
         return None
     return _EPOCH + timedelta(microseconds=int(stamp))
-
-
-def shared_values(column: np.ndarray) -> list:
-    """``column.tolist()`` with one Python object per distinct value, so a
-    column of few distinct values costs a pointer per row, not an object."""
-    values, index = np.unique(column, return_inverse=True)
-    return list(map(values.tolist().__getitem__, index.tolist()))
 
 
 def check_index(column: np.ndarray, low: int, high: int, what: str) -> None:
@@ -430,10 +423,6 @@ class ColumnarStudy:
 
         key = compute_study_key(config)
         etag = key if window_index is None else f"{key}-w{window_index:05d}"
-        kept: List = []
-        for group in snapshot.events_per_cve.values():
-            kept.extend(group)
-        kept.sort(key=lambda event: event.timestamp)
         return cls._pack(
             etag=etag,
             code=code_fingerprint(),
@@ -443,7 +432,7 @@ class ColumnarStudy:
             },
             timelines=snapshot.timelines,
             alerts=snapshot.alerts,
-            kept_events=kept,
+            kept_events=snapshot.kept_events,
             rca_decisions=snapshot.rca_decisions,
             bundle=bundle,
             sessions=snapshot.sessions_seen,
@@ -466,6 +455,7 @@ class ColumnarStudy:
         events_total: int,
     ) -> "ColumnarStudy":
         from repro.datasets.catalog import profile_for
+        from repro.lifecycle.exploit_events import EventTable
 
         cves = Interner()
         categories = Interner()
@@ -497,25 +487,17 @@ class ColumnarStudy:
 
         columns.update(AlertTable.pack(alerts).columns_into(cves))
 
-        columns["event_cve"] = np.fromiter(
-            (cves.intern(event.cve_id) for event in kept_events),
-            np.int32, len(kept_events),
+        # The kept events' own columns (a record list is packed first).
+        events = EventTable.pack(kept_events)
+        if events.zone is not None:
+            raise ValueError("only naive UTC datetimes are stored")
+        columns["event_cve"] = intern_codes(
+            events.columns["cve"], events.cves, cves
         )
-        columns["event_t"] = np.fromiter(
-            (to_micros(event.timestamp) for event in kept_events),
-            np.int64, len(kept_events),
-        )
-        columns["event_sid"] = np.fromiter(
-            (event.sid for event in kept_events), np.int32, len(kept_events)
-        )
-        columns["event_session"] = np.fromiter(
-            (event.session_id for event in kept_events),
-            np.int64, len(kept_events),
-        )
-        columns["event_mitigated"] = np.fromiter(
-            (event.mitigated for event in kept_events),
-            np.uint8, len(kept_events),
-        )
+        columns["event_t"] = events.columns["t"]
+        columns["event_sid"] = events.columns["sid"]
+        columns["event_session"] = events.columns["session"]
+        columns["event_mitigated"] = events.columns["mitigated"].astype(np.uint8)
 
         kev_entries = list(bundle.kev)
         columns["kev_cve"] = np.fromiter(

@@ -38,22 +38,13 @@ from repro.core.desiderata import DESIDERATA
 from repro.core.skill import SkillReport, _resolve_baselines
 from repro.datasets.catalog import VENDOR_CATEGORY_KINDS
 from repro.lifecycle.events import LifecycleEvent
+from repro.lifecycle.exploit_events import earliest_micros
 from repro.store.columnar import MISSING, ColumnarStudy, from_micros
 from repro.util.stats import Ecdf
+from repro.util.timeutil import days_column
 
 _US_PER_SECOND = 1e6
 _SECONDS_PER_DAY = 86400.0
-
-
-def _to_days(delta_us: np.ndarray) -> np.ndarray:
-    """int64 µs deltas -> fractional days, matching ``to_days`` exactly.
-
-    ``timedelta.total_seconds()`` is one division (total µs / 1e6) and
-    ``to_days`` one more (/ 86400); replicating the two-step division —
-    rather than a fused ``/ 86.4e9`` — is what makes the floats identical
-    to the dataclass path rather than merely close.
-    """
-    return (delta_us.astype(np.float64) / _US_PER_SECOND) / _SECONDS_PER_DAY
 
 
 def delta_days(
@@ -67,7 +58,7 @@ def delta_days(
     late = study.timeline_times(later.value)
     early = study.timeline_times(earlier.value)
     known = (late != MISSING) & (early != MISSING)
-    return _to_days(late[known] - early[known])
+    return days_column(late[known] - early[known])
 
 
 def window_cdf(
@@ -163,7 +154,7 @@ def vendor_rollup(study: ColumnarStudy) -> List[CategorySummary]:
         else:
             members = category_col == index
         lag_rows = members & lag_known
-        lags = _to_days(deployed[lag_rows] - public[lag_rows])
+        lags = days_column(deployed[lag_rows] - public[lag_rows])
         outcome_rows = members & outcome_known
         evaluated = int(outcome_rows.sum())
         defense_first = int(
@@ -189,20 +180,13 @@ def vendor_rollup(study: ColumnarStudy) -> List[CategorySummary]:
 def first_attack_micros(study: ColumnarStudy) -> Dict[int, int]:
     """Earliest kept-event timestamp (µs) per CVE table index.
 
-    The columnar equivalent of
-    :func:`repro.lifecycle.exploit_events.first_attacks` over kept events.
+    The shard's side of
+    :meth:`repro.lifecycle.exploit_events.EventTable.first_attacks` over
+    kept events, through the same reduction.
     """
-    cve_col = study.col("event_cve")
-    time_col = study.col("event_t")
-    if cve_col.size == 0:
-        return {}
-    # Seeded with +inf (int64 max) so the minimum-reduce can only ever pick
-    # real event timestamps; untouched slots are filtered out below.
-    untouched = np.iinfo(np.int64).max
-    earliest = np.full(len(study.cves), untouched, dtype=np.int64)
-    np.minimum.at(earliest, cve_col, time_col)
-    touched = np.flatnonzero(earliest != untouched)
-    return dict(zip(touched.tolist(), earliest[touched].tolist()))
+    return earliest_micros(
+        study.col("event_cve"), study.col("event_t"), len(study.cves)
+    )
 
 
 def first_attacks(study: ColumnarStudy) -> Dict[str, datetime]:
@@ -222,7 +206,7 @@ def kev_rollup(study: ColumnarStudy) -> KevComparison:
     kev_published = study.col("kev_published")
 
     published_known = kev_published != MISSING
-    a_minus_p = _to_days(
+    a_minus_p = days_column(
         kev_added[published_known] - kev_published[published_known]
     )
 

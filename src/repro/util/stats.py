@@ -73,7 +73,10 @@ class Ecdf:
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "Ecdf":
-        xs = np.sort(np.asarray(list(values), dtype=float))
+        xs = np.sort(np.asarray(
+            values if isinstance(values, np.ndarray) else list(values),
+            dtype=float,
+        ))
         if xs.size == 0:
             return cls(xs=xs, ps=xs.copy())
         ps = np.arange(1, xs.size + 1, dtype=float) / xs.size
@@ -145,7 +148,9 @@ def bin_counts(
         # A width wider than the whole range (n_bins forced to 1) already
         # covers [lo, hi); otherwise emit the partial tail bin [top, hi).
         edges = np.append(edges, hi)
-    data = np.asarray(list(values), dtype=float)
+    data = np.asarray(
+        values if isinstance(values, np.ndarray) else list(values), dtype=float
+    )
     data = data[(data >= lo) & (data < hi)]
     counts, _ = np.histogram(data, bins=edges)
     return [

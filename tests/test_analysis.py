@@ -17,7 +17,6 @@ from repro.analysis.trends import (
     study_headline_stats,
 )
 from repro.datasets.seed_log4shell import LOG4SHELL_VARIANTS
-from repro.lifecycle.exploit_events import first_attacks
 
 
 class TestTrends:
@@ -66,7 +65,7 @@ class TestImpact:
 class TestKevComparison:
     @pytest.fixture(scope="class")
     def comparison(self, study):
-        return compare_with_kev(study.bundle, first_attacks(study.kept_events))
+        return compare_with_kev(study.bundle, study.kept_events.first_attacks())
 
     def test_counts(self, comparison):
         assert comparison.kev_in_window == 424

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.analysis.coverage import attribution_quality
-from repro.lifecycle.exploit_events import events_from_alerts
+from repro.lifecycle.exploit_events import EventTable
 
 
 class TestAttributionQuality:
     @pytest.fixture(scope="class")
     def quality(self, study):
-        events = events_from_alerts(study.alerts)
+        events = EventTable.from_alerts(study.alerts)
         return attribution_quality(events, study.ground_truth)
 
     def test_ground_truth_covers_all_sessions(self, study):

@@ -11,12 +11,7 @@ from repro.datasets.sources import default_plan
 from repro.datasets.seed_cves import seed_by_id
 from repro.lifecycle.assembly import assemble_timelines
 from repro.lifecycle.events import A, CveTimeline, D, F, LifecycleEvent, P, V, X
-from repro.lifecycle.exploit_events import (
-    ExploitEvent,
-    events_by_cve,
-    events_from_alerts,
-    first_attacks,
-)
+from repro.lifecycle.exploit_events import EventTable, ExploitEvent
 from repro.lifecycle.rca import RcaDecision, RootCauseAnalysis, looks_like_exploit
 from repro.net.pcapstore import SessionStore
 from repro.net.session import TcpSession
@@ -74,13 +69,13 @@ class TestLifecycleEvents:
 class TestExploitEvents:
     def test_events_from_alerts_skips_no_cve(self):
         alerts = [_alert(), _alert(cve=None, sid=2)]
-        events = events_from_alerts(alerts)
+        events = EventTable.from_alerts(alerts)
         assert len(events) == 1
 
     def test_mitigated_flag_from_rule_publication(self):
         pre = _alert(when=T0, rule_when=T0 + timedelta(days=5))
         post = _alert(when=T0, rule_when=T0 - timedelta(days=5))
-        events = events_from_alerts([pre, post])
+        events = EventTable.from_alerts([pre, post])
         assert events[0].unmitigated
         assert events[1].mitigated
 
@@ -90,7 +85,7 @@ class TestExploitEvents:
             _alert(when=T0, session_id=2),
             _alert(cve="CVE-2021-0002", sid=2, session_id=3),
         ]
-        grouped = events_by_cve(events_from_alerts(alerts))
+        grouped = EventTable.from_alerts(alerts).by_cve()
         assert set(grouped) == {"CVE-2021-0001", "CVE-2021-0002"}
         times = [e.timestamp for e in grouped["CVE-2021-0001"]]
         assert times == sorted(times)
@@ -100,7 +95,7 @@ class TestExploitEvents:
             _alert(when=T0 + timedelta(days=2)),
             _alert(when=T0),
         ]
-        firsts = first_attacks(events_from_alerts(alerts))
+        firsts = EventTable.from_alerts(alerts).first_attacks()
         assert firsts["CVE-2021-0001"] == T0
 
 

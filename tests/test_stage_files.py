@@ -52,7 +52,7 @@ from repro.cache.checkpoint import encode_stage_alerts, encode_stage_store
 from repro.cache.integrity import file_entry
 from repro.cache.study import STAGE_FILES, STAGES, STORE_DTYPES, write_stage
 from repro.cli import main
-from repro.lifecycle.exploit_events import ExploitEvent, events_from_alerts
+from repro.lifecycle.exploit_events import EventTable, ExploitEvent
 from repro.net.pcapstore import SessionStore, decode_session, encode_session
 from repro.net.session import TcpSession
 from repro.nids.engine import DetectionEngine
@@ -232,8 +232,8 @@ class TestStageCodecs:
             for alert in alert_list
             if alert.cve_id is not None
         ]
-        assert events_from_alerts(alert_list) == expected
-        assert events_from_alerts(AlertTable.pack(alert_list)) == expected
+        assert EventTable.from_alerts(alert_list) == expected
+        assert EventTable.from_alerts(AlertTable.pack(alert_list)) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(alerts(), max_size=12), st.lists(cve_ids, max_size=3))

@@ -29,7 +29,6 @@ from repro.core.windows import (
     window_cdf,
 )
 from repro.lifecycle.events import A, D, F, LifecycleEvent, P, V, X
-from repro.lifecycle.exploit_events import first_attacks
 from repro.store import (
     ColumnarStudy,
     MISSING,
@@ -95,10 +94,10 @@ class TestMicros:
     )
     def test_delta_days_matches_to_days(self, a, b):
         """(µs delta / 1e6) / 86400 is bit-identical to to_days."""
-        from repro.util.timeutil import to_days
+        from repro.util.timeutil import days_column, to_days
 
         delta_us = np.asarray([to_micros(a) - to_micros(b)], dtype=np.int64)
-        ours = float(kernels._to_days(delta_us)[0])
+        ours = float(days_column(delta_us)[0])
         assert ours == to_days(a - b)
 
 
@@ -246,14 +245,13 @@ class TestKernelEquivalence:
         )
 
     def test_first_attacks(self, study, columnar):
-        assert kernels.first_attacks(columnar) == first_attacks(
-            study.kept_events
-        )
+        assert kernels.first_attacks(columnar) == \
+            study.kept_events.first_attacks()
 
     def test_kev_rollup_identical(self, study, columnar):
         ours = kernels.kev_rollup(columnar)
         reference = compare_with_kev(
-            study.bundle, first_attacks(study.kept_events)
+            study.bundle, study.kept_events.first_attacks()
         )
         assert ours.kev_in_window == reference.kev_in_window
         assert ours.overlap_cves == reference.overlap_cves

@@ -2,6 +2,7 @@
 
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from repro.util.timeutil import (
     TimeWindow,
     days,
+    days_column,
     format_offset,
     hours,
     parse_offset,
@@ -140,3 +142,31 @@ class TestTimeWindow:
     def test_intersect_disjoint_is_none(self):
         other = TimeWindow(utc(2024, 1, 1), utc(2025, 1, 1))
         assert self.window.intersect(other) is None
+
+
+class TestDaysColumn:
+    """The one µs -> days converter equals ``to_days`` of each delta."""
+
+    EDGES = [
+        0, 1, -1, 999_999, -999_999, 1_000_000, 86_400_000_000,
+        -86_400_000_001, 2**52 - 1, -(2**52), 2**52 + 12_345, 3 * 2**50 + 7,
+    ]
+
+    @staticmethod
+    def _check(deltas):
+        column = np.array(deltas, np.int64)
+        got = days_column(column).tolist()
+        expected = [to_days(timedelta(microseconds=us)) for us in deltas]
+        assert got == expected
+
+    def test_edges(self):
+        self._check(self.EDGES)
+
+    @given(st.lists(
+        st.integers(-(2**52), 2**52)
+        | st.integers(-86_400_000_000, 86_400_000_000)
+        | st.integers(-999_999, 999_999),
+        max_size=40,
+    ))
+    def test_equals_to_days(self, deltas):
+        self._check(deltas)
