@@ -472,7 +472,11 @@ def run_study(
             bundle = build_bundle(resolved.plan)
             span.set("background_cves", len(bundle.nvd_background))
 
-        cached = study_cache.load(config) if study_cache is not None else None
+        cached = (
+            study_cache.load(config, key=study_key)
+            if study_cache is not None
+            else None
+        )
         if cached is not None:
             with tracer.span("traffic") as span:
                 span.set("source", "cache")
@@ -569,6 +573,7 @@ def run_study(
             if study_cache is not None:
                 study_cache.save(
                     config,
+                    key=study_key,
                     store=store,
                     alerts=alerts,
                     collection_stats=collection_stats,

@@ -506,8 +506,10 @@ class StudyCache:
     def key(self, config) -> str:
         return study_key(config)
 
-    def entry_path(self, config) -> Path:
-        return self.study_root / self.key(config)
+    def entry_path(self, config, *, key: Optional[str] = None) -> Path:
+        """The entry directory of ``config``; ``key`` is its
+        :func:`study_key` when the caller already holds it."""
+        return self.study_root / (self.key(config) if key is None else key)
 
     def has(self, config) -> bool:
         return (self.entry_path(config) / "meta.json").exists()
@@ -516,14 +518,15 @@ class StudyCache:
         shutil.rmtree(path, ignore_errors=True)
         self._count("evictions")
 
-    def load(self, config) -> Optional[CachedStudy]:
-        """The cached entry for a config, or None.
+    def load(self, config, *, key: Optional[str] = None) -> Optional[CachedStudy]:
+        """The cached entry for a config, or None (``key`` as for
+        :meth:`entry_path`).
 
         Missing, torn, and checksum-failing entries all count as misses;
         anything unusable occupying the slot is evicted so the recompute's
         :meth:`save` can publish.
         """
-        path = self.entry_path(config)
+        path = self.entry_path(config, key=key)
         if not path.exists():
             self._count("misses")
             return None
@@ -587,6 +590,7 @@ class StudyCache:
         self,
         config,
         *,
+        key: Optional[str] = None,
         store: SessionStore,
         alerts: Sequence[Alert],
         collection_stats: CollectionStats,
@@ -598,13 +602,14 @@ class StudyCache:
         With ``checkpoints``, every stage that store holds under this
         study's key is hard-linked (or copied) into the entry instead of
         being encoded again; the rest are written from the given values.
+        ``key`` is as for :meth:`entry_path`.
 
         Best-effort by design: after the publish protocol exhausts its
         retries (possible only under pathological contention) the save is
         dropped and counted in ``telemetry.publish_failures`` — a cache
         save must never fail an otherwise-successful study run.
         """
-        path = self.entry_path(config)
+        path = self.entry_path(config, key=key)
         staging = path.with_name(f"{path.name}.tmp{os.getpid()}")
         shutil.rmtree(staging, ignore_errors=True)
         staging.mkdir(parents=True)

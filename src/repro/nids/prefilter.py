@@ -7,37 +7,47 @@ state machine.  On the study archive this
 is the difference between ~60 ns/byte and memory-bandwidth-class scanning,
 the same trick real multi-pattern engines (Snort's MPSE, Hyperscan) rely on.
 
-Three non-obvious choices make the regex route both fast and *exact*:
+Four non-obvious choices make the regex route both fast and *exact*:
 
 * **Trie-factored alternations.**  A flat ``p1|p2|...|pN`` alternation makes
   ``sre`` try all N branches at every candidate position (measured ~10 us
   per 160-byte payload at N=72 — the "alternation-size cliff").  Factoring
-  the patterns into a byte trie (``ab(?:c|d)`` instead of ``abc|abd``) means
+  the texts into a byte trie (``ab(?:c|d)`` instead of ``abc|abd``) means
   a position is rejected after at most one comparison per distinct leading
-  byte.  Patterns are additionally batched into chunks of at most
+  byte.  Texts are additionally batched into chunks of at most
   ``chunk_size`` so a pathological ruleset cannot produce one enormous
   program.
 
+* **The tries spell heads, not whole patterns.**  Walking the sorted
+  patterns' implicit trie, a run of at most ``LEAF`` patterns sharing a
+  prefix of at least ``MIN_HEAD`` bytes, or any run sharing
+  ``MAX_TRIE_PATTERN`` bytes, becomes one *head*: that common prefix
+  (:func:`_group_heads`).  The chunks hold heads only, so ``sre``'s
+  Python-level parser reads a fraction of the pattern bytes.  When a head
+  occurs, a member equal to it is reported directly and every other member
+  is confirmed with one C ``in``: a member can only occur where its head
+  occurs.  Long patterns need no separate path; their heads are at most
+  ``MAX_TRIE_PATTERN`` bytes.
+
 * **No capture groups.**  Wrapping alternatives in groups (to learn *which*
-  pattern matched) disables ``sre``'s branch optimisations — a measured
-  ~50x slowdown.  Instead the matched *text* identifies the pattern: every
-  trie match spells out exactly one pattern, so ``match.group()`` is a dict
-  key into the pattern table.
+  text matched) disables ``sre``'s branch optimisations — a measured
+  ~50x slowdown.  Instead the matched *text* identifies the head: every
+  trie match spells out exactly one head, so ``match.group()`` is a dict
+  key into the chunk's table.
 
 * **Occurrence closure.**  ``finditer`` reports non-overlapping matches,
-  and the greedy trie yields the *longest* pattern at each position.  Two
-  completeness fixes recover full Aho-Corasick semantics: (1) every proper
-  prefix of a reported pattern that is itself a pattern also occurs at the
-  reported position (prefix closure); (2) a pattern can hide
+  and the greedy trie yields the *longest* head at each position.  Two
+  completeness fixes recover full Aho-Corasick semantics over the heads:
+  (1) every proper prefix of a reported head that is itself a head also
+  occurs at the reported position (prefix closure); (2) a head can hide
   *inside* a reported span — it must then be a substring of the reported
-  pattern at offset >= 1, or start with one of its proper suffixes (overlap
+  head at offset >= 1, or start with one of its proper suffixes (overlap
   sets) — and those few candidates are confirmed with a single C-level
-  ``in`` check.  Any pattern occurrence not covered by these cases would
+  ``in`` check.  Any head occurrence not covered by these cases would
   have been the leftmost match of some ``finditer`` step, hence reported.
-  Both tables are derived for a text the first time it matches, by
-  bisecting its suffixes into the chunk's sorted texts, and memoized: the
-  10k-rule benchmark's scan matches 73 of its 9.3k texts, so tables for
-  the rest are never built.
+  Both tables are derived for a head the first time it matches, by
+  bisecting its suffixes into the chunk's sorted heads, and memoized, so
+  the tables of heads no payload holds are never built.
 
 Matching is case-insensitive: patterns are lowercased at build time and
 haystacks are lowercased (or declared already lowered) at search time.
@@ -53,16 +63,26 @@ from bisect import bisect_left
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-#: Patterns per compiled chunk.  Far below any hard ``sre`` limit; bounds
-#: each compiled program's size.  Larger chunks compile no faster and cost
-#: peak memory.
-DEFAULT_CHUNK_SIZE = 256
+#: Head texts per compiled chunk.  Far below any hard ``sre`` limit; bounds
+#: each compiled program's size.  Every chunk is one more sweep of each
+#: searched payload, and the 10k-rule corpus' shards hold under 500 heads
+#: each, so one chunk per shard.
+DEFAULT_CHUNK_SIZE = 1024
 
-#: Patterns longer than this are kept out of the trie (deeply nested
-#: ``(?:...)`` groups stress ``sre_parse`` recursion).  A nested engine over
-#: their first ``MAX_TRIE_PATTERN`` bytes screens them, and each prefix hit
-#: is confirmed with a direct ``in`` scan — a single C substring search.
+#: Heads are at most this long: a run of texts whose common prefix reaches
+#: it is one head of its first ``MAX_TRIE_PATTERN`` bytes, whatever the
+#: run's size (deeply nested ``(?:...)`` groups stress ``sre_parse``
+#: recursion, and the bytes past it would only lengthen the literal).
 MAX_TRIE_PATTERN = 64
+
+#: Most texts one head below ``MAX_TRIE_PATTERN`` bytes may stand for: each
+#: is one ``in`` per payload where the head occurs, so the bound keeps a
+#: whole rule family from falling under one head.
+LEAF = 16
+
+#: Shortest head standing for more than one text.  A shorter common prefix
+#: occurs in too many payloads to be worth the members' ``in`` checks.
+MIN_HEAD = 8
 
 
 #: ``re.escape`` of every single byte, indexed by byte value.
@@ -107,9 +127,54 @@ def _trie_regex(ordered: Sequence[bytes]) -> "re.Pattern[bytes]":
     return re.compile(emit(0, len(ordered), 0))
 
 
+def _group_heads(ordered: Sequence[bytes]) -> List[Tuple[bytes, int, int]]:
+    """Group the sorted, unique ``ordered`` texts into heads, walking the
+    implicit trie as :func:`_trie_regex` does.  Returns ``(head, lo, hi)``
+    in sorted order: ``ordered[lo:hi]`` are the head's members, each of
+    which starts with it.
+
+    * A run whose common prefix reaches ``MAX_TRIE_PATTERN`` bytes is one
+      head: that many bytes of it.
+    * A run of at most ``LEAF`` texts whose common prefix is at least
+      ``MIN_HEAD`` bytes is one head: that prefix.
+    * A text that ends where the trie splits is its own head.
+    """
+    groups: List[Tuple[bytes, int, int]] = []
+
+    def walk(lo: int, hi: int, depth: int) -> None:
+        first = ordered[lo]
+        last = ordered[hi - 1]
+        end = min(len(first), MAX_TRIE_PATTERN)
+        while depth < end and first[depth] == last[depth]:
+            depth += 1
+        if depth == MAX_TRIE_PATTERN or (hi - lo <= LEAF and depth >= MIN_HEAD):
+            groups.append((first[:depth], lo, hi))
+            return
+        i = lo
+        if len(first) == depth:  # terminal: every other text extends it
+            groups.append((first, lo, lo + 1))
+            i += 1
+        while i < hi:
+            byte = ordered[i][depth]
+            j = i + 1
+            while j < hi and ordered[j][depth] == byte:
+                j += 1
+            walk(i, j, depth + 1)
+            i = j
+
+    if ordered:
+        walk(0, len(ordered), 0)
+    return groups
+
+
+#: ``(text, ids)`` of the patterns a head stands for but does not equal,
+#: each confirmed with one ``in`` where the head occurs.
+_Confirms = Tuple[Tuple[bytes, Tuple[int, ...]], ...]
+
+
 class _Chunk:
-    """One compiled batch of patterns; its occurrence-closure tables are
-    derived per text on first match (:meth:`tables`)."""
+    """One compiled batch of heads; its occurrence-closure tables are
+    derived per head on first match (:meth:`tables`)."""
 
     __slots__ = ("regex", "position", "ordered", "ids_by_text", "_tables")
 
@@ -168,7 +233,10 @@ class RegexPrefilter:
     """A multi-pattern matcher over byte strings.
 
     Pattern ids are indices into ``patterns``; duplicate patterns all
-    report, empty patterns are rejected.
+    report, empty patterns are rejected.  The chunk tries spell the head
+    texts (:func:`_group_heads`), sorted in :attr:`heads`; a head's
+    ``_ids`` are those of the pattern equal to it (if any), and its
+    ``_confirms`` the other patterns it stands for.
     """
 
     def __init__(
@@ -186,35 +254,25 @@ class RegexPrefilter:
         ids_by_text: Dict[bytes, List[int]] = {}
         for index, pattern in enumerate(self.patterns):
             ids_by_text.setdefault(pattern, []).append(index)
-        frozen = {text: tuple(ids) for text, ids in ids_by_text.items()}
+        ordered = sorted(ids_by_text)
 
-        # Long patterns bypass the trie.  A nested engine over their
-        # MAX_TRIE_PATTERN-byte prefixes screens them: a long pattern can
-        # occur only where its prefix does, and the nested engine reports
-        # every prefix that occurs, so one C ``in`` check per prefix hit
-        # confirms exactly the long patterns present.
-        self._long: List[Tuple[bytes, Tuple[int, ...]]] = []
-        short_texts: List[bytes] = []
-        for text in frozen:  # first-seen order
-            if len(text) > MAX_TRIE_PATTERN:
-                self._long.append((text, frozen[text]))
-            else:
-                short_texts.append(text)
-        self._long_prefixes: Optional[RegexPrefilter] = (
-            RegexPrefilter(
-                [text[:MAX_TRIE_PATTERN] for text, _ in self._long],
-                chunk_size=chunk_size,
+        self.heads: List[bytes] = []
+        self._ids: Dict[bytes, Tuple[int, ...]] = {}
+        self._confirms: Dict[bytes, _Confirms] = {}
+        for head, lo, hi in _group_heads(ordered):
+            # A member equal to its head sorts first in its run.
+            ids: Tuple[int, ...] = ()
+            if ordered[lo] == head:
+                ids = tuple(ids_by_text[head])
+                lo += 1
+            self.heads.append(head)
+            self._ids[head] = ids
+            self._confirms[head] = tuple(
+                (text, tuple(ids_by_text[text])) for text in ordered[lo:hi]
             )
-            if self._long
-            else None
-        )
-
         self._chunks: List[_Chunk] = [
-            _Chunk(
-                short_texts[start : start + chunk_size],
-                frozen,
-            )
-            for start in range(0, len(short_texts), chunk_size)
+            _Chunk(self.heads[start : start + chunk_size], self._ids)
+            for start in range(0, len(self.heads), chunk_size)
         ]
 
     @property
@@ -230,42 +288,36 @@ class RegexPrefilter:
 
         The scan itself is ``findall`` — the entire haystack sweep and the
         per-occurrence extraction stay inside the C engine; Python touches
-        only the (few) *distinct* matched texts.
+        only the (few) *distinct* matched heads, closed over their tables.
         """
         if not lowered:
             haystack = haystack.lower()
         found: Set[int] = set()
+        confirms = self._confirms
         for chunk in self._chunks:
             texts = set(chunk.regex.findall(haystack))
             if not texts:
                 continue
             tables = chunk.tables
-            for text in tuple(texts):
+            pending = list(texts)
+            for text in pending:  # grows by the confirmed overlaps
                 ids, overlaps = tables(text)
                 found.update(ids)
+                # A head that stands for other patterns is never a proper
+                # prefix of another head (its run is its whole subtree), so
+                # only the heads found here carry confirms.
+                for member, member_ids in confirms[text]:
+                    if member in haystack:
+                        found.update(member_ids)
                 for candidate in overlaps:
                     if candidate not in texts and candidate in haystack:
                         texts.add(candidate)
-                        found.update(tables(candidate)[0])
-        if self._long_prefixes is not None:
-            for index in self._long_prefixes.search(haystack, lowered=True):
-                text, ids = self._long[index]
-                if text in haystack:
-                    found.update(ids)
+                        pending.append(candidate)
         return found
 
     def contains_any(self, haystack: bytes, *, lowered: bool = False) -> bool:
-        """Whether any pattern occurs (early-exit variant of search)."""
-        if not lowered:
-            haystack = haystack.lower()
-        for chunk in self._chunks:
-            if chunk.regex.search(haystack) is not None:
-                return True
-        if self._long_prefixes is not None:
-            for index in self._long_prefixes.search(haystack, lowered=True):
-                if self._long[index][0] in haystack:
-                    return True
-        return False
+        """Whether any pattern occurs."""
+        return bool(self.search(haystack, lowered=lowered))
 
 
 #: Fast patterns per prefilter shard.  At Snort-realistic rule counts (tens

@@ -50,10 +50,13 @@ from repro.nids.prefilter import DEFAULT_SHARD_SIZE, RegexPrefilter, ShardedPref
 from repro.nids.rule import ContentMatch, IsDataAt, PcreMatch, Rule, SizeBound
 from repro.util.timeutil import zoned_micros
 
-#: Auto-sharding kicks in at this many *distinct* fast patterns.  Below it a
-#: single compiled engine is cheap and marginally faster to search; above it
-#: the monolithic compile dominates first-scan latency, and lazy per-shard
-#: compilation amortises it across the scan (see DESIGN.md §14 break-even).
+#: Auto-sharding kicks in at this many *distinct* fast patterns.  Since the
+#: tries spell heads, compile no longer dominates at this size: at 4,096 of
+#: the scaled corpus' patterns one engine compiles and first-searches ~3k
+#: payloads in 0.06 s against the two shards' 0.09 s, and at 9,295 the five
+#: lazy shards win, 0.16 s against 0.23 s (one engine groups fewer texts
+#: per head and compiles 0.15 s).  The break-even lies between the two
+#: (see DESIGN.md §14).
 AUTO_SHARD_MIN_PATTERNS = 4096
 
 

@@ -39,12 +39,13 @@ size while holding the rule *population* fixed.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import accumulate
 from random import Random
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.session import TcpSession
 from repro.nids.lint import LintFinding, lint_rules
@@ -114,6 +115,8 @@ _BUFFERS = (
 )
 _BUFFER_CUM_WEIGHTS = tuple(accumulate((60, 20, 10, 10)))
 
+_FODDER_CATEGORIES = ("generic", "short", "pure_pcre")
+
 _CLASSTYPES = (
     "attempted-admin",
     "web-application-attack",
@@ -165,6 +168,8 @@ class ScaleConfig:
             raise ValueError("size must be >= 1")
         if not 0.0 <= self.fodder_fraction <= 1.0:
             raise ValueError("fodder_fraction must be in [0, 1]")
+        if self.window_days < 1:
+            raise ValueError("window_days must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -179,25 +184,92 @@ class ScaledRule:
     fodder: Optional[str] = None
 
 
+# -- draws ---------------------------------------------------------------------
+#
+# Synthesis draws through ``rng.random()`` and ``rng.getrandbits()`` alone,
+# with ``random.Random``'s own arithmetic: ``_randbelow(n)`` redraws
+# ``getrandbits(n.bit_length())`` until it is below ``n``; ``randint(a, b)``
+# is ``a + _randbelow(b - a + 1)``; ``randrange(n)`` and ``choice(seq)`` are
+# ``_randbelow(n)`` and ``seq[_randbelow(len(seq))]``; and
+# ``choices(population, cum_weights=c)[0]`` is
+# ``population[bisect(c, random() * float(c[-1]), 0, len(c) - 1)]``.  The
+# streams, hence the rules, are the ones those methods drew
+# (``tests/scale_oracle.py``).
+
+
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """``Random._randbelow(n)``: uniform on ``[0, n)``."""
+    bits = n.bit_length()
+    value = getrandbits(bits)
+    while value >= n:
+        value = getrandbits(bits)
+    return value
+
+
+def _char_table(alphabet: str) -> Tuple[bytes, bytes]:
+    """``(translate table, rejected bytes)`` for batched ``choice(alphabet)``
+    draws.  ``getrandbits(k)`` for ``k <= 8`` keeps the top ``k`` bits of
+    one 32-bit word, which is the top of that word's most significant byte,
+    so a byte maps to ``alphabet[byte >> (8 - k)]`` or is rejected."""
+    bits = len(alphabet).bit_length()
+    table = bytearray(256)
+    rejected = bytearray()
+    for byte in range(256):
+        value = byte >> (8 - bits)
+        if value < len(alphabet):
+            table[byte] = ord(alphabet[value])
+        else:
+            rejected.append(byte)
+    return bytes(table), bytes(rejected)
+
+
+_SUFFIX_CHARS = _char_table(_SUFFIX_ALPHABET)
+_TOKEN_CHARS = _char_table(_SUFFIX_ALPHABET[:36])
+
+
+def _chars(
+    getrandbits: Callable[[int], int], count: int, chars: Tuple[bytes, bytes]
+) -> bytes:
+    """``count`` successive ``choice(alphabet)`` draws for the alphabet of
+    :func:`_char_table`, ``count`` words at a time.  ``getrandbits(32 * n)``
+    returns the next ``n`` words little-endian; a rejected word is skipped,
+    as ``_randbelow`` skips it, and only the rejected draws are redrawn."""
+    table, rejected = chars
+    drawn = b""
+    while len(drawn) < count:
+        need = count - len(drawn)
+        words = getrandbits(32 * need).to_bytes(4 * need, "little")
+        drawn += words[3::4].translate(table, rejected)
+    return drawn
+
+
+def _pick(random: Callable[[], float], population: Sequence, cum_weights: Sequence[int]):
+    """``Random.choices(population, cum_weights=cum_weights)[0]``."""
+    return population[
+        bisect_right(cum_weights, random() * float(cum_weights[-1]), 0, len(cum_weights) - 1)
+    ]
+
+
 def _pattern_for(rng: Random, *, upper: bool) -> bytes:
     """One content pattern: family prefix + tail of realistic length."""
-    family = rng.choice(_FAMILIES)
+    random = rng.random
+    getrandbits = rng.getrandbits
+    family = _FAMILIES[_below(getrandbits, len(_FAMILIES))]
     # ~8% of patterns are a bare family prefix — a strict prefix of the
     # sibling patterns, forcing the prefix-closure path.
-    if rng.random() < 0.08:
+    if random() < 0.08:
         return family
-    bucket = rng.random()
+    bucket = random()
     if bucket < 0.3:
-        tail_len = rng.randint(2, 6)  # short-ish tails, heavy overlap
+        tail_len = 2 + _below(getrandbits, 5)  # short-ish tails, heavy overlap
     elif bucket < 0.85:
-        tail_len = rng.randint(7, 18)
+        tail_len = 7 + _below(getrandbits, 12)
     else:
-        tail_len = rng.randint(19, 36)
-    choice = rng.choice
-    tail = "".join([choice(_SUFFIX_ALPHABET) for _ in range(tail_len)])
+        tail_len = 19 + _below(getrandbits, 18)
+    tail = _chars(getrandbits, tail_len, _SUFFIX_CHARS)
     if upper:
         tail = tail.upper()
-    return family + tail.encode("ascii")
+    return family + tail
 
 
 def _render_content(content: ContentMatch) -> str:
@@ -225,24 +297,26 @@ def _regular_options(
     rng: Random, config: ScaleConfig
 ) -> Tuple[List[str], List[object]]:
     """Detection options (text fragments + expected AST) for a sound rule."""
+    random = rng.random
+    getrandbits = rng.getrandbits
     fragments: List[str] = []
     options: List[object] = []
 
-    n_contents = rng.choices((1, 2, 3), cum_weights=_CONTENT_COUNT_CUM_WEIGHTS)[0]
+    n_contents = _pick(random, (1, 2, 3), _CONTENT_COUNT_CUM_WEIGHTS)
     for position in range(n_contents):
-        pattern = _pattern_for(rng, upper=rng.random() < 0.1)
-        nocase = rng.random() < 0.4
-        buffer = rng.choices(_BUFFERS, cum_weights=_BUFFER_CUM_WEIGHTS)[0]
+        pattern = _pattern_for(rng, upper=random() < 0.1)
+        nocase = random() < 0.4
+        buffer = _pick(random, _BUFFERS, _BUFFER_CUM_WEIGHTS)
         offset = depth = distance = within = None
         if position == 0:
-            if rng.random() < 0.1:
-                offset = rng.randint(0, 8)
-                if rng.random() < 0.5:
-                    depth = len(pattern) + offset + rng.randint(0, 24)
-        elif rng.random() < 0.5:
-            distance = rng.randint(0, 8)
-            if rng.random() < 0.5:
-                within = len(pattern) + rng.randint(0, 16)
+            if random() < 0.1:
+                offset = _below(getrandbits, 9)
+                if random() < 0.5:
+                    depth = len(pattern) + offset + _below(getrandbits, 25)
+        elif random() < 0.5:
+            distance = _below(getrandbits, 9)
+            if random() < 0.5:
+                within = len(pattern) + _below(getrandbits, 17)
         content = ContentMatch(
             pattern=pattern,
             nocase=nocase,
@@ -251,24 +325,25 @@ def _regular_options(
             depth=depth,
             distance=distance,
             within=within,
-            fast_pattern=(position == 0 and rng.random() < 0.05),
+            fast_pattern=(position == 0 and random() < 0.05),
         )
         fragments.append(_render_content(content))
         options.append(content)
 
-    if rng.random() < 0.05:
+    if random() < 0.05:
+        digit = b"0123456789"[_below(getrandbits, 10)]
         negated = ContentMatch(
-            pattern=b"X-Scaled-Bypass" + rng.choice(b"0123456789").to_bytes(1, "big"),
+            pattern=b"X-Scaled-Bypass" + digit.to_bytes(1, "big"),
             negated=True,
         )
         fragments.append(_render_content(negated))
         options.append(negated)
 
-    if rng.random() < config.pcre_fraction:
-        token = "".join([rng.choice(_SUFFIX_ALPHABET[:36]) for _ in range(6)])
+    if random() < config.pcre_fraction:
+        token = _chars(getrandbits, 6, _TOKEN_CHARS).decode("ascii")
         body = f"{token}[0-9]{{1,3}}"
-        flags_text = "i" if rng.random() < 0.5 else ""
-        negated_pcre = rng.random() < 0.05
+        flags_text = "i" if random() < 0.5 else ""
+        negated_pcre = random() < 0.05
         bang = "!" if negated_pcre else ""
         fragments.append(f'pcre:{bang}"/{body}/{flags_text}";')
         options.append(
@@ -279,13 +354,13 @@ def _regular_options(
             )
         )
 
-    if rng.random() < 0.05:
-        bound_text = f">{rng.randint(32, 256)}"
+    if random() < 0.05:
+        bound_text = f">{32 + _below(getrandbits, 225)}"
         fragments.append(f"dsize:{bound_text};")
         options.append(SizeBound.parse("dsize", bound_text))
 
-    if rng.random() < 0.03:
-        offset = rng.randint(16, 512)
+    if random() < 0.03:
+        offset = 16 + _below(getrandbits, 497)
         fragments.append(f"isdataat:{offset},relative;")
         options.append(IsDataAt(offset=offset, relative=True))
 
@@ -294,22 +369,21 @@ def _regular_options(
 
 def _fodder_options(rng: Random) -> Tuple[str, List[str], List[object]]:
     """Detection options for one deliberately unsound (fodder) rule."""
-    category = rng.choice(("generic", "short", "pure_pcre"))
+    getrandbits = rng.getrandbits
+    category = _FODDER_CATEGORIES[_below(getrandbits, 3)]
     fragments: List[str] = []
     options: List[object] = []
     if category == "generic":
-        for pattern in rng.sample(_GENERIC_FODDER, rng.randint(1, 2)):
+        for pattern in rng.sample(_GENERIC_FODDER, 1 + _below(getrandbits, 2)):
             content = ContentMatch(pattern=pattern, nocase=True)
             fragments.append(_render_content(content))
             options.append(content)
     elif category == "short":
-        content = ContentMatch(
-            pattern="".join(rng.choice(_SUFFIX_ALPHABET[:36]) for _ in range(3)).encode()
-        )
+        content = ContentMatch(pattern=_chars(getrandbits, 3, _TOKEN_CHARS))
         fragments.append(_render_content(content))
         options.append(content)
     else:  # pure_pcre: no content at all — bypasses the prefilter
-        token = "".join(rng.choice(_SUFFIX_ALPHABET[:36]) for _ in range(8))
+        token = _chars(getrandbits, 8, _TOKEN_CHARS).decode("ascii")
         fragments.append(f'pcre:"/{token}[0-9]{{2}}/i";')
         options.append(PcreMatch(pattern=f"{token}[0-9]{{2}}", flags=re.IGNORECASE))
     return category, fragments, options
@@ -318,42 +392,43 @@ def _fodder_options(rng: Random) -> Tuple[str, List[str], List[object]]:
 def _generate_one(config: ScaleConfig, index: int) -> ScaledRule:
     """Rule ``index`` of the sequence (prefix-stable: independent stream)."""
     rng = Random(config.seed * 1_000_003 + index)
+    random = rng.random
+    getrandbits = rng.getrandbits
     sid = config.sid_base + index
-    published = WINDOW_START + timedelta(
-        days=rng.randrange(config.window_days), hours=rng.randrange(24)
-    )
+    days = _below(getrandbits, config.window_days)
+    published = WINDOW_START + timedelta(days=days, hours=_below(getrandbits, 24))
 
     fodder: Optional[str] = None
-    if rng.random() < config.fodder_fraction:
+    if random() < config.fodder_fraction:
         fodder, fragments, options = _fodder_options(rng)
     else:
         fragments, options = _regular_options(rng, config)
 
     msg = f"SCALED-{fodder or 'RULE'} synthetic signature {index}".upper()
     head = [f'msg:"{msg}";']
-    flow_to_server = rng.random() < 0.7
+    flow_to_server = random() < 0.7
     if flow_to_server:
         head.append("flow:to_server,established;")
 
     tail: List[str] = []
     references: List[Tuple[str, str]] = []
-    if rng.random() < 0.9:
-        cve = f"{published.year}-{rng.randint(1000, 99999)}"
+    if random() < 0.9:
+        cve = f"{published.year}-{1000 + _below(getrandbits, 99000)}"
         tail.append(f"reference:cve,{cve};")
         references.append(("cve", cve))
     metadata: Dict[str, str] = {}
-    if rng.random() < 0.8:
-        classtype = rng.choice(_CLASSTYPES)
+    if random() < 0.8:
+        classtype = _CLASSTYPES[_below(getrandbits, len(_CLASSTYPES))]
         tail.append(f"classtype:{classtype};")
         metadata["classtype"] = classtype
     created = published.strftime("%Y_%m_%d")
     tail.append(f"metadata:created_at {created};")
     metadata["created_at"] = created
-    rev = rng.randint(1, 3)
+    rev = 1 + _below(getrandbits, 3)
     tail.append(f"sid:{sid}; rev:{rev};")
 
     sport_text = "any"
-    dport_text = rng.choices(_PORT_TEXTS, cum_weights=_PORT_CUM_WEIGHTS)[0]
+    dport_text = _pick(random, _PORT_TEXTS, _PORT_CUM_WEIGHTS)
     option_block = " ".join(head + fragments + tail)
     text = (
         f"alert tcp $EXTERNAL_NET {sport_text} -> $HOME_NET {dport_text} "

@@ -288,6 +288,27 @@ class TestStudyCache:
         assert not changed.from_cache
         assert cache.hits == 0 and cache.misses == 2
 
+    def test_study_key_computed_once_per_run(self, tmp_path, monkeypatch):
+        """``run_study`` computes the key once and hands it to the cache's
+        load and save, on a cold run and on a hit."""
+        import repro.cache as cache_package
+        import repro.cache.study as cache_study
+
+        calls = []
+
+        def counting(config):
+            calls.append(config)
+            return study_key(config)
+
+        monkeypatch.setattr(cache_package, "study_key", counting)
+        monkeypatch.setattr(cache_study, "study_key", counting)
+        config = _tiny_study_config()
+        cold = run_study(config, cache=tmp_path)
+        assert not cold.from_cache and len(calls) == 1
+        warm = run_study(config, cache=tmp_path)
+        assert warm.from_cache and len(calls) == 2
+        assert StudyCache(root=tmp_path).entry_path(config).name == study_key(config)
+
     def test_key_ignores_execution_knobs(self):
         config = _tiny_study_config()
         assert study_key(config) == study_key(

@@ -5,9 +5,11 @@ prefilter keeps the oracle automaton's contract — and the hypothesis
 properties check the strong form directly: :class:`RegexPrefilter` and the
 :class:`AhoCorasick` of ``tests/scan_oracle.py`` nominate *identical*
 pattern-id sets on arbitrary inputs, including dense self-overlapping
-alphabets and awkward chunk boundaries.  Each chunk's lazily derived
-closure tables and its trie regex are also checked against the frozen
-builders in ``tests/prefilter_oracle.py``.
+alphabets, awkward chunk boundaries and pattern lists built to stress
+the grouping of patterns under heads.  The grouping's invariants are
+checked directly, and each chunk's lazily derived closure tables and its
+trie regex (both over head texts) against the frozen builders in
+``tests/prefilter_oracle.py``.
 """
 
 import sys
@@ -20,8 +22,11 @@ from hypothesis import strategies as st
 from repro.cache.fingerprint import STAGE_MODULES
 from repro.nids.prefilter import (
     DEFAULT_CHUNK_SIZE,
+    LEAF,
     MAX_TRIE_PATTERN,
+    MIN_HEAD,
     RegexPrefilter,
+    _group_heads,
     _trie_regex,
 )
 from repro.nids.scale import ScaleConfig, generate_scaled
@@ -97,21 +102,45 @@ class TestRegexPrefilter:
             )
 
     def test_long_patterns_bypass_trie(self):
+        """A long pattern's bytes past its ``MAX_TRIE_PATTERN``-byte head
+        stay out of the trie: the head screens it, and one ``in``
+        confirms it."""
         long_pattern = b"L" * (MAX_TRIE_PATTERN + 1)
         prefilter = RegexPrefilter([b"short", long_pattern])
         assert prefilter.search(b"x" + long_pattern.lower() + b"x") == {1}
         assert prefilter.search(b"a short one") == {0}
         assert prefilter.contains_any(long_pattern)
-        # Long patterns stay out of the chunk tries: the one chunk holds
-        # "short", and a nested engine holds the long pattern's prefix.
+        # One chunk spells "short" and the long pattern's head.
         assert prefilter.chunk_count == 1
-        screen = prefilter._long_prefixes
-        assert screen.patterns == [long_pattern[:MAX_TRIE_PATTERN].lower()]
-        # A prefix hit is confirmed by the full pattern before it reports.
-        prefix_only = b"x" + long_pattern[:MAX_TRIE_PATTERN].lower() + b"x"
-        assert screen.search(prefix_only) == {0}
+        head = long_pattern[:MAX_TRIE_PATTERN].lower()
+        assert prefilter.heads == [head, b"short"]
+        assert prefilter._ids == {head: (), b"short": (0,)}
+        assert prefilter._confirms == {
+            head: ((long_pattern.lower(), (1,)),),
+            b"short": (),
+        }
+        # A head hit is confirmed by the full pattern before it reports.
+        prefix_only = b"x" + head + b"x"
+        assert prefilter._chunks[0].regex.findall(prefix_only) == [head]
         assert prefilter.search(prefix_only) == set()
         assert not prefilter.contains_any(prefix_only)
+
+    def test_short_runs_share_one_head(self):
+        """A run of at most LEAF texts with a common prefix of at least
+        MIN_HEAD bytes is one head; the member equal to it reports
+        directly, the others after an ``in``."""
+        stem = b"/cgi-bin/"
+        assert len(stem) >= MIN_HEAD
+        patterns = [stem + b"b", stem, stem + b"a", stem + b"a"]
+        prefilter = RegexPrefilter(patterns)
+        assert prefilter.heads == [stem]
+        assert prefilter._ids == {stem: (1,)}
+        assert prefilter._confirms == {
+            stem: ((stem + b"a", (2, 3)), (stem + b"b", (0,)))
+        }
+        assert prefilter.search(b"GET " + stem + b"a") == {1, 2, 3}
+        assert prefilter.search(b"GET " + stem + b"c") == {1}
+        assert not prefilter.contains_any(stem[:-1])
 
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ValueError):
@@ -176,16 +205,51 @@ def test_dense_overlaps_equivalent_to_automaton(patterns, haystack, chunk):
     )
 
 
-def _chunk_texts(patterns, chunk_size):
-    """The short texts of each chunk, as ``RegexPrefilter`` splits them."""
-    unique = list(dict.fromkeys(p.lower() for p in patterns))
-    short = [text for text in unique if len(text) <= MAX_TRIE_PATTERN]
-    return [short[i : i + chunk_size] for i in range(0, len(short), chunk_size)]
+def _chunk_heads(prefilter, chunk_size):
+    """The head texts of each chunk, as ``RegexPrefilter`` splits them:
+    sorted heads in runs of ``chunk_size``."""
+    heads = prefilter.heads
+    return [heads[i : i + chunk_size] for i in range(0, len(heads), chunk_size)]
+
+
+def _assert_heads_group(prefilter, patterns):
+    """The heads partition the distinct lowered patterns: sorted and
+    unique, each a prefix of all its members, and no head below
+    MAX_TRIE_PATTERN bytes stands for more than LEAF texts; a head with
+    confirms is no proper prefix of another head (search reads only the
+    confirms of the heads it finds); the members carry the patterns'
+    ids."""
+    heads = prefilter.heads
+    assert heads == sorted(set(heads))
+    ids_by_text = {}
+    for index, pattern in enumerate(patterns):
+        ids_by_text.setdefault(pattern.lower(), []).append(index)
+    seen = {}
+    assert set(prefilter._ids) == set(prefilter._confirms) == set(heads)
+    for head in heads:
+        direct, confirm = prefilter._ids[head], prefilter._confirms[head]
+        members = [text for text, _ in confirm]
+        if direct:
+            members.append(head)
+            seen[head] = direct
+        assert members
+        assert len(head) <= MAX_TRIE_PATTERN
+        assert len(members) <= LEAF or len(head) == MAX_TRIE_PATTERN
+        if len(members) > 1 or members[0] != head:
+            assert len(head) >= MIN_HEAD
+        for text, ids in confirm:
+            assert text != head and text.startswith(head)
+            seen[text] = ids
+    for head, following in zip(heads, heads[1:]):
+        # Texts extending a head sort right after it.
+        assert not (prefilter._confirms[head] and following.startswith(head))
+    assert seen == {text: tuple(ids) for text, ids in ids_by_text.items()}
 
 
 def _assert_tables_match_oracle(patterns, chunk_size=DEFAULT_CHUNK_SIZE):
     prefilter = RegexPrefilter(patterns, chunk_size=chunk_size)
-    chunks = _chunk_texts(patterns, chunk_size)
+    _assert_heads_group(prefilter, patterns)
+    chunks = _chunk_heads(prefilter, chunk_size)
     assert len(chunks) == prefilter.chunk_count
     for texts, chunk in zip(chunks, prefilter._chunks):
         assert list(chunk.position) == texts
@@ -247,13 +311,29 @@ def scaled_patterns():
 
 
 def test_scaled_corpus_tables_equal_pairwise_oracle(scaled_patterns):
-    prefilter = _assert_tables_match_oracle(scaled_patterns)
-    assert prefilter.chunk_count >= 5
-    assert prefilter._long_prefixes is not None
+    prefilter = _assert_tables_match_oracle(scaled_patterns, chunk_size=128)
+    assert prefilter.chunk_count >= 3
+    # Heads stand for several texts, long patterns among them.
+    assert len(prefilter.heads) < len(scaled_patterns) // 2
+    assert any(
+        len(head) == MAX_TRIE_PATTERN and confirm
+        for head, confirm in prefilter._confirms.items()
+    )
 
 
 def test_trie_regex_source_equals_per_node_emitter(scaled_patterns):
-    for texts in _chunk_texts(scaled_patterns, DEFAULT_CHUNK_SIZE):
+    prefilter = RegexPrefilter(scaled_patterns, chunk_size=128)
+    for texts in _chunk_heads(prefilter, 128):
+        assert (
+            _trie_regex(sorted(texts)).pattern
+            == per_node_trie_regex(texts).pattern
+        )
+    for start in range(0, len(scaled_patterns), 256):
+        texts = [
+            text
+            for text in scaled_patterns[start : start + 256]
+            if len(text) <= MAX_TRIE_PATTERN
+        ]
         assert (
             _trie_regex(sorted(texts)).pattern
             == per_node_trie_regex(texts).pattern
@@ -292,7 +372,7 @@ def test_concurrent_first_searches_agree(scaled_patterns):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    chunks = _chunk_texts(patterns, DEFAULT_CHUNK_SIZE)
+    chunks = _chunk_heads(prefilter, DEFAULT_CHUNK_SIZE)
     for texts, chunk in zip(chunks, prefilter._chunks):
         closure, overlaps = pairwise_tables(texts, chunk.ids_by_text)
         for text, tables in chunk._tables.items():
@@ -322,7 +402,7 @@ _LONG = st.text(alphabet="ab", min_size=60, max_size=80).map(str.encode)
 def _long_pattern_cases(draw):
     """Long two-letter patterns that share prefixes and overlap, plus a
     haystack stitched from their whole texts, prefixes (including bare
-    MAX_TRIE_PATTERN-byte screens) and suffixes."""
+    MAX_TRIE_PATTERN-byte heads) and suffixes."""
     stem = draw(_LONG)
     patterns = draw(
         st.lists(
@@ -340,12 +420,12 @@ def _long_pattern_cases(draw):
     pieces = []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         source = draw(st.sampled_from(patterns + [stem]))
-        kind = draw(st.sampled_from(["whole", "prefix", "screen", "suffix", "filler"]))
+        kind = draw(st.sampled_from(["whole", "prefix", "head", "suffix", "filler"]))
         if kind == "whole":
             pieces.append(source)
         elif kind == "prefix":
             pieces.append(source[: draw(st.integers(0, len(source)))])
-        elif kind == "screen":
+        elif kind == "head":
             pieces.append(source[:MAX_TRIE_PATTERN])
         elif kind == "suffix":
             pieces.append(source[draw(st.integers(0, len(source))) :])
@@ -357,12 +437,110 @@ def _long_pattern_cases(draw):
 @given(_long_pattern_cases(), st.integers(min_value=1, max_value=4))
 @settings(max_examples=300, deadline=None)
 def test_long_patterns_equivalent_to_automaton(case, chunk):
-    """Property: prefix-screened long patterns (60-80 bytes, two letters,
-    shared stems) report exactly the automaton's set, including haystacks
-    holding a long pattern's screen prefix but not the pattern."""
+    """Property: long patterns (60-80 bytes, two letters, shared stems)
+    behind heads of at most MAX_TRIE_PATTERN bytes report exactly the
+    automaton's set, including haystacks holding a long pattern's head but
+    not the pattern."""
     patterns, haystack = case
     automaton = AhoCorasick(patterns)
     prefilter = RegexPrefilter(patterns, chunk_size=chunk)
+    assert prefilter.search(haystack) == automaton.search(haystack)
+    assert prefilter.contains_any(haystack) == automaton.contains_any(
+        haystack
+    )
+
+
+#: Bytes that stress escaping, case folding and non-ASCII handling.
+_HOSTILE_ALPHABET = b"aA.*(|\\?\x00\xc3\xff"
+_HOSTILE_BYTES = st.lists(st.sampled_from(_HOSTILE_ALPHABET), max_size=4).map(bytes)
+
+
+@st.composite
+def _hostile_cases(draw):
+    """Pattern lists built to stress the head grouping: stems around
+    MIN_HEAD and MAX_TRIE_PATTERN bytes, each extended by up to 3 * LEAF
+    tails (runs longer than LEAF under one prefix), the stems' own
+    prefixes (texts that are prefixes of others), duplicates, and bytes
+    that are regex metacharacters, non-ASCII or upper case.  The
+    haystack is stitched from whole patterns, their prefixes, stems cut
+    to MAX_TRIE_PATTERN bytes, suffixes and filler, in either case."""
+    lengths = [1, MIN_HEAD - 1, MIN_HEAD, MIN_HEAD + 3, MAX_TRIE_PATTERN - 2,
+               MAX_TRIE_PATTERN, MAX_TRIE_PATTERN + 9]
+    stems = []
+    for _ in range(draw(st.integers(1, 3))):
+        length = draw(st.sampled_from(lengths))
+        base = draw(
+            st.lists(st.sampled_from(_HOSTILE_ALPHABET), min_size=length, max_size=length)
+        )
+        stems.append(bytes(base))
+    patterns = []
+    for stem in stems:
+        count = draw(st.integers(0, 3 * LEAF))
+        tails = draw(st.lists(_HOSTILE_BYTES, min_size=count, max_size=count))
+        patterns.extend(stem + tail for tail in tails)
+        for cut in draw(st.lists(st.integers(1, len(stem)), max_size=3)):
+            patterns.append(stem[:cut])
+    patterns.extend(draw(st.lists(_HOSTILE_BYTES.filter(bool), max_size=4)))
+    if not patterns:
+        patterns.append(stems[0])
+    patterns.extend(draw(st.lists(st.sampled_from(patterns), max_size=3)))
+    pieces = []
+    for _ in range(draw(st.integers(0, 5))):
+        source = draw(st.sampled_from(patterns + stems))
+        kind = draw(st.sampled_from(["whole", "prefix", "head", "suffix", "filler"]))
+        if kind == "whole":
+            piece = source
+        elif kind == "prefix":
+            piece = source[: draw(st.integers(0, len(source)))]
+        elif kind == "head":
+            piece = source[:MAX_TRIE_PATTERN]
+        elif kind == "suffix":
+            piece = source[draw(st.integers(0, len(source))) :]
+        else:
+            piece = draw(_HOSTILE_BYTES)
+        pieces.append(piece.upper() if draw(st.booleans()) else piece)
+    return patterns, b"".join(pieces)
+
+
+@given(_hostile_cases())
+@settings(max_examples=200, deadline=None)
+def test_heads_group_sorted_texts(case):
+    """Property: ``_group_heads`` splits the sorted texts into contiguous
+    runs in order; every head is a prefix of each of its members, is at
+    most MAX_TRIE_PATTERN bytes, and holds at most LEAF texts unless it
+    is MAX_TRIE_PATTERN bytes long; a head shorter than MIN_HEAD is its
+    one member; the heads are unique; and a head standing for any text
+    but itself is no proper prefix of the next head (nor, since texts
+    extending a head sort right after it, of any head)."""
+    patterns, _ = case
+    ordered = sorted(set(pattern.lower() for pattern in patterns))
+    groups = _group_heads(ordered)
+    assert [lo for _, lo, _ in groups] == [0] + [hi for _, _, hi in groups[:-1]]
+    assert groups[-1][2] == len(ordered)
+    heads = [head for head, _, _ in groups]
+    assert len(set(heads)) == len(heads)
+    for head, lo, hi in groups:
+        members = ordered[lo:hi]
+        assert all(text.startswith(head) for text in members)
+        assert len(head) <= MAX_TRIE_PATTERN
+        assert len(members) <= LEAF or len(head) == MAX_TRIE_PATTERN
+        if len(head) < MIN_HEAD:
+            assert members == [head]
+    for (head, lo, hi), (following, _, _) in zip(groups, groups[1:]):
+        if ordered[lo:hi] != [head]:
+            assert not following.startswith(head)
+
+
+@given(_hostile_cases(), st.sampled_from([1, 3, DEFAULT_CHUNK_SIZE]))
+@settings(max_examples=300, deadline=None)
+def test_hostile_corpora_equivalent_to_automaton(case, chunk):
+    """Property: on the hostile pattern lists ``search`` and
+    ``contains_any`` agree with the automaton, through heads that stand
+    for one text and for many, long heads and short ones."""
+    patterns, haystack = case
+    automaton = AhoCorasick(patterns)
+    prefilter = RegexPrefilter(patterns, chunk_size=chunk)
+    _assert_heads_group(prefilter, patterns)
     assert prefilter.search(haystack) == automaton.search(haystack)
     assert prefilter.contains_any(haystack) == automaton.contains_any(
         haystack

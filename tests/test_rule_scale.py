@@ -45,6 +45,7 @@ from repro.nids.scale import (
     throughput_sweep,
     unexpected_findings,
 )
+from tests.scale_oracle import oracle_generate_scaled
 from tests.scan_oracle import AhoCorasick
 
 SIZE = 300  #: big enough for every option/port branch; small enough to be fast
@@ -92,6 +93,8 @@ class TestGeneration:
             ScaleConfig(size=0)
         with pytest.raises(ValueError):
             ScaleConfig(fodder_fraction=1.5)
+        with pytest.raises(ValueError):
+            ScaleConfig(window_days=0)
 
     def test_lint_gate(self, scaled):
         counts, unexpected = lint_scaled(scaled)
@@ -131,6 +134,22 @@ def test_corpus_pinned_byte_for_byte(seed, expected):
     and fodder category at 10k rules: a changed draw fails here even when
     it happens not to move an alert."""
     assert _corpus_digest(ScaleConfig(size=10000, seed=seed)) == expected
+
+
+@pytest.mark.parametrize("seed", [123, ScaleConfig().seed, 7])
+def test_generation_equals_frozen_oracle(seed):
+    """The direct ``random()``/``getrandbits()`` draws reproduce the frozen
+    generator's ``choice``/``randint``/``randrange``/``choices`` draws:
+    every rule's text, AST, publication instant and fodder category."""
+    config = ScaleConfig(size=10000, seed=seed)
+    drawn = generate_scaled(config)
+    frozen = oracle_generate_scaled(config)
+    assert len(drawn) == len(frozen) == 10000
+    for new, old in zip(drawn, frozen):
+        assert new.text == old.text
+        assert new.rule == old.rule
+        assert (new.published, new.fodder) == (old.published, old.fodder)
+    assert {item.fodder for item in drawn} == {None, "generic", "short", "pure_pcre"}
 
 
 def test_port_insensitive_equals_replace():
