@@ -426,15 +426,15 @@ def run_study(
     ``checkpoints`` controls crash recovery for the heavy stages.  By
     default it follows the cache (checkpoints live under the same root);
     pass True / a root path / a :class:`repro.cache.CheckpointStore` to
-    checkpoint an uncached run, or False to disable.  A run killed mid-way
-    leaves its finished stages — the captured store, per-chunk scan
-    results, the final alert list — on disk under the study's content key;
-    rerunning the same configuration resumes from them, rescanning only
-    what never completed (traffic is regenerated only when no store was
-    checkpointed).  The stage checkpoints are written in the cache-entry
-    format, and the cache entry links them instead of encoding the stages
-    again.  Checkpoints are deleted as soon
-    as the run succeeds (its results then live in the study cache).
+    checkpoint an uncached run, or False to disable.  Each finished stage
+    (the captured store, then the alert table) is written into the
+    study's partial cache entry, ``<root>/study/<key>.partial/``; a run
+    killed mid-way leaves it there, and rerunning the same configuration
+    resumes from it, recomputing only the stages it lacks (traffic is
+    regenerated only when no store was checkpointed).  The cache save
+    publishes the partial entry by rename instead of encoding the stages
+    again, and any partial entry left for the key is deleted as soon as
+    the run succeeds (its results then live in the study cache).
 
     ``manifest`` controls the run manifest (:mod:`repro.obs`): by default
     one is written to ``<cache root>/manifests/<study key>.json`` whenever
@@ -578,7 +578,6 @@ def run_study(
                     alerts=alerts,
                     collection_stats=collection_stats,
                     ground_truth=ground_truth,
-                    checkpoints=checkpoint_store,
                 )
             if checkpoint_store is not None:
                 # The run completed: its outputs are in the study cache (or

@@ -11,15 +11,11 @@ Layering:
 * :mod:`repro.cache.integrity` — per-file checksums and entry verification;
 * :mod:`repro.cache.gc` — staging-dir cleanup and age/size-bounded eviction;
 * :mod:`repro.cache.fingerprint` — code fingerprinting for invalidation;
-* :mod:`repro.cache.checkpoint` — crash-recovery checkpoints for partial
-  runs (same keys and publish discipline, different lifecycle).
+* :mod:`repro.cache.checkpoint` — crash-recovery checkpoints: the stages of
+  a run's partial entry, which the cache publishes when the run finishes.
 """
 
-from repro.cache.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    CheckpointStore,
-    CheckpointTelemetry,
-)
+from repro.cache.checkpoint import CheckpointStore, CheckpointTelemetry
 from repro.cache.fingerprint import STAGE_MODULES, code_fingerprint, digest_file
 from repro.cache.gc import (
     GcReport,
@@ -40,7 +36,6 @@ from repro.cache.study import (
 
 __all__ = [
     "CACHE_SCHEMA",
-    "CHECKPOINT_SCHEMA",
     "CachedStudy",
     "CacheTelemetry",
     "CheckpointStore",

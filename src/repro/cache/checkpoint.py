@@ -1,34 +1,36 @@
-"""Crash-recovery checkpoints for in-flight pipeline work.
+"""Crash-recovery checkpoints: the stages of a partial cache entry.
 
 The study cache (:mod:`repro.cache.study`) persists *finished* runs; this
-module persists *partial* ones.  A run that dies mid-way — OOM, machine
-reboot, a ctrl-C — leaves behind per-stage checkpoints keyed by the same
-content hash as the study cache, so the next invocation of the same
-configuration recomputes only what is missing.
+module persists the finished stages of one in flight.  A run that dies
+mid-way — OOM, machine reboot, a ctrl-C — leaves its finished heavy stages
+(``store``, ``alerts``) in ``<cache root>/study/<key>.partial/``, keyed by
+the same content hash as the cache entry it will become, so the next
+invocation of the same configuration recomputes only what is missing.
 
-A checkpoint under ``<cache root>/checkpoints/<key>/`` is one heavy
-**stage** (``store``, ``alerts``): the stage's cache-entry data file itself
+A stage in a partial entry is the stage's cache-entry data file itself
 (``store.cols.zlib``, ``alerts.cols.zlib``: compressed column containers),
 written once through the study cache's stage codecs, plus a
-``<stage>.stage.json`` record holding the record count and each file's
-BLAKE2b digest and size.  The files are written in a ``.tmp<pid>`` staging
-directory and moved into place with ``os.replace``; the record is written
-last, so a stage is either absent or complete.  Loading re-checks every digest, and decoding re-checks the
-container's columns and dtypes; when the run finishes,
-:meth:`repro.cache.StudyCache.save` hard-links the files into the cache
-entry, so a stage is encoded and written exactly once per run.
+``<stage>.stage.json`` record holding ``CACHE_SCHEMA``, the record count
+and the file's BLAKE2b digest and size.  Both are written in a
+``<key>.<stage>.tmp<pid>`` sibling of the partial entry and moved into it
+with ``os.replace``, the record last, so a stage is either absent or
+complete, and a concurrent run deleting the partial entry cannot pull a
+save's staging directory out from under it.  Loading re-checks every
+digest, and decoding re-checks the container's columns and dtypes.  When
+the run finishes, :meth:`repro.cache.StudyCache.save` claims the directory
+and publishes it as the entry, so a stage is encoded and written exactly
+once per run.
 
 Traffic has no stage: the arrival stream is a pure function of the key,
 so a resumed run regenerates it, and only when capture has to run again.
 
-A checkpoint that fails its check on load (bit rot, truncation, schema
-drift) counts an integrity failure, is deleted, and reads as a miss, so
-the caller recomputes and republishes it.
+A stage that fails its check on load (bit rot, truncation, schema drift)
+counts an integrity failure, is deleted, and reads as a miss, so the
+caller recomputes and rewrites it.
 
-Checkpoints are *recovery state, not a cache*: the pipeline deletes a key's
-directory the moment the run it protected completes (its results then live
-in the study cache), and :meth:`CheckpointStore.gc` reaps directories that
-outlive ``max_age`` plus orphaned staging files.
+:class:`CheckpointStore` is only a view of one root's partial entries;
+their population is the study cache's (``repro cache stats`` lists them,
+``repro cache gc`` reaps abandoned ones, ``repro cache clear`` drops them).
 """
 
 from __future__ import annotations
@@ -36,30 +38,22 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import re
 import shutil
 import time
 from dataclasses import dataclass
-from datetime import timedelta
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.cache.integrity import file_entry
+from repro.cache.gc import partial_info
 from repro.cache.study import (
-    STAGE_FILES,
+    CACHE_SCHEMA,
+    PUBLISH_ATTEMPTS,
+    STAGE_RECORD_SUFFIX,
     STAGES,
-    default_cache_root,
+    StudyCache,
+    stage_record,
     write_stage,
 )
-
-#: Bump when the stage record layout changes.  2: the stages are
-#: cache-entry data files plus a ``<stage>.stage.json`` record.  (Stage
-#: file formats are covered by ``CACHE_SCHEMA``, which is part of every
-#: checkpoint key.)
-CHECKPOINT_SCHEMA = 2
-
-_STAGING_RE = re.compile(r"\.tmp\d+$")
-_STAGE_SUFFIX = ".stage.json"
 
 
 @dataclass(frozen=True)
@@ -88,10 +82,11 @@ class CheckpointTelemetry:
 
 
 class CheckpointStore:
-    """Atomic, digest-verified store for partial pipeline results."""
+    """Atomic, digest-verified stage files of one root's partial entries."""
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
-        self.root = Path(root).expanduser() if root else default_cache_root()
+        self._cache = StudyCache(root)
+        self.root = self._cache.root
         self.telemetry = CheckpointTelemetry()
 
     def _count(self, name: str, amount: int = 1) -> None:
@@ -102,52 +97,40 @@ class CheckpointStore:
 
         get_registry().inc(f"checkpoint.{name}", amount)
 
-    @property
-    def checkpoint_root(self) -> Path:
-        return self.root / "checkpoints"
-
     def dir_for(self, key: str) -> Path:
+        """The key's partial entry directory."""
         if not key or "/" in key or key.startswith("."):
             raise ValueError(f"invalid checkpoint key: {key!r}")
-        return self.checkpoint_root / key
-
-    @staticmethod
-    def _check_name(name: str) -> None:
-        if not name or "/" in name or name.startswith("."):
-            raise ValueError(f"invalid checkpoint name: {name!r}")
-
-    def _record_path(self, key: str, name: str) -> Path:
-        self._check_name(name)
-        return self.dir_for(key) / f"{name}{_STAGE_SUFFIX}"
+        return self._cache.partial_path(key)
 
     # -- save / load ---------------------------------------------------------
 
     def save(self, key: str, name: str, payload: StagePayload) -> Path:
-        """Persist one stage checkpoint atomically; returns the path of the
-        stage's first data file.
+        """Write one stage into the key's partial entry; returns the path
+        of the stage's data file.
 
-        The data files are staged in a ``.tmp<pid>`` directory and moved
-        into place; the stage record goes last, so a reader never observes
-        a torn stage — only none or a complete one.
+        The files are staged beside the partial entry and moved into it,
+        the stage record last, so a reader never observes a torn stage —
+        only none or a complete one.
         """
         if not isinstance(payload, StagePayload):
             raise TypeError("a checkpoint is a StagePayload (encode_stage_*)")
         if name != payload.stage or name not in STAGES:
             raise ValueError(f"{payload.stage!r} stage saved as {name!r}")
-        record_path = self._record_path(key, name)
-        directory = record_path.parent
-        staging = directory / f"{name}.stage.tmp{os.getpid()}"
+        directory = self.dir_for(key)
+        staging = directory.with_name(f"{key}.{name}.tmp{os.getpid()}")
         shutil.rmtree(staging, ignore_errors=True)
         staging.mkdir(parents=True)
         try:
             record = write_stage(name, staging, payload.value)
-            for file_name in record["files"]:
-                os.replace(staging / file_name, directory / file_name)
-            record.update(schema=CHECKPOINT_SCHEMA, stage=name, created=time.time())
+            record.update(schema=CACHE_SCHEMA, stage=name, created=time.time())
+            record_name = f"{name}{STAGE_RECORD_SUFFIX}"
+            (staging / record_name).write_text(
+                json.dumps(record), encoding="utf-8"
+            )
             # The record goes last: its presence marks the stage complete.
-            record_staging = staging / record_path.name
-            record_staging.write_text(json.dumps(record), encoding="utf-8")
-            os.replace(record_staging, record_path)
+            for file_name in [*record["files"], record_name]:
+                _move_into(staging / file_name, directory)
         finally:
             shutil.rmtree(staging, ignore_errors=True)
         self._count("saves")
@@ -166,28 +149,24 @@ class CheckpointStore:
         integrity failure, deletes the stage, and is reported as a miss so
         the caller recomputes.
         """
-        if name in STAGES and self._record_path(key, name).exists():
-            return self._load_stage(key, name)
-        self._count("misses")
-        return None
-
-    def _load_stage(self, key: str, name: str):
-        codec = STAGES[name]
         directory = self.dir_for(key)
-        paths = [self._record_path(key, name)]
-        paths += [directory / file_name for file_name in codec.files]
+        record_path = directory / f"{name}{STAGE_RECORD_SUFFIX}"
+        if name not in STAGES or not record_path.exists():
+            self._count("misses")
+            return None
+        codec = STAGES[name]
         try:
-            record = self.stage_record(key, name)
+            record = stage_record(directory, name)
             if record is None:
-                raise ValueError("unreadable stage record")
-            for file_name, expected in record["files"].items():
-                if file_entry(directory / file_name) != expected:
-                    raise ValueError(f"{file_name} does not match its record")
+                raise ValueError("the stage does not match its record")
             value = codec.read(directory)
             if codec.size(value) != record["records"]:
                 raise ValueError("record count disagrees with the stage record")
         except (OSError, ValueError, KeyError, TypeError):
-            self._invalidate(paths)
+            self._count("integrity_failures")
+            self._count("misses")
+            for path in [record_path, *(directory / f for f in codec.files)]:
+                path.unlink(missing_ok=True)
             return None
         self._count("hits")
         self._count(
@@ -196,49 +175,12 @@ class CheckpointStore:
         )
         return value
 
-    def stage_record(self, key: str, name: str) -> Optional[Dict[str, Any]]:
-        """A stage's record (``records``, and per file its ``blake2b`` and
-        ``bytes``), or None if the stage is absent or its record is not
-        this schema's.  Reads the record only, not the data files."""
-        try:
-            record = json.loads(
-                self._record_path(key, name).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            return None
-        codec = STAGES.get(name)
-        if (
-            codec is None
-            or not isinstance(record, dict)
-            or record.get("schema") != CHECKPOINT_SCHEMA
-            or not isinstance(record.get("files"), dict)
-            or set(record["files"]) != set(codec.files)
-        ):
-            return None
-        return record
-
-    def _invalidate(self, paths: List[Path]) -> None:
-        self._count("integrity_failures")
-        self._count("misses")
-        for path in paths:
-            path.unlink(missing_ok=True)
-
-    def has(self, key: str, name: str) -> bool:
-        return self._record_path(key, name).exists()
-
     def names(self, key: str) -> List[str]:
-        """The complete stages checkpointed under a key, sorted."""
-        directory = self.dir_for(key)
-        if not directory.is_dir():
-            return []
-        return sorted(
-            child.name[: -len(_STAGE_SUFFIX)]
-            for child in directory.iterdir()
-            if child.name.endswith(_STAGE_SUFFIX)
-        )
+        """The complete stages in the key's partial entry, sorted."""
+        return partial_info(self.dir_for(key))[0]
 
     def delete(self, key: str) -> bool:
-        """Drop one key's entire checkpoint directory; True if it existed."""
+        """Drop the key's partial entry; True if it existed."""
         directory = self.dir_for(key)
         existed = directory.exists()
         if existed:
@@ -246,100 +188,18 @@ class CheckpointStore:
             self._count("deletes")
         return existed
 
-    # -- population / lifecycle ---------------------------------------------
 
-    def keys(self) -> List[str]:
-        if not self.checkpoint_root.is_dir():
-            return []
-        return sorted(
-            child.name
-            for child in self.checkpoint_root.iterdir()
-            if child.is_dir()
-        )
-
-    def _key_info(self, key: str) -> Dict[str, object]:
-        directory = self.checkpoint_root / key
-        total = 0
-        newest = 0.0
-        stages: List[str] = []
-        stage_files: Dict[str, int] = {}
-        for child in directory.iterdir():
-            if not child.is_file() or _STAGING_RE.search(child.name):
-                continue
-            try:
-                stat = child.stat()
-            except OSError:  # pragma: no cover - racing deletion
-                continue
-            total += stat.st_size
-            newest = max(newest, stat.st_mtime)
-            if child.name in STAGE_FILES:
-                stage_files[child.name] = stat.st_size
-            elif child.name.endswith(_STAGE_SUFFIX):
-                stages.append(child.name[: -len(_STAGE_SUFFIX)])
-        return {
-            "key": key,
-            "stages": sorted(stages),
-            "stage_files": dict(sorted(stage_files.items())),
-            "bytes": total,
-            "newest": newest,
-        }
-
-    def stats(self) -> Dict[str, object]:
-        """Snapshot of the on-disk population plus this instance's counters."""
-        keys = [self._key_info(key) for key in self.keys()]
-        return {
-            "root": str(self.root),
-            "keys": keys,
-            "key_count": len(keys),
-            "total_bytes": sum(int(info["bytes"]) for info in keys),
-            "telemetry": self.telemetry.as_dict(),
-        }
-
-    def gc(
-        self,
-        *,
-        max_age: Optional[timedelta] = None,
-        now: Optional[float] = None,
-    ) -> int:
-        """Remove stale checkpoint state; returns directories removed.
-
-        Always deletes orphaned ``.tmp<pid>`` staging files and directories;
-        with ``max_age``, additionally removes key directories whose newest
-        file is older than the bound (an abandoned run nobody resumed).
-        Key directories holding no complete stage go too.
-        """
-        if not self.checkpoint_root.is_dir():
-            return 0
-        now = time.time() if now is None else now
-        removed = 0
-        for key in self.keys():
-            directory = self.checkpoint_root / key
-            for child in directory.iterdir():
-                if not _STAGING_RE.search(child.name):
-                    continue
-                if child.is_dir():
-                    shutil.rmtree(child, ignore_errors=True)
-                else:
-                    child.unlink(missing_ok=True)
-            info = self._key_info(key)
-            empty = not info["stages"]
-            expired = (
-                max_age is not None
-                and now - float(info["newest"]) > max_age.total_seconds()
-            )
-            if empty or expired:
-                shutil.rmtree(directory, ignore_errors=True)
-                self._count("deletes")
-                removed += 1
-        return removed
-
-    def clear(self) -> int:
-        """Drop every checkpoint directory; returns how many were removed."""
-        keys = self.keys()
-        for key in keys:
-            shutil.rmtree(self.checkpoint_root / key, ignore_errors=True)
-        self._count("deletes", len(keys))
-        return len(keys)
+def _move_into(source: Path, directory: Path) -> None:
+    """``os.replace`` a staged file into ``directory``, (re)creating the
+    directory first: a concurrent run may delete or claim it at any time."""
+    for attempt in range(1, PUBLISH_ATTEMPTS + 1):
+        directory.mkdir(parents=True, exist_ok=True)
+        try:
+            os.replace(source, directory / source.name)
+            return
+        except FileNotFoundError:
+            if attempt == PUBLISH_ATTEMPTS or not source.exists():
+                raise
 
 
 # -- pipeline stages ----------------------------------------------------------

@@ -1,18 +1,27 @@
 """Cache lifecycle: staging-dir cleanup and bounded eviction.
 
-A healthy cache directory contains only complete entries.  Everything else
-is garbage this module collects:
+A healthy cache directory contains complete entries and, while a run is
+in flight, that run's partial entry.  Everything else is garbage this
+module collects:
 
 * ``<key>.tmp<pid>`` **staging directories** left by writers that died
-  mid-save.  One is garbage when its owning pid is gone, or when it has
-  outlived :data:`STAGING_GRACE_SECONDS` (a live but unrelated process may
-  have recycled the pid);
+  mid-save (and ``<key>.<stage>.tmp<pid>`` ones left by a stage save).
+  One is garbage when its owning pid is gone, or when it has outlived
+  :data:`STAGING_GRACE_SECONDS` (a live but unrelated process may have
+  recycled the pid);
 * **torn entries** — directories with no readable ``meta.json``, i.e. debris
   from a crash or partial eviction.  These are the dangerous kind: left in
   place, they squat on their key and (before the publish-protocol fix)
   blocked every future save of that configuration;
 * entries past an **age bound** (``max_age``), and the oldest entries past a
   **size bound** (``max_bytes``), evicted oldest-first by modification time.
+
+A ``<key>.partial`` directory is a **partial entry**: the finished stages
+of a run that has not published yet (see :mod:`repro.cache.checkpoint`).
+It has no ``meta.json`` by design, so it is never an entry, never torn and
+never counted against ``max_bytes``; it goes when its newest file is older
+than ``max_age``, or, holding no complete stage, older than the staging
+grace.
 
 :func:`collect_garbage` is pure directory surgery — it never consults the
 in-process :class:`~repro.cache.study.StudyCache` state, so any process
@@ -39,6 +48,11 @@ STAGING_GRACE_SECONDS = 3600.0
 
 _STAGING_RE = re.compile(r"^(?P<key>.+)\.tmp(?P<pid>\d+)$")
 
+#: A partial entry's directory is ``<key>.partial``; each complete stage in
+#: it has a ``<stage>.stage.json`` record, written after its data file.
+PARTIAL_SUFFIX = ".partial"
+STAGE_RECORD_SUFFIX = ".stage.json"
+
 
 @dataclass
 class GcReport:
@@ -48,6 +62,7 @@ class GcReport:
     torn_removed: int = 0
     expired_removed: int = 0
     size_evicted: int = 0
+    partials_removed: int = 0
     bytes_freed: int = 0
     entries_kept: int = 0
     bytes_kept: int = 0
@@ -59,7 +74,10 @@ class GcReport:
 
     @property
     def removed_anything(self) -> bool:
-        return self.staging_removed + self.entries_removed > 0
+        return (
+            self.staging_removed + self.entries_removed + self.partials_removed
+            > 0
+        )
 
 
 def _pid_alive(pid: int) -> bool:
@@ -96,7 +114,30 @@ def _mtime(path: Path) -> float:
         return 0.0
 
 
-def _remove(path: Path, report: GcReport) -> int:
+def partial_info(path: Path) -> Tuple[List[str], int, float]:
+    """A partial entry's complete stages (sorted), its bytes, and the mtime
+    of its newest file (the directory's own when it holds none)."""
+    stages: List[str] = []
+    total = 0
+    try:
+        newest = path.stat().st_mtime
+        children = list(path.iterdir())
+    except OSError:  # pragma: no cover - racing deletion
+        return stages, total, 0.0
+    for child in children:
+        try:
+            stat = child.stat()
+        except OSError:  # pragma: no cover - racing deletion
+            continue
+        total += stat.st_size
+        newest = max(newest, stat.st_mtime)
+        if child.name.endswith(STAGE_RECORD_SUFFIX):
+            stages.append(child.name[: -len(STAGE_RECORD_SUFFIX)])
+    return sorted(stages), total, newest
+
+
+def remove_dir(path: Path, report: GcReport) -> int:
+    """Delete a directory tree, adding its bytes and name to ``report``."""
     freed = dir_bytes(path)
     shutil.rmtree(path, ignore_errors=True)
     report.bytes_freed += freed
@@ -126,9 +167,10 @@ def collect_garbage(
 ) -> GcReport:
     """One GC pass over a cache's ``study/`` directory.
 
-    Always removes stale staging dirs and torn entries; ``max_age`` and
-    ``max_bytes`` additionally bound the surviving population.  Complete
-    entries within bounds are never touched.
+    Always removes stale staging dirs, torn entries and stale empty partial
+    entries; ``max_age`` and ``max_bytes`` additionally bound the surviving
+    population (``max_age`` also reaps partial entries).  Complete entries
+    within bounds are never touched.
     """
     report = GcReport()
     if not study_root.is_dir():
@@ -144,16 +186,24 @@ def collect_garbage(
         )
         if staging_stale is not None:
             if staging_stale:
-                _remove(child, report)
+                remove_dir(child, report)
                 report.staging_removed += 1
             continue
+        if child.name.endswith(PARTIAL_SUFFIX):
+            stages, _, newest = partial_info(child)
+            age = now - newest
+            expired = max_age is not None and age > max_age.total_seconds()
+            if expired or (not stages and age > staging_grace):
+                remove_dir(child, report)
+                report.partials_removed += 1
+            continue
         if read_meta(child) is None:
-            _remove(child, report)
+            remove_dir(child, report)
             report.torn_removed += 1
             continue
         mtime = _mtime(child)
         if max_age is not None and now - mtime > max_age.total_seconds():
-            _remove(child, report)
+            remove_dir(child, report)
             report.expired_removed += 1
             continue
         survivors.append((mtime, dir_bytes(child), child))
@@ -163,7 +213,7 @@ def collect_garbage(
         survivors.sort()  # oldest first
         while survivors and total > max_bytes:
             _, size, oldest = survivors.pop(0)
-            _remove(oldest, report)
+            remove_dir(oldest, report)
             report.size_evicted += 1
             total -= size
 

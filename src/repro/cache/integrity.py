@@ -64,7 +64,7 @@ def file_entry(path: Path) -> Dict[str, object]:
     """One data file's manifest entry: BLAKE2b digest and byte size.
 
     Computed when a file is written (into an entry's staging directory or a
-    stage checkpoint), so the manifest describes exactly the bytes that get
+    partial entry), so the manifest describes exactly the bytes that get
     published.
     """
     return {"blake2b": digest_file(path), "bytes": path.stat().st_size}

@@ -45,15 +45,21 @@ the shard's own ``alert_*`` columns (:class:`repro.store.columnar.AlertTable`).
 A loaded stage is a view over its checked columns, not a list of records:
 the store builds its ``TcpSession`` records only when iterated, and the
 alert table its ``Alert`` records only when read.
-The crash checkpoints of :mod:`repro.cache.checkpoint` write the same files
-with the same codec, so when a run checkpointed its stages,
-:meth:`StudyCache.save` hard-links those files into the entry (copying when
-linking fails) instead of encoding the records again.
+
+Partial entries: while a run is in flight, each heavy stage it finishes is
+written into ``<key>.partial/`` (:mod:`repro.cache.checkpoint`): the
+stage's data file, then a ``<stage>.stage.json`` record of its count,
+digest and size.  :meth:`StudyCache.save` claims that directory with one
+``os.replace`` to its staging name, keeps every stage file that still
+matches its record, writes the rest from memory, drops the records and
+writes ``meta.json``, so each stage is encoded once per run and published
+by rename.  A partial entry is never an entry: :meth:`StudyCache.entries`,
+:meth:`StudyCache.verify` and the GC bounds skip it.
 
 The default root is ``~/.cache/repro`` (override with ``REPRO_CACHE_DIR``
 or the ``root=`` argument; ``XDG_CACHE_HOME`` is honoured).  The ``repro
 cache`` CLI (``stats`` / ``verify`` / ``gc`` / ``clear``) operates on the
-same layout.
+same layout, partial entries included.
 """
 
 from __future__ import annotations
@@ -69,17 +75,21 @@ from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, Optional,
-    Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Union,
 )
 
 from repro.cache.fingerprint import code_fingerprint
 from repro.cache.gc import (
     GcReport,
     ManifestGcReport,
+    PARTIAL_SUFFIX,
+    STAGE_RECORD_SUFFIX,
     STAGING_GRACE_SECONDS,
     collect_garbage,
     collect_manifest_garbage,
+    partial_info,
+    remove_dir,
 )
 from repro.cache.integrity import (
     EntryReport,
@@ -102,14 +112,15 @@ from repro.store.columnar import (
 from repro.store.shard import container_chunks, read_container
 from repro.telescope.collector import CollectionStats
 
-if TYPE_CHECKING:
-    from repro.cache.checkpoint import CheckpointStore
-
 #: Bump when the on-disk entry layout changes (not when pipeline code does —
 #: the code fingerprint covers that).  2: per-file checksums and record
 #: counts in ``meta.json``.  3: compressed column containers, no arrival
 #: stream.
 CACHE_SCHEMA = 3
+
+#: The directory the stage checkpoints lived in before they became partial
+#: entries; ``StudyCache.gc`` removes it (nothing reads it).
+LEGACY_CHECKPOINTS = "checkpoints"
 
 #: How many times :meth:`StudyCache.save` will evict a stale occupant and
 #: retry the publishing rename before giving the save up.
@@ -415,20 +426,39 @@ def write_stage(stage: str, directory: Path, value) -> Dict[str, Any]:
     }
 
 
+def stage_record(directory: Path, stage: str) -> Optional[Dict[str, Any]]:
+    """A partial entry's ``<stage>.stage.json`` record (``records``, and
+    per file its ``blake2b`` and ``bytes``) when it is readable, of this
+    schema and this stage's, and every file it lists is on disk as
+    recorded; else None."""
+    try:
+        record = json.loads(
+            (directory / f"{stage}{STAGE_RECORD_SUFFIX}").read_text(
+                encoding="utf-8"
+            )
+        )
+        if (
+            isinstance(record, dict)
+            and record.get("schema") == CACHE_SCHEMA
+            and isinstance(record.get("records"), int)
+            and isinstance(record.get("files"), dict)
+            and set(record["files"]) == set(STAGES[stage].files)
+            and all(
+                file_entry(directory / name) == expected
+                for name, expected in record["files"].items()
+            )
+        ):
+            return record
+    except (OSError, ValueError):
+        pass
+    return None
+
+
 def _verify(entry: Path, *, deep: bool) -> EntryReport:
     """:func:`verify_entry` against this schema and these stage files."""
     return verify_entry(
         entry, deep=deep, expect_schema=CACHE_SCHEMA, expect_files=STAGE_FILES
     )
-
-
-def _link_or_copy(source: Path, target: Path) -> None:
-    """Hard-link ``source`` as ``target``; copy when linking fails (e.g.
-    the two are on different devices)."""
-    try:
-        os.link(source, target)
-    except OSError:
-        shutil.copyfile(source, target)
 
 
 # -- the cache itself -------------------------------------------------------
@@ -510,6 +540,10 @@ class StudyCache:
         """The entry directory of ``config``; ``key`` is its
         :func:`study_key` when the caller already holds it."""
         return self.study_root / (self.key(config) if key is None else key)
+
+    def partial_path(self, key: str) -> Path:
+        """The partial entry of a study key: its run's finished stages."""
+        return self.study_root / f"{key}{PARTIAL_SUFFIX}"
 
     def has(self, config) -> bool:
         return (self.entry_path(config) / "meta.json").exists()
@@ -595,14 +629,13 @@ class StudyCache:
         alerts: Sequence[Alert],
         collection_stats: CollectionStats,
         ground_truth: Mapping[int, Optional[str]],
-        checkpoints: Optional["CheckpointStore"] = None,
     ) -> Path:
         """Persist one study's intermediates; returns the entry path.
 
-        With ``checkpoints``, every stage that store holds under this
-        study's key is hard-linked (or copied) into the entry instead of
-        being encoded again; the rest are written from the given values.
-        ``key`` is as for :meth:`entry_path`.
+        The key's partial entry, if any, is claimed as the staging
+        directory: every stage in it that still matches its record is kept
+        as it is, and the rest are written from the given values.  ``key``
+        is as for :meth:`entry_path`.
 
         Best-effort by design: after the publish protocol exhausts its
         retries (possible only under pathological contention) the save is
@@ -612,7 +645,12 @@ class StudyCache:
         path = self.entry_path(config, key=key)
         staging = path.with_name(f"{path.name}.tmp{os.getpid()}")
         shutil.rmtree(staging, ignore_errors=True)
-        staging.mkdir(parents=True)
+        try:
+            # One rename: a concurrent stage save recreates the partial
+            # rather than writing into what this save publishes.
+            os.replace(self.partial_path(path.name), staging)
+        except FileNotFoundError:
+            staging.mkdir(parents=True)
         values = {
             "store": (store, collection_stats, ground_truth),
             "alerts": alerts,
@@ -621,11 +659,10 @@ class StudyCache:
             records: Dict[str, int] = {}
             manifest: Dict[str, Dict[str, object]] = {}
             for stage, codec in STAGES.items():
-                record = None
-                if checkpoints is not None:
-                    record = self._link_stage(checkpoints, path.name, stage, staging)
+                record = stage_record(staging, stage)
                 if record is None:
                     record = write_stage(stage, staging, values[stage])
+                (staging / f"{stage}{STAGE_RECORD_SUFFIX}").unlink(missing_ok=True)
                 records[codec.count_key] = record["records"]
                 manifest.update(record["files"])
             meta = {
@@ -655,51 +692,32 @@ class StudyCache:
         self._count("saves")
         return path
 
-    @staticmethod
-    def _link_stage(
-        checkpoints: "CheckpointStore", key: str, stage: str, staging: Path
-    ) -> Optional[Dict[str, Any]]:
-        """Link a checkpointed stage's files into ``staging``; its record,
-        or None when the stage is not checkpointed or its files are missing
-        or no longer match the record (the caller then writes the stage)."""
-        record = checkpoints.stage_record(key, stage)
-        if record is None:
-            return None
-        source = checkpoints.dir_for(key)
-        try:
-            for name, expected in record["files"].items():
-                _link_or_copy(source / name, staging / name)
-                if file_entry(staging / name) != expected:
-                    raise ValueError(f"{name} changed since it was checkpointed")
-        except (OSError, ValueError):
-            # Unlink, never truncate: a linked file shares its checkpoint's
-            # bytes.
-            for name in record["files"]:
-                (staging / name).unlink(missing_ok=True)
-            return None
-        return record
-
     # -- lifecycle / inspection --------------------------------------------
 
-    def entries(self) -> List[Path]:
-        """Entry directories (published or torn; staging dirs excluded)."""
+    def _dirs(self, keep: Callable[[str], bool]) -> List[Path]:
         if not self.study_root.is_dir():
             return []
         return sorted(
             path
             for path in self.study_root.iterdir()
-            if path.is_dir() and ".tmp" not in path.name
+            if path.is_dir() and keep(path.name)
+        )
+
+    def entries(self) -> List[Path]:
+        """Entry directories (published or torn; staging dirs and partial
+        entries excluded)."""
+        return self._dirs(
+            lambda name: ".tmp" not in name and not name.endswith(PARTIAL_SUFFIX)
         )
 
     def staging_dirs(self) -> List[Path]:
         """Leftover ``<key>.tmp<pid>`` staging directories."""
-        if not self.study_root.is_dir():
-            return []
-        return sorted(
-            path
-            for path in self.study_root.iterdir()
-            if path.is_dir() and ".tmp" in path.name
-        )
+        return self._dirs(lambda name: ".tmp" in name)
+
+    def partials(self) -> List[Path]:
+        """Partial entries: ``<key>.partial`` directories of unpublished
+        runs."""
+        return self._dirs(lambda name: name.endswith(PARTIAL_SUFFIX))
 
     def verify(self, *, deep: bool = True) -> List[EntryReport]:
         """Verify every entry against its manifest (no eviction)."""
@@ -712,13 +730,17 @@ class StudyCache:
         max_bytes: Optional[int] = None,
         staging_grace: float = STAGING_GRACE_SECONDS,
     ) -> GcReport:
-        """Collect garbage (see :func:`repro.cache.gc.collect_garbage`)."""
+        """Collect garbage (see :func:`repro.cache.gc.collect_garbage`),
+        and the stage checkpoints' old ``checkpoints/`` tree."""
         report = collect_garbage(
             self.study_root,
             max_age=max_age,
             max_bytes=max_bytes,
             staging_grace=staging_grace,
         )
+        legacy = self.root / LEGACY_CHECKPOINTS
+        if legacy.is_dir():
+            remove_dir(legacy, report)
         self._count("evictions", report.entries_removed)
         return report
 
@@ -758,10 +780,21 @@ class StudyCache:
                     "config": (meta or {}).get("config", {}),
                 }
             )
+        partials = []
+        for path in self.partials():
+            stages, size, newest = partial_info(path)
+            partials.append({
+                "key": path.name[: -len(PARTIAL_SUFFIX)],
+                "stages": stages,
+                "bytes": size,
+                "newest": newest,
+            })
         return {
             "root": str(self.root),
             "entries": entries,
             "entry_count": len(entries),
+            "partials": partials,
+            "partial_count": len(partials),
             "staging_count": len(self.staging_dirs()),
             "total_bytes": total_bytes,
             "telemetry": self.telemetry.as_dict(),
@@ -776,8 +809,8 @@ class StudyCache:
         return existed
 
     def clear(self) -> int:
-        """Drop every study entry (staging dirs included); returns how many
-        were removed."""
+        """Drop every study entry (staging dirs and partial entries
+        included); returns how many directories were removed."""
         if not self.study_root.exists():
             return 0
         entries = [p for p in self.study_root.iterdir() if p.is_dir()]

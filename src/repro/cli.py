@@ -21,8 +21,7 @@ Subcommands::
                       with scaled synthetic rulesets (10k-rule scale)
     repro seeds       print the encoded Appendix E seed table
     repro baselines   paper baselines vs exactly computed Markov baselines
-    repro cache       study-cache maintenance (stats / verify / gc / clear /
-                      checkpoints)
+    repro cache       study-cache maintenance (stats / verify / gc / clear)
 
 Flags are uniform across subcommands: every study-running or
 manifest-reading subcommand accepts ``--workers``, ``--cache`` /
@@ -820,6 +819,7 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     print(f"cache root: {snapshot['root']}")
     print(f"entries: {snapshot['entry_count']} "
           f"({_format_bytes(snapshot['total_bytes'])}); "
+          f"partial entries: {snapshot['partial_count']}; "
           f"staging dirs: {snapshot['staging_count']}")
     if snapshot["entries"]:
         rows = []
@@ -840,6 +840,19 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
              "scale", "seed"],
             rows,
         ))
+    if snapshot["partials"]:
+        now = time.time()
+        rows = [
+            [
+                partial["key"][:16],
+                ",".join(partial["stages"]) or "-",
+                _format_bytes(partial["bytes"]),
+                f"{max(0.0, now - partial['newest']) / 3600:.1f}h",
+            ]
+            for partial in snapshot["partials"]
+        ]
+        print()
+        print(render_table(["partial key", "stages", "size", "age"], rows))
     return 0
 
 
@@ -877,6 +890,7 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
     print(f"torn entries removed: {report.torn_removed}")
     print(f"expired entries removed: {report.expired_removed}")
     print(f"size-bound evictions: {report.size_evicted}")
+    print(f"partial entries removed: {report.partials_removed}")
     print(f"freed: {_format_bytes(report.bytes_freed)}; kept: "
           f"{report.entries_kept} entr"
           f"{'y' if report.entries_kept == 1 else 'ies'} "
@@ -902,55 +916,6 @@ def _cmd_cache_clear(args: argparse.Namespace) -> int:
     removed = cache.clear()
     print(f"removed {removed} entr{'y' if removed == 1 else 'ies'} "
           f"from {cache.root}")
-    return 0
-
-
-def _cmd_cache_checkpoints(args: argparse.Namespace) -> int:
-    from datetime import timedelta
-
-    from repro.cache import CheckpointStore
-
-    store = CheckpointStore(root=args.cache_dir)
-    if args.clear:
-        removed = store.clear()
-        print(f"removed {removed} checkpoint "
-              f"{'key' if removed == 1 else 'keys'} "
-              f"from {store.checkpoint_root}")
-        return 0
-    if args.max_age_days is not None:
-        removed = store.gc(max_age=timedelta(days=args.max_age_days))
-        print(f"gc removed {removed} checkpoint "
-              f"{'key' if removed == 1 else 'keys'}")
-    snapshot = store.stats()
-    if args.json:
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
-        return 0
-    print(f"checkpoint root: {store.checkpoint_root}")
-    print(f"keys: {snapshot['key_count']} "
-          f"({_format_bytes(snapshot['total_bytes'])})")
-    if snapshot["keys"]:
-        now = time.time()
-        rows = []
-        for info in snapshot["keys"]:
-            age_hours = max(0.0, now - float(info["newest"])) / 3600
-            rows.append([
-                str(info["key"])[:24],
-                ",".join(info["stages"]) or "-",
-                _format_bytes(int(info["bytes"])),
-                f"{age_hours:.1f}h",
-            ])
-        print()
-        print(render_table(
-            ["key", "stages", "size", "age"], rows
-        ))
-        files = [
-            [str(info["key"])[:24], name, _format_bytes(size)]
-            for info in snapshot["keys"]
-            for name, size in info["stage_files"].items()
-        ]
-        if files:
-            print()
-            print(render_table(["key", "stage file", "size"], files))
     return 0
 
 
@@ -988,7 +953,7 @@ def _add_cache_commands(subparsers, common: argparse.ArgumentParser) -> None:
     )
     gc_parser.add_argument(
         "--max-age-days", type=float, default=None, metavar="DAYS",
-        help="evict entries older than DAYS",
+        help="evict entries and partial entries older than DAYS",
     )
     gc_parser.add_argument(
         "--max-bytes", type=int, default=None, metavar="N",
@@ -1006,23 +971,10 @@ def _add_cache_commands(subparsers, common: argparse.ArgumentParser) -> None:
     gc_parser.set_defaults(func=_cmd_cache_gc)
 
     clear_parser = cache_subparsers.add_parser(
-        "clear", parents=[common], help="drop every entry"
+        "clear", parents=[common],
+        help="drop every entry, partial entries included"
     )
     clear_parser.set_defaults(func=_cmd_cache_clear)
-
-    checkpoints_parser = cache_subparsers.add_parser(
-        "checkpoints", parents=[common],
-        help="list, gc, or clear crash-recovery checkpoints",
-    )
-    checkpoints_parser.add_argument(
-        "--max-age-days", type=float, default=None, metavar="DAYS",
-        help="gc checkpoint keys whose newest file is older than DAYS",
-    )
-    checkpoints_parser.add_argument(
-        "--clear", action="store_true",
-        help="drop every checkpoint key",
-    )
-    checkpoints_parser.set_defaults(func=_cmd_cache_checkpoints)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,7 @@ entries that *had* a ``meta.json`` — so the key stayed wedged forever.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.pipeline import StudyConfig
+from repro.analysis.pipeline import StudyConfig, run_study
 from repro.cache import (
     CACHE_SCHEMA,
     StudyCache,
@@ -217,13 +218,28 @@ def _racing_saver(root: str, attempts: int) -> None:
         _save(cache, config)
 
 
+def _racing_study(root: str, out: str) -> None:
+    """One cold cached run with checkpoints; writes a digest of its
+    result to ``out``."""
+    result = run_study(_config(seed=7), cache=root, manifest=False)
+    summary = repr((
+        list(result.alerts), list(result.store),
+        list(result.ground_truth.items()), result.collection_stats,
+    ))
+    Path(out).write_text(hashlib.blake2b(summary.encode()).hexdigest())
+
+
+def _fork_context():
+    return multiprocessing.get_context(
+        "fork"
+        if "fork" in multiprocessing.get_all_start_methods()
+        else "spawn"
+    )
+
+
 class TestConcurrentPublish:
     def test_two_processes_leave_one_valid_entry(self, tmp_path):
-        context = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
+        context = _fork_context()
         workers = [
             context.Process(target=_racing_saver, args=(str(tmp_path), 5))
             for _ in range(2)
@@ -240,6 +256,30 @@ class TestConcurrentPublish:
         (report,) = cache.verify(deep=True)
         assert report.ok, report.problems
         assert cache.load(_config()) is not None
+
+    def test_two_cold_runs_with_checkpoints_leave_one_valid_entry(
+        self, tmp_path
+    ):
+        """Both runs write stages into one partial entry, and each claims or
+        deletes it when it finishes."""
+        root = tmp_path / "root"
+        context = _fork_context()
+        outs = [tmp_path / f"result-{index}" for index in range(2)]
+        workers = [
+            context.Process(target=_racing_study, args=(str(root), str(out)))
+            for out in outs
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=300)
+            assert worker.exitcode == 0
+
+        assert outs[0].read_text() == outs[1].read_text()
+        cache = StudyCache(root=root)
+        (entry,) = cache.entries()
+        assert os.listdir(cache.study_root) == [entry.name]
+        assert verify_entry(entry, deep=True, expect_schema=CACHE_SCHEMA).ok
 
 
 class TestGarbageCollection:

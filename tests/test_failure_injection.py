@@ -203,8 +203,9 @@ class TestScanRecovery:
         # checkpointed: a store checkpoint makes it moot).
         assert resumed.telemetry.checkpoints == ["store"]
         assert not resumed.from_cache
-        # Recovery state is deleted the moment the run succeeds...
-        assert checkpoints.keys() == []
+        # Recovery state is published or deleted the moment the run
+        # succeeds...
+        assert cache.partials() == [] and cache.staging_dirs() == []
         # ...and the result is indistinguishable from an undisturbed run.
         plain = run_study(config, cache=False, checkpoints=False)
         assert resumed.alerts == plain.alerts

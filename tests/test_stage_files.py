@@ -1,8 +1,9 @@
 """Stage checkpoints are the cache entry's files.
 
 ``run_study`` writes each heavy stage (store, alerts) once, as a
-compressed column container, as a crash checkpoint; the study cache then
-links those files into its entry.  These tests pin down:
+compressed column container, into the study's partial entry
+(``study/<key>.partial/``); the study cache then publishes that directory
+as its entry.  These tests pin down:
 
 * the stage codecs: sessions, alerts, ground truth and collection
   statistics round-trip exactly, and an aware datetime is rejected;
@@ -18,8 +19,11 @@ links those files into its entry.  These tests pin down:
   values as the ``strftime``/``strptime`` codec they replaced;
 * each stage is written exactly once per cold cached run, and a resumed
   run with a store checkpoint never generates traffic;
+* a run killed in its scan leaves a partial entry holding ``store`` only,
+  which no cache inspection counts as an entry and GC reaps only by age;
 * a damaged stage file is detected on resume, deleted and recomputed;
-* publishing links the stage files, falling back to copies;
+* publishing renames the partial entry's stage files into the entry,
+  rewriting any that no longer match their record;
 * the benchmark's tracing targets still resolve.
 """
 
@@ -31,6 +35,7 @@ import json
 import os
 import shutil
 import tempfile
+import time
 import zlib
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -487,14 +492,69 @@ def test_resume_from_store_checkpoint_never_generates_traffic(
         raise AssertionError("traffic generated despite a store checkpoint")
 
     monkeypatch.setattr(TrafficGenerator, "generate", no_traffic)
+    key = study_key(config)
+    (store_file,) = STAGES["store"].files
+    partial_file = checkpoints.dir_for(key) / store_file
+    inode = partial_file.stat().st_ino
     resumed = run_study(config, cache=tmp_path, checkpoints=checkpoints)
     assert resumed.telemetry.checkpoints == ["store"]
+    # The entry's store file is the partial entry's, published by rename,
+    # and the run leaves no partial entry and no staging directory.
+    entry = StudyCache(tmp_path).entry_path(config)
+    assert (entry / store_file).stat().st_ino == inode
+    assert os.listdir(tmp_path / "study") == [key]
     monkeypatch.undo()
     plain = run_study(config)
     assert resumed.alerts == plain.alerts
     assert list(resumed.store) == list(plain.store)
     assert resumed.ground_truth == plain.ground_truth
     assert resumed.collection_stats == plain.collection_stats
+
+
+# -- the partial entry of a killed run -------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def killed_in_scan(tmp_path_factory):
+    """A cache root left by a run killed in its scan."""
+    config = _config(workers=1)
+    root = tmp_path_factory.mktemp("killed_in_scan")
+
+    def killed_scan(self, store):
+        raise _Killed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DetectionEngine, "scan", killed_scan)
+        with pytest.raises(_Killed):
+            run_study(config, cache=root, manifest=False)
+    return config, root, study_key(config)
+
+
+def test_killed_scan_leaves_a_partial_entry(killed_in_scan, tmp_path):
+    config, killed_root, key = killed_in_scan
+    root = tmp_path / "root"
+    shutil.copytree(killed_root, root)
+    cache = StudyCache(root)
+    assert sorted(os.listdir(cache.study_root)) == [f"{key}.partial"]
+    assert sorted(os.listdir(cache.partial_path(key))) == [
+        *STAGES["store"].files, "store.stage.json",
+    ]
+    assert not (root / "checkpoints").exists()
+    assert cache.verify() == [] and cache.entries() == []
+    assert not cache.has(config)
+    (info,) = cache.stats()["partials"]
+    assert (info["key"], info["stages"]) == (key, ["store"])
+
+    report = cache.gc()
+    assert not report.removed_anything
+    assert cache.partials() == [cache.partial_path(key)]
+    # Past the age bound an abandoned partial entry goes.
+    then = time.time() - 3600
+    for path in [cache.partial_path(key), *cache.partial_path(key).iterdir()]:
+        os.utime(path, (then, then))
+    report = cache.gc(max_age=timedelta(minutes=30))
+    assert report.partials_removed == 1
+    assert os.listdir(cache.study_root) == []
 
 
 # -- resume integrity ------------------------------------------------------------
@@ -579,11 +639,11 @@ class TestDamagedStageFile:
         assert list(resumed.store) == list(plain.store)
         assert resumed.collection_stats == plain.collection_stats
         assert resumed.ground_truth == plain.ground_truth
-        assert checkpoints.keys() == []
+        assert cache.partials() == [] and cache.staging_dirs() == []
         assert verify_entry(cache.entry_path(config), deep=True).ok
 
 
-# -- link-on-publish -------------------------------------------------------------
+# -- publishing a partial entry --------------------------------------------------
 
 
 @pytest.fixture()
@@ -618,51 +678,40 @@ def staged(tmp_path):
     return config, key, checkpoints, values
 
 
-def _data_files():
-    return list(STAGE_FILES)
+def _inodes(directory: Path):
+    return {name: (directory / name).stat().st_ino for name in STAGE_FILES}
 
 
-class TestLinkOnPublish:
+class TestPublishFromPartial:
     def test_entry_files_are_the_checkpoint_files(self, staged, tmp_path):
         config, key, checkpoints, values = staged
+        inodes = _inodes(checkpoints.dir_for(key))
         cache = StudyCache(root=tmp_path)
-        entry = cache.save(config, checkpoints=checkpoints, **values)
-        for name in _data_files():
-            assert os.path.samefile(entry / name, checkpoints.dir_for(key) / name)
-        assert verify_entry(entry, deep=True).ok
+        entry = cache.save(config, **values)
+        assert _inodes(entry) == inodes
+        # The stage records are dropped: the entry holds what it always has.
+        assert sorted(os.listdir(entry)) == sorted([*STAGE_FILES, "meta.json"])
+        assert os.listdir(cache.study_root) == [key]
+        report = verify_entry(entry, deep=True, expect_schema=CACHE_SCHEMA)
+        assert report.ok, report.problems
         loaded = cache.load(config)
         assert loaded.alerts == values["alerts"]
         assert list(loaded.store) == list(values["store"])
-
-    def test_copy_fallback_when_link_fails(self, staged, tmp_path, monkeypatch):
-        config, key, checkpoints, values = staged
-
-        def no_link(*args, **kwargs):
-            raise OSError("cross-device link")
-
-        monkeypatch.setattr(os, "link", no_link)
-        cache = StudyCache(root=tmp_path)
-        entry = cache.save(config, checkpoints=checkpoints, **values)
-        report = verify_entry(entry, deep=True, expect_schema=CACHE_SCHEMA)
-        assert report.ok, report.problems
-        for name in _data_files():
-            source = checkpoints.dir_for(key) / name
-            assert not os.path.samefile(entry / name, source)
-            assert (entry / name).read_bytes() == source.read_bytes()
-        assert cache.load(config).alerts == values["alerts"]
 
     def test_changed_checkpoint_file_is_rewritten_not_linked(
         self, staged, tmp_path
     ):
         config, key, checkpoints, values = staged
+        (store_file,) = STAGES["store"].files
         (alerts_file,) = STAGES["alerts"].files
         source = checkpoints.dir_for(key) / alerts_file
         _damage(source, "flip")
         damaged = source.read_bytes()
+        kept = _inodes(checkpoints.dir_for(key))[store_file]
         cache = StudyCache(root=tmp_path)
-        entry = cache.save(config, checkpoints=checkpoints, **values)
-        assert not os.path.samefile(entry / alerts_file, source)
-        assert source.read_bytes() == damaged  # never written through
+        entry = cache.save(config, **values)
+        assert (entry / alerts_file).read_bytes() != damaged
+        assert (entry / store_file).stat().st_ino == kept
         assert verify_entry(entry, deep=True).ok
         assert cache.load(config).alerts == values["alerts"]
 
@@ -671,16 +720,25 @@ class TestLinkOnPublish:
 
 
 def test_cli_lists_stage_files(staged, capsys):
+    """``repro cache stats`` lists a partial entry with all its stages and
+    the bytes of its stage files and records."""
     _, key, checkpoints, _ = staged
     root = str(checkpoints.root)
-    assert main(["cache", "checkpoints", "--cache-dir", root]) == 0
+    assert main(["cache", "stats", "--cache-dir", root]) == 0
     out = capsys.readouterr().out
-    for name in _data_files():
-        assert name in out
-    assert main(["cache", "checkpoints", "--cache-dir", root, "--json"]) == 0
-    (info,) = json.loads(capsys.readouterr().out)["keys"]
+    row = next(line for line in out.splitlines() if line.startswith(key[:16]))
+    assert ",".join(sorted(STAGES)) in row
+    assert main(["cache", "stats", "--cache-dir", root, "--json"]) == 0
+    (info,) = json.loads(capsys.readouterr().out)["partials"]
     assert info["stages"] == sorted(STAGES)
-    assert sorted(info["stage_files"]) == sorted(_data_files())
+    directory = checkpoints.dir_for(key)
+    assert info["bytes"] == sum(
+        path.stat().st_size for path in directory.iterdir()
+    )
+    assert sorted(STAGE_FILES) == sorted(
+        path.name for path in directory.iterdir()
+        if not path.name.endswith(".stage.json")
+    )
 
 
 def test_benchmark_trace_targets_resolve():
