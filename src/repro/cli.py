@@ -719,17 +719,14 @@ def _cmd_rules(args: argparse.Namespace) -> int:
     if command == "bench":
         return _cmd_rules_bench(args)
 
-    from repro.exploits.rulegen import generate_all_rule_texts
+    from repro.exploits.rulegen import generate_all_rule_texts, generate_all_rules
 
     if args.lint:
         from repro.nids.lint import lint_rules
-        from repro.nids.parser import parse_rule as _parse
 
         rules = [
-            _parse(text)
-            for text, _ in generate_all_rule_texts(
-                include_false_positives=not args.no_fp
-            )
+            rule
+            for rule, _ in generate_all_rules(include_false_positives=not args.no_fp)
         ]
         findings = lint_rules(rules)
         for finding in findings:

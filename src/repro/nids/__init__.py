@@ -23,7 +23,7 @@ from repro.nids.rule import (
     PortSpec,
     Rule,
 )
-from repro.nids.parser import RuleParseError, parse_rule, parse_rules
+from repro.nids.parser import RuleParseError, format_rule, parse_rule, parse_rules
 from repro.nids.matcher import match_rule
 from repro.nids.ruleset import Alert, Ruleset
 from repro.nids.engine import (
@@ -53,6 +53,7 @@ __all__ = [
     "PortSpec",
     "Rule",
     "RuleParseError",
+    "format_rule",
     "parse_rule",
     "parse_rules",
     "match_rule",

@@ -1,4 +1,4 @@
-"""Snort rule-text parser.
+"""Snort rule-text parser and renderer.
 
 Parses the classic single-line rule format::
 
@@ -10,16 +10,22 @@ Supported option vocabulary is the subset the study's synthetic ruleset
 uses (see :mod:`repro.nids.rule`); unknown options are preserved in the
 rule's metadata rather than rejected, mirroring how an engine skips
 non-detection options it does not implement.
+
+:func:`format_rule` is :func:`parse_rule`'s inverse and the one place that
+writes rule text: the study and scaled rule generators build
+:class:`~repro.nids.rule.Rule` ASTs, and their text is rendered from them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.nids.matcher import _compiled as _compiled_pcre
 from repro.nids.rule import (
     ContentMatch,
+    DetectionOption,
     HttpBuffer,
     IsDataAt,
     PcreMatch,
@@ -33,9 +39,10 @@ class RuleParseError(ValueError):
     """Raised when rule text cannot be parsed."""
 
 
-# An address or port field is either a bracketed list — which may contain
-# spaces, e.g. ``[80, 8080]``, valid Snort — or a single bare token.
-_HEADER_FIELD = r"(?:\[[^\]]*\]|\S+)"
+# An address or port field is either a bracketed list, possibly negated —
+# which may contain spaces, e.g. ``![80, 8080]``, valid Snort — or a single
+# bare token.
+_HEADER_FIELD = r"(?:!?\[[^\]]*\]|\S+)"
 
 _HEADER_RE = re.compile(
     r"^\s*(?P<action>\w+)\s+(?P<proto>\w+)"
@@ -56,6 +63,13 @@ _PCRE_FLAGS = {
     "P": (0, HttpBuffer.HTTP_CLIENT_BODY),
     "M": (0, HttpBuffer.HTTP_METHOD),
 }
+
+#: buffer modifier option (``http_uri`` ...) -> buffer; the enum's values
+#: are the modifier names.
+_BUFFERS = {
+    buffer.value: buffer for buffer in HttpBuffer if buffer is not HttpBuffer.RAW
+}
+
 
 def _split_options(text: str) -> List[str]:
     """Split the option block on semicolons, respecting quoted strings."""
@@ -150,8 +164,8 @@ def encode_content(pattern: bytes) -> str:
     """Render raw bytes as a Snort content body (inverse of
     :func:`_decode_content`): printable ASCII stays literal, everything
     else — including the quote/semicolon/backslash/pipe specials — becomes
-    a ``|hex|`` run.  Shared by the rule generators so every rendered rule
-    round-trips through :func:`parse_rule`."""
+    a ``|hex|`` run, so every rule :func:`format_rule` renders round-trips
+    through :func:`parse_rule`."""
     return _HEX_RUN.sub(_hex_run, pattern).decode("ascii")
 
 
@@ -221,14 +235,6 @@ def _parse_stripped(stripped: str) -> Rule:
     if match is None:
         raise RuleParseError("unparseable rule header")
 
-    buffer_modifiers = {
-        "http_uri": HttpBuffer.HTTP_URI,
-        "http_header": HttpBuffer.HTTP_HEADER,
-        "http_cookie": HttpBuffer.HTTP_COOKIE,
-        "http_client_body": HttpBuffer.HTTP_CLIENT_BODY,
-        "http_method": HttpBuffer.HTTP_METHOD,
-    }
-
     options: List = []
     msg = ""
     sid: Optional[int] = None
@@ -249,8 +255,6 @@ def _parse_stripped(stripped: str) -> Rule:
                 options[index] = updated
                 return
         raise RuleParseError("modifier before any content option")
-
-    import dataclasses
 
     for option_text in _split_options(match.group("options")):
         key, colon, value = option_text.partition(":")
@@ -279,10 +283,9 @@ def _parse_stripped(stripped: str) -> Rule:
             replace_last_content(
                 dataclasses.replace(last_content(), fast_pattern=True)
             )
-        elif key in buffer_modifiers:
-            target = buffer_modifiers[key]
+        elif key in _BUFFERS:
             replace_last_content(
-                dataclasses.replace(last_content(), buffer=target)
+                dataclasses.replace(last_content(), buffer=_BUFFERS[key])
             )
         elif key in ("offset", "depth", "distance", "within"):
             replace_last_content(
@@ -368,3 +371,66 @@ def parse_rules(lines: Iterable[str]) -> List[Rule]:
             continue
         rules.append(parse_rule(stripped))
     return rules
+
+
+def _format_option(option: DetectionOption) -> str:
+    """One detection option as rule text, its modifiers included."""
+    if isinstance(option, SizeBound):
+        if option.exact is not None:
+            bound = str(option.exact)
+        elif option.low is not None and option.high is not None:
+            bound = f"{option.low}<>{option.high}"
+        elif option.high is not None:
+            bound = f"<{option.high}"
+        else:
+            bound = f">{option.low}"
+        return f"{option.kind}:{bound};"
+    bang = "!" if option.negated else ""
+    if isinstance(option, ContentMatch):
+        parts = [f'content:{bang}"{encode_content(option.pattern)}";']
+        if option.nocase:
+            parts.append("nocase;")
+        if option.buffer is not HttpBuffer.RAW:
+            parts.append(f"{option.buffer.value};")
+        for key in ("offset", "depth", "distance", "within"):
+            value = getattr(option, key)
+            if value is not None:
+                parts.append(f"{key}:{value};")
+        if option.fast_pattern:
+            parts.append("fast_pattern;")
+        return " ".join(parts)
+    if isinstance(option, PcreMatch):
+        flags = "".join(
+            char
+            for char, (re_flag, buffer) in _PCRE_FLAGS.items()
+            if option.flags & re_flag or buffer is option.buffer
+        )
+        return f'pcre:{bang}"/{option.pattern}/{flags}";'
+    relative = ",relative" if option.relative else ""
+    return f"isdataat:{bang}{option.offset}{relative};"
+
+
+def format_rule(rule: Rule) -> str:
+    """Render a :class:`Rule` as one line of Snort rule text, the inverse of
+    :func:`parse_rule`: ``parse_rule(format_rule(rule)) == rule``.
+
+    Options follow in a fixed order: ``msg``, ``flow`` (to-server rules),
+    the detection options in AST order, ``reference``s, the metadata in
+    insertion order (``classtype`` as its own option, any other key as
+    ``metadata:key value``), then ``sid`` and ``rev``.
+    """
+    options = [f'msg:"{rule.msg}";']
+    if rule.flow_to_server:
+        options.append("flow:to_server,established;")
+    options.extend(_format_option(option) for option in rule.options)
+    options.extend(f"reference:{scheme},{value};" for scheme, value in rule.references)
+    for key, value in rule.metadata.items():
+        if key == "classtype":
+            options.append(f"classtype:{value};")
+        else:
+            options.append(f"metadata:{key} {value};")
+    options.append(f"sid:{rule.sid}; rev:{rule.rev};")
+    return (
+        f"{rule.action} {rule.protocol} {rule.src} {rule.src_ports.text} -> "
+        f"{rule.dst} {rule.dst_ports.text} ({' '.join(options)})"
+    )

@@ -61,7 +61,11 @@ class PcreMatch:
 
 class PortSpec:
     """A Snort port constraint: ``any``, ``80``, ``!80``, ``[80,8080]``,
-    ``8000:8100`` or combinations inside brackets."""
+    ``8000:8100`` or combinations inside brackets.
+
+    A parsed spec keeps the text it was read from, which :attr:`text`
+    writes back (so ``[80, 8080]`` keeps its space); a spec built directly
+    renders in canonical form.  Equality and hashing ignore the text."""
 
     def __init__(
         self,
@@ -70,11 +74,13 @@ class PortSpec:
         ports: Tuple[int, ...] = (),
         ranges: Tuple[Tuple[int, int], ...] = (),
         negated: bool = False,
+        text: Optional[str] = None,
     ) -> None:
         self.any_port = any_port
         self.ports = frozenset(ports)
         self.ranges = tuple(ranges)
         self.negated = negated
+        self._text = text
 
     @classmethod
     def parse(cls, text: str) -> "PortSpec":
@@ -89,14 +95,14 @@ class PortSpec:
         >>> PortSpec.parse("8000:8100").matches(8050)
         True
         """
-        text = text.strip()
+        source = text = text.strip()
         negated = text.startswith("!")
         if negated:
             text = text[1:].strip()
         if text.lower() == "any":
             if negated:
                 raise ValueError("!any is not a valid port spec")
-            return cls(any_port=True)
+            return cls(any_port=True, text=source)
         if text.startswith("[") and text.endswith("]"):
             text = text[1:-1]
         ports = []
@@ -116,7 +122,21 @@ class PortSpec:
                 ports.append(int(piece))
         if not ports and not ranges:
             raise ValueError(f"empty port spec: {text!r}")
-        return cls(ports=tuple(ports), ranges=tuple(ranges), negated=negated)
+        return cls(
+            ports=tuple(ports), ranges=tuple(ranges), negated=negated, text=source
+        )
+
+    @property
+    def text(self) -> str:
+        """The spec as rule text: as parsed, else canonical."""
+        if self._text is not None:
+            return self._text
+        if self.any_port:
+            return "any"
+        parts = [str(port) for port in sorted(self.ports)]
+        parts += [f"{low}:{high}" for low, high in self.ranges]
+        body = parts[0] if len(parts) == 1 else "[" + ",".join(parts) + "]"
+        return ("!" if self.negated else "") + body
 
     def matches(self, port: int) -> bool:
         if self.any_port:

@@ -1,13 +1,17 @@
-"""Synthetic ruleset scaler: Snort rule *text* at production rule counts.
+"""Synthetic ruleset scaler: Snort rules at production rule counts.
 
 The paper's production ruleset is >48k Talos signatures; the study rules
 (:mod:`repro.exploits.rulegen`) are dozens.  Everything between — the trie
 prefilter's factoring, the plan compiler, the publication-ordered merge,
 the parallel scan — behaves differently at four orders of magnitude,
-so this module grows a *deterministic*, seeded ruleset to O(10k) rules and
-emits it **as rule text**, so the parser is exercised at the same scale as
-the engine (several parser crashes only ever surfaced through generated
-text at volume; see the regression tests in ``tests/test_nids.py``).
+so this module grows a *deterministic*, seeded ruleset to O(10k) rules.
+Each rule is generated as its :class:`~repro.nids.rule.Rule` AST; its text
+is rendered from that AST by :func:`~repro.nids.parser.format_rule` only
+when text is asked for.  ``repro rules gen`` and
+:func:`build_scaled_ruleset` go through the text, so the parser is
+exercised at the same scale as the engine (several parser crashes only
+ever surfaced through generated text at volume; see the regression tests
+in ``tests/test_nids.py``).
 
 Realism knobs, mirrored from what production rulesets look like:
 
@@ -25,9 +29,9 @@ Realism knobs, mirrored from what production rulesets look like:
   every gating finding must map back to a fodder SID
   (:func:`unexpected_findings`).
 
-Every generated rule records the exact :class:`~repro.nids.rule.Rule` AST
-its text must parse back to — the hypothesis round-trip property in
-``tests/test_rule_scale.py`` is ``parse_rule(scaled.text) == scaled.rule``.
+The AST is the record and the text a view of it — the hypothesis
+round-trip property in ``tests/test_rule_scale.py`` is
+``parse_rule(scaled.text) == scaled.rule``.
 
 Generation is prefix-stable: rule ``i`` is derived from its own
 ``random.Random(seed, i)`` stream, so a 64-rule ruleset is literally the
@@ -42,6 +46,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from functools import lru_cache
 from itertools import accumulate
 from random import Random
 from time import perf_counter
@@ -49,9 +54,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.session import TcpSession
 from repro.nids.lint import LintFinding, lint_rules
-from repro.nids.parser import encode_content, parse_rule
+from repro.nids.parser import format_rule, parse_rule
 from repro.nids.rule import (
     ContentMatch,
+    DetectionOption,
     HttpBuffer,
     IsDataAt,
     PcreMatch,
@@ -125,14 +131,6 @@ _CLASSTYPES = (
     "misc-attack",
 )
 
-_BUFFER_MODIFIER = {
-    HttpBuffer.HTTP_URI: "http_uri",
-    HttpBuffer.HTTP_HEADER: "http_header",
-    HttpBuffer.HTTP_COOKIE: "http_cookie",
-    HttpBuffer.HTTP_CLIENT_BODY: "http_client_body",
-    HttpBuffer.HTTP_METHOD: "http_method",
-}
-
 #: Lint checks that indicate an unsound rule *shape* (as opposed to the
 #: expected-at-volume port/reference findings).  The lint gate requires
 #: every finding from these checks to map to a fodder SID.
@@ -174,14 +172,18 @@ class ScaleConfig:
 
 @dataclass(frozen=True)
 class ScaledRule:
-    """One generated rule: its text, the AST the text must parse back to,
-    its publication instant, and its fodder category (None for sound
-    rules; ``generic`` / ``short`` / ``pure_pcre`` otherwise)."""
+    """One generated rule: its AST, its publication instant, and its fodder
+    category (None for sound rules; ``generic`` / ``short`` / ``pure_pcre``
+    otherwise).  The text is rendered from the AST on read."""
 
-    text: str
     rule: Rule
     published: datetime
     fodder: Optional[str] = None
+
+    @property
+    def text(self) -> str:
+        """The rule as Snort text (:func:`~repro.nids.parser.format_rule`)."""
+        return format_rule(self.rule)
 
 
 # -- draws ---------------------------------------------------------------------
@@ -272,35 +274,11 @@ def _pattern_for(rng: Random, *, upper: bool) -> bytes:
     return family + tail
 
 
-def _render_content(content: ContentMatch) -> str:
-    """Option text for a :class:`ContentMatch`, modifiers included."""
-    bang = "!" if content.negated else ""
-    parts = [f'content:{bang}"{encode_content(content.pattern)}";']
-    if content.nocase:
-        parts.append("nocase;")
-    if content.buffer is not HttpBuffer.RAW:
-        parts.append(f"{_BUFFER_MODIFIER[content.buffer]};")
-    if content.offset is not None:
-        parts.append(f"offset:{content.offset};")
-    if content.depth is not None:
-        parts.append(f"depth:{content.depth};")
-    if content.distance is not None:
-        parts.append(f"distance:{content.distance};")
-    if content.within is not None:
-        parts.append(f"within:{content.within};")
-    if content.fast_pattern:
-        parts.append("fast_pattern;")
-    return " ".join(parts)
-
-
-def _regular_options(
-    rng: Random, config: ScaleConfig
-) -> Tuple[List[str], List[object]]:
-    """Detection options (text fragments + expected AST) for a sound rule."""
+def _regular_options(rng: Random, config: ScaleConfig) -> List[DetectionOption]:
+    """Detection options for a sound rule."""
     random = rng.random
     getrandbits = rng.getrandbits
-    fragments: List[str] = []
-    options: List[object] = []
+    options: List[DetectionOption] = []
 
     n_contents = _pick(random, (1, 2, 3), _CONTENT_COUNT_CUM_WEIGHTS)
     for position in range(n_contents):
@@ -327,7 +305,6 @@ def _regular_options(
             within=within,
             fast_pattern=(position == 0 and random() < 0.05),
         )
-        fragments.append(_render_content(content))
         options.append(content)
 
     if random() < 0.05:
@@ -336,57 +313,47 @@ def _regular_options(
             pattern=b"X-Scaled-Bypass" + digit.to_bytes(1, "big"),
             negated=True,
         )
-        fragments.append(_render_content(negated))
         options.append(negated)
 
     if random() < config.pcre_fraction:
         token = _chars(getrandbits, 6, _TOKEN_CHARS).decode("ascii")
         body = f"{token}[0-9]{{1,3}}"
-        flags_text = "i" if random() < 0.5 else ""
-        negated_pcre = random() < 0.05
-        bang = "!" if negated_pcre else ""
-        fragments.append(f'pcre:{bang}"/{body}/{flags_text}";')
-        options.append(
-            PcreMatch(
-                pattern=body,
-                flags=re.IGNORECASE if flags_text else 0,
-                negated=negated_pcre,
-            )
-        )
+        flags = re.IGNORECASE if random() < 0.5 else 0
+        options.append(PcreMatch(pattern=body, flags=flags, negated=random() < 0.05))
 
     if random() < 0.05:
-        bound_text = f">{32 + _below(getrandbits, 225)}"
-        fragments.append(f"dsize:{bound_text};")
-        options.append(SizeBound.parse("dsize", bound_text))
+        options.append(SizeBound(kind="dsize", low=32 + _below(getrandbits, 225)))
 
     if random() < 0.03:
-        offset = 16 + _below(getrandbits, 497)
-        fragments.append(f"isdataat:{offset},relative;")
-        options.append(IsDataAt(offset=offset, relative=True))
+        options.append(IsDataAt(offset=16 + _below(getrandbits, 497), relative=True))
 
-    return fragments, options
+    return options
 
 
-def _fodder_options(rng: Random) -> Tuple[str, List[str], List[object]]:
+def _fodder_options(rng: Random) -> Tuple[str, List[DetectionOption]]:
     """Detection options for one deliberately unsound (fodder) rule."""
     getrandbits = rng.getrandbits
     category = _FODDER_CATEGORIES[_below(getrandbits, 3)]
-    fragments: List[str] = []
-    options: List[object] = []
+    options: List[DetectionOption]
     if category == "generic":
-        for pattern in rng.sample(_GENERIC_FODDER, 1 + _below(getrandbits, 2)):
-            content = ContentMatch(pattern=pattern, nocase=True)
-            fragments.append(_render_content(content))
-            options.append(content)
+        options = [
+            ContentMatch(pattern=pattern, nocase=True)
+            for pattern in rng.sample(_GENERIC_FODDER, 1 + _below(getrandbits, 2))
+        ]
     elif category == "short":
-        content = ContentMatch(pattern=_chars(getrandbits, 3, _TOKEN_CHARS))
-        fragments.append(_render_content(content))
-        options.append(content)
+        options = [ContentMatch(pattern=_chars(getrandbits, 3, _TOKEN_CHARS))]
     else:  # pure_pcre: no content at all — bypasses the prefilter
         token = _chars(getrandbits, 8, _TOKEN_CHARS).decode("ascii")
-        fragments.append(f'pcre:"/{token}[0-9]{{2}}/i";')
-        options.append(PcreMatch(pattern=f"{token}[0-9]{{2}}", flags=re.IGNORECASE))
-    return category, fragments, options
+        options = [PcreMatch(pattern=f"{token}[0-9]{{2}}", flags=re.IGNORECASE)]
+    return category, options
+
+
+@lru_cache(maxsize=None)
+def _created_at(days: int) -> str:
+    """The ``created_at`` metadata for a rule published ``days`` into the
+    window: :data:`WINDOW_START` is midnight, so the day offset alone fixes
+    the date."""
+    return (WINDOW_START + timedelta(days=days)).strftime("%Y_%m_%d")
 
 
 def _generate_one(config: ScaleConfig, index: int) -> ScaledRule:
@@ -394,62 +361,42 @@ def _generate_one(config: ScaleConfig, index: int) -> ScaledRule:
     rng = Random(config.seed * 1_000_003 + index)
     random = rng.random
     getrandbits = rng.getrandbits
-    sid = config.sid_base + index
     days = _below(getrandbits, config.window_days)
     published = WINDOW_START + timedelta(days=days, hours=_below(getrandbits, 24))
 
     fodder: Optional[str] = None
     if random() < config.fodder_fraction:
-        fodder, fragments, options = _fodder_options(rng)
+        fodder, options = _fodder_options(rng)
     else:
-        fragments, options = _regular_options(rng, config)
+        options = _regular_options(rng, config)
 
-    msg = f"SCALED-{fodder or 'RULE'} synthetic signature {index}".upper()
-    head = [f'msg:"{msg}";']
     flow_to_server = random() < 0.7
-    if flow_to_server:
-        head.append("flow:to_server,established;")
-
-    tail: List[str] = []
-    references: List[Tuple[str, str]] = []
+    references: Tuple[Tuple[str, str], ...] = ()
     if random() < 0.9:
-        cve = f"{published.year}-{1000 + _below(getrandbits, 99000)}"
-        tail.append(f"reference:cve,{cve};")
-        references.append(("cve", cve))
+        references = (("cve", f"{published.year}-{1000 + _below(getrandbits, 99000)}"),)
     metadata: Dict[str, str] = {}
     if random() < 0.8:
-        classtype = _CLASSTYPES[_below(getrandbits, len(_CLASSTYPES))]
-        tail.append(f"classtype:{classtype};")
-        metadata["classtype"] = classtype
-    created = published.strftime("%Y_%m_%d")
-    tail.append(f"metadata:created_at {created};")
-    metadata["created_at"] = created
+        metadata["classtype"] = _CLASSTYPES[_below(getrandbits, len(_CLASSTYPES))]
+    metadata["created_at"] = _created_at(days)
     rev = 1 + _below(getrandbits, 3)
-    tail.append(f"sid:{sid}; rev:{rev};")
+    dst_ports = _PARSED_PORTS[_pick(random, _PORT_TEXTS, _PORT_CUM_WEIGHTS)]
 
-    sport_text = "any"
-    dport_text = _pick(random, _PORT_TEXTS, _PORT_CUM_WEIGHTS)
-    option_block = " ".join(head + fragments + tail)
-    text = (
-        f"alert tcp $EXTERNAL_NET {sport_text} -> $HOME_NET {dport_text} "
-        f"({option_block})"
-    )
     rule = Rule(
         action="alert",
         protocol="tcp",
         src="$EXTERNAL_NET",
-        src_ports=_PARSED_PORTS[sport_text],
+        src_ports=_PARSED_PORTS["any"],
         dst="$HOME_NET",
-        dst_ports=_PARSED_PORTS[dport_text],
-        msg=msg,
-        sid=sid,
+        dst_ports=dst_ports,
+        msg=f"SCALED-{fodder or 'RULE'} synthetic signature {index}".upper(),
+        sid=config.sid_base + index,
         rev=rev,
         options=tuple(options),
-        references=tuple(references),
+        references=references,
         metadata=metadata,
         flow_to_server=flow_to_server,
     )
-    return ScaledRule(text=text, rule=rule, published=published, fodder=fodder)
+    return ScaledRule(rule=rule, published=published, fodder=fodder)
 
 
 def generate_scaled(config: ScaleConfig = ScaleConfig()) -> List[ScaledRule]:
@@ -469,10 +416,11 @@ def build_scaled_ruleset(
     port_insensitive: bool = True,
     shards: Optional[int] = None,
 ) -> Ruleset:
-    """Parse the generated texts into a ready :class:`Ruleset`.
+    """Parse the rendered texts into a ready :class:`Ruleset`.
 
-    Always goes *through the text* (``parse_rule``, never the recorded
-    AST), so every build exercises the parser at full scale.
+    Always goes *through the text* (``parse_rule`` of each rendered rule,
+    never the recorded AST), so every build exercises the renderer and the
+    parser at full scale.
     """
     ruleset = Ruleset(port_insensitive=port_insensitive, shards=shards)
     for scaled in generate_scaled(config):

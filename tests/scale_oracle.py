@@ -3,23 +3,28 @@
 This is :mod:`repro.nids.scale`'s rule synthesis as it drew every value
 through ``random.Random``'s method layers (``choice``, ``randint``,
 ``randrange``, ``choices(cum_weights=)``, one ``choice`` per tail
-character).  It is kept verbatim so tests can assert that
+character), and as it wrote each rule's text beside its AST, fragment by
+fragment, with its own content renderer and byte-at-a-time escaper.  It is
+kept verbatim so tests can assert that
 :func:`repro.nids.scale.generate_scaled`, which draws through
-``rng.random()`` and ``rng.getrandbits()`` directly, emits the same text,
-AST, publication instant and fodder category for every rule.  The data
-tables and the option renderer are imported from the module under test.
-Nothing under ``src/`` imports this module.
+``rng.random()`` and ``rng.getrandbits()`` directly and renders text from
+the AST with :func:`repro.nids.parser.format_rule`, emits the same text,
+AST, publication instant and fodder category for every rule.  Only the
+data tables are imported from the module under test.  Nothing under
+``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import re
-from datetime import timedelta
+from dataclasses import dataclass
+from datetime import datetime, timedelta
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from repro.nids.rule import (
     ContentMatch,
+    HttpBuffer,
     IsDataAt,
     PcreMatch,
     Rule,
@@ -38,9 +43,70 @@ from repro.nids.scale import (
     _SUFFIX_ALPHABET,
     WINDOW_START,
     ScaleConfig,
-    ScaledRule,
-    _render_content,
 )
+
+
+@dataclass(frozen=True)
+class OracleRule:
+    """One frozen-generated rule: its text, the AST the text must parse
+    back to, its publication instant and its fodder category."""
+
+    text: str
+    rule: Rule
+    published: datetime
+    fodder: Optional[str] = None
+
+
+def encode_content_bytewise(pattern: bytes) -> str:
+    """Raw bytes as a Snort content body, a byte at a time: printable ASCII
+    stays literal, everything else (the quote/semicolon/backslash/pipe
+    specials included) becomes a ``|hex|`` run."""
+    out = []
+    hex_run = []
+
+    def flush_hex():
+        if hex_run:
+            out.append("|" + " ".join(hex_run) + "|")
+            hex_run.clear()
+
+    for byte in pattern:
+        if 0x20 <= byte < 0x7F and chr(byte) not in ('"', ";", "\\", "|"):
+            flush_hex()
+            out.append(chr(byte))
+        else:
+            hex_run.append(f"{byte:02X}")
+    flush_hex()
+    return "".join(out)
+
+
+_BUFFER_MODIFIER = {
+    HttpBuffer.HTTP_URI: "http_uri",
+    HttpBuffer.HTTP_HEADER: "http_header",
+    HttpBuffer.HTTP_COOKIE: "http_cookie",
+    HttpBuffer.HTTP_CLIENT_BODY: "http_client_body",
+    HttpBuffer.HTTP_METHOD: "http_method",
+}
+
+
+def _render_content(content: ContentMatch) -> str:
+    """Option text for a :class:`ContentMatch`, modifiers included."""
+    bang = "!" if content.negated else ""
+    parts = [f'content:{bang}"{encode_content_bytewise(content.pattern)}";']
+    if content.nocase:
+        parts.append("nocase;")
+    if content.buffer is not HttpBuffer.RAW:
+        parts.append(f"{_BUFFER_MODIFIER[content.buffer]};")
+    if content.offset is not None:
+        parts.append(f"offset:{content.offset};")
+    if content.depth is not None:
+        parts.append(f"depth:{content.depth};")
+    if content.distance is not None:
+        parts.append(f"distance:{content.distance};")
+    if content.within is not None:
+        parts.append(f"within:{content.within};")
+    if content.fast_pattern:
+        parts.append("fast_pattern;")
+    return " ".join(parts)
 
 
 def _pattern_for(rng: Random, *, upper: bool) -> bytes:
@@ -158,7 +224,7 @@ def _fodder_options(rng: Random) -> Tuple[str, List[str], List[object]]:
     return category, fragments, options
 
 
-def _generate_one(config: ScaleConfig, index: int) -> ScaledRule:
+def _generate_one(config: ScaleConfig, index: int) -> OracleRule:
     """Rule ``index`` of the sequence (prefix-stable: independent stream)."""
     rng = Random(config.seed * 1_000_003 + index)
     sid = config.sid_base + index
@@ -217,9 +283,9 @@ def _generate_one(config: ScaleConfig, index: int) -> ScaledRule:
         metadata=metadata,
         flow_to_server=flow_to_server,
     )
-    return ScaledRule(text=text, rule=rule, published=published, fodder=fodder)
+    return OracleRule(text=text, rule=rule, published=published, fodder=fodder)
 
 
-def oracle_generate_scaled(config: ScaleConfig = ScaleConfig()) -> List[ScaledRule]:
+def oracle_generate_scaled(config: ScaleConfig = ScaleConfig()) -> List[OracleRule]:
     """The full scaled sequence for a config, drawn the frozen way."""
     return [_generate_one(config, index) for index in range(config.size)]

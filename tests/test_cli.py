@@ -129,6 +129,33 @@ class TestReport:
         assert "unknown CVE" in err
 
 
+class TestRulesRender:
+    def test_rules_gen_prints_generator_texts(self, capsys):
+        from repro.nids.parser import parse_rule
+        from repro.nids.scale import ScaleConfig, generate_scaled, generate_texts
+
+        assert main(["rules", "gen", "--size", "300"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        config = ScaleConfig(size=300)
+        assert lines == generate_texts(config)
+        assert [parse_rule(line) for line in lines] == [
+            scaled.rule for scaled in generate_scaled(config)
+        ]
+
+    def test_rules_lint_scaled_passes(self, capsys):
+        assert main(["rules", "lint", "--size", "300"]) == 0
+        assert "across 300 rules" in capsys.readouterr().out
+
+    def test_rules_prints_study_ruleset(self, capsys):
+        from repro.exploits.rulegen import build_study_ruleset
+        from repro.nids.parser import parse_rules
+
+        assert main(["rules"]) == 0
+        rules = parse_rules(capsys.readouterr().out.splitlines())
+        assert len(rules) == 80
+        assert rules == build_study_ruleset(port_insensitive=False).rules
+
+
 class TestRulesLint:
     def test_lint_flags_fp_rules(self, capsys):
         assert main(["rules", "--lint"]) == 0

@@ -204,6 +204,15 @@ class TestParser:
         assert rule.dst_ports.matches(80)
         assert rule.dst_ports.matches(8080)
         assert not rule.dst_ports.matches(81)
+        # The negated list: the header regex once took only a bare token
+        # after `!`, so `![80, 8080]` split at the space too.
+        negated = parse_rule(
+            'alert tcp $EXTERNAL_NET any -> $HOME_NET ![80, 8080] '
+            '(msg:"m"; content:"xyzzy"; sid:1;)'
+        )
+        assert not negated.dst_ports.matches(8080)
+        assert negated.dst_ports.matches(81)
+        assert negated.dst_ports.text == "![80, 8080]"
 
     def test_non_latin1_content_is_parse_error(self):
         # Pre-fix: a bare ValueError out of bytearray.append, no rule context.

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import re
 from datetime import timedelta
 
 import pytest
@@ -15,8 +16,16 @@ from repro.core.histories import (
 from repro.core.skill import skill
 from repro.lifecycle.events import CveTimeline, LifecycleEvent
 from repro.lifecycle.rca import looks_like_exploit
-from repro.nids.parser import parse_rule
-from repro.nids.rule import PortSpec
+from repro.nids.parser import format_rule, parse_rule
+from repro.nids.rule import (
+    ContentMatch,
+    HttpBuffer,
+    IsDataAt,
+    PcreMatch,
+    PortSpec,
+    Rule,
+    SizeBound,
+)
 from repro.util.iputil import format_ipv4, parse_ipv4
 from repro.util.rng import derive_rng, derive_seed
 from repro.util.stats import Ecdf
@@ -165,18 +174,106 @@ def test_portspec_range_membership(a, b, probe):
     assert spec.matches(probe) == (low <= probe <= high)
 
 
-# -- Snort content escaping round-trip ---------------------------------------
+# -- Snort rule rendering round-trip -----------------------------------------
 
-@given(st.binary(min_size=1, max_size=64))
-def test_content_escape_roundtrip_through_parser(pattern):
-    from repro.exploits.rulegen import _snort_escape
+_counts = st.integers(min_value=0, max_value=4096)
+_optional_counts = st.none() | _counts
 
-    text = (
-        f'alert tcp any any -> any any (msg:"m"; '
-        f'content:"{_snort_escape(pattern)}"; sid:1;)'
+
+@st.composite
+def _contents(draw):
+    pattern = draw(st.binary(min_size=1, max_size=48))
+    depth = draw(st.none() | _counts.map(lambda extra: len(pattern) + extra))
+    return ContentMatch(
+        pattern=pattern,
+        nocase=draw(st.booleans()),
+        buffer=draw(st.sampled_from(HttpBuffer)),
+        negated=draw(st.booleans()),
+        offset=draw(_optional_counts),
+        depth=depth,
+        distance=draw(_optional_counts),
+        within=draw(_optional_counts),
+        fast_pattern=draw(st.booleans()),
     )
-    rule = parse_rule(text)
-    assert rule.options[0].pattern == pattern
+
+
+_pcres = st.builds(
+    PcreMatch,
+    pattern=st.text(alphabet="abcXYZ019_-", min_size=1, max_size=10).map(
+        lambda token: token + "[0-9]{1,3}"
+    ),
+    flags=st.sets(st.sampled_from([re.IGNORECASE, re.DOTALL, re.MULTILINE])).map(
+        lambda chosen: sum(chosen, 0)
+    ),
+    buffer=st.sampled_from(HttpBuffer),
+    negated=st.booleans(),
+)
+
+_size_bounds = st.sampled_from(["dsize", "urilen"]).flatmap(
+    lambda kind: st.one_of(
+        st.builds(SizeBound, kind=st.just(kind), exact=_counts),
+        st.builds(SizeBound, kind=st.just(kind), low=_counts),
+        st.builds(SizeBound, kind=st.just(kind), high=_counts),
+        st.builds(SizeBound, kind=st.just(kind), low=_counts, high=_counts),
+    )
+)
+
+_isdataats = st.builds(
+    IsDataAt, offset=_counts, relative=st.booleans(), negated=st.booleans()
+)
+
+_port_pieces = st.integers(0, 65535).map(str) | st.tuples(
+    st.integers(0, 65535), st.integers(0, 65535)
+).map(lambda pair: f"{min(pair)}:{max(pair)}")
+
+_port_specs = st.one_of(
+    st.just("any"),
+    st.tuples(st.sampled_from(["", "!"]), _port_pieces).map("".join),
+    st.tuples(
+        st.sampled_from(["", "!"]),
+        st.sampled_from([",", ", "]),
+        st.lists(_port_pieces, min_size=1, max_size=4),
+    ).map(lambda spec: spec[0] + "[" + spec[1].join(spec[2]) + "]"),
+).map(PortSpec.parse)
+
+_words = st.text(alphabet="abcdefXYZ0123456789_-.", min_size=1, max_size=12)
+
+rule_asts = st.builds(
+    Rule,
+    action=st.sampled_from(["alert", "log", "drop"]),
+    protocol=st.sampled_from(["tcp", "udp", "ip"]),
+    src=st.sampled_from(["any", "$EXTERNAL_NET", "10.0.0.0/8"]),
+    src_ports=_port_specs,
+    dst=st.sampled_from(["any", "$HOME_NET", "[10.0.0.1,10.0.0.2]"]),
+    dst_ports=_port_specs,
+    msg=st.text(alphabet="abc XYZ 019-()/.:;,", max_size=30),
+    sid=st.integers(min_value=1, max_value=10**7),
+    rev=st.integers(min_value=1, max_value=99),
+    options=st.lists(
+        st.one_of(_contents(), _pcres, _size_bounds, _isdataats), max_size=5
+    ).map(tuple),
+    references=st.lists(
+        st.tuples(st.sampled_from(["cve", "url", "bugtraq"]), _words), max_size=3
+    ).map(tuple),
+    metadata=st.dictionaries(
+        st.sampled_from(["classtype", "created_at", "policy", "priority"]),
+        _words,
+        max_size=3,
+    ),
+    flow_to_server=st.booleans(),
+)
+
+
+@given(rule_asts)
+@settings(max_examples=300, deadline=None)
+def test_content_escape_roundtrip_through_parser(rule):
+    """``format_rule`` is ``parse_rule``'s inverse on any rule AST: content
+    bytes (specials and non-ASCII as ``|hex|``), every buffer, the
+    positional modifiers, pcre flags, size bounds, ``isdataat`` and parsed
+    port specs, whose text is written back as read."""
+    text = format_rule(rule)
+    assert parse_rule(text) == rule
+    assert format_rule(parse_rule(text)) == text
 
 
 # -- RCA heuristic ------------------------------------------------------------

@@ -45,7 +45,7 @@ from repro.nids.scale import (
     throughput_sweep,
     unexpected_findings,
 )
-from tests.scale_oracle import oracle_generate_scaled
+from tests.scale_oracle import encode_content_bytewise, oracle_generate_scaled
 from tests.scan_oracle import AhoCorasick
 
 SIZE = 300  #: big enough for every option/port branch; small enough to be fast
@@ -181,28 +181,6 @@ class TestRoundTripProperty:
         assert parsed.rev == item.rule.rev
 
 
-
-def _encode_content_bytewise(pattern):
-    """The byte-at-a-time ``encode_content`` loop, kept as the oracle for
-    the run-at-a-time encoder."""
-    out = []
-    hex_run = []
-
-    def flush_hex():
-        if hex_run:
-            out.append("|" + " ".join(hex_run) + "|")
-            hex_run.clear()
-
-    for byte in pattern:
-        if 0x20 <= byte < 0x7F and chr(byte) not in ('"', ";", "\\", "|"):
-            flush_hex()
-            out.append(chr(byte))
-        else:
-            hex_run.append(f"{byte:02X}")
-    flush_hex()
-    return "".join(out)
-
-
 _SPECIALS = b'";\\|'
 
 
@@ -210,9 +188,9 @@ class TestEncodeContent:
     def test_every_byte_value(self):
         for byte in range(256):
             for pattern in (bytes([byte]), b"a" + bytes([byte, byte]) + b"z"):
-                assert encode_content(pattern) == _encode_content_bytewise(pattern)
+                assert encode_content(pattern) == encode_content_bytewise(pattern)
         everything = bytes(range(256))
-        assert encode_content(everything) == _encode_content_bytewise(everything)
+        assert encode_content(everything) == encode_content_bytewise(everything)
         assert encode_content(b"") == ""
 
     def test_specials_become_hex(self):
@@ -233,7 +211,7 @@ class TestEncodeContent:
     @settings(max_examples=400, deadline=None)
     def test_equals_bytewise_oracle(self, pattern):
         encoded = encode_content(pattern)
-        assert encoded == _encode_content_bytewise(pattern)
+        assert encoded == encode_content_bytewise(pattern)
         assert _decode_content('"' + encoded + '"') == pattern
 
 
