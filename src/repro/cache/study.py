@@ -38,10 +38,12 @@ Durability (the publish/verify/GC protocol):
 
 Encoding: each heavy stage has one codec (:data:`STAGES`) that writes and
 reads one data file, a column container (the shard's framing, see
-:mod:`repro.store.shard`) written through one zlib stream: ``store`` holds
-the session columns, a deduplicated payload heap and the ground truth,
-with the collection statistics in the container header; ``alerts`` holds
-the shard's own ``alert_*`` columns (:class:`repro.store.columnar.AlertTable`).
+:mod:`repro.store.shard`) written through one zlib stream that opens with
+the container's length (8 bytes, little-endian), so a reader inflates the
+container into one buffer of that size.  ``store`` holds the session
+columns, a deduplicated payload heap and the ground truth, with the six
+collection counters in the container header; ``alerts`` holds the shard's
+own ``alert_*`` columns (:class:`repro.store.columnar.AlertTable`).
 A loaded stage is a view over its checked columns, not a list of records:
 the store builds its ``TcpSession`` records only when iterated, and the
 alert table its ``Alert`` records only when read.
@@ -109,14 +111,15 @@ from repro.store.columnar import (
     check_index,
     check_times,
 )
-from repro.store.shard import container_chunks, read_container
+from repro.store.shard import LENGTH_BYTES, container_chunks, read_container
 from repro.telescope.collector import CollectionStats
 
 #: Bump when the on-disk entry layout changes (not when pipeline code does —
 #: the code fingerprint covers that).  2: per-file checksums and record
 #: counts in ``meta.json``.  3: compressed column containers, no arrival
-#: stream.
-CACHE_SCHEMA = 3
+#: stream.  4: each stream opens with the container's length; the store
+#: header counts the distinct addresses instead of listing them.
+CACHE_SCHEMA = 4
 
 #: The directory the stage checkpoints lived in before they became partial
 #: entries; ``StudyCache.gc`` removes it (nothing reads it).
@@ -204,24 +207,23 @@ def study_key(config) -> str:
 #
 # A stage file is one column container (:mod:`repro.store.shard`, the
 # shard's framing) written through a single ``zlib`` stream, column by
-# column, so no whole-file copy is ever held in memory.  Datetimes are
-# int64 microseconds since the epoch (``MISSING`` for None); every stage
-# produces naive UTC, and the encoder rejects an aware datetime.  The
-# reader validates what it decompresses and raises ``ValueError`` on any
-# damage, which the cache and the checkpoint store count as an integrity
-# failure and a miss.
+# column, so no whole-file copy is ever held in memory; the stream opens
+# with the container's length, which sizes the reader's buffer.  Datetimes
+# are int64 microseconds since the epoch (``MISSING`` for None); every
+# stage produces naive UTC, and the encoder rejects an aware datetime.
+# The reader validates what it decompresses and raises ``ValueError`` on
+# any damage, which the cache and the checkpoint store count as an
+# integrity failure and a miss.
 
 STORE_FILE = "store.cols.zlib"
 ALERTS_FILE = "alerts.cols.zlib"
 # ``store`` holds :data:`repro.net.pcapstore.STORE_DTYPES`, ``alerts``
 # :data:`repro.store.columnar.ALERT_DTYPES`.
 
-_STATS_COUNTERS = (
-    "arrivals_routed",
-    "sessions_captured",
-    "tenancies_materialised",
-    "arrivals_lost_to_preemption",
-)
+#: Deflate turns one byte into at most 1032.
+_DEFLATE_MAX_RATIO = 1032
+
+_STATS_COUNTERS = tuple(field.name for field in dataclasses.fields(CollectionStats))
 
 
 def _write_columns(
@@ -232,7 +234,7 @@ def _write_columns(
 ) -> None:
     compressor = zlib.compressobj(1)
     with open(path, "wb") as handle:
-        for chunk in container_chunks(header, columns, dtypes):
+        for chunk in container_chunks(header, columns, dtypes, length_prefix=True):
             handle.write(compressor.compress(chunk))
         handle.write(compressor.flush())
 
@@ -240,14 +242,35 @@ def _write_columns(
 def _read_columns(
     path: Path, dtypes: Dict[str, str]
 ) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+    """Inflate a stage file and parse its container.
+
+    The stream's first 8 bytes are the container's length.  They are
+    inflated alone, by a bounded ``decompress`` that leaves the rest of
+    the stream unconsumed, and ``flush`` inflates that rest into one
+    buffer of the given size, which ``read_container`` wraps without a
+    copy.  (A bounded ``decompress`` of the whole stream would still grow
+    its buffer block by block and copy it whole at the end.)
+    """
+    data = path.read_bytes()
     decompressor = zlib.decompressobj()
     try:
-        data = decompressor.decompress(path.read_bytes())
+        prefix = decompressor.decompress(data, LENGTH_BYTES)
+        if len(prefix) != LENGTH_BYTES:
+            raise ValueError(f"{path.name}: shorter than its length prefix")
+        length = int.from_bytes(prefix, "little")
+        # Checked before it is allocated: no deflate stream holds more.
+        if not 0 < length <= _DEFLATE_MAX_RATIO * len(data):
+            raise ValueError(f"{path.name}: a length prefix of {length} bytes")
+        container = decompressor.flush(length)
     except zlib.error as exc:
         raise ValueError(f"{path.name}: {exc}") from None
     if not decompressor.eof or decompressor.unused_data:
         raise ValueError(f"{path.name}: truncated or trailing compressed data")
-    return read_container(data, dtypes, source=path.name)
+    if len(container) != length:
+        raise ValueError(
+            f"{path.name}: {len(container)} bytes inflated, {length} expected"
+        )
+    return read_container(container, dtypes, source=path.name)
 
 
 def _write_captured(directory: Path, captured: "Captured") -> int:
@@ -265,12 +288,9 @@ def _write_captured(directory: Path, captured: "Captured") -> int:
             [cves.intern(truth) for truth in ground_truth.values()], np.int32
         ),
     }
-    stats = {name: getattr(collection_stats, name) for name in _STATS_COUNTERS}
-    stats["receiving_ips"] = sorted(collection_stats.receiving_ips)
-    stats["source_ips"] = sorted(collection_stats.source_ips)
     _write_columns(
         directory / STORE_FILE,
-        {"stats": stats, "cves": cves.values},
+        {"stats": collection_stats.as_dict(), "cves": cves.values},
         columns,
         STORE_DTYPES,
     )
@@ -320,9 +340,7 @@ def _read_captured(directory: Path) -> "Captured":
 
     stats = header["stats"]
     collection_stats = CollectionStats(
-        **{name: stats[name] for name in _STATS_COUNTERS},
-        receiving_ips=set(stats["receiving_ips"]),
-        source_ips=set(stats["source_ips"]),
+        **{name: stats[name] for name in _STATS_COUNTERS}
     )
     ground_truth = _TruthColumns(truth_sessions, columns["truth_cve"], cves)
     store = SessionStore.from_columns(SessionColumns(columns))

@@ -19,6 +19,8 @@ writes rule text: the study and scaled rule generators build
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -63,6 +65,10 @@ _PCRE_FLAGS = {
     "P": (0, HttpBuffer.HTTP_CLIENT_BODY),
     "M": (0, HttpBuffer.HTTP_METHOD),
 }
+#: Every ``re`` flag a pcre letter stands for.
+_PCRE_RE_FLAGS = functools.reduce(
+    operator.or_, (re_flag for re_flag, _ in _PCRE_FLAGS.values())
+)
 
 #: buffer modifier option (``http_uri`` ...) -> buffer; the enum's values
 #: are the modifier names.
@@ -400,6 +406,11 @@ def _format_option(option: DetectionOption) -> str:
             parts.append("fast_pattern;")
         return " ".join(parts)
     if isinstance(option, PcreMatch):
+        unlettered = option.flags & ~_PCRE_RE_FLAGS
+        if unlettered:
+            raise ValueError(
+                f"pcre flags {re.RegexFlag(unlettered)!r} have no Snort letter"
+            )
         flags = "".join(
             char
             for char, (re_flag, buffer) in _PCRE_FLAGS.items()

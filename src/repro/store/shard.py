@@ -49,7 +49,9 @@ SHARD_SCHEMA = 1
 #: keeps wide int64 columns page- and cache-line-friendly).
 ALIGNMENT = 64
 
-_LEN_BYTES = 8
+#: The width of the header-length field, and of a container-length prefix
+#: (``container_chunks(..., length_prefix=True)``): little-endian uint64.
+LENGTH_BYTES = 8
 
 
 def _align(offset: int) -> int:
@@ -60,6 +62,8 @@ def container_chunks(
     header: Mapping[str, object],
     columns: Mapping[str, np.ndarray],
     dtypes: Mapping[str, str],
+    *,
+    length_prefix: bool = False,
 ) -> Iterator[Union[bytes, memoryview]]:
     """The bytes of one column container, as a sequence of chunks.
 
@@ -68,7 +72,9 @@ def container_chunks(
     dtype.  The chunks are the framing (magic, header length, header),
     then per column its alignment padding and a view of its bytes — no
     column is copied, so a caller can stream them into a file or a
-    compressor.
+    compressor.  With ``length_prefix`` the first chunk is the container's
+    byte length (:data:`LENGTH_BYTES`), so a reader of a compressed stream
+    can size its buffer before it inflates the container.
     """
     if set(columns) != set(dtypes):
         raise TypeError(
@@ -103,18 +109,20 @@ def container_chunks(
     # couple of rounds.
     header_bytes = render_header()
     while True:
-        cursor = _align(len(MAGIC) + _LEN_BYTES + len(header_bytes))
+        end = len(MAGIC) + LENGTH_BYTES + len(header_bytes)
         for descriptor, array in zip(descriptors, arrays):
-            descriptor["offset"] = cursor
-            cursor = _align(cursor + array.nbytes)
+            descriptor["offset"] = _align(end)
+            end = _align(end) + array.nbytes
         rendered = render_header()
         if len(rendered) == len(header_bytes):
             header_bytes = rendered
             break
         header_bytes = rendered
 
-    yield MAGIC + len(header_bytes).to_bytes(_LEN_BYTES, "little") + header_bytes
-    position = len(MAGIC) + _LEN_BYTES + len(header_bytes)
+    if length_prefix:
+        yield end.to_bytes(LENGTH_BYTES, "little")
+    yield MAGIC + len(header_bytes).to_bytes(LENGTH_BYTES, "little") + header_bytes
+    position = len(MAGIC) + LENGTH_BYTES + len(header_bytes)
     for descriptor, array in zip(descriptors, arrays):
         offset = int(descriptor["offset"])  # type: ignore[arg-type]
         yield b"\0" * (offset - position)
@@ -136,7 +144,7 @@ def read_container(
     pinning ``buffer``.
     """
     size = len(buffer)
-    header_start = len(MAGIC) + _LEN_BYTES
+    header_start = len(MAGIC) + LENGTH_BYTES
     if size < header_start or buffer[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{source}: not a repro column container (bad magic)")
     hlen = int.from_bytes(buffer[len(MAGIC): header_start], "little")

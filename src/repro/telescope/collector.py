@@ -22,7 +22,8 @@ same exchange, the reference ``tests/test_capture_batch.py`` pins this
 against).  Stamping builds no record: it queues the tenancy's rows, and a
 take gathers them from the arrival columns by numpy indexing into the
 ``store`` stage's :class:`~repro.net.pcapstore.SessionColumns`, handing
-over the arrivals' payload heap without hashing a payload.  Two entry
+over the arrivals' payload heap without hashing a payload, and counts the
+distinct addresses of every session taken so far.  Two entry
 points share the core, and both emit those columns:
 
 * :meth:`DscopeCollector.collect` — the batch path: route the whole stream
@@ -39,9 +40,9 @@ points share the core, and both emit those columns:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,40 +66,26 @@ _CHUNK = 4096
 
 @dataclass
 class CollectionStats:
-    """Aggregate statistics from one collection run."""
+    """Aggregate statistics from one collection run.
+
+    ``unique_receiving_ips`` counts the telescope IPs that received at
+    least one analysed arrival (paper: 105k of 5M for exploit traffic),
+    and ``unique_source_ips`` the addresses that sent one: the distinct
+    destination and source addresses of the captured sessions.  An
+    arrival lost to preemption makes no session, so a tenancy whose every
+    arrival was lost never counts as receiving.
+    """
 
     arrivals_routed: int = 0
     sessions_captured: int = 0
     tenancies_materialised: int = 0
     arrivals_lost_to_preemption: int = 0
-    receiving_ips: Set[int] = field(default_factory=set)
-    source_ips: Set[int] = field(default_factory=set)
-
-    @property
-    def unique_receiving_ips(self) -> int:
-        """Telescope IPs that received at least one analysed arrival
-        (paper: 105k of 5M for exploit traffic).
-
-        An IP counts only when a live tenancy actually accepted an arrival;
-        a tenancy whose every arrival was lost to preemption never received
-        anything analysable.
-        """
-        return len(self.receiving_ips)
-
-    @property
-    def unique_source_ips(self) -> int:
-        return len(self.source_ips)
+    unique_receiving_ips: int = 0
+    unique_source_ips: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Flat JSON-friendly counters (run manifests, debugging dumps)."""
-        return {
-            "arrivals_routed": self.arrivals_routed,
-            "sessions_captured": self.sessions_captured,
-            "tenancies_materialised": self.tenancies_materialised,
-            "arrivals_lost_to_preemption": self.arrivals_lost_to_preemption,
-            "unique_receiving_ips": self.unique_receiving_ips,
-            "unique_source_ips": self.unique_source_ips,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -121,6 +108,16 @@ class CaptureWindow:
     sessions: SessionColumns
     arrivals: int
     final: bool = False
+
+
+def _distinct(seen: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The distinct values of ``seen`` (sorted, distinct) and ``values``,
+    sorted: a sort and a diff, not ``np.unique``, which imports
+    ``numpy.ma``."""
+    merged = np.sort(np.concatenate([seen, values]))
+    keep = np.ones(merged.size, bool)
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
 
 
 class _Tenancy:
@@ -151,6 +148,10 @@ class DscopeCollector:
         self.window = window
         self.pool = CloudIpPool(seed=self.config.seed)
         self.stats = CollectionStats()
+        #: The distinct addresses of the sessions taken so far, sorted,
+        #: which ``stats`` counts.
+        self._receiving_ips = np.empty(0, np.uint32)
+        self._source_ips = np.empty(0, np.uint32)
         self._next_session_id = 0
         #: session_id -> ground-truth CVE (None for background traffic).
         #: Populated during collect(); for validation only — the detection
@@ -285,6 +286,7 @@ class DscopeCollector:
         iteration order, and stamp order otherwise.  A session starts
         20 ms after its arrival and ends 40 ms later.  Its payload indexes
         the arrivals' own heap, which the columns renumber and compact.
+        The sessions' addresses join the distinct ones ``stats`` counts.
         """
         rows = np.array(self._stamped, np.int64)
         dst_ips = np.array(self._stamped_dst, np.uint32)
@@ -301,6 +303,10 @@ class DscopeCollector:
         self._release()
         ids = np.arange(first, first + count, dtype=np.int64)
         starts = arrivals.t[at] + _ESTABLISHED_US
+        self._receiving_ips = _distinct(self._receiving_ips, dst_ips)
+        self._source_ips = _distinct(self._source_ips, arrivals.src_ip[at])
+        self.stats.unique_receiving_ips = self._receiving_ips.size
+        self.stats.unique_source_ips = self._source_ips.size
         if sort:
             # Stable: ids rise in stamp order, so ties keep id order.
             order = np.argsort(starts, kind="stable")
@@ -365,11 +371,10 @@ class DscopeCollector:
         self._sources.append(batch)
         self._source_rows.append(first_row)
         for low in range(0, inside.size, _CHUNK):
-            self._assign(batch, first_row, elapsed, inside[low:low + _CHUNK])
+            self._assign(first_row, elapsed, inside[low:low + _CHUNK])
 
     def _assign(
         self,
-        batch: ArrivalColumns,
         first_row: int,
         elapsed: np.ndarray,
         inside: np.ndarray,
@@ -384,8 +389,6 @@ class DscopeCollector:
         epochs = (now - self._stagger_us[slots]) // self._life_us
 
         live = self._live
-        receiving: List[int] = []
-        accepted: List[int] = []
         materialised = lost = 0
         for index, slot, epoch, now_us in zip(
             inside.tolist(), slots.tolist(), epochs.tolist(), now.tolist()
@@ -405,17 +408,11 @@ class DscopeCollector:
                 lost += 1
                 continue
             tenancy.rows.append(first_row + index)
-            # The IP counts as receiving only now: a tenancy whose every
-            # arrival was preempted away never received analysable traffic.
-            receiving.append(tenancy.ip)
-            accepted.append(index)
 
         stats = self.stats
         stats.tenancies_materialised += materialised
         stats.arrivals_lost_to_preemption += lost
-        stats.arrivals_routed += len(receiving)
-        stats.receiving_ips.update(receiving)
-        stats.source_ips.update(batch.src_ip[accepted].tolist())
+        stats.arrivals_routed += inside.size - lost
 
     def _close_all(self) -> None:
         """Tear down every live tenancy, in routing order."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from datetime import datetime
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.net.pcapstore import SessionStore
 from repro.net.session import TcpSession
@@ -80,6 +80,10 @@ class OracleCollector:
         self.window = window
         self.pool = OracleIpPool(seed=self.config.seed)
         self.stats = CollectionStats()
+        #: The addresses that sent and received an accepted arrival, which
+        #: the stats count.
+        self.receiving_ips: Set[int] = set()
+        self.source_ips: Set[int] = set()
         self._next_session_id = 0
         self.ground_truth: Dict[int, Optional[str]] = {}
         self._routing_rng = None
@@ -160,8 +164,10 @@ class OracleCollector:
             return finished
         instance.receive(arrival)
         self.stats.arrivals_routed += 1
-        self.stats.receiving_ips.add(instance.ip)
-        self.stats.source_ips.add(arrival.src_ip)
+        self.receiving_ips.add(instance.ip)
+        self.source_ips.add(arrival.src_ip)
+        self.stats.unique_receiving_ips = len(self.receiving_ips)
+        self.stats.unique_source_ips = len(self.source_ips)
         return finished
 
     def flush(self) -> List[TcpSession]:

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import dataclasses
 import re
 from datetime import timedelta
 
@@ -274,6 +275,21 @@ def test_content_escape_roundtrip_through_parser(rule):
     text = format_rule(rule)
     assert parse_rule(text) == rule
     assert format_rule(parse_rule(text)) == text
+
+
+@given(
+    rule_asts,
+    st.sampled_from([re.VERBOSE, re.ASCII, re.LOCALE, re.VERBOSE | re.ASCII]),
+    st.sets(st.sampled_from([re.IGNORECASE, re.DOTALL, re.MULTILINE])),
+)
+@settings(max_examples=50, deadline=None)
+def test_pcre_flag_without_a_letter_is_rejected(rule, unlettered, lettered):
+    """A pcre flag no Snort letter stands for is named in an error, not
+    dropped from the text (which would parse back as a different rule)."""
+    pcre = PcreMatch(pattern="a", flags=unlettered | sum(lettered, 0))
+    rule = dataclasses.replace(rule, options=rule.options + (pcre,))
+    with pytest.raises(ValueError, match=re.escape(repr(re.RegexFlag(unlettered)))):
+        format_rule(rule)
 
 
 # -- RCA heuristic ------------------------------------------------------------

@@ -149,8 +149,8 @@ def collection_stats(draw):
         sessions_captured=draw(counter),
         tenancies_materialised=draw(counter),
         arrivals_lost_to_preemption=draw(counter),
-        receiving_ips=draw(st.sets(ips, max_size=8)),
-        source_ips=draw(st.sets(ips, max_size=8)),
+        unique_receiving_ips=draw(counter),
+        unique_source_ips=draw(counter),
     )
 
 
@@ -299,8 +299,22 @@ class TestStageCodecs:
 # -- malformed content behind a matching digest ----------------------------------
 
 
-def _recompress(data: bytes) -> bytes:
-    return zlib.compress(bytes(data), 1)
+#: A stage file's stream opens with the container's length, 8 bytes.
+PREFIX = 8
+
+
+def _recompress(data: bytes, length=None) -> bytes:
+    """A stage file holding ``data`` as its container, behind a length
+    prefix of ``length`` (default: the container's own)."""
+    length = len(data) if length is None else length
+    return zlib.compress(length.to_bytes(PREFIX, "little") + bytes(data), 1)
+
+
+def _inflate(data: bytes) -> bytes:
+    """A well-formed stage file's container."""
+    raw = zlib.decompress(data)
+    assert int.from_bytes(raw[:PREFIX], "little") == len(raw) - PREFIX
+    return raw[PREFIX:]
 
 
 def _rewrite(header, columns, dtypes) -> bytes:
@@ -312,9 +326,10 @@ def _rewrite(header, columns, dtypes) -> bytes:
 
 def _malform(stage: str, data: bytes, how: str) -> bytes:
     """A stage file's bytes, damaged one way; still a valid zlib stream
-    unless ``how`` damages the stream itself."""
+    with a true length prefix unless ``how`` damages the stream or the
+    prefix itself."""
     dtypes = STAGE_DTYPES[stage]
-    raw = zlib.decompress(data)
+    raw = _inflate(data)
     header, columns = read_container(raw, dtypes)
     columns = {name: np.array(array) for name, array in columns.items()}
     first = sorted(dtypes)[0]
@@ -338,6 +353,16 @@ def _malform(stage: str, data: bytes, how: str) -> bytes:
         return data[:-4]
     if how == "trailing_stream_bytes":
         return data + b"junk"
+    if how == "length_longer_than_stream":
+        return _recompress(raw, len(raw) + 1)
+    if how == "length_shorter_than_stream":
+        return _recompress(raw, len(raw) - 1)
+    if how == "length_beyond_deflate":  # more than any stream can inflate to
+        return _recompress(raw, 2**63)
+    if how == "stream_shorter_than_prefix":
+        return zlib.compress(raw[:PREFIX - 1], 1)
+    if how == "file_shorter_than_prefix":
+        return data[:PREFIX - 1]
     # Well-framed columns holding what no writer produces.
     if how == "session_ends_before_start":
         columns["session_end"] = columns["session_start"] - 1
@@ -364,7 +389,9 @@ def _malform(stage: str, data: bytes, how: str) -> bytes:
 FRAMING = [
     "bad_magic", "unknown_column", "missing_column", "dtype_mismatch",
     "short_column", "trailing_bytes", "truncated_stream",
-    "trailing_stream_bytes",
+    "trailing_stream_bytes", "length_longer_than_stream",
+    "length_shorter_than_stream", "length_beyond_deflate",
+    "stream_shorter_than_prefix", "file_shorter_than_prefix",
 ]
 #: Columns that decode but that no writer produces, per stage: the reader
 #: must reject each by a column check, or the cache would serve a study
@@ -388,6 +415,14 @@ MALFORMATIONS = [
 
 @pytest.mark.parametrize("stage, how", MALFORMATIONS)
 class TestMalformedContent:
+    def test_reader_raises_value_error(self, staged, tmp_path, stage, how):
+        _, key, checkpoints, _ = staged
+        (name,) = STAGES[stage].files
+        data = (checkpoints.dir_for(key) / name).read_bytes()
+        (tmp_path / name).write_bytes(_malform(stage, data, how))
+        with pytest.raises(ValueError):
+            STAGES[stage].read(tmp_path)
+
     def test_study_cache_load_is_an_integrity_miss(self, staged, tmp_path, stage, how):
         config, _, _, values = staged
         cache = StudyCache(root=tmp_path / "cache")

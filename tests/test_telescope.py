@@ -359,3 +359,49 @@ class TestCollectWindows:
         collector = DscopeCollector(self._config(), window=WINDOW)
         with pytest.raises(ValueError):
             list(collector.collect_windows([], span=timedelta(0)))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_ip_counts_are_the_sessions_distinct_addresses(seed, tmp_path):
+    """``unique_receiving_ips`` and ``unique_source_ips`` equal the store's
+    distinct ``session_dst_ip`` and ``session_src_ip`` values after
+    ``collect``, after the last window of ``collect_windows`` and on a
+    cache hit."""
+    from repro.analysis.pipeline import StudyConfig, run_study
+    from repro.datasets.loader import build_bundle
+    from repro.scenarios import resolve
+
+    def counts(stats):
+        return stats.unique_receiving_ips, stats.unique_source_ips
+
+    def distinct(session_columns):
+        dst, src = set(), set()
+        for columns in session_columns:
+            dst.update(columns.columns["session_dst_ip"].tolist())
+            src.update(columns.columns["session_src_ip"].tolist())
+        return len(dst), len(src)
+
+    config = StudyConfig(
+        seed=seed, volume_scale=0.01, background_per_exploit=0.3,
+        background_nvd_count=500, workers=1,
+    )
+    cold = run_study(config, cache=tmp_path)
+    assert not cold.from_cache
+    expected = distinct([cold.store.columns()])
+    assert counts(cold.collection_stats) == expected
+    assert min(expected) > 0
+
+    warm = run_study(config, cache=tmp_path)
+    assert warm.from_cache
+    assert counts(warm.collection_stats) == distinct([warm.store.columns()])
+    assert warm.collection_stats == cold.collection_stats
+
+    resolved = resolve("paper-default", config)
+    window = build_bundle(resolved.plan).window
+    collector = resolved.build_collector(window)
+    windows = list(collector.collect_windows(
+        resolved.build_traffic(window).stream(), span=timedelta(days=30)
+    ))
+    assert len(windows) > 1 and windows[-1].final
+    assert counts(collector.stats) == distinct(w.sessions for w in windows)
+    assert collector.stats == cold.collection_stats
