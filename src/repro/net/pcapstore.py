@@ -205,7 +205,8 @@ class _RowPayloads(Mapping[int, bytes]):
 
 def encode_session(session: TcpSession) -> dict:
     """JSON-serialisable record for one session (inverse of
-    :func:`decode_session`); shared by the store and the study cache.
+    :func:`decode_session`), the line format of :meth:`SessionStore.save`
+    and :meth:`SessionStore.load`.
 
     Times are written as ``YYYY-MM-DDTHH:MM:SS.ffffff`` (the fraction is
     kept when it is 0), the same string ``strftime("%Y-%m-%dT%H:%M:%S.%f")``

@@ -30,7 +30,7 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple, Union
 
@@ -129,62 +129,42 @@ class ScanTelemetry:
         return self.match_cache_hits / probes
 
     def merge(self, other: "ScanTelemetry") -> None:
-        """Fold another scan's counters into this one (parallel workers)."""
-        self.sessions += other.sessions
-        self.payload_bytes += other.payload_bytes
-        self.prefilter_hits += other.prefilter_hits
-        self.candidates_nominated += other.candidates_nominated
-        self.candidates_evaluated += other.candidates_evaluated
-        self.match_cache_hits += other.match_cache_hits
-        self.match_cache_misses += other.match_cache_misses
-        self.prefilter_seconds += other.prefilter_seconds
-        self.eval_seconds += other.eval_seconds
-        self.scan_seconds += other.scan_seconds
-        # Summing is only correct for sequential merges (a serial engine
-        # accumulating passes); the parallel scan overwrites this with its
-        # own parent-measured elapsed time after merging its workers.
-        self.wall_seconds += other.wall_seconds
-        self.recovered_chunks += other.recovered_chunks
-        self.fallback_serial += other.fallback_serial
-        # Shard count is a property of the compiled partition, not work
-        # done: identical in every worker, so max (not sum) merges it.
-        self.prefilter_shards = max(self.prefilter_shards, other.prefilter_shards)
-        self.shards_compiled += other.shards_compiled
-        self.shard_compile_seconds += other.shard_compile_seconds
-        self.shard_searches += other.shard_searches
-        if other.pcre_cache is not None:
-            self.pcre_cache = other.pcre_cache
+        """Fold another scan's counters into this one (parallel workers).
+
+        Every field sums except ``prefilter_shards`` (a property of the
+        compiled partition, identical in every worker, so ``max``) and
+        ``pcre_cache`` (a snapshot: the last one seen).  Summing
+        ``wall_seconds`` is only correct for sequential merges (a serial
+        engine accumulating passes); the parallel scan overwrites it with
+        its own parent-measured elapsed time after merging its workers.
+        """
+        for item in fields(self):
+            name = item.name
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if name == "prefilter_shards":
+                setattr(self, name, max(mine, theirs))
+            elif name == "pcre_cache":
+                if theirs is not None:
+                    self.pcre_cache = theirs
+            else:
+                setattr(self, name, mine + theirs)
 
     def snapshot_pcre_cache(self) -> None:
         info = matcher._compiled.cache_info()
         self.pcre_cache = (info.hits, info.misses, info.maxsize, info.currsize)
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly form (benchmark records, debugging dumps)."""
-        return {
-            "sessions": self.sessions,
-            "payload_bytes": self.payload_bytes,
-            "prefilter_hits": self.prefilter_hits,
-            "prefilter_hit_ratio": self.prefilter_hit_ratio,
-            "candidates_nominated": self.candidates_nominated,
-            "candidates_evaluated": self.candidates_evaluated,
-            "match_cache_hits": self.match_cache_hits,
-            "match_cache_misses": self.match_cache_misses,
-            "match_cache_hit_ratio": self.match_cache_hit_ratio,
-            "prefilter_seconds": self.prefilter_seconds,
-            "eval_seconds": self.eval_seconds,
-            "scan_seconds": self.scan_seconds,
-            "cpu_seconds": self.cpu_seconds,
-            "wall_seconds": self.wall_seconds,
-            "utilization": self.utilization,
-            "recovered_chunks": self.recovered_chunks,
-            "fallback_serial": self.fallback_serial,
-            "prefilter_shards": self.prefilter_shards,
-            "shards_compiled": self.shards_compiled,
-            "shard_compile_seconds": self.shard_compile_seconds,
-            "shard_searches": self.shard_searches,
-            "pcre_cache": self.pcre_cache,
-        }
+        """JSON-friendly form (benchmark records, debugging dumps): every
+        field plus the four derived properties."""
+        record: Dict[str, object] = asdict(self)
+        for name in (
+            "cpu_seconds",
+            "utilization",
+            "prefilter_hit_ratio",
+            "match_cache_hit_ratio",
+        ):
+            record[name] = getattr(self, name)
+        return record
 
 
 @dataclass
@@ -246,11 +226,12 @@ def scan_rows(
     """Scan rows ``[start, stop)``: the core of serial and worker scans.
 
     Returns ``(rows, winners, telemetry)``: the alerted rows in row order
-    and each one's winning rule index.  A port-insensitive ruleset's match
-    is a pure function of the payload, so each distinct non-empty payload
-    of the rows is matched once (:meth:`Ruleset.match_payloads`) and the
-    winners are mapped onto the rows through their heap indices; a
-    port-sensitive one is memoised on ``(payload, src_port, dst_port)``.
+    and each one's winning rule index.  Each distinct key of the rows'
+    non-empty payloads is matched once, in one
+    :meth:`Ruleset.match_payloads` call, and the winners are mapped back
+    onto the rows.  The key is the payload's heap index for a
+    port-insensitive ruleset (its match is a pure function of the payload)
+    and ``(heap index, src_port, dst_port)`` for a port-sensitive one.
     """
     ruleset._ensure_compiled()
     telemetry = ScanTelemetry()
@@ -268,69 +249,43 @@ def scan_rows(
         used = np.zeros(len(distinct), bool)
         used[payload[matched]] = True
         keys = np.flatnonzero(used).tolist()
-        (
-            memo,
-            prefilter_hits,
-            nominated,
-            evaluated,
-            prefilter_seconds,
-            eval_seconds,
-        ) = ruleset.match_payloads(map(distinct.__getitem__, keys))
-        best = np.full(len(distinct), -1, np.int64)
-        best[keys] = [
-            -1 if (winner := memo[distinct[key]]) is None else winner
-            for key in keys
-        ]
-        winners = best[payload]
+        heap_keys, ports = keys, None
     else:
-        match_payload = ruleset._match_payload
-        memo: Dict[Tuple[int, int, int], Optional[int]] = {}
-        prefilter_hits = nominated = evaluated = 0
-        prefilter_seconds = eval_seconds = 0.0
         row_keys = list(zip(
             payload[matched].tolist(),
             table["session_src_port"][start:stop][matched].tolist(),
             table["session_dst_port"][start:stop][matched].tolist(),
         ))
-        for key in dict.fromkeys(row_keys):
-            index, src_port, dst_port = key
-            winner, hit, n_nominated, n_evaluated, t_prefilter, t_eval = (
-                match_payload(distinct[index], src_port=src_port, dst_port=dst_port)
-            )
-            memo[key] = winner
-            prefilter_hits += hit
-            nominated += n_nominated
-            evaluated += n_evaluated
-            prefilter_seconds += t_prefilter
-            eval_seconds += t_eval
+        keys = list(dict.fromkeys(row_keys))
+        heap_keys = [key[0] for key in keys]
+        ports = [key[1:] for key in keys]
+    (
+        found,
+        telemetry.prefilter_hits,
+        telemetry.candidates_nominated,
+        telemetry.candidates_evaluated,
+        telemetry.prefilter_seconds,
+        telemetry.eval_seconds,
+    ) = ruleset.match_payloads([distinct[key] for key in heap_keys], ports)
+    if ports is None:
+        best = np.full(len(distinct), -1, np.int64)
+        best[keys] = found
+        winners = best[payload]
+    else:
+        memo = dict(zip(keys, found))
         winners = np.full(stop - start, -1, np.int64)
-        winners[matched] = [
-            -1 if (winner := memo[key]) is None else winner for key in row_keys
-        ]
+        winners[matched] = [memo[key] for key in row_keys]
     alerted = np.flatnonzero(winners >= 0)
-    telemetry.match_cache_misses = len(memo)
-    telemetry.match_cache_hits = int(matched.size) - len(memo)
-    telemetry.prefilter_hits = prefilter_hits
-    telemetry.candidates_nominated = nominated
-    telemetry.candidates_evaluated = evaluated
-    telemetry.prefilter_seconds = prefilter_seconds
-    telemetry.eval_seconds = eval_seconds
+    telemetry.match_cache_misses = len(keys)
+    telemetry.match_cache_hits = int(matched.size) - len(keys)
     telemetry.sessions = stop - start
     telemetry.payload_bytes = int(lengths.sum())
     telemetry.scan_seconds = perf_counter() - started
     telemetry.wall_seconds = telemetry.scan_seconds
     shard_stats = ruleset.prefilter_stats()
-    telemetry.prefilter_shards = int(shard_stats["prefilter_shards"])
-    telemetry.shards_compiled = int(
-        shard_stats["shards_compiled"] - shard_stats_before["shards_compiled"]
-    )
-    telemetry.shard_compile_seconds = (
-        shard_stats["shard_compile_seconds"]
-        - shard_stats_before["shard_compile_seconds"]
-    )
-    telemetry.shard_searches = int(
-        shard_stats["shard_searches"] - shard_stats_before["shard_searches"]
-    )
+    telemetry.prefilter_shards = shard_stats.pop("prefilter_shards")
+    for name, value in shard_stats.items():
+        setattr(telemetry, name, value - shard_stats_before[name])
     telemetry.snapshot_pcre_cache()
     return alerted + start, winners[alerted], telemetry
 
@@ -506,9 +461,9 @@ def parallel_scan(
 class DetectionEngine:
     """Run a :class:`Ruleset` over session streams.
 
-    ``workers`` selects the scan strategy: 1 (the default) scans in-process;
-    N > 1 scans in N forked worker processes (:func:`parallel_scan`) with
-    identical results.  ``threshold`` is that path's break-even stream
+    Every scan goes through :func:`parallel_scan`: ``workers`` 1 (the
+    default) scans in-process; N > 1 scans in N forked worker processes
+    with identical results.  ``threshold`` is that path's break-even stream
     size (``threshold=0`` forces the pool on), and ``tracer`` (a
     :class:`repro.obs.Tracer`, optional) receives its per-chunk spans.
     """
@@ -532,16 +487,13 @@ class DetectionEngine:
     def scan(self, sessions: Sessions) -> "AlertTable":
         """Scan sessions; returns the retained alerts in session order, as
         an :class:`~repro.store.columnar.AlertTable`."""
-        if self.workers == 1:
-            alerts, scanned, telemetry = scan_stream(self.ruleset, sessions)
-        else:
-            alerts, scanned, telemetry = parallel_scan(
-                self.ruleset,
-                sessions,
-                workers=self.workers,
-                tracer=self.tracer,
-                threshold=self.threshold,
-            )
+        alerts, scanned, telemetry = parallel_scan(
+            self.ruleset,
+            sessions,
+            workers=self.workers,
+            tracer=self.tracer,
+            threshold=self.threshold,
+        )
         self.stats.replay(alerts, sessions_scanned=scanned)
         self.stats.telemetry.merge(telemetry)
         return alerts

@@ -27,6 +27,7 @@ from datetime import datetime, timedelta
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.net.session import TcpSession
+from repro.nids.engine import DetectionEngine
 from repro.nids.ruleset import Alert, Ruleset
 
 
@@ -137,19 +138,16 @@ def compare_live_vs_wayback(
 ) -> LiveComparison:
     """Scan an archive both ways and summarise the gap.
 
-    The retrospective pass applies the final ruleset and keeps each
-    session's earliest-published match; the live pass matches each session
-    only against the rules deployed at its start (``deployment_lag`` after
-    publication, or the explicit ``deployed_at`` schedule).  With
+    The retrospective pass is the study's scan (:class:`DetectionEngine`:
+    the final ruleset, each session's earliest-published match); the live
+    pass matches each session only against the rules deployed at its start
+    (``deployment_lag`` after publication, or the explicit ``deployed_at``
+    schedule).  With
     overlapping signatures the two passes can retain *different* rules for
     the same session — live alerts on the earliest deployed match, which
     need not be the earliest published one.
     """
-    retrospective = [
-        alert
-        for alert in (ruleset.match_session(session) for session in sessions)
-        if alert is not None
-    ]
+    retrospective = DetectionEngine(ruleset).scan(sessions)
     live = LiveDetectionEngine(
         ruleset, deployment_lag=deployment_lag, deployed_at=deployed_at
     ).scan(sessions)

@@ -284,7 +284,7 @@ class RegexPrefilter:
 
         ``lowered`` declares the haystack already lowercased, skipping the
         ``bytes.lower`` allocation when the caller already holds the
-        lowered payload (``Ruleset._match_payload``).
+        lowered payload (``Ruleset.match_payloads``).
 
         The scan itself is ``findall`` — the entire haystack sweep and the
         per-occurrence extraction stay inside the C engine; Python touches

@@ -17,9 +17,12 @@ drives the scan through CPython's C-implemented ``re`` engine.  Retention
 is *ordered lazy*: candidate rules are walked in ascending publication
 order (a ``heapq.merge`` across per-pattern rule lists pre-sorted at
 compile time), so the first full match *is* the earliest-published one and
-evaluation stops there.  Rule option lists are flattened into positional
-step tuples (:func:`_compile_plan`) evaluated by :func:`_eval_plan` with
-int-indexed buffers and pre-lowered ``nocase`` needles.
+evaluation stops there.  One loop, :meth:`Ruleset.match_payloads`, does
+this for every caller and both port modes: a port-sensitive ruleset skips
+candidates whose ports do not match inside it.  Rule option lists are
+flattened into positional step tuples (:func:`_compile_plan`) evaluated by
+:func:`_eval_plan` with int-indexed buffers and pre-lowered ``nocase``
+needles.
 
 ``tests/scan_oracle.py`` holds the differential reference: a pure-Python
 Aho-Corasick automaton and the evaluate-every-candidate retention loop,
@@ -33,8 +36,9 @@ import heapq
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, tzinfo
+from itertools import repeat
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -391,7 +395,7 @@ class Ruleset:
 
         # Publication order: rank every rule by (published, insertion index)
         # once, then keep each pattern group's rule list sorted by that rank.
-        # match_session can then stop at the *first* full match — it is the
+        # match_payloads can then stop at the *first* full match — it is the
         # earliest-published one by construction.
         total = len(self._rules)
         order = sorted(range(total), key=lambda i: (self._rules[i][1], i))
@@ -463,90 +467,31 @@ class Ruleset:
 
     # -- matching -------------------------------------------------------------
 
-    def _match_payload(
+    def match_payloads(
         self,
-        payload: bytes,
-        src_port: Optional[int] = None,
-        dst_port: Optional[int] = None,
-    ) -> Tuple[Optional[int], bool, int, int, float, float]:
-        """Earliest-published matching rule index for one payload.
+        payloads: Sequence[bytes],
+        ports: Optional[Sequence[Tuple[int, int]]] = None,
+    ) -> Tuple[List[int], int, int, int, float, float]:
+        """Earliest-published matching rule index of each payload.
 
         The ordered lazy fast path: the prefilter nominates pattern groups,
         candidates stream out of a heap-merge in ascending publication rank,
-        and evaluation stops at the first full match.  Returns ``(winner,
-        prefilter_hit, nominated, evaluated, prefilter_seconds,
-        eval_seconds)`` — winner is None when nothing matched; the counters
-        and stage timings feed :class:`repro.nids.engine.ScanTelemetry`.
-        """
-        t_scan = perf_counter()
-        engine = self._search_engine()
-        hits = engine.search(payload.lower(), lowered=True) if engine else ()
-        t_nominate = perf_counter()
-
-        unfiltered = self._unfiltered_ordered
-        nominated = len(unfiltered)
-        if hits:
-            groups = self._groups
-            lists = [groups[pattern_id] for pattern_id in hits]
-            for group in lists:
-                nominated += len(group)
-            if unfiltered:
-                lists.append(unfiltered)
-            if len(lists) == 1:
-                candidates = lists[0]
-            else:
-                candidates = heapq.merge(*lists, key=self._rank.__getitem__)
-        elif unfiltered:
-            candidates = unfiltered
-        else:
-            return None, False, 0, 0, t_nominate - t_scan, 0.0
-
-        winner: Optional[int] = None
-        evaluated = 0
-        buffers = SessionBuffers(payload)
-        plans = self._plans
-        if self._port_insensitive:
-            for index in candidates:
-                evaluated += 1
-                if _eval_plan(plans[index], buffers):
-                    winner = index
-                    break
-        else:
-            rules = self._rules
-            for index in candidates:
-                rule = rules[index][0]
-                if not rule.dst_ports.matches(dst_port):
-                    continue
-                if not rule.src_ports.matches(src_port):
-                    continue
-                evaluated += 1
-                if _eval_plan(plans[index], buffers):
-                    winner = index
-                    break
-        return (
-            winner,
-            bool(hits),
-            nominated,
-            evaluated,
-            t_nominate - t_scan,
-            perf_counter() - t_nominate,
-        )
-
-    def match_payloads(
-        self, payloads: Iterable[bytes]
-    ) -> Tuple[Dict[bytes, Optional[int]], int, int, int, float, float]:
-        """Bulk form of :meth:`_match_payload` over distinct payloads.
-
-        Only valid for port-insensitive rulesets (the match decision is then
-        a pure function of the payload bytes).  Returns ``(winners,
+        and evaluation stops at the first full match.  ``ports`` gives each
+        payload's ``(src_port, dst_port)``: a port-sensitive ruleset
+        requires it and skips candidates whose ports do not match; a
+        port-insensitive one ignores it.  Returns ``(winners,
         prefilter_hits, nominated, evaluated, prefilter_seconds,
-        eval_seconds)`` where ``winners`` maps each payload to its
-        earliest-published matching rule index or None.  The per-payload
-        loop hoists every table lookup out of the hot path — this is the
-        scan's inner loop on deduplicated archives.
+        eval_seconds)`` where ``winners`` holds each payload's rule index,
+        or -1 when nothing matched; the counters and stage timings feed
+        :class:`repro.nids.engine.ScanTelemetry`.  Every table lookup is
+        hoisted out of the per-payload loop: this is the scan's inner loop.
         """
-        if not self._port_insensitive:
-            raise ValueError("match_payloads requires a port-insensitive ruleset")
+        if self._port_insensitive:
+            ports = repeat(None)
+        elif ports is None:
+            raise ValueError("a port-sensitive ruleset needs each payload's ports")
+        elif len(ports) != len(payloads):
+            raise ValueError(f"{len(payloads)} payloads but {len(ports)} port pairs")
         self._ensure_compiled()
         engine = self._search_engine()
         search = engine.search if engine is not None else None
@@ -555,16 +500,17 @@ class Ruleset:
         n_unfiltered = len(unfiltered)
         rank_key = self._rank.__getitem__
         plans = self._plans
+        rules = self._rules
         merge = heapq.merge
-        winners: Dict[bytes, Optional[int]] = {}
+        winners: List[int] = []
         prefilter_hits = nominated = evaluated = 0
         prefilter_seconds = eval_seconds = 0.0
-        for payload in payloads:
+        for payload, pair in zip(payloads, ports):
             t_scan = perf_counter()
             hits = search(payload.lower(), lowered=True) if search is not None else ()
             t_nominate = perf_counter()
             prefilter_seconds += t_nominate - t_scan
-            winner: Optional[int] = None
+            winner = -1
             if hits:
                 prefilter_hits += 1
                 nominated += n_unfiltered
@@ -587,16 +533,29 @@ class Ruleset:
                 nominated += n_unfiltered
                 candidates = unfiltered
             else:
-                winners[payload] = None
+                winners.append(winner)
                 continue
             buffers = SessionBuffers(payload)
-            for index in candidates:
-                evaluated += 1
-                if _eval_plan(plans[index], buffers):
-                    winner = index
-                    break
+            if pair is None:
+                for index in candidates:
+                    evaluated += 1
+                    if _eval_plan(plans[index], buffers):
+                        winner = index
+                        break
+            else:
+                src_port, dst_port = pair
+                for index in candidates:
+                    rule = rules[index][0]
+                    if not rule.dst_ports.matches(dst_port):
+                        continue
+                    if not rule.src_ports.matches(src_port):
+                        continue
+                    evaluated += 1
+                    if _eval_plan(plans[index], buffers):
+                        winner = index
+                        break
             eval_seconds += perf_counter() - t_nominate
-            winners[payload] = winner
+            winners.append(winner)
         return (
             winners,
             prefilter_hits,
@@ -632,13 +591,10 @@ class Ruleset:
         """
         if not session.payload:
             return None
-        self._ensure_compiled()
-        winner = self._match_payload(
-            session.payload,
-            src_port=session.src_port,
-            dst_port=session.dst_port,
-        )[0]
-        if winner is None:
+        winner = self.match_payloads(
+            [session.payload], [(session.src_port, session.dst_port)]
+        )[0][0]
+        if winner < 0:
             return None
         rule, published = self._rules[winner]
         return self._alert(rule, published, session)

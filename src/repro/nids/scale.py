@@ -530,12 +530,13 @@ def throughput_sweep(
     """Rules-vs-throughput: scan one corpus against rulesets of each size.
 
     Returns the ``rules_sweep`` record published to ``BENCH_pipeline.json``
-    (and printed by ``repro rules bench``): per size, serial and parallel
-    throughput plus the shard/compile telemetry that explains it.  The
-    parallel pass forces the pool on (``threshold=0``) so small sweeps
+    (and printed by ``repro rules bench``): per size, serial (one worker)
+    and parallel throughput plus the shard/compile telemetry that explains
+    it.  Both passes run :func:`~repro.nids.engine.parallel_scan`; the
+    parallel one forces the pool on (``threshold=0``) so small sweeps
     still measure pool dispatch rather than the break-even fallback.
     """
-    from repro.nids.engine import parallel_scan, scan_stream
+    from repro.nids.engine import parallel_scan
 
     entries: List[Dict[str, object]] = []
     for size in sizes:
@@ -551,33 +552,23 @@ def throughput_sweep(
             "build_seconds": round(build_seconds, 4),
             "prefilter_shards": ruleset.prefilter_shards,
         }
-        serial_alerts, scanned, serial_tel = scan_stream(ruleset, sessions)
-        entry["serial"] = {
-            "seconds": round(serial_tel.wall_seconds, 4),
-            "sessions_per_second": round(
-                scanned / serial_tel.wall_seconds if serial_tel.wall_seconds else 0.0,
-                1,
-            ),
-            "alerts": len(serial_alerts),
-            "shards_compiled": serial_tel.shards_compiled,
-            "candidates_evaluated": serial_tel.candidates_evaluated,
-        }
-        parallel_alerts, scanned, parallel_tel = parallel_scan(
-            ruleset, sessions, workers=workers, threshold=0
-        )
-        entry["parallel"] = {
-            "workers": workers,
-            "seconds": round(parallel_tel.wall_seconds, 4),
-            "sessions_per_second": round(
-                scanned / parallel_tel.wall_seconds
-                if parallel_tel.wall_seconds
-                else 0.0,
-                1,
-            ),
-            "alerts": len(parallel_alerts),
-            "shards_compiled": parallel_tel.shards_compiled,
-        }
-        entry["alerts_equal"] = serial_alerts == parallel_alerts
+        alerts = {}
+        for side, count in (("serial", 1), ("parallel", workers)):
+            alerts[side], scanned, telemetry = parallel_scan(
+                ruleset, sessions, workers=count, threshold=0
+            )
+            seconds = telemetry.wall_seconds
+            entry[side] = {
+                "workers": count,
+                "seconds": round(seconds, 4),
+                "sessions_per_second": round(
+                    scanned / seconds if seconds else 0.0, 1
+                ),
+                "alerts": len(alerts[side]),
+                "shards_compiled": telemetry.shards_compiled,
+                "candidates_evaluated": telemetry.candidates_evaluated,
+            }
+        entry["alerts_equal"] = alerts["serial"] == alerts["parallel"]
         entries.append(entry)
     return {
         "sizes": list(sizes),

@@ -75,16 +75,18 @@ class TestScanEquivalence:
         alerts = engine.scan(study.store)
         _assert_matches_oracle(engine, alerts, reference_alerts, reference_stats)
 
-    def test_match_session_identical_per_session(self, study):
-        ruleset = build_study_ruleset()
+    @pytest.mark.parametrize("port_insensitive", [True, False])
+    def test_match_session_identical_per_session(self, study, port_insensitive):
+        ruleset = build_study_ruleset(port_insensitive=port_insensitive)
         oracle = ScanOracle(ruleset)
         sample = list(islice(study.store, 300))
         assert sample
         for session in sample:
             assert ruleset.match_session(session) == oracle.match(session)
 
-    def test_match_all_identical_per_session(self, study):
-        ruleset = build_study_ruleset()
+    @pytest.mark.parametrize("port_insensitive", [True, False])
+    def test_match_all_identical_per_session(self, study, port_insensitive):
+        ruleset = build_study_ruleset(port_insensitive=port_insensitive)
         oracle = ScanOracle(ruleset)
         for session in islice(study.store, 100):
             assert ruleset.match_all(session) == oracle.match_all(session)
@@ -216,6 +218,13 @@ class TestPortSensitivePath:
     def test_match_payloads_requires_port_insensitive(self):
         with pytest.raises(ValueError):
             self._ruleset().match_payloads([b"attack"])
+
+    def test_match_payloads_pairs_ports_with_payloads(self):
+        ruleset = self._ruleset()
+        winners = ruleset.match_payloads([b"attack"] * 2, [(1, 80), (1, 443)])[0]
+        assert winners == [0, -1]
+        with pytest.raises(ValueError):
+            ruleset.match_payloads([b"attack"] * 2, [(1, 80)])
 
     def test_port_sensitive_scan_respects_ports(self):
         sessions = [
