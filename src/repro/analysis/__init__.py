@@ -12,38 +12,19 @@
   Figure 12).
 """
 
-from repro.analysis.pipeline import StudyConfig, StudyResult, run_study
-from repro.analysis.trends import (
-    events_over_study,
-    events_relative_to_publication,
-    observed_cves_by_publication,
-    study_headline_stats,
-)
-from repro.analysis.impact import impact_cdfs
-from repro.analysis.kev_compare import KevComparison, compare_with_kev
-from repro.analysis.log4shell import Log4ShellAnalysis, analyse_log4shell
-from repro.analysis.confluence import ConfluenceAnalysis, analyse_confluence
-from repro.analysis.vendors import category_summaries, sophistication_gap_days
-from repro.analysis.evolution import cohort_skills
-from repro.analysis.coverage import attribution_quality
+from repro import lazy_exports
 
-__all__ = [
-    "StudyConfig",
-    "StudyResult",
-    "run_study",
-    "events_over_study",
-    "events_relative_to_publication",
-    "observed_cves_by_publication",
-    "study_headline_stats",
-    "impact_cdfs",
-    "KevComparison",
-    "compare_with_kev",
-    "Log4ShellAnalysis",
-    "analyse_log4shell",
-    "ConfluenceAnalysis",
-    "analyse_confluence",
-    "category_summaries",
-    "sophistication_gap_days",
-    "cohort_skills",
-    "attribution_quality",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.pipeline": ("StudyConfig", "StudyResult", "run_study"),
+    "repro.analysis.trends": (
+        "events_over_study", "events_relative_to_publication",
+        "observed_cves_by_publication", "study_headline_stats",
+    ),
+    "repro.analysis.impact": ("impact_cdfs",),
+    "repro.analysis.kev_compare": ("KevComparison", "compare_with_kev"),
+    "repro.analysis.log4shell": ("Log4ShellAnalysis", "analyse_log4shell"),
+    "repro.analysis.confluence": ("ConfluenceAnalysis", "analyse_confluence"),
+    "repro.analysis.vendors": ("category_summaries", "sophistication_gap_days"),
+    "repro.analysis.evolution": ("cohort_skills",),
+    "repro.analysis.coverage": ("attribution_quality",),
+})

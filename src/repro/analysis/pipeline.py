@@ -29,13 +29,21 @@ from dataclasses import dataclass, field
 from datetime import timedelta
 from functools import cached_property
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Union,
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+
+# ``repro.cache.study_key`` and ``repro.scenarios.resolve`` are looked up
+# through their packages at call time, so a wrapper installed there (a
+# tracer's) sees every call; every other name comes from its own module.
+import repro.cache
+import repro.scenarios
+from repro.cache.checkpoint import CheckpointStore
+from repro.cache.fingerprint import code_fingerprint
+from repro.cache.study import (
+    CacheTelemetry,
+    StudyCache,
+    default_cache_root,
+    semantic_config,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.cache import CacheTelemetry, CheckpointStore, StudyCache
-
 from repro.datasets.loader import DEFAULT_SEED, DatasetBundle, build_bundle
 from repro.exploits.rulegen import build_study_ruleset
 from repro.lifecycle.assembly import assemble_timelines
@@ -45,15 +53,10 @@ from repro.lifecycle.rca import RcaDecision, RootCauseAnalysis
 from repro.net.pcapstore import SessionStore
 from repro.nids.engine import DetectionEngine, ScanTelemetry
 from repro.nids.ruleset import Alert, Ruleset
-from repro.obs import (
-    MetricsRegistry,
-    RunManifest,
-    StageProfiler,
-    Tracer,
-    get_registry,
-    manifests_root,
-    publish_mapping,
-)
+from repro.obs.manifest import RunManifest, manifests_root
+from repro.obs.metrics import MetricsRegistry, get_registry, publish_mapping
+from repro.obs.profile import StageProfiler
+from repro.obs.trace import Tracer, span_or_null
 from repro.store.columnar import AlertTable
 from repro.telescope.collector import CollectionStats, DscopeCollector
 from repro.telescope.config import TelescopeConfig
@@ -128,9 +131,7 @@ class StudyConfig:
         >>> StudyConfig.from_scenario("quick", workers=4, seed=7).seed
         7
         """
-        from repro.scenarios import get_scenario
-
-        spec = get_scenario(name)
+        spec = repro.scenarios.get_scenario(name)
         values: Dict[str, object] = dict(spec.config)
         values.update(overrides)
         values.setdefault("scenario", name)
@@ -152,7 +153,7 @@ class StudyTelemetry:
     scan: Optional[ScanTelemetry] = None
     #: Counters from the cache instance that served (or stored) this run;
     #: None when the run was uncached.
-    cache: Optional["CacheTelemetry"] = None
+    cache: Optional[CacheTelemetry] = None
     #: Heavy stages served from crash checkpoints left by an earlier,
     #: killed run (subset of ``["store", "alerts"]``, in pipeline order).
     #: Empty for clean runs and cache hits.
@@ -256,8 +257,6 @@ def derive_analysis(
     factory called with the payloads (a scenario's registered RCA
     component); None uses the paper's heuristic.
     """
-    from repro.obs import span_or_null
-
     with span_or_null(tracer, "extract") as span:
         events = EventTable.from_alerts(alerts)
         grouped = events.by_cve()
@@ -281,12 +280,10 @@ def derive_analysis(
     )
 
 
-def _resolve_cache(cache: "CacheLike") -> Optional["StudyCache"]:
+def _resolve_cache(cache: "CacheLike") -> Optional[StudyCache]:
     """Normalise the ``cache`` argument of :func:`run_study`."""
     if cache is None or cache is False:
         return None
-    from repro.cache import StudyCache
-
     if cache is True:
         return StudyCache()
     if isinstance(cache, (str, Path)):
@@ -294,19 +291,17 @@ def _resolve_cache(cache: "CacheLike") -> Optional["StudyCache"]:
     return cache
 
 
-CacheLike = Union[None, bool, str, Path, "StudyCache"]
-CheckpointLike = Union[None, bool, str, Path, "CheckpointStore"]
+CacheLike = Union[None, bool, str, Path, StudyCache]
+CheckpointLike = Union[None, bool, str, Path, CheckpointStore]
 ManifestLike = Union[None, bool, str, Path]
 
 
 def _resolve_checkpoints(
-    checkpoints: CheckpointLike, study_cache: Optional["StudyCache"]
-) -> Optional["CheckpointStore"]:
+    checkpoints: CheckpointLike, study_cache: Optional[StudyCache]
+) -> Optional[CheckpointStore]:
     """Normalise the ``checkpoints`` argument of :func:`run_study`."""
     if checkpoints is False:
         return None
-    from repro.cache import CheckpointStore
-
     if checkpoints is None:
         # Default: checkpoint wherever the study cache lives, so a killed
         # cached run resumes; uncached runs stay checkpoint-free.
@@ -322,8 +317,8 @@ def _resolve_checkpoints(
 
 def _resolve_manifest_dir(
     manifest: ManifestLike,
-    study_cache: Optional["StudyCache"],
-    checkpoint_store: Optional["CheckpointStore"],
+    study_cache: Optional[StudyCache],
+    checkpoint_store: Optional[CheckpointStore],
 ) -> Optional[Path]:
     """Where (if anywhere) this run's manifest should be written.
 
@@ -338,8 +333,6 @@ def _resolve_manifest_dir(
     if isinstance(manifest, (str, Path)):
         return Path(manifest).expanduser()
     if manifest is True:
-        from repro.cache import default_cache_root
-
         return manifests_root(default_cache_root())
     if study_cache is not None:
         return manifests_root(study_cache.root)
@@ -362,8 +355,6 @@ def _build_manifest(
     scenario_fingerprint: Optional[str] = None,
 ) -> RunManifest:
     """Assemble the run's manifest from the instrumented pieces."""
-    from repro.cache import code_fingerprint, semantic_config
-
     spans = tracer.tree()
     stage_seconds: Dict[str, float] = {}
     for root in spans:
@@ -443,18 +434,15 @@ def run_study(
     The manifest object itself is always available as
     ``result.telemetry.manifest``.
     """
-    from repro.cache import study_key as compute_study_key
-    from repro.scenarios import resolve as resolve_scenario
-
     config = config or StudyConfig()
     study_cache = _resolve_cache(cache)
     checkpoint_store = _resolve_checkpoints(checkpoints, study_cache)
     manifest_dir = _resolve_manifest_dir(manifest, study_cache, checkpoint_store)
-    study_key = compute_study_key(config)
+    study_key = repro.cache.study_key(config)
     # Every run goes through scenario resolution — a config without a
     # scenario resolves "paper-default", whose components reproduce the
     # historical hard-wired constructors exactly.
-    resolved = resolve_scenario(config.scenario or "paper-default", config)
+    resolved = repro.scenarios.resolve(config.scenario or "paper-default", config)
 
     tracer = Tracer()
     registry = MetricsRegistry()

@@ -50,7 +50,9 @@ from repro.nids.engine import (
     session_columns,
 )
 from repro.nids.ruleset import Alert
-from repro.obs import MetricsRegistry, RunManifest, Tracer, publish_mapping
+from repro.obs.manifest import RunManifest
+from repro.obs.metrics import MetricsRegistry, publish_mapping
+from repro.obs.trace import Tracer
 from repro.store.columnar import AlertTable
 from repro.traffic.arrivals import ScanArrival
 
@@ -233,8 +235,9 @@ def watch_study(
     plus per-window execution detail (window bounds, cursor, current
     A-before-P rate).  ``max_windows`` bounds the run (smoke tests, CI).
     """
-    from repro.cache import code_fingerprint, semantic_config
-    from repro.cache import study_key as compute_study_key
+    from repro.cache.fingerprint import code_fingerprint
+    from repro.cache.study import semantic_config
+    from repro.cache.study import study_key as compute_study_key
     from repro.scenarios import resolve as resolve_scenario
 
     config = config or StudyConfig()

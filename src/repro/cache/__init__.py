@@ -15,42 +15,17 @@ Layering:
   a run's partial entry, which the cache publishes when the run finishes.
 """
 
-from repro.cache.checkpoint import CheckpointStore, CheckpointTelemetry
-from repro.cache.fingerprint import STAGE_MODULES, code_fingerprint, digest_file
-from repro.cache.gc import (
-    GcReport,
-    ManifestGcReport,
-    collect_garbage,
-    collect_manifest_garbage,
-)
-from repro.cache.integrity import EntryReport, verify_entry
-from repro.cache.study import (
-    CACHE_SCHEMA,
-    CachedStudy,
-    CacheTelemetry,
-    StudyCache,
-    default_cache_root,
-    semantic_config,
-    study_key,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA",
-    "CachedStudy",
-    "CacheTelemetry",
-    "CheckpointStore",
-    "CheckpointTelemetry",
-    "EntryReport",
-    "GcReport",
-    "ManifestGcReport",
-    "STAGE_MODULES",
-    "StudyCache",
-    "code_fingerprint",
-    "collect_garbage",
-    "collect_manifest_garbage",
-    "default_cache_root",
-    "digest_file",
-    "semantic_config",
-    "study_key",
-    "verify_entry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cache.checkpoint": ("CheckpointStore", "CheckpointTelemetry"),
+    "repro.cache.fingerprint": ("STAGE_MODULES", "code_fingerprint", "digest_file"),
+    "repro.cache.gc": (
+        "GcReport", "ManifestGcReport", "collect_garbage", "collect_manifest_garbage",
+    ),
+    "repro.cache.integrity": ("EntryReport", "verify_entry"),
+    "repro.cache.study": (
+        "CACHE_SCHEMA", "CachedStudy", "CacheTelemetry", "StudyCache",
+        "default_cache_root", "semantic_config", "study_key",
+    ),
+})

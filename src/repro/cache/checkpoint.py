@@ -54,6 +54,7 @@ from repro.cache.study import (
     stage_record,
     write_stage,
 )
+from repro.obs.metrics import get_registry
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,6 @@ class CheckpointStore:
         """Bump a telemetry counter, mirrored into the process metrics
         registry as ``checkpoint.<name>`` (see ``StudyCache._count``)."""
         setattr(self.telemetry, name, getattr(self.telemetry, name) + amount)
-        from repro.obs import get_registry
-
         get_registry().inc(f"checkpoint.{name}", amount)
 
     def dir_for(self, key: str) -> Path:

@@ -11,8 +11,7 @@ on purpose — they rerun on every study anyway.)
 from __future__ import annotations
 
 import hashlib
-import importlib
-import inspect
+import importlib.util
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Tuple
@@ -27,7 +26,6 @@ from repro._version import __version__
 STAGE_MODULES: Tuple[str, ...] = (
     "repro.analysis.pipeline",
     "repro.datasets.catalog",
-    "repro.datasets.feeds",
     "repro.datasets.feeds.base",
     "repro.datasets.feeds.fixes",
     "repro.datasets.feeds.kevjson",
@@ -55,7 +53,6 @@ STAGE_MODULES: Tuple[str, ...] = (
     "repro.nids.rule",
     "repro.nids.ruleset",
     "repro.nids.scale",
-    "repro.obs",
     "repro.obs.manifest",
     "repro.obs.metrics",
     "repro.obs.profile",
@@ -97,11 +94,12 @@ def _fingerprint(module_names: Tuple[str, ...]) -> str:
     hasher = hashlib.blake2b(digest_size=16)
     hasher.update(__version__.encode("utf-8"))
     for name in module_names:
-        module = importlib.import_module(name)
-        source = inspect.getsourcefile(module)
+        # Found, not imported: only the module's parent packages run.
+        spec = importlib.util.find_spec(name)
+        if spec is None or not spec.has_location or spec.origin is None:
+            raise ModuleNotFoundError(f"no source file for {name!r}", name=name)
         hasher.update(name.encode("utf-8"))
-        if source is not None:
-            hasher.update(digest_file(source).encode("ascii"))
+        hasher.update(digest_file(spec.origin).encode("ascii"))
     return hasher.hexdigest()
 
 

@@ -103,6 +103,8 @@ import numpy as np
 
 from repro.net.pcapstore import STORE_DTYPES, SessionColumns, SessionStore
 from repro.nids.ruleset import Alert
+from repro.obs.manifest import manifests_root
+from repro.obs.metrics import get_registry
 from repro.store.columnar import (
     ALERT_DTYPES,
     MISSING,
@@ -534,8 +536,6 @@ class StudyCache:
         manifests and ``repro metrics`` see cache behaviour in one place.
         """
         setattr(self.telemetry, name, getattr(self.telemetry, name) + amount)
-        from repro.obs import get_registry
-
         get_registry().inc(f"cache.{name}", amount)
 
     # Backwards-compatible aliases for the original counters.
@@ -771,8 +771,6 @@ class StudyCache:
     ) -> ManifestGcReport:
         """Bound the rolling ``watch-*`` manifests under this cache root
         (see :func:`repro.cache.gc.collect_manifest_garbage`)."""
-        from repro.obs import manifests_root
-
         return collect_manifest_garbage(
             manifests_root(self.root),
             max_age=max_age,

@@ -17,77 +17,27 @@ and the paper's two refinements of it.
   (Figures 6-7).
 """
 
-from repro.core.desiderata import (
-    DESIDERATA,
-    Desideratum,
-    OrderingRelation,
-    desiderata_matrix,
-)
-from repro.core.histories import (
-    EventModel,
-    HOUSEHOLDER_SPRING_MODEL,
-    THIS_WORK_MODEL,
-    baseline_frequencies,
-    enumerate_histories,
-    simulate_history,
-)
-from repro.core.skill import SkillReport, compute_skill, skill, skill_table
-from repro.core.perevent import per_event_satisfaction, per_event_table
-from repro.core.windows import delta_series, window_cdf
-from repro.core.hypothetical import ids_vendor_inclusion_experiment
-from repro.core.exposure import (
-    exposure_cdf,
-    mitigated_share,
-    unique_cve_bins,
-)
-from repro.core.bootstrap import BootstrapReport, bootstrap_skill
-from repro.core.autopatch import auto_patch_outcome, auto_patch_sweep
-from repro.core.adoption import (
-    AdoptionCurve,
-    DEFAULT_ADOPTION,
-    IMMEDIATE_ADOPTION,
-    expected_exposure,
-)
-from repro.core.mpcvd import (
-    MpcvdCase,
-    MultiPartyModel,
-    generate_mpcvd_cases,
-    summarise_cases,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DESIDERATA",
-    "Desideratum",
-    "OrderingRelation",
-    "desiderata_matrix",
-    "EventModel",
-    "HOUSEHOLDER_SPRING_MODEL",
-    "THIS_WORK_MODEL",
-    "baseline_frequencies",
-    "enumerate_histories",
-    "simulate_history",
-    "SkillReport",
-    "compute_skill",
-    "skill",
-    "skill_table",
-    "per_event_satisfaction",
-    "per_event_table",
-    "delta_series",
-    "window_cdf",
-    "ids_vendor_inclusion_experiment",
-    "exposure_cdf",
-    "mitigated_share",
-    "unique_cve_bins",
-    "BootstrapReport",
-    "bootstrap_skill",
-    "auto_patch_outcome",
-    "auto_patch_sweep",
-    "AdoptionCurve",
-    "DEFAULT_ADOPTION",
-    "IMMEDIATE_ADOPTION",
-    "expected_exposure",
-    "MpcvdCase",
-    "MultiPartyModel",
-    "generate_mpcvd_cases",
-    "summarise_cases",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.desiderata": (
+        "DESIDERATA", "Desideratum", "OrderingRelation", "desiderata_matrix",
+    ),
+    "repro.core.histories": (
+        "EventModel", "HOUSEHOLDER_SPRING_MODEL", "THIS_WORK_MODEL",
+        "baseline_frequencies", "enumerate_histories", "simulate_history",
+    ),
+    "repro.core.skill": ("SkillReport", "compute_skill", "skill", "skill_table"),
+    "repro.core.perevent": ("per_event_satisfaction", "per_event_table"),
+    "repro.core.windows": ("delta_series", "window_cdf"),
+    "repro.core.hypothetical": ("ids_vendor_inclusion_experiment",),
+    "repro.core.exposure": ("exposure_cdf", "mitigated_share", "unique_cve_bins"),
+    "repro.core.bootstrap": ("BootstrapReport", "bootstrap_skill"),
+    "repro.core.autopatch": ("auto_patch_outcome", "auto_patch_sweep"),
+    "repro.core.adoption": (
+        "AdoptionCurve", "DEFAULT_ADOPTION", "IMMEDIATE_ADOPTION", "expected_exposure",
+    ),
+    "repro.core.mpcvd": (
+        "MpcvdCase", "MultiPartyModel", "generate_mpcvd_cases", "summarise_cases",
+    ),
+})

@@ -9,36 +9,14 @@ synthetically, *seeded by the paper's own published per-CVE table*
 paper's measurements.
 """
 
-from repro.datasets.records import (
-    CveRecord,
-    ExploitEvidence,
-    KevEntry,
-    RuleHistoryEntry,
-    TalosReport,
-)
-from repro.datasets.seed_cves import SEED_CVES, SeedCve, STUDY_WINDOW
-from repro.datasets.seed_log4shell import LOG4SHELL_VARIANTS, Log4ShellVariant
-from repro.datasets.loader import DatasetBundle, build_bundle
-from repro.datasets.sources import (
-    DatasetPlan,
-    DatasetSource,
-    default_plan,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CveRecord",
-    "ExploitEvidence",
-    "KevEntry",
-    "RuleHistoryEntry",
-    "TalosReport",
-    "SEED_CVES",
-    "SeedCve",
-    "STUDY_WINDOW",
-    "LOG4SHELL_VARIANTS",
-    "Log4ShellVariant",
-    "DatasetBundle",
-    "DatasetPlan",
-    "DatasetSource",
-    "build_bundle",
-    "default_plan",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.datasets.records": (
+        "CveRecord", "ExploitEvidence", "KevEntry", "RuleHistoryEntry", "TalosReport",
+    ),
+    "repro.datasets.seed_cves": ("SEED_CVES", "SeedCve", "STUDY_WINDOW"),
+    "repro.datasets.seed_log4shell": ("LOG4SHELL_VARIANTS", "Log4ShellVariant"),
+    "repro.datasets.loader": ("DatasetBundle", "build_bundle"),
+    "repro.datasets.sources": ("DatasetPlan", "DatasetSource", "default_plan"),
+})

@@ -8,14 +8,11 @@ ever touches the network; :mod:`repro.datasets.feeds.fetch` downloads and
 content-hashes snapshots on explicit request (``repro feeds fetch``).
 """
 
-from repro.datasets.feeds.base import FeedParseError
-from repro.datasets.feeds.fixes import FixesFeedSource
-from repro.datasets.feeds.kevjson import KevFeedSource
-from repro.datasets.feeds.nvd2 import Nvd2FeedSource
+from repro import lazy_exports
 
-__all__ = [
-    "FeedParseError",
-    "FixesFeedSource",
-    "KevFeedSource",
-    "Nvd2FeedSource",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.datasets.feeds.base": ("FeedParseError",),
+    "repro.datasets.feeds.fixes": ("FixesFeedSource",),
+    "repro.datasets.feeds.kevjson": ("KevFeedSource",),
+    "repro.datasets.feeds.nvd2": ("Nvd2FeedSource",),
+})

@@ -1,15 +1,9 @@
 """Experiment registry: one regeneration function per paper table/figure."""
 
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    ExperimentResult,
-    list_experiments,
-    run_experiment,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "list_experiments",
-    "run_experiment",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.registry": (
+        "EXPERIMENTS", "ExperimentResult", "list_experiments", "run_experiment",
+    ),
+})

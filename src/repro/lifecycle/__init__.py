@@ -8,18 +8,11 @@ root-cause analysis pruning CVEs whose signatures false-positive
 (paper Section 3.2).
 """
 
-from repro.lifecycle.events import CveTimeline, LifecycleEvent
-from repro.lifecycle.exploit_events import EventTable, ExploitEvent
-from repro.lifecycle.rca import RcaDecision, RootCauseAnalysis, looks_like_exploit
-from repro.lifecycle.assembly import assemble_timelines
+from repro import lazy_exports
 
-__all__ = [
-    "CveTimeline",
-    "LifecycleEvent",
-    "EventTable",
-    "ExploitEvent",
-    "RcaDecision",
-    "RootCauseAnalysis",
-    "looks_like_exploit",
-    "assemble_timelines",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.lifecycle.events": ("CveTimeline", "LifecycleEvent"),
+    "repro.lifecycle.exploit_events": ("EventTable", "ExploitEvent"),
+    "repro.lifecycle.rca": ("RcaDecision", "RootCauseAnalysis", "looks_like_exploit"),
+    "repro.lifecycle.assembly": ("assemble_timelines",),
+})

@@ -7,14 +7,10 @@ replays them (the "wayback" in the paper's title: signatures are evaluated
 post-facto over stored traffic).
 """
 
-from repro.net.session import SessionDirection, TcpSession
-from repro.net.http import HttpRequest, parse_http_request
-from repro.net.pcapstore import SessionStore
+from repro import lazy_exports
 
-__all__ = [
-    "SessionDirection",
-    "TcpSession",
-    "HttpRequest",
-    "parse_http_request",
-    "SessionStore",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.net.session": ("SessionDirection", "TcpSession"),
+    "repro.net.http": ("HttpRequest", "parse_http_request"),
+    "repro.net.pcapstore": ("SessionStore",),
+})

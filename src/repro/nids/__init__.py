@@ -16,66 +16,22 @@ Two study-specific behaviours from the paper's methodology (Section 3.1):
   archive so exploit traffic predating a signature's release is still found.
 """
 
-from repro.nids.rule import (
-    ContentMatch,
-    HttpBuffer,
-    PcreMatch,
-    PortSpec,
-    Rule,
-)
-from repro.nids.parser import RuleParseError, format_rule, parse_rule, parse_rules
-from repro.nids.matcher import match_rule
-from repro.nids.ruleset import Alert, Ruleset
-from repro.nids.engine import (
-    DetectionEngine,
-    DetectionStats,
-    ScanTelemetry,
-    parallel_scan,
-    scan_stream,
-)
-from repro.nids.prefilter import RegexPrefilter, ShardedPrefilter
-from repro.nids.live import LiveDetectionEngine, compare_live_vs_wayback
-from repro.nids.lint import LintFinding, lint_rule, lint_rules
-from repro.nids.scale import (
-    ScaleConfig,
-    ScaledRule,
-    build_scaled_ruleset,
-    generate_scaled,
-    generate_texts,
-    synthesize_sessions,
-    throughput_sweep,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ContentMatch",
-    "HttpBuffer",
-    "PcreMatch",
-    "PortSpec",
-    "Rule",
-    "RuleParseError",
-    "format_rule",
-    "parse_rule",
-    "parse_rules",
-    "match_rule",
-    "Alert",
-    "Ruleset",
-    "DetectionEngine",
-    "DetectionStats",
-    "ScanTelemetry",
-    "scan_stream",
-    "parallel_scan",
-    "RegexPrefilter",
-    "ShardedPrefilter",
-    "ScaleConfig",
-    "ScaledRule",
-    "build_scaled_ruleset",
-    "generate_scaled",
-    "generate_texts",
-    "synthesize_sessions",
-    "throughput_sweep",
-    "LiveDetectionEngine",
-    "compare_live_vs_wayback",
-    "LintFinding",
-    "lint_rule",
-    "lint_rules",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.nids.rule": ("ContentMatch", "HttpBuffer", "PcreMatch", "PortSpec", "Rule"),
+    "repro.nids.parser": ("RuleParseError", "format_rule", "parse_rule", "parse_rules"),
+    "repro.nids.matcher": ("match_rule",),
+    "repro.nids.ruleset": ("Alert", "Ruleset"),
+    "repro.nids.engine": (
+        "DetectionEngine", "DetectionStats", "ScanTelemetry", "scan_stream",
+        "parallel_scan",
+    ),
+    "repro.nids.prefilter": ("RegexPrefilter", "ShardedPrefilter"),
+    "repro.nids.scale": (
+        "ScaleConfig", "ScaledRule", "build_scaled_ruleset", "generate_scaled",
+        "generate_texts", "synthesize_sessions", "throughput_sweep",
+    ),
+    "repro.nids.live": ("LiveDetectionEngine", "compare_live_vs_wayback"),
+    "repro.nids.lint": ("LintFinding", "lint_rule", "lint_rules"),
+})

@@ -26,9 +26,6 @@ indistinguishable from the serial one.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from time import perf_counter
@@ -395,12 +392,15 @@ def parallel_scan(
     bounds = [
         (start, min(start + chunk, count)) for start in range(0, count, chunk)
     ]
-    if (
-        workers == 1
-        or len(bounds) <= 1
-        or count < threshold
-        or "fork" not in multiprocessing.get_all_start_methods()
-    ):
+    pooled = workers > 1 and len(bounds) > 1 and count >= threshold
+    if pooled:
+        # The pool's modules load only where a pool may start.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
+        pooled = "fork" in multiprocessing.get_all_start_methods()
+    if not pooled:
         alerts, scanned, telemetry = scan_stream(ruleset, columns)
         telemetry.fallback_serial = int(workers > 1)
         return alerts, scanned, telemetry

@@ -23,34 +23,14 @@ layer of the pipeline without cycles):
   that attach top-N cumulative stats per hot stage to the manifest.
 """
 
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA,
-    RunManifest,
-    latest_manifest,
-    manifests_root,
-    validate_manifest,
-)
-from repro.obs.metrics import (
-    MetricsRegistry,
-    get_registry,
-    publish_mapping,
-)
-from repro.obs.profile import StageProfiler, profiling_enabled
-from repro.obs.trace import Span, Tracer, render_span_tree, span_or_null
+from repro import lazy_exports
 
-__all__ = [
-    "MANIFEST_SCHEMA",
-    "MetricsRegistry",
-    "RunManifest",
-    "Span",
-    "StageProfiler",
-    "Tracer",
-    "get_registry",
-    "latest_manifest",
-    "manifests_root",
-    "profiling_enabled",
-    "publish_mapping",
-    "render_span_tree",
-    "span_or_null",
-    "validate_manifest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.manifest": (
+        "MANIFEST_SCHEMA", "RunManifest", "latest_manifest", "manifests_root",
+        "validate_manifest",
+    ),
+    "repro.obs.metrics": ("MetricsRegistry", "get_registry", "publish_mapping"),
+    "repro.obs.profile": ("StageProfiler", "profiling_enabled"),
+    "repro.obs.trace": ("Span", "Tracer", "render_span_tree", "span_or_null"),
+})

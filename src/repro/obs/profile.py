@@ -14,11 +14,12 @@ overhead on the paths every other run takes.
 
 from __future__ import annotations
 
-import cProfile
 import os
-import pstats
 from contextlib import contextmanager, nullcontext
-from typing import Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; loaded where profiling runs
+    import cProfile
 
 #: Functions kept per stage, ranked by cumulative time.
 TOP_N = 20
@@ -32,6 +33,8 @@ def profiling_enabled() -> bool:
 
 
 def _top_functions(profile: cProfile.Profile, limit: int) -> List[Dict[str, object]]:
+    import pstats
+
     stats = pstats.Stats(profile)
     rows = []
     for func, (cc, nc, tottime, cumtime, _callers) in stats.stats.items():  # type: ignore[attr-defined]
@@ -66,6 +69,8 @@ class StageProfiler:
 
     @contextmanager
     def _profile_stage(self, name: str) -> Iterator[cProfile.Profile]:
+        import cProfile
+
         profile = cProfile.Profile()
         profile.enable()
         try:

@@ -4,20 +4,10 @@ The benchmark harness prints the same rows/series the paper reports; these
 helpers keep that output consistent across benches, examples, and tests.
 """
 
-from repro.reporting.tables import (
-    render_skill_table,
-    render_table3,
-    render_table6,
-)
-from repro.reporting.figures import FigureSeries, figure_series
-from repro.reporting.export import export_csv, export_json
+from repro import lazy_exports
 
-__all__ = [
-    "render_skill_table",
-    "render_table3",
-    "render_table6",
-    "FigureSeries",
-    "figure_series",
-    "export_csv",
-    "export_json",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.reporting.tables": ("render_skill_table", "render_table3", "render_table6"),
+    "repro.reporting.figures": ("FigureSeries", "figure_series"),
+    "repro.reporting.export": ("export_csv", "export_json"),
+})

@@ -14,7 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.datasets.feeds import FixesFeedSource, KevFeedSource, Nvd2FeedSource
+from repro.datasets.feeds.fixes import FixesFeedSource
+from repro.datasets.feeds.kevjson import KevFeedSource
+from repro.datasets.feeds.nvd2 import Nvd2FeedSource
 from repro.datasets.seed_cves import STUDY_WINDOW
 from repro.datasets.sources import (
     CvssColumn,

@@ -21,6 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
+from repro import lazy_exports
 from repro.store.columnar import MISSING, ColumnarStudy, from_micros, to_micros
 from repro.store.kernels import (
     a_before_p_rate,
@@ -30,7 +31,6 @@ from repro.store.kernels import (
     vendor_rollup,
     window_cdf,
 )
-from repro.store.server import StudyServer, serve
 from repro.store.service import QUERY_NAMES, QueryError, StudyService
 from repro.store.shard import (
     SHARD_SCHEMA,
@@ -97,3 +97,8 @@ __all__ = [
     "window_cdf",
     "write_shard",
 ]
+
+# The HTTP server (and asyncio) load only where ``repro serve`` reads them.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.store.server": ("StudyServer", "serve"),
+})[1:]

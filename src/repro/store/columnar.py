@@ -384,8 +384,9 @@ class ColumnarStudy:
     @classmethod
     def from_study(cls, result: "StudyResult") -> "ColumnarStudy":
         """Pack a batch :class:`StudyResult` (ETag = its study cache key)."""
-        from repro.cache import code_fingerprint, semantic_config
-        from repro.cache import study_key as compute_study_key
+        from repro.cache.fingerprint import code_fingerprint
+        from repro.cache.study import semantic_config
+        from repro.cache.study import study_key as compute_study_key
 
         return cls._pack(
             etag=compute_study_key(result.config),
@@ -418,8 +419,9 @@ class ColumnarStudy:
         snapshot is a different immutable resource per window); after the
         final window the columns equal :meth:`from_study` of the batch run.
         """
-        from repro.cache import code_fingerprint, semantic_config
-        from repro.cache import study_key as compute_study_key
+        from repro.cache.fingerprint import code_fingerprint
+        from repro.cache.study import semantic_config
+        from repro.cache.study import study_key as compute_study_key
 
         key = compute_study_key(config)
         etag = key if window_index is None else f"{key}-w{window_index:05d}"

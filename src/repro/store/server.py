@@ -32,7 +32,7 @@ import time
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.obs import get_registry
+from repro.obs.metrics import get_registry
 from repro.store.service import QueryError, StudyService
 
 #: One year — the maximum ``max-age`` HTTP/1.1 caches commonly honour;

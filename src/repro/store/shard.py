@@ -258,7 +258,7 @@ class ShardStore:
     """
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
-        from repro.cache import default_cache_root
+        from repro.cache.study import default_cache_root
 
         self.root = Path(root).expanduser() if root else default_cache_root()
 

@@ -8,13 +8,10 @@ TCP on all ports, completes handshakes, records client application data, and
 never responds at the application layer.
 """
 
-from repro.telescope.config import TelescopeConfig
-from repro.telescope.pool import CloudIpPool
-from repro.telescope.collector import CollectionStats, DscopeCollector
+from repro import lazy_exports
 
-__all__ = [
-    "TelescopeConfig",
-    "CloudIpPool",
-    "CollectionStats",
-    "DscopeCollector",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telescope.config": ("TelescopeConfig",),
+    "repro.telescope.pool": ("CloudIpPool",),
+    "repro.telescope.collector": ("CollectionStats", "DscopeCollector"),
+})

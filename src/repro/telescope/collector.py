@@ -47,6 +47,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.net.pcapstore import SessionColumns, SessionStore
+from repro.obs.trace import span_or_null
 from repro.telescope.config import TelescopeConfig
 from repro.telescope.pool import CloudIpPool
 from repro.traffic.arrivals import ArrivalColumns, ScanArrival
@@ -435,8 +436,6 @@ class DscopeCollector:
         ``route`` (with the tenancies materialised) and ``take`` (with the
         sessions) phases as child spans of the caller's open span.
         """
-        from repro.obs import span_or_null
-
         columns = ArrivalColumns.of(arrivals)
         self._begin_stream()
         with span_or_null(tracer, "route") as span:

@@ -14,17 +14,11 @@ paper's observed shape (post-publication burst, decaying body, long tail;
 see :mod:`repro.traffic.temporal`).
 """
 
-from repro.traffic.arrivals import ArrivalColumns, ScanArrival
-from repro.traffic.temporal import TemporalModel, exploit_event_times
-from repro.traffic.actors import ScannerPopulation
-from repro.traffic.generator import TrafficConfig, TrafficGenerator
+from repro import lazy_exports
 
-__all__ = [
-    "ArrivalColumns",
-    "ScanArrival",
-    "TemporalModel",
-    "exploit_event_times",
-    "ScannerPopulation",
-    "TrafficConfig",
-    "TrafficGenerator",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.traffic.arrivals": ("ArrivalColumns", "ScanArrival"),
+    "repro.traffic.temporal": ("TemporalModel", "exploit_event_times"),
+    "repro.traffic.actors": ("ScannerPopulation",),
+    "repro.traffic.generator": ("TrafficConfig", "TrafficGenerator"),
+})

@@ -37,6 +37,7 @@ from repro.datasets.seed_log4shell import (
 )
 from repro.exploits.log4shell import log4shell_plan
 from repro.exploits.templates import payload_plan, template_for
+from repro.obs.trace import span_or_null
 from repro.traffic.actors import ScannerPopulation
 from repro.traffic.arrivals import ArrivalColumns, ScanArrival
 from repro.traffic.temporal import (
@@ -308,8 +309,6 @@ class TrafficGenerator:
         A component given as :class:`ScanArrival` rows is packed once.
         ``tracer`` records the campaign and background phases.
         """
-        from repro.obs import span_or_null
-
         exploit_count = 0
         with span_or_null(tracer, "campaigns") as span:
             for seed_cve in SEED_CVES:
@@ -339,8 +338,6 @@ class TrafficGenerator:
         campaign/background/sort phases as child spans of the caller's
         open span.
         """
-        from repro.obs import span_or_null
-
         components = list(self._components(tracer))
         with span_or_null(tracer, "sort"):
             return ArrivalColumns.concat(components).sorted()

@@ -6,51 +6,15 @@ that every subsystem (telescope, NIDS, datasets, analysis) can build on them
 without import cycles.
 """
 
-from repro.util.timeutil import (
-    Duration,
-    TimeWindow,
-    format_offset,
-    hours,
-    days,
-    parse_offset,
-    to_days,
-    to_hours,
-    utc,
-)
-from repro.util.rng import derive_rng, derive_seed
-from repro.util.stats import (
-    Ecdf,
-    bin_counts,
-    ecdf,
-    fraction,
-    quantile,
-)
-from repro.util.tables import render_table
-from repro.util.iputil import (
-    format_ipv4,
-    ipv4_in_network,
-    parse_ipv4,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Duration",
-    "TimeWindow",
-    "format_offset",
-    "hours",
-    "days",
-    "parse_offset",
-    "to_days",
-    "to_hours",
-    "utc",
-    "derive_rng",
-    "derive_seed",
-    "Ecdf",
-    "bin_counts",
-    "ecdf",
-    "fraction",
-    "quantile",
-    "render_table",
-    "format_ipv4",
-    "ipv4_in_network",
-    "parse_ipv4",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.util.timeutil": (
+        "Duration", "TimeWindow", "format_offset", "hours", "days",
+        "parse_offset", "to_days", "to_hours", "utc",
+    ),
+    "repro.util.rng": ("derive_rng", "derive_seed"),
+    "repro.util.stats": ("Ecdf", "bin_counts", "ecdf", "fraction", "quantile"),
+    "repro.util.tables": ("render_table",),
+    "repro.util.iputil": ("format_ipv4", "ipv4_in_network", "parse_ipv4"),
+})

@@ -264,7 +264,7 @@ def test_round_tenths_equals_round(values):
 
 def test_traffic_import_closure_is_fingerprinted():
     closure = import_closure.closure("repro.traffic.generator")
-    assert {"repro.datasets.catalog", "repro.obs"} <= closure
+    assert {"repro.datasets.catalog", "repro.obs.trace"} <= closure
     assert closure <= set(STAGE_MODULES), sorted(closure - set(STAGE_MODULES))
 
 
